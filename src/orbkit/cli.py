@@ -16,6 +16,7 @@ import argparse
 import sys
 
 from . import fpgroup, report as report_mod
+from .exact import factorize
 from .scenario import (
     BUILTINS,
     ParseError,
@@ -28,12 +29,20 @@ from .scenario import (
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_INCONCLUSIVE = 0, 1, 2, 3
 
 
+def prime(text: str) -> int:
+    """argparse type of --prime: a prime p >= 2."""
+    p = int(text)
+    if p < 2 or factorize(p) != [(p, 1)]:
+        raise argparse.ArgumentTypeError(f"{text} is not a prime >= 2")
+    return p
+
+
 def _add_scenario_args(sub):
     sub.add_argument("scenario", nargs="?",
                      help="scenario file (omit to use --builtin)")
     sub.add_argument("--builtin", choices=BUILTINS,
                      help="use a named builtin instead of a scenario file")
-    sub.add_argument("--prime", type=int, default=3,
+    sub.add_argument("--prime", type=prime, default=3,
                      help="isotropy prime p for glued_Z (default 3)")
     sub.add_argument("--spin-target", choices=SPIN_TARGETS, default="any",
                      help="require the searched background class to give "
@@ -122,7 +131,7 @@ def main(argv=None) -> int:
         _add_scenario_args(sub)
         sub.set_defaults(fn=fn)
     enum = subs.add_parser("enumerate")
-    enum.add_argument("--prime", type=int, default=3)
+    enum.add_argument("--prime", type=prime, default=3)
     enum.add_argument("--coset-bound", type=int, default=10000)
     enum.add_argument("--max-power", type=int, default=8)
     enum.add_argument("--dump-table", action="store_true")

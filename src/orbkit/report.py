@@ -105,33 +105,11 @@ def _build(scn: Scenario, log):
     return _run_script(scn.config.copy(), scn.script, log), "explicit", None
 
 
-def _search_spec(cfg, request: SeifertRequest, assignments, bound, max_l1):
-    """Per-assignment specs honouring the spin target; (entries, mode)."""
-    residues = seifert.compute_b_residues(cfg)
-    entries = []
-    if request.c1B != "search":
-        spec = seifert.SeifertSpec(cfg, residues, tuple(request.c1B))
-        for assignment in assignments:
-            entries.append((assignment, spec,
-                            spin.spin_decision(spec, dict(assignment))))
-        return entries, "explicit"
-    want = {"spin": True, "nonspin": False}.get(request.spin_target)
-    for assignment in assignments:
-        found = None
-        for cand in seifert._graded_vectors(cfg.b2, bound, max_l1):
-            spec = seifert.SeifertSpec(cfg, residues, cand)
-            if not seifert.is_primitive(seifert.scaled_chern_class(spec)):
-                continue
-            verdict = spin.spin_decision(spec, dict(assignment))
-            if want is None or verdict == want:
-                found = (assignment, spec, verdict)
-                break
-        if found is None:
-            raise seifert.NotFound(
-                f"no background class for assignment {dict(assignment)} "
-                f"with spin_target={request.spin_target}")
-        entries.append(found)
-    return entries, "search"
+def _spin_predicate(assignment, spin_target):
+    """accept(lattice, c1B): c1B gives the spin type asked for."""
+    want = {"spin": True, "nonspin": False}.get(spin_target)
+    return lambda lattice, c1B: want is None or spin.spin_decision(
+        lattice.spec(c1B), dict(assignment)) == want
 
 
 def run_pipeline(scn: Scenario, coset_bound: int = 10000,
@@ -169,30 +147,30 @@ def run_pipeline(scn: Scenario, coset_bound: int = 10000,
     if request is None and scn.builtin and scn.builtin[0] == "glued_Z":
         request = SeifertRequest()
     if request is not None:
+        report.c1B_mode = "search" if request.c1B == "search" else "explicit"
+        report.spin_target = request.spin_target
         try:
-            names = spin.spin_target(seifert.SeifertSpec(
-                cfg, seifert.compute_b_residues(cfg),
-                (0,) * cfg.b2)).unknown_names()
+            assignments = spin.assignments(
+                spin.w2_base_class(cfg).unknown_names())
             if request.spin_unknowns is not None:
                 assignments = [tuple(sorted(request.spin_unknowns.items()))]
+            if request.c1B == "search":
+                specs = [seifert.search_background_class(
+                    cfg, _spin_predicate(a, request.spin_target),
+                    search_bound, max_l1) for a in assignments]
             else:
-                assignments = [
-                    tuple(sorted((n, (mask >> i) & 1)
-                                 for i, n in enumerate(names)))
-                    for mask in range(2 ** len(names))]
-            entries, mode = _search_spec(cfg, request, assignments,
-                                         search_bound, max_l1)
-        except seifert.NotFound as exc:
-            report.c1B_mode = "search"
-            report.spin_target = request.spin_target
+                specs = [seifert.SeifertSpec(
+                    cfg, seifert.compute_b_residues(cfg),
+                    tuple(request.c1B))] * len(assignments)
+            entries = [(a, spec, spin.spin_decision(spec, dict(a)))
+                       for a, spec in zip(assignments, specs)]
+        except seifert.NotFound:
             report.verdicts.append(("background_class", INCONCLUSIVE))
-            report.spin_entries = []
-            report.verdicts.append(("spin_target", INCONCLUSIVE))
+            if request.spin_target != "any":
+                report.verdicts.append(("spin_target", INCONCLUSIVE))
             return report
         except Exception as exc:
             raise PipelineError("seifert", exc) from exc
-        report.c1B_mode = mode
-        report.spin_target = request.spin_target
 
         first_spec = entries[0][1]
         report.h1 = seifert.h1_zero_decision(first_spec)

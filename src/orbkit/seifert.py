@@ -5,8 +5,8 @@ j_i*b_i = 1 (mod m_i); from it we compute the rational Chern class,
 decide whether the total space has H_1 = 0 (three criteria: b_1 of the
 base vanishes, the restriction map onto the multiplicity torsion is
 surjective, and the scaled Chern class is primitive), present H_2 of
-the total space, and search for background classes with prescribed
-positivity / primitivity / parity behaviour.
+the total space, and search for a background class a predicate admits.
+What depends only on the configuration is computed once, in its Lattice.
 
 Cohomology classes live in the dual lattice Hom(H_2(X,Z), Z): a class
 is its vector of pairings against the declared integral basis.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .abelian import AbelianGroup
@@ -39,6 +40,10 @@ class H1NotZero(ValueError):
     pass
 
 
+class UnresolvedUnknown(ValueError):
+    pass
+
+
 class NotFound(Exception):
     """Bounded search exhausted without a hit."""
 
@@ -49,13 +54,6 @@ class RationalClass:
 
     entries: tuple[Fraction, ...]
 
-    def scale(self, k) -> "RationalClass":
-        return RationalClass(tuple(Fraction(k) * x for x in self.entries))
-
-    def __add__(self, other: "RationalClass") -> "RationalClass":
-        return RationalClass(tuple(a + b for a, b in
-                                   zip(self.entries, other.entries)))
-
     def integer_entries(self) -> tuple[int, ...]:
         out = []
         for x in self.entries:
@@ -63,6 +61,59 @@ class RationalClass:
                 raise NonIntegralEntry(f"entry {x} is not an integer")
             out.append(x.numerator)
         return tuple(out)
+
+
+def _mod2(vec) -> tuple[int, ...]:
+    return tuple(int(x) % 2 for x in vec)
+
+
+def _xor(a, b) -> tuple[int, ...]:
+    return tuple(x ^ y for x, y in zip(a, b))
+
+
+def _reduce(pivots, v) -> tuple[int, ...]:
+    for col, pv in pivots:
+        if v[col]:
+            v = _xor(v, pv)
+    return tuple(v)
+
+
+def _echelon(vectors) -> list[tuple[int, tuple[int, ...]]]:
+    """(leading column, row) pairs of an echelon basis of the Z/2 span."""
+    pivots: list[tuple[int, tuple[int, ...]]] = []
+    for v in vectors:
+        v = _reduce(pivots, v)
+        if any(v):
+            pivots.append((v.index(1), v))
+    return pivots
+
+
+def in_span_mod2(vectors, target) -> bool:
+    """Gaussian elimination membership test over Z/2."""
+    return not any(_reduce(_echelon(vectors), target))
+
+
+@dataclass(frozen=True)
+class Mod2Class:
+    """A Z/2 pairing vector plus unknown multiples of surface classes."""
+
+    base: tuple[int, ...]
+    unknowns: tuple[tuple[str, tuple[int, ...]], ...] = ()
+
+    def resolve(self, assignment: dict) -> tuple[int, ...]:
+        out = self.base
+        for name, vec in self.unknowns:
+            if name not in assignment:
+                raise UnresolvedUnknown(f"no value for coefficient {name!r}")
+            if assignment[name] % 2:
+                out = _xor(out, vec)
+        return out
+
+    def unknown_names(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self.unknowns)
+
+    def __add__(self, other) -> "Mod2Class":
+        return Mod2Class(_xor(self.base, tuple(other)), self.unknowns)
 
 
 def isotropy_surfaces(cfg: OrbifoldConfig):
@@ -92,6 +143,97 @@ class SeifertSpec:
             raise ValueError(
                 f"c1(B) has {len(self.c1B)} coordinates, b2 = {self.base.b2}")
 
+    @cached_property
+    def lattice(self) -> "Lattice":
+        """The base configuration's Lattice, built on first use."""
+        return Lattice.of(self.base)
+
+
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """The facts of one configuration that every background class shares.
+
+    offset and w2 are worked out on first use, so a configuration that
+    one of them rejects still answers every other question.
+    """
+
+    cfg: OrbifoldConfig
+    columns: dict  # isotropy surface id -> integer pairing column
+    residues: dict  # isotropy surface id -> b_i
+    m: int  # lcm of the multiplicities
+    surjective: bool  # H^2(X,Z) onto sum Z_{m_i}: one SNF of [P^T | diag m_i]
+    odd_b: tuple[int, ...]  # sum mod 2 of the columns with b_i odd
+    kernel: tuple | None  # echelon basis of even-m columns mod 2, or None
+
+    @classmethod
+    def of(cls, cfg: OrbifoldConfig) -> "Lattice":
+        residues = compute_b_residues(cfg)
+        if cfg.integral_pairing is None:
+            raise MissingIntegralPairing("config declares no integral pairing")
+        iso = isotropy_surfaces(cfg)
+        columns = {s.id: surface_class(cfg, s.id).integer_entries()
+                   for s in iso}
+        rows = [list(columns[s.id])
+                + [s.multiplicity if t == k else 0 for t in range(len(iso))]
+                for k, s in enumerate(iso)]
+        factors = smith_normal_form(
+            IntMatrix.from_rows(rows)).invariant_factors()
+        odd_b = _mod2(sum(b * columns[sid][r] for sid, b in residues.items())
+                      for r in range(cfg.integral_pairing.rows))
+        even = [_mod2(columns[s.id]) for s in iso if s.multiplicity % 2 == 0]
+        kernel = tuple(v for _, v in _echelon(even)) if even else None
+        return cls(cfg, columns, residues, total_multiplicity(cfg),
+                   len(factors) == len(iso) and all(d == 1 for d in factors),
+                   odd_b, kernel)
+
+    @cached_property
+    def offset(self) -> tuple[int, ...]:
+        """sum_i (m/m_i) b_i [D_i], the scaled Chern class at c1(B) = 0."""
+        out = (0,) * self.cfg.integral_pairing.rows
+        for s in isotropy_surfaces(self.cfg):
+            if s.qclass is None:
+                raise MissingQClass(f"{s.id} has no homology coordinates")
+            k = self.m // s.multiplicity * self.residues[s.id]
+            out = tuple(o + k * x for o, x in zip(out, self.columns[s.id]))
+        return out
+
+    def scaled_chern(self, c1B) -> tuple[int, ...]:
+        """m * c1(M) = m c1(B) + sum_i (m/m_i) b_i [D_i], as integers."""
+        return tuple(self.m * c + o for c, o in zip(c1B, self.offset))
+
+    @cached_property
+    def w2(self) -> Mod2Class:
+        """w2 of the punctured base in terms of the tracked surfaces.
+
+        Surfaces avoiding the singular points are pinned by the evenness
+        of their self-intersection; surfaces through singular points get
+        the unknown coefficients a1, a2, ... in listing order.
+        """
+        base = (0,) * self.cfg.integral_pairing.rows
+        unknowns = []
+        for s in self.cfg.surfaces:
+            vec = _mod2(self.columns[s.id] if s.id in self.columns
+                        else surface_class(self.cfg, s.id).entries)
+            if self.cfg.points_on(s.id):
+                unknowns.append((f"a{len(unknowns) + 1}", vec))
+            elif s.self_intersection.denominator != 1:
+                raise ValueError(
+                    f"{s.id} avoids the singular points but has "
+                    f"non-integral self-intersection {s.self_intersection}")
+            elif s.self_intersection % 2:
+                base = _xor(base, vec)
+        return Mod2Class(base, tuple(unknowns))
+
+    def twist(self, c1B) -> tuple[int, ...]:
+        """c1(B) + sum_i b_i [D_i] mod 2."""
+        return _xor(_mod2(c1B), self.odd_b)
+
+    def spec(self, c1B) -> SeifertSpec:
+        """The SeifertSpec of background class c1B, sharing this lattice."""
+        spec = SeifertSpec(self.cfg, self.residues, tuple(c1B))
+        spec.__dict__["lattice"] = self
+        return spec
+
 
 def surface_class(cfg: OrbifoldConfig, sid: str) -> RationalClass:
     """[D] as a functional on the integral basis: a pairing column."""
@@ -108,51 +250,19 @@ def total_multiplicity(cfg: OrbifoldConfig) -> int:
 
 def chern_class(spec: SeifertSpec) -> RationalClass:
     """c1(M) = c1(B) + sum_i (b_i/m_i) [D_i], as a pairing vector."""
-    cfg = spec.base
-    if cfg.integral_pairing is None:
-        raise MissingIntegralPairing("config declares no integral pairing")
-    out = RationalClass(tuple(Fraction(x) for x in spec.c1B))
-    for s in isotropy_surfaces(cfg):
-        if s.qclass is None:
-            raise MissingQClass(f"{s.id} has no homology coordinates")
-        coeff = Fraction(spec.b_residues[s.id], s.multiplicity)
-        out = out + surface_class(cfg, s.id).scale(coeff)
-    return out
+    return RationalClass(tuple(Fraction(x, spec.lattice.m)
+                               for x in spec.lattice.scaled_chern(spec.c1B)))
 
 
 def scaled_chern_class(spec: SeifertSpec) -> RationalClass:
     """m * c1(M) for m = lcm of the multiplicities; entries are integral."""
-    return chern_class(spec).scale(total_multiplicity(spec.base))
+    return RationalClass(tuple(
+        Fraction(x) for x in spec.lattice.scaled_chern(spec.c1B)))
 
 
 def is_primitive(alpha: RationalClass) -> bool:
     """Is the (integral) pairing vector part of a dual-lattice basis?"""
-    entries = alpha.integer_entries()
-    return gcd(*entries) == 1 if entries else False
-
-
-def check_surjectivity_onto_torsion(cfg: OrbifoldConfig) -> bool:
-    """Does H^2(X,Z) surject onto the sum of Z_{m_i} restrictions?
-
-    The map sends an integral basis class beta_r to its pairings with
-    the isotropy surfaces mod m_i; surjectivity holds iff the block
-    matrix [P^T | diag(m_i)] has all invariant factors 1.
-    """
-    iso = isotropy_surfaces(cfg)
-    if not iso:
-        return True
-    if cfg.integral_pairing is None:
-        raise MissingIntegralPairing("config declares no integral pairing")
-    P = cfg.integral_pairing
-    all_ids = [s.id for s in cfg.surfaces]
-    rows = []
-    for k, s in enumerate(iso):
-        i = all_ids.index(s.id)
-        row = [P[r, i] for r in range(P.rows)]
-        row += [s.multiplicity if t == k else 0 for t in range(len(iso))]
-        rows.append(row)
-    factors = smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors()
-    return len(factors) == len(iso) and all(d == 1 for d in factors)
+    return gcd(*alpha.integer_entries()) == 1
 
 
 @dataclass(frozen=True)
@@ -166,7 +276,7 @@ class H1Decision:
 def h1_zero_decision(spec: SeifertSpec) -> H1Decision:
     """The three-way criterion for H_1 of the total space to vanish."""
     b1_zero = spec.base.b1 == 0
-    surjective = check_surjectivity_onto_torsion(spec.base)
+    surjective = spec.lattice.surjective
     primitive = is_primitive(scaled_chern_class(spec))
     return H1Decision(b1_zero and surjective and primitive,
                       b1_zero, surjective, primitive)
@@ -204,36 +314,20 @@ def _graded_vectors(dim: int, bound: int, max_l1: int):
         yield from rec([], dim, norm)
 
 
-def pairing_value(alpha: RationalClass, direction) -> Fraction:
-    """Evaluate a class on an H_2 element given in integral coordinates."""
-    return sum((a * Fraction(d) for a, d in zip(alpha.entries, direction)),
-               Fraction(0))
+def search_background_class(cfg: OrbifoldConfig, accept, bound: int = 4,
+                            max_l1: int = 2) -> SeifertSpec:
+    """First background class, in graded order, that accept admits.
 
-
-def search_background_class(cfg: OrbifoldConfig, want_primitive: bool = True,
-                            parity_constraint=None, ample=None,
-                            bound: int = 4, max_l1: int = 2) -> SeifertSpec:
-    """First background class (graded order) meeting all requested conditions.
-
-    parity_constraint = (alpha mod 2 vector, equal: bool) restricts
-    c1(B) mod 2; ample is an H_2 direction c1(M) must pair positively
-    with; want_primitive demands gcd-1 for the scaled Chern class.
-    Deterministic: candidates are enumerated by L1 norm then
-    lexicographically, coordinates in [-bound, bound].
+    Builds the configuration's Lattice once and walks the candidates
+    c1(B) by L1 norm then lexicographically, coordinates in
+    [-bound, bound].  A candidate whose scaled Chern class is not
+    primitive is skipped; for the others accept(lattice, c1B) decides.
+    Returns the SeifertSpec of the first admitted candidate, sharing the
+    lattice; raises NotFound when none is admitted.
     """
-    residues = compute_b_residues(cfg)
-    for cand in _graded_vectors(cfg.b2, bound, max_l1):
-        if parity_constraint is not None:
-            alpha, equal = parity_constraint
-            matches = all((c - a) % 2 == 0 for c, a in zip(cand, alpha))
-            if matches != equal:
-                continue
-        spec = SeifertSpec(cfg, residues, cand)
-        if want_primitive and not is_primitive(scaled_chern_class(spec)):
-            continue
-        if ample is not None and pairing_value(chern_class(spec),
-                                               ample) <= 0:
-            continue
-        return spec
+    lattice = Lattice.of(cfg)
+    for c1B in _graded_vectors(cfg.b2, bound, max_l1):
+        if gcd(*lattice.scaled_chern(c1B)) == 1 and accept(lattice, c1B):
+            return lattice.spec(c1B)
     raise NotFound(
         f"no background class within |entry| <= {bound}, L1 <= {max_l1}")

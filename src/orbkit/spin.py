@@ -7,7 +7,8 @@ The total space is spin iff w2 + sum_i b_i [D_i] + c1(B) dies under
 pullback, i.e. lies in the explicitly described kernel (the even-
 multiplicity surface classes, or — when every multiplicity is odd — the
 single class c1(B) + sum_i b_i [D_i]).  All of it is Z/2 linear algebra
-on pairing vectors.
+on the pairing vectors of the configuration's Lattice, which holds w2
+and the kernel once per configuration.
 
 The closing report collects the classifying data of the simply
 connected 5-manifold: b_2, the torsion pair counts c(p^i), the Barden
@@ -22,133 +23,58 @@ from dataclasses import dataclass
 
 from .seifert import (
     H1NotZero,
+    Lattice,
+    Mod2Class,
     SeifertSpec,
     h1_zero_decision,
     h2_of_M,
-    isotropy_surfaces,
-    surface_class,
+    in_span_mod2,
 )
 
 
-class UnresolvedUnknown(ValueError):
-    pass
-
-
-def _mod2(vec) -> tuple[int, ...]:
-    return tuple(int(x) % 2 for x in vec)
-
-
-def _xor(a, b) -> tuple[int, ...]:
-    return tuple(x ^ y for x, y in zip(a, b))
-
-
-def in_span_mod2(vectors, target) -> bool:
-    """Gaussian elimination membership test over Z/2."""
-    basis: list[tuple[int, ...]] = []
-    for v in vectors:
-        basis.append(tuple(v))
-    t = tuple(target)
-    pivots: list[tuple[int, tuple[int, ...]]] = []
-    for v in basis:
-        for col, pv in pivots:
-            if v[col]:
-                v = _xor(v, pv)
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is not None:
-            pivots.append((lead, v))
-    for col, pv in pivots:
-        if t[col]:
-            t = _xor(t, pv)
-    return not any(t)
-
-
-@dataclass(frozen=True)
-class Mod2Class:
-    """A Z/2 pairing vector plus unknown multiples of surface classes."""
-
-    base: tuple[int, ...]
-    unknowns: tuple[tuple[str, tuple[int, ...]], ...] = ()
-
-    def resolve(self, assignment: dict) -> tuple[int, ...]:
-        out = self.base
-        for name, vec in self.unknowns:
-            if name not in assignment:
-                raise UnresolvedUnknown(f"no value for coefficient {name!r}")
-            if assignment[name] % 2:
-                out = _xor(out, vec)
-        return out
-
-    def unknown_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.unknowns)
-
-    def __add__(self, other) -> "Mod2Class":
-        return Mod2Class(_xor(self.base, tuple(other)), self.unknowns)
-
-
 def w2_base_class(cfg) -> Mod2Class:
-    """w2 of the punctured base in terms of the tracked surfaces.
-
-    Surfaces avoiding the singular points are pinned by the evenness of
-    their self-intersection; surfaces through singular points get the
-    unknown coefficients a1, a2, ... in listing order.
-    """
-    base = (0,) * (cfg.integral_pairing.rows if cfg.integral_pairing
-                   else cfg.b2)
-    unknowns = []
-    k = 0
-    for s in cfg.surfaces:
-        vec = _mod2(surface_class(cfg, s.id).entries)
-        if cfg.points_on(s.id):
-            k += 1
-            unknowns.append((f"a{k}", vec))
-        elif s.self_intersection.denominator != 1:
-            raise ValueError(
-                f"{s.id} avoids the singular points but has non-integral "
-                f"self-intersection {s.self_intersection}")
-        elif s.self_intersection % 2:
-            base = _xor(base, vec)
-    return Mod2Class(tuple(base), tuple(unknowns))
+    """w2 of the punctured base, with its unknowns (see Lattice.w2)."""
+    return Lattice.of(cfg).w2
 
 
 def pi_star_kernel(spec: SeifertSpec) -> list[tuple[int, ...]]:
     """Spanning vectors of the classes killed by pullback to the bundle."""
     if not h1_zero_decision(spec).holds:
         raise H1NotZero("kernel description requires the H_1 = 0 criteria")
-    cfg = spec.base
-    even = [s for s in isotropy_surfaces(cfg) if s.multiplicity % 2 == 0]
-    if even:
-        return [_mod2(surface_class(cfg, s.id).entries) for s in even]
-    vec = _mod2(spec.c1B)
-    for s in isotropy_surfaces(cfg):
-        if spec.b_residues[s.id] % 2:
-            vec = _xor(vec, _mod2(surface_class(cfg, s.id).entries))
-    return [vec]
+    lattice = spec.lattice
+    if lattice.kernel is None:  # every multiplicity is odd
+        return [lattice.twist(spec.c1B)]
+    return list(lattice.kernel)
 
 
 def spin_target(spec: SeifertSpec) -> Mod2Class:
     """The class whose pullback is w2 of the total space."""
-    target = w2_base_class(spec.base) + _mod2(spec.c1B)
-    for s in isotropy_surfaces(spec.base):
-        if spec.b_residues[s.id] % 2:
-            target = target + _mod2(surface_class(spec.base, s.id).entries)
-    return target
+    return spec.lattice.w2 + spec.lattice.twist(spec.c1B)
 
 
 def spin_decision(spec: SeifertSpec, unknowns: dict) -> bool:
-    """Is the total space spin, for the given unknown-coefficient values?"""
+    """Is the total space spin, for the given unknown-coefficient values?
+
+    Spin exactly when spin_target, resolved with `unknowns`, lies in
+    pi_star_kernel.  Both are read off the spec's Lattice, so after the
+    first call on a spec a decision is an XOR and a Z/2 reduction.
+    Raises H1NotZero unless H_1 = 0, and UnresolvedUnknown when
+    `unknowns` lacks a coefficient of w2.
+    """
     kernel = pi_star_kernel(spec)
     return in_span_mod2(kernel, spin_target(spec).resolve(unknowns))
 
 
+def assignments(names) -> list[tuple[tuple[str, int], ...]]:
+    """Every 0/1 assignment of the unknowns, as sorted (name, bit) pairs."""
+    return [tuple(sorted((n, (mask >> i) & 1) for i, n in enumerate(names)))
+            for mask in range(2 ** len(names))]
+
+
 def spin_sweep(spec: SeifertSpec) -> dict[tuple, bool]:
     """spin_decision over every 0/1 assignment of the unknowns."""
-    names = spin_target(spec).unknown_names()
-    out = {}
-    for mask in range(2 ** len(names)):
-        assignment = {n: (mask >> i) & 1 for i, n in enumerate(names)}
-        key = tuple(sorted(assignment.items()))
-        out[key] = spin_decision(spec, assignment)
-    return out
+    return {key: spin_decision(spec, dict(key))
+            for key in assignments(spin_target(spec).unknown_names())}
 
 
 @dataclass(frozen=True)

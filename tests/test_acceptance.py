@@ -23,8 +23,8 @@ from orbkit.model import (
     validate_config,
 )
 from orbkit.seifert import (
+    Lattice,
     SeifertSpec,
-    check_surjectivity_onto_torsion,
     compute_b_residues,
     h1_zero_decision,
     h2_of_M,
@@ -165,7 +165,7 @@ def test_acceptance_5_homology_of_bundle():
                                             local_j=1))
         cfg.integral_pairing = IntMatrix.from_rows(
             [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(b2)])
-        ok &= (check_surjectivity_onto_torsion(cfg)
+        ok &= (Lattice.of(cfg).surjective
                == _brute_force_surjective(cfg))
         cases += 1
     _verdict(5, "H1 = 0 criteria and H2 of the bundle", ok)

@@ -1,6 +1,9 @@
 import pytest
 
 from orbkit import cli
+from orbkit.exact import IntMatrix
+from orbkit.model import OrbifoldConfig, SurfaceData
+from orbkit.report import run_pipeline
 from orbkit.scenario import (
     ParseError,
     Scenario,
@@ -240,3 +243,24 @@ class TestCli:
         assert rc == cli.EXIT_OK
         assert "b2(M)=15, t_max=16, c_max=2" in out
         assert "Total space simply connected: True" in out
+
+    @pytest.mark.parametrize("verb", ["build", "verify", "report",
+                                      "enumerate"])
+    @pytest.mark.parametrize("value", ["1", "0", "4", "-3"])
+    def test_prime_must_be_prime(self, verb, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([verb, "--prime", value])
+        assert exc.value.code == cli.EXIT_INPUT
+        assert f"{value} is not a prime >= 2" in capsys.readouterr().err
+
+
+def test_no_background_class_without_spin_target_verdict():
+    # m = 4, pairing 2: the scaled Chern class 4c + 2 is never primitive
+    cfg = OrbifoldConfig(b1=0, b2=1, euler=0)
+    cfg.surfaces.append(SurfaceData("D", 1, multiplicity=4, local_j=1,
+                                    qclass=(1,)))
+    cfg.integral_pairing = IntMatrix.from_rows([[2]])
+    rep = run_pipeline(Scenario(config=cfg, seifert=SeifertRequest()))
+    assert ("background_class", "inconclusive") in rep.verdicts
+    assert "spin_target" not in dict(rep.verdicts)
+    assert rep.exit_code() == cli.EXIT_INCONCLUSIVE

@@ -4,16 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from orbkit import seifert
 from orbkit.exact import IntMatrix
 from orbkit.model import OrbifoldConfig, SurfaceData
 from orbkit.seifert import (
     H1NotZero,
+    Lattice,
     MissingIntegralPairing,
     NonIntegralEntry,
     NotFound,
     RationalClass,
     SeifertSpec,
-    check_surjectivity_onto_torsion,
     chern_class,
     compute_b_residues,
     h1_zero_decision,
@@ -156,19 +157,19 @@ def _brute_force_surjective(cfg):
 class TestSurjectivity:
     def test_generator_hits(self):
         cfg = _disjoint_config([3], [[1]])
-        assert check_surjectivity_onto_torsion(cfg)
+        assert Lattice.of(cfg).surjective
 
     def test_zero_pairings(self):
         cfg = _disjoint_config([3], [[3]])
-        assert not check_surjectivity_onto_torsion(cfg)
+        assert not Lattice.of(cfg).surjective
 
     def test_two_surfaces(self):
         cfg = _disjoint_config([2, 4], [[1, 0], [0, 1]])
-        assert check_surjectivity_onto_torsion(cfg)
+        assert Lattice.of(cfg).surjective
 
     def test_no_isotropy(self):
         cfg = _disjoint_config([1], [[1]])
-        assert check_surjectivity_onto_torsion(cfg)
+        assert Lattice.of(cfg).surjective
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(77)
@@ -186,7 +187,7 @@ class TestSurjectivity:
                     for _ in range(b2)]
             cfg = _disjoint_config(mults, rows)
             cfg.b2 = b2
-            assert (check_surjectivity_onto_torsion(cfg)
+            assert (Lattice.of(cfg).surjective
                     == _brute_force_surjective(cfg))
             cases += 1
 
@@ -241,41 +242,58 @@ class TestH1H2:
         assert h2.primary_counts() == {(2, 2): 4}
 
 
+def _any(lattice, c1B):
+    return True
+
+
 class TestSearch:
     def test_glued_search_succeeds(self):
         z = build_Z(3)
-        spec = search_background_class(z, want_primitive=True)
+        spec = search_background_class(z, _any)
         assert h1_zero_decision(spec).holds
 
     def test_parity_excluded(self):
         z = build_Z(3)
         alpha = (1,) * 16
-        spec = search_background_class(z, want_primitive=True,
-                                       parity_constraint=(alpha, False))
+        spec = search_background_class(
+            z, lambda lattice, c1B: any((c - a) % 2
+                                        for c, a in zip(c1B, alpha)))
         assert any((c - a) % 2 for c, a in zip(spec.c1B, alpha))
-
-    def test_positivity_filter(self):
-        z = build_Z(3)
-        # demand positive pairing against the last integral basis class
-        direction = tuple(1 if i == 15 else 0 for i in range(16))
-        spec = search_background_class(z, want_primitive=True,
-                                       ample=direction)
-        assert chern_class(spec).entries[15] > 0
 
     def test_impossible_constraint(self):
         z = build_Z(3)
+        # at max_l1 = 0 the only candidate is the zero vector
         with pytest.raises(NotFound):
             search_background_class(
-                z, want_primitive=True,
-                parity_constraint=((0,) * 16, True),
-                ample=tuple(-1 if i == 15 else 0 for i in range(16)),
-                max_l1=0)
+                z, lambda lattice, c1B: any(c % 2 for c in c1B), max_l1=0)
 
     def test_deterministic_first_hit(self):
         z = build_Z(3)
-        a = search_background_class(z, want_primitive=True)
-        b = search_background_class(z, want_primitive=True)
+        a = search_background_class(z, _any)
+        b = search_background_class(z, _any)
         assert a.c1B == b.c1B
+
+    def test_one_lattice_and_one_snf_per_search(self, monkeypatch):
+        z = build_Z(3)
+        snf_calls, seen = [], []
+        snf = seifert.smith_normal_form
+        monkeypatch.setattr(seifert, "smith_normal_form",
+                            lambda A: snf_calls.append(A) or snf(A))
+
+        def accept(lattice, c1B):
+            seen.append((lattice, c1B))
+            return len(seen) == 3
+
+        spec = search_background_class(z, accept)
+        assert spec.c1B == seen[-1][1] and spec.lattice is seen[-1][0]
+        assert len({id(lattice) for lattice, _ in seen}) == 1
+        assert len(snf_calls) == 1
+        with pytest.raises(NotFound):
+            search_background_class(z, lambda lattice, c1B: False)
+        assert len(snf_calls) == 2  # 545 candidates, still one SNF
+        for _, c1B in seen:  # accept is asked about primitive classes only
+            assert is_primitive(scaled_chern_class(
+                SeifertSpec(z, compute_b_residues(z), c1B)))
 
 
 def test_graded_enumeration_order():

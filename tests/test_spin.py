@@ -5,11 +5,15 @@ import pytest
 
 from orbkit.exact import IntMatrix
 from orbkit.model import OrbifoldConfig, SurfaceData
-from orbkit.seifert import SeifertSpec, compute_b_residues, h2_of_M
+from orbkit.seifert import (
+    SeifertSpec,
+    UnresolvedUnknown,
+    compute_b_residues,
+    h2_of_M,
+)
 from orbkit.spin import (
     Mod2Class,
     SmaleBardenData,
-    UnresolvedUnknown,
     gk_check,
     in_span_mod2,
     pi_star_kernel,
