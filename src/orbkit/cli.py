@@ -1,7 +1,7 @@
 """Command-line driver.
 
 Verbs:
-  build      parse a scenario and print the resulting configuration
+  build      build a scenario's configuration, validate and print it
   verify     run the pipeline; exit 0 only if every verdict passes
   report     run the pipeline and print the full report
   enumerate  standalone fundamental-group tools
@@ -17,6 +17,7 @@ import sys
 
 from . import fpgroup, report as report_mod
 from .exact import factorize
+from .model import validate_config
 from .scenario import (
     BUILTINS,
     ParseError,
@@ -37,13 +38,17 @@ def prime(text: str) -> int:
     return p
 
 
-def _add_scenario_args(sub):
+def _add_input_args(sub):
     sub.add_argument("scenario", nargs="?",
                      help="scenario file (omit to use --builtin)")
     sub.add_argument("--builtin", choices=BUILTINS,
                      help="use a named builtin instead of a scenario file")
     sub.add_argument("--prime", type=prime, default=3,
                      help="isotropy prime p for glued_Z (default 3)")
+
+
+def _add_pipeline_args(sub):
+    _add_input_args(sub)
     sub.add_argument("--spin-target", choices=SPIN_TARGETS, default="any",
                      help="require the searched background class to give "
                           "a spin / non-spin total space")
@@ -52,13 +57,11 @@ def _add_scenario_args(sub):
                      help="coordinate bound for the background-class search")
     sub.add_argument("--max-l1", type=int, default=2,
                      help="L1-norm bound for the background-class search")
-    sub.add_argument("--max-power", type=int, default=8,
-                     help="highest isotropy exponent given a torsion relator")
     sub.add_argument("--format", choices=("human", "structured"),
                      default="human")
 
 
-def _load_scenario(args) -> Scenario:
+def _load_scenario(args, spin_target="any") -> Scenario:
     if args.scenario and args.builtin:
         raise ParseError(0, "give a scenario file or --builtin, not both")
     if args.scenario:
@@ -66,22 +69,21 @@ def _load_scenario(args) -> Scenario:
             return parse_scenario(fh.read())
     name = args.builtin or "glued_Z"
     scn = Scenario(builtin=(name, args.prime if name == "glued_Z" else None))
-    if name == "glued_Z" and args.spin_target != "any":
+    if name == "glued_Z" and spin_target != "any":
         scn = Scenario(builtin=scn.builtin,
-                       seifert=SeifertRequest(spin_target=args.spin_target))
+                       seifert=SeifertRequest(spin_target=spin_target))
     return scn
 
 
 def _run(args):
-    scn = _load_scenario(args)
+    scn = _load_scenario(args, args.spin_target)
     return report_mod.run_pipeline(
         scn, coset_bound=args.coset_bound, search_bound=args.search_bound,
-        max_l1=args.max_l1, max_power=args.max_power)
+        max_l1=args.max_l1)
 
 
 def _cmd_build(args) -> int:
-    rep = _run(args)
-    cfg = rep.config
+    cfg, _, _ = report_mod.build(_load_scenario(args))
     print(f"euler = {cfg.euler}")
     print(f"b1 = {cfg.b1}")
     print(f"b2 = {cfg.b2}")
@@ -89,7 +91,7 @@ def _cmd_build(args) -> int:
     for s in cfg.surfaces:
         print(f"surface {s.id}: genus {s.genus} mult {s.multiplicity} "
               f"j {s.local_j} self {s.self_intersection}")
-    return EXIT_OK if not rep.violations else EXIT_FAIL
+    return EXIT_OK if not validate_config(cfg) else EXIT_FAIL
 
 
 def _cmd_verify(args) -> int:
@@ -106,8 +108,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    pres = fpgroup.build_pi1_orb_presentation(args.prime,
-                                              max_power=args.max_power)
+    pres = fpgroup.build_pi1_orb_presentation(args.prime)
     print(f"generators: {' '.join(pres.generators)}")
     print(f"relators: {len(pres.relators)}")
     print(f"abelianization: {fpgroup.abelianize(pres)}")
@@ -125,15 +126,15 @@ def main(argv=None) -> int:
         description="Exact invariants of cyclic 4-orbifolds and their "
                     "Seifert circle bundles.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("build", _cmd_build), ("verify", _cmd_verify),
-                     ("report", _cmd_report)):
+    for name, fn, add_args in (("build", _cmd_build, _add_input_args),
+                               ("verify", _cmd_verify, _add_pipeline_args),
+                               ("report", _cmd_report, _add_pipeline_args)):
         sub = subs.add_parser(name)
-        _add_scenario_args(sub)
+        add_args(sub)
         sub.set_defaults(fn=fn)
     enum = subs.add_parser("enumerate")
     enum.add_argument("--prime", type=prime, default=3)
     enum.add_argument("--coset-bound", type=int, default=10000)
-    enum.add_argument("--max-power", type=int, default=8)
     enum.add_argument("--dump-table", action="store_true")
     enum.set_defaults(fn=_cmd_enumerate)
 

@@ -6,6 +6,8 @@ means inverse), kept freely reduced.  Coset enumeration is HLT-style
 Todd-Coxeter with row filling and a union-find coincidence queue; a run
 either completes (the subgroup index is certain) or exhausts its coset
 budget (inconclusive, returned as a value, never an exception).
+The orbifold presentation states each torsion relation once: a power
+family x^(p^i), i >= k, has the normal closure of x^(p^k) alone.
 """
 
 from __future__ import annotations
@@ -329,9 +331,9 @@ def build_pi1_orb_presentation(p_prime: int,
     Generators: the genus-one handle loops a, b; the three order-2 loops
     on each of the first two isotropy surfaces (x1,y1,z1 / x2,y2,z2);
     the surface loops g1, g2; and the common loop U around the remaining
-    isotropy surfaces.  Torsion relators g1^p, g2^(p^2) and U^(p^i) for
-    i = 3..max_power (higher exponents are redundant: U already dies
-    against U^8 g1^5 g2^3 once gcd considerations kick in).
+    isotropy surfaces.  Torsion relators g1^p, g2^(p^2) and U^(p^3), which
+    stands for the family U^(p^i), i = 3..max_power (none if max_power < 3):
+    U^(p^i) = (U^(p^3))^(p^(i-3)) lies in the normal closure of U^(p^3).
     """
     gens = ["a", "b", "x1", "y1", "z1", "x2", "y2", "z2", "g1", "g2", "U"]
     pres = Presentation(tuple(gens), ())
@@ -364,8 +366,8 @@ def build_pi1_orb_presentation(p_prime: int,
     # isotropy torsion
     rels.append(w(("g1", p_prime)))
     rels.append(w(("g2", p_prime ** 2)))
-    for i in range(3, max_power + 1):
-        rels.append(w(("U", p_prime ** i)))
+    if max_power >= 3:
+        rels.append(w(("U", p_prime ** 3)))
     return Presentation(tuple(gens),
                         tuple(cyclic_reduce(r) for r in rels))
 

@@ -20,7 +20,7 @@ from .model import (
     check_even_point_bound,
     validate_config,
 )
-from .scenario import Scenario, ScriptOp, SeifertRequest
+from .scenario import Scenario, SeifertRequest
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
@@ -51,12 +51,10 @@ class Report:
     compatibility_ok: bool
     even_bound: object  # (prime, bool) or None
     surgery_log: object
-    c1B_mode: str = ""
     h1: object = None
     h2: object = None
     scaled_chern: object = None
     spin_entries: list[SpinEntry] = field(default_factory=list)
-    spin_target: str = "any"
     smale_barden: object = None
     pi1_status: object = None
     pi1_abelianization: object = None
@@ -94,15 +92,20 @@ def _run_script(cfg, script, log):
     return cfg
 
 
-def _build(scn: Scenario, log):
-    if scn.builtin is not None:
-        name, p = scn.builtin
-        if name == "block_Y":
-            return surgery.build_block_Y(), f"block_Y", None
-        if name == "block_W":
-            return surgery.build_block_W(log=log), "block_W", None
-        return surgery.build_Z(p, log=log), f"glued_Z p={p}", p
-    return _run_script(scn.config.copy(), scn.script, log), "explicit", None
+def build(scn: Scenario, log=None):
+    """The build stage: (config, label, prime or None) of a scenario."""
+    try:
+        if scn.builtin is not None:
+            name, p = scn.builtin
+            if name == "block_Y":
+                return surgery.build_block_Y(), "block_Y", None
+            if name == "block_W":
+                return surgery.build_block_W(log=log), "block_W", None
+            return surgery.build_Z(p, log=log), f"glued_Z p={p}", p
+        return (_run_script(scn.config.copy(), scn.script, log), "explicit",
+                None)
+    except Exception as exc:  # noqa: BLE001 - stage attribution
+        raise PipelineError("build", exc) from exc
 
 
 def _spin_predicate(assignment, spin_target):
@@ -113,13 +116,9 @@ def _spin_predicate(assignment, spin_target):
 
 
 def run_pipeline(scn: Scenario, coset_bound: int = 10000,
-                 search_bound: int = 4, max_l1: int = 2,
-                 max_power: int = 8) -> Report:
+                 search_bound: int = 4, max_l1: int = 2) -> Report:
     log = surgery.SurgeryLog()
-    try:
-        cfg, label, p = _build(scn, log)
-    except Exception as exc:  # noqa: BLE001 - stage attribution
-        raise PipelineError("build", exc) from exc
+    cfg, label, p = build(scn, log)
 
     violations = validate_config(cfg)
     try:
@@ -147,8 +146,6 @@ def run_pipeline(scn: Scenario, coset_bound: int = 10000,
     if request is None and scn.builtin and scn.builtin[0] == "glued_Z":
         request = SeifertRequest()
     if request is not None:
-        report.c1B_mode = "search" if request.c1B == "search" else "explicit"
-        report.spin_target = request.spin_target
         try:
             assignments = spin.assignments(
                 spin.w2_base_class(cfg).unknown_names())
@@ -162,8 +159,12 @@ def run_pipeline(scn: Scenario, coset_bound: int = 10000,
                 specs = [seifert.SeifertSpec(
                     cfg, seifert.compute_b_residues(cfg),
                     tuple(request.c1B))] * len(assignments)
+            # H_1 = 0 is decided first: the spin decision presumes it
+            report.h1 = seifert.h1_zero_decision(specs[0])
+            report.scaled_chern = seifert.scaled_chern_class(specs[0])
             entries = [(a, spec, spin.spin_decision(spec, dict(a)))
-                       for a, spec in zip(assignments, specs)]
+                       for a, spec in zip(assignments, specs)
+                       if report.h1.holds]
         except seifert.NotFound:
             report.verdicts.append(("background_class", INCONCLUSIVE))
             if request.spin_target != "any":
@@ -172,22 +173,17 @@ def run_pipeline(scn: Scenario, coset_bound: int = 10000,
         except Exception as exc:
             raise PipelineError("seifert", exc) from exc
 
-        first_spec = entries[0][1]
-        report.h1 = seifert.h1_zero_decision(first_spec)
-        report.scaled_chern = seifert.scaled_chern_class(first_spec)
         report.verdicts.append(("h1_zero",
                                 PASS if report.h1.holds else FAIL))
         if report.h1.holds:
-            report.h2 = seifert.h2_of_M(first_spec)
-            gk_all = True
+            report.h2 = seifert.h2_of_M(specs[0])
             for assignment, spec, is_spin in entries:
                 sb = spin.smale_barden_report(spec, is_spin)
-                ok = spin.gk_check(sb)
-                gk_all = gk_all and ok
                 report.spin_entries.append(SpinEntry(
-                    assignment, spec.c1B, is_spin, ok))
+                    assignment, spec.c1B, is_spin, spin.gk_check(sb)))
                 if report.smale_barden is None:
                     report.smale_barden = sb
+            gk_all = all(e.gk_ok for e in report.spin_entries)
             report.verdicts.append(("gk_condition",
                                     PASS if gk_all else FAIL))
             if request.spin_target != "any":
@@ -198,7 +194,7 @@ def run_pipeline(scn: Scenario, coset_bound: int = 10000,
 
     if scn.builtin and scn.builtin[0] == "glued_Z":
         try:
-            pres = fpgroup.build_pi1_orb_presentation(p, max_power=max_power)
+            pres = fpgroup.build_pi1_orb_presentation(p)
             report.pi1_abelianization = fpgroup.abelianize(pres)
             result = fpgroup.coset_enumerate(pres, max_cosets=coset_bound)
         except Exception as exc:

@@ -143,11 +143,24 @@ class TestOrbifoldGroup:
         assert ab == AbelianGroup(0, (2, 2))
 
     def test_odd_prime_no_odd_torsion(self):
-        for p in (3, 5, 7):
-            ab = abelianize(build_pi1_orb_presentation(p))
-            assert ab.rank == 0
-            assert all(d % 2 == 0 and d in (2, 4)
-                       for d in ab.invariant_factors)
+        for p in (3, 5, 7, 11, 13):
+            pres = build_pi1_orb_presentation(p)
+            assert abelianize(pres) == AbelianGroup(0, (2, 2))
+            res = coset_enumerate(pres, max_cosets=100_000)
+            assert res.status == Complete(4)
+
+    @pytest.mark.parametrize("p, letters",
+                             [(2, 210), (3, 235), (5, 351), (7, 595)])
+    def test_power_family_folds_to_its_first_member(self, p, letters):
+        # U^(p^i) = (U^(p^3))^(p^(i-3)): one relator stands for the family,
+        # so neither the group nor the letter count depends on max_power
+        folded = build_pi1_orb_presentation(p, max_power=3)
+        assert sum(len(r) for r in folded.relators) == letters
+        for k in range(4, 9):
+            assert build_pi1_orb_presentation(p, max_power=k) == folded
+        u_power = (len(folded.generators),) * p ** 3
+        assert build_pi1_orb_presentation(p, max_power=2).relators \
+            == tuple(r for r in folded.relators if r != u_power)
 
     def test_enumeration_matches_abelianization_order(self):
         pres = build_pi1_orb_presentation(3)

@@ -184,6 +184,42 @@ class TestCli:
         assert rc == cli.EXIT_OK
         assert "euler = 12" in out and "b2 = 10" in out
 
+    def test_build_ignores_seifert_section(self, tmp_path, capsys):
+        # build only builds and validates; the background class of the
+        # [seifert] section is the business of verify and report
+        f = tmp_path / "s.scn"
+        f.write_text(EXPLICIT_TEXT.split("[script]")[0]
+                     + "[seifert]\nc1B = 1\n")
+        rc = cli.main(["build", str(f)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_OK
+        assert "surface C: genus 1 mult 1 j 0 self 9" in captured.out
+        assert captured.err == ""
+
+    def test_build_reports_failing_script(self, tmp_path, capsys):
+        f = tmp_path / "s.scn"
+        f.write_text(EXPLICIT_TEXT)
+        assert cli.main(["build", str(f)]) == cli.EXIT_FAIL
+        assert "error: stage build:" in capsys.readouterr().err
+
+    def test_explicit_c1B_failing_h1_is_a_verdict(self, tmp_path, capsys):
+        # every scaled entry is even, so the class is not primitive
+        f = tmp_path / "s.scn"
+        f.write_text(BUILTIN_TEXT.replace(
+            "c1B = search", "c1B = " + " ".join(["1"] * 16)))
+        rc = cli.main(["verify", str(f)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_FAIL
+        assert captured.err == ""
+        assert "h1_zero: fail" in captured.out
+        assert "simply_connected: fail" in captured.out
+        for skipped in ("gk_condition", "spin_target"):
+            assert skipped not in captured.out
+        cli.main(["report", str(f), "--format", "structured"])
+        out = capsys.readouterr().out
+        assert "h1.primitive = False" in out and "chern.scaled = " in out
+        assert "spin." not in out
+
     def test_missing_file_is_input_error(self, capsys):
         rc = cli.main(["verify", "/nonexistent/path.scn"])
         assert rc == cli.EXIT_INPUT
@@ -201,11 +237,14 @@ class TestCli:
             == cli.EXIT_INPUT
 
     def test_enumerate(self, capsys):
-        rc = cli.main(["enumerate", "--prime", "3"])
-        out = capsys.readouterr().out
-        assert rc == cli.EXIT_OK
-        assert "Complete(index=4)" in out
-        assert "Z_2 + Z_2" in out
+        # one relator U^(p^3), so p = 11 is small enough to complete
+        for argv in (["--prime", "3"],
+                     ["--prime", "11", "--coset-bound", "100000"]):
+            rc = cli.main(["enumerate", *argv])
+            out = capsys.readouterr().out
+            assert rc == cli.EXIT_OK
+            assert "Complete(index=4)" in out
+            assert "Z_2 + Z_2" in out
 
     def test_enumerate_exhaustion(self, capsys):
         rc = cli.main(["enumerate", "--prime", "3", "--coset-bound", "2"])
@@ -252,6 +291,14 @@ class TestCli:
             cli.main([verb, "--prime", value])
         assert exc.value.code == cli.EXIT_INPUT
         assert f"{value} is not a prime >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["build", "verify", "report",
+                                      "enumerate"])
+    def test_no_max_power_flag(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([verb, "--max-power", "8"])
+        assert exc.value.code == cli.EXIT_INPUT
+        assert "--max-power" in capsys.readouterr().err
 
 
 def test_no_background_class_without_spin_target_verdict():
