@@ -38,6 +38,18 @@ def prime(text: str) -> int:
     return p
 
 
+def at_least(low: int):
+    """argparse type of an integer flag that must be >= low."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(
+                f"{text} is not an integer >= {low}")
+        return n
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_input_args(sub):
     sub.add_argument("scenario", nargs="?",
                      help="scenario file (omit to use --builtin)")
@@ -52,10 +64,11 @@ def _add_pipeline_args(sub):
     sub.add_argument("--spin-target", choices=SPIN_TARGETS, default="any",
                      help="require the searched background class to give "
                           "a spin / non-spin total space")
-    sub.add_argument("--coset-bound", type=int, default=10000)
-    sub.add_argument("--search-bound", type=int, default=4,
+    sub.add_argument("--coset-bound", type=at_least(1), default=10000,
+                     help="cosets the enumeration may define")
+    sub.add_argument("--search-bound", type=at_least(0), default=4,
                      help="coordinate bound for the background-class search")
-    sub.add_argument("--max-l1", type=int, default=2,
+    sub.add_argument("--max-l1", type=at_least(0), default=2,
                      help="L1-norm bound for the background-class search")
     sub.add_argument("--format", choices=("human", "structured"),
                      default="human")
@@ -114,6 +127,8 @@ def _cmd_enumerate(args) -> int:
     print(f"abelianization: {fpgroup.abelianize(pres)}")
     result = fpgroup.coset_enumerate(pres, max_cosets=args.coset_bound)
     print(f"coset enumeration: {result.status}")
+    print(f"cosets defined: {result.defined}, "
+          f"coincidences: {result.coincidences}")
     if args.dump_table and result.is_complete():
         for i, row in enumerate(result.table):
             print(f"  coset {i}: {row}")
@@ -134,7 +149,8 @@ def main(argv=None) -> int:
         sub.set_defaults(fn=fn)
     enum = subs.add_parser("enumerate")
     enum.add_argument("--prime", type=prime, default=3)
-    enum.add_argument("--coset-bound", type=int, default=10000)
+    enum.add_argument("--coset-bound", type=at_least(1), default=10000,
+                      help="cosets the enumeration may define")
     enum.add_argument("--dump-table", action="store_true")
     enum.set_defaults(fn=_cmd_enumerate)
 

@@ -2,10 +2,11 @@
 enumeration, and the orbifold fundamental-group presentation builder.
 
 Words are tuples of nonzero signed generator indices (1-based; negative
-means inverse), kept freely reduced.  Coset enumeration is HLT-style
-Todd-Coxeter with row filling and a union-find coincidence queue; a run
-either completes (the subgroup index is certain) or exhausts its coset
-budget (inconclusive, returned as a value, never an exception).
+means inverse), kept freely reduced.  Coset enumeration is Felsch-style
+Todd-Coxeter: a definition is followed by every deduction it forces,
+and coincidences go through a union-find queue; a run either completes
+(the subgroup index is certain) or exhausts its coset budget
+(inconclusive, returned as a value, never an exception).
 The orbifold presentation states each torsion relation once: a power
 family x^(p^i), i >= k, has the normal closure of x^(p^k) alone.
 """
@@ -171,33 +172,60 @@ class Exhausted:
 class CosetTable:
     status: object  # Complete | Exhausted
     table: list = field(default_factory=list)  # live rows, column per +-gen
+    defined: int = 0  # rows ever made, the count max_cosets bounds
+    coincidences: int = 0  # cosets found equal to an earlier one
 
     def is_complete(self) -> bool:
         return isinstance(self.status, Complete)
 
 
+def _period(w: Word) -> int:
+    """Least d > 0 such that rotating w by d letters gives w."""
+    n = len(w)
+    return next(d for d in range(1, n + 1)
+                if n % d == 0 and w[d:] + w[:d] == w)
+
+
 def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
                     ) -> CosetTable:
-    """HLT Todd-Coxeter over the given subgroup generators.
+    """Felsch Todd-Coxeter over the given subgroup generators.
 
-    Complete(n) certifies index n; Exhausted(max_cosets) is
-    inconclusive.  Completed tables are replayed against every relator
-    and subgroup generator before being returned.
+    Defines the first undefined table entry in coset-then-column order
+    and processes every deduction before the next definition.  A new
+    entry alpha^x = beta is scanned at alpha under each distinct cyclic
+    conjugate of a relator that starts with x, and at beta under those
+    that start with x^-1; the conjugates of inverted relators trace the
+    same cycles backwards, so they add nothing.  A scan fills an entry
+    only when exactly one is missing; entries made by scans and by
+    coincidences are deductions too.  Complete(n) certifies index n;
+    Exhausted(max_cosets) is inconclusive.  max_cosets bounds the rows
+    ever defined, dead or alive.  Completed tables are replayed against
+    every relator and subgroup generator before being returned.
     """
-    ngens = len(p.generators)
-    ncols = 2 * ngens
+    ncols = 2 * len(p.generators)
 
     def col(g: int) -> int:
         return 2 * (g - 1) if g > 0 else 2 * (-g - 1) + 1
 
-    def inv_col(x: int) -> int:
-        return x ^ 1
-
     relator_cols = [[col(g) for g in r] for r in p.relators if r]
     subgroup_cols = [[col(g) for g in free_reduce(w)] for w in subgroup]
 
+    # conjugates[x]: (w, first, last) for each distinct cyclic conjugate
+    # w[first..last] of a relator that starts with column x; w is the
+    # relator written twice, so every conjugate is a slice of it, and a
+    # relator of period d has d distinct conjugates (U^(p^3) has one)
+    conjugates: list[list] = [[] for _ in range(ncols)]
+    for r in p.relators:
+        r = cyclic_reduce(r)
+        cols = [col(g) for g in r]
+        twice = cols + cols
+        for s in range(_period(r) if r else 0):
+            conjugates[twice[s]].append((twice, s, s + len(r) - 1))
+
     table: list[list] = [[None] * ncols]
     parent = [0]
+    deductions: list[tuple[int, int]] = []  # entries yet to be scanned
+    queue: list[int] = []
 
     def rep(k: int) -> int:
         r = k
@@ -206,8 +234,6 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
         while parent[k] != r:
             parent[k], k = r, parent[k]
         return r
-
-    queue: list[int] = []
 
     def merge(a: int, b: int) -> None:
         a, b = rep(a), rep(b)
@@ -227,78 +253,93 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
                 f = table[e][x]
                 if f is None:
                     continue
-                table[f][inv_col(x)] = None
+                table[f][x ^ 1] = None
                 mu, nu = rep(e), rep(f)
                 if table[mu][x] is not None:
                     merge(nu, table[mu][x])
-                elif table[nu][inv_col(x)] is not None:
-                    merge(mu, table[nu][inv_col(x)])
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1])
                 else:
                     table[mu][x] = nu
-                    table[nu][inv_col(x)] = mu
+                    table[nu][x ^ 1] = mu
+                    deductions.append((mu, x))
 
-    overflow = False
-
-    def define(a: int, x: int):
-        nonlocal overflow
+    def define(a: int, x: int) -> bool:
         if len(table) >= max_cosets:
-            overflow = True
-            return None
+            return False
+        d = len(table)
         table.append([None] * ncols)
-        parent.append(len(table) - 1)
-        d = len(table) - 1
+        parent.append(d)
         table[a][x] = d
-        table[d][inv_col(x)] = a
-        return d
+        table[d][x ^ 1] = a
+        deductions.append((a, x))
+        return True
 
-    def scan_and_fill(a: int, w: list) -> None:
-        nonlocal overflow
-        f, i = a, 0
-        b, j = a, len(w) - 1
-        while True:
-            while i <= j and table[f][w[i]] is not None:
-                f = table[f][w[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i and table[b][inv_col(w[j])] is not None:
-                b = table[b][inv_col(w[j])]
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if j == i:
-                table[f][w[i]] = b
-                table[b][inv_col(w[i])] = f
-                return
-            d = define(f, w[i])
-            if d is None:
-                return
+    def scan(a: int, w: list, i: int, j: int):
+        """Trace w[i..j] at coset a forwards and backwards.  Ends that
+        meet at two cosets make them coincide, and a single missing
+        entry between the ends is filled.  Returns (coset, column) of
+        the first missing entry when two or more are missing, else
+        None."""
+        f = a
+        while i <= j:
+            g = table[f][w[i]]
+            if g is None:
+                break
+            f = g
+            i += 1
+        else:
+            if f != a:
+                coincidence(f, a)
+            return None
+        b = a
+        while j >= i:
+            g = table[b][w[j] ^ 1]
+            if g is None:
+                break
+            b = g
+            j -= 1
+        if j < i:
+            coincidence(f, b)
+        elif j == i:
+            table[f][w[i]] = b
+            table[b][w[i] ^ 1] = f
+            deductions.append((f, w[i]))
+        else:
+            return f, w[i]
+        return None
+
+    def process_deductions() -> None:
+        while deductions:
+            a, x = deductions.pop()
+            for c, y in ((a, x), (table[a][x], x ^ 1)):
+                if parent[c] != c:
+                    break
+                for w, i, j in conjugates[y]:
+                    scan(c, w, i, j)
+                    if parent[c] != c:
+                        break
+
+    def exhausted() -> CosetTable:
+        dead = sum(parent[k] != k for k in range(len(table)))
+        return CosetTable(Exhausted(max_cosets), defined=len(table),
+                          coincidences=dead)
 
     for w in subgroup_cols:
-        if w:
-            scan_and_fill(0, w)
-        if overflow:
-            return CosetTable(Exhausted(max_cosets))
+        while w and (gap := scan(0, w, 0, len(w) - 1)) is not None:
+            if not define(*gap):
+                return exhausted()
+        process_deductions()
 
     a = 0
     while a < len(table):
-        if rep(a) != a:
-            a += 1
-            continue
-        for w in relator_cols:
-            scan_and_fill(a, w)
-            if overflow:
-                return CosetTable(Exhausted(max_cosets))
-            if rep(a) != a:
+        for x in range(ncols):
+            if parent[a] != a:
                 break
-        if rep(a) == a:
-            for x in range(ncols):
-                if table[a][x] is None:
-                    if define(a, x) is None:
-                        return CosetTable(Exhausted(max_cosets))
+            if table[a][x] is None:
+                if not define(a, x):
+                    return exhausted()
+                process_deductions()
         a += 1
 
     live = sorted(k for k in range(len(table)) if rep(k) == k)
@@ -321,7 +362,8 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
         if trace(0, w) != 0:
             raise AssertionError("completed table moves the subgroup coset")
 
-    return CosetTable(Complete(len(compact)), compact)
+    return CosetTable(Complete(len(compact)), compact, len(table),
+                      len(table) - len(compact))
 
 
 def build_pi1_orb_presentation(p_prime: int,

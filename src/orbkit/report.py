@@ -147,18 +147,16 @@ def run_pipeline(scn: Scenario, coset_bound: int = 10000,
         request = SeifertRequest()
     if request is not None:
         try:
-            assignments = spin.assignments(
-                spin.w2_base_class(cfg).unknown_names())
+            lattice = seifert.Lattice.of(cfg)
+            assignments = spin.assignments(lattice.w2.unknown_names())
             if request.spin_unknowns is not None:
                 assignments = [tuple(sorted(request.spin_unknowns.items()))]
             if request.c1B == "search":
                 specs = [seifert.search_background_class(
-                    cfg, _spin_predicate(a, request.spin_target),
+                    lattice, _spin_predicate(a, request.spin_target),
                     search_bound, max_l1) for a in assignments]
             else:
-                specs = [seifert.SeifertSpec(
-                    cfg, seifert.compute_b_residues(cfg),
-                    tuple(request.c1B))] * len(assignments)
+                specs = [lattice.spec(request.c1B)] * len(assignments)
             # H_1 = 0 is decided first: the spin decision presumes it
             report.h1 = seifert.h1_zero_decision(specs[0])
             report.scaled_chern = seifert.scaled_chern_class(specs[0])

@@ -314,19 +314,19 @@ def _graded_vectors(dim: int, bound: int, max_l1: int):
         yield from rec([], dim, norm)
 
 
-def search_background_class(cfg: OrbifoldConfig, accept, bound: int = 4,
+def search_background_class(lattice: Lattice, accept, bound: int = 4,
                             max_l1: int = 2) -> SeifertSpec:
     """First background class, in graded order, that accept admits.
 
-    Builds the configuration's Lattice once and walks the candidates
-    c1(B) by L1 norm then lexicographically, coordinates in
-    [-bound, bound].  A candidate whose scaled Chern class is not
-    primitive is skipped; for the others accept(lattice, c1B) decides.
-    Returns the SeifertSpec of the first admitted candidate, sharing the
-    lattice; raises NotFound when none is admitted.
+    Walks the candidates c1(B) of the lattice's configuration by L1 norm
+    then lexicographically, coordinates in [-bound, bound].  A candidate
+    whose scaled Chern class is not primitive is skipped; for the others
+    accept(lattice, c1B) decides.  Returns the SeifertSpec of the first
+    admitted candidate, sharing the lattice, so searches over one
+    Lattice.of(cfg) run one SNF between them; raises NotFound when none
+    is admitted.
     """
-    lattice = Lattice.of(cfg)
-    for c1B in _graded_vectors(cfg.b2, bound, max_l1):
+    for c1B in _graded_vectors(lattice.cfg.b2, bound, max_l1):
         if gcd(*lattice.scaled_chern(c1B)) == 1 and accept(lattice, c1B):
             return lattice.spec(c1B)
     raise NotFound(

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbkit.abelian import AbelianGroup
 from orbkit.fpgroup import (
@@ -103,6 +105,8 @@ class TestCosetEnumeration:
         for p, order in ((KLEIN4, 4), (S3, 6), (Q8, 8), (D4, 8), (A4, 12)):
             res = coset_enumerate(p)
             assert res.status == Complete(order)
+            # every coset defined is either live or found equal to another
+            assert res.defined - res.coincidences == order
 
     def test_cyclic_subgroup_index(self):
         z6 = presentation(["a"], [[("a", 6)]])
@@ -113,6 +117,7 @@ class TestCosetEnumeration:
         res = coset_enumerate(FREE2, max_cosets=100)
         assert res.status == Exhausted(100)
         assert not res.is_complete()
+        assert res.defined == 100 and res.coincidences == 0
 
     def test_table_is_consistent_action(self):
         res = coset_enumerate(S3)
@@ -131,6 +136,60 @@ class TestCosetEnumeration:
         assert coset_enumerate(p).status == Complete(1)
 
 
+def _sympy_group(pres: Presentation):
+    """sympy's FpGroup of pres, and a map from orbkit words to its words.
+
+    sympy enumerates cosets with its own code, so it is an independent
+    oracle for coset_enumerate; the tests using it skip without sympy.
+    """
+    fp_groups = pytest.importorskip("sympy.combinatorics.fp_groups")
+    free_groups = pytest.importorskip("sympy.combinatorics.free_groups")
+    F, *gens = free_groups.free_group(" ".join(pres.generators))
+
+    def word(w):
+        out = F.identity
+        for g in w:
+            out *= gens[abs(g) - 1] ** (1 if g > 0 else -1)
+        return out
+
+    return fp_groups.FpGroup(F, [word(r) for r in pres.relators]), word
+
+
+def _rotated(w: tuple, k: int, invert: bool) -> tuple:
+    k %= len(w)
+    return inverse_word(w[k:] + w[:k]) if invert else w[k:] + w[:k]
+
+
+class TestSympyOracle:
+    @pytest.mark.parametrize("pres", [KLEIN4, S3, Q8, D4, A4],
+                             ids=["KLEIN4", "S3", "Q8", "D4", "A4"])
+    def test_order(self, pres):
+        group, _ = _sympy_group(pres)
+        assert coset_enumerate(pres).status.index == group.order()
+
+    def test_subgroup_index(self):
+        z6 = presentation(["a"], [[("a", 6)]])
+        subgroup = [z6.word(("a", 2))]
+        group, word = _sympy_group(z6)
+        assert coset_enumerate(z6, subgroup=subgroup).status.index \
+            == group.index([word(w) for w in subgroup])
+
+    # <a | a^n> and <r, s | r^n, s^2, (sr)^2>, each relator rotated by
+    # k letters and inverted or not
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), dihedral=st.booleans(),
+           forms=st.lists(st.tuples(st.integers(0, 7), st.booleans()),
+                          min_size=3, max_size=3))
+    def test_small_cyclic_and_dihedral(self, n, dihedral, forms):
+        words = [(1,) * n, (2, 2), (2, 1, 2, 1)] if dihedral else [(1,) * n]
+        pres = Presentation(("r", "s") if dihedral else ("a",),
+                            tuple(_rotated(w, k, invert)
+                                  for w, (k, invert) in zip(words, forms)))
+        group, _ = _sympy_group(pres)
+        assert coset_enumerate(pres).status.index == group.order() \
+            == (2 * n if dihedral else n)
+
+
 class TestOrbifoldGroup:
     def test_p3_completes_with_small_index(self):
         pres = build_pi1_orb_presentation(3)
@@ -146,8 +205,13 @@ class TestOrbifoldGroup:
         for p in (3, 5, 7, 11, 13):
             pres = build_pi1_orb_presentation(p)
             assert abelianize(pres) == AbelianGroup(0, (2, 2))
-            res = coset_enumerate(pres, max_cosets=100_000)
+            res = coset_enumerate(pres)
             assert res.status == Complete(4)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_every_prime_completes_within_64_cosets(self, p):
+        res = coset_enumerate(build_pi1_orb_presentation(p), max_cosets=64)
+        assert res.status == Complete(8 if p == 2 else 4)
 
     @pytest.mark.parametrize("p, letters",
                              [(2, 210), (3, 235), (5, 351), (7, 595)])

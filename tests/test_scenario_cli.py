@@ -1,6 +1,6 @@
 import pytest
 
-from orbkit import cli
+from orbkit import cli, seifert
 from orbkit.exact import IntMatrix
 from orbkit.model import OrbifoldConfig, SurfaceData
 from orbkit.report import run_pipeline
@@ -173,6 +173,13 @@ class TestCli:
         assert "simply_connected: pass" in out
         assert "fail" not in out
 
+    def test_verify_glued_p13_at_default_budget(self, capsys):
+        rc = cli.main(["verify", "--builtin", "glued_Z", "--prime", "13"])
+        out = capsys.readouterr().out
+        assert rc == cli.EXIT_OK
+        assert "pi1_index_divides_4: pass" in out
+        assert "simply_connected: pass" in out
+
     def test_verify_scenario_file(self, tmp_path, capsys):
         f = tmp_path / "s.scn"
         f.write_text(BUILTIN_TEXT)
@@ -237,14 +244,16 @@ class TestCli:
             == cli.EXIT_INPUT
 
     def test_enumerate(self, capsys):
-        # one relator U^(p^3), so p = 11 is small enough to complete
-        for argv in (["--prime", "3"],
-                     ["--prime", "11", "--coset-bound", "100000"]):
-            rc = cli.main(["enumerate", *argv])
+        for p in ("3", "11"):
+            rc = cli.main(["enumerate", "--prime", p])
             out = capsys.readouterr().out
             assert rc == cli.EXIT_OK
             assert "Complete(index=4)" in out
             assert "Z_2 + Z_2" in out
+            # the counters follow the result on one line
+            lines = out.splitlines()
+            assert lines[-1].startswith("cosets defined: ")
+            assert ", coincidences: " in lines[-1]
 
     def test_enumerate_exhaustion(self, capsys):
         rc = cli.main(["enumerate", "--prime", "3", "--coset-bound", "2"])
@@ -292,6 +301,19 @@ class TestCli:
         assert exc.value.code == cli.EXIT_INPUT
         assert f"{value} is not a prime >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, flag, low", [
+        ("verify", "--coset-bound", 1), ("report", "--coset-bound", 1),
+        ("enumerate", "--coset-bound", 1),
+        ("verify", "--search-bound", 0), ("report", "--search-bound", 0),
+        ("verify", "--max-l1", 0), ("report", "--max-l1", 0)])
+    def test_bounds_below_their_minimum(self, verb, flag, low, capsys):
+        for value in (str(low - 1), "-5"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([verb, flag, value])
+            assert exc.value.code == cli.EXIT_INPUT
+            assert f"{value} is not an integer >= {low}" \
+                in capsys.readouterr().err
+
     @pytest.mark.parametrize("verb", ["build", "verify", "report",
                                       "enumerate"])
     def test_no_max_power_flag(self, verb, capsys):
@@ -311,3 +333,16 @@ def test_no_background_class_without_spin_target_verdict():
     assert ("background_class", "inconclusive") in rep.verdicts
     assert "spin_target" not in dict(rep.verdicts)
     assert rep.exit_code() == cli.EXIT_INCONCLUSIVE
+
+
+def test_one_lattice_per_pipeline_run(monkeypatch):
+    # the unknowns of w2 and the search of each of the four assignments
+    # share one Lattice, hence one Smith normal form
+    snf_calls = []
+    snf = seifert.smith_normal_form
+    monkeypatch.setattr(seifert, "smith_normal_form",
+                        lambda A: snf_calls.append(A) or snf(A))
+    rep = run_pipeline(Scenario(builtin=("glued_Z", 3),
+                                seifert=SeifertRequest(spin_target="spin")))
+    assert len(rep.spin_entries) == 4
+    assert len(snf_calls) == 1
