@@ -6,8 +6,9 @@ Verbs:
   report     run the pipeline and print the full report
   enumerate  standalone fundamental-group tools
 
-Exit codes: 0 all requested verdicts hold, 1 a verdict fails,
-2 input error, 3 inconclusive (enumeration or search exhausted).
+Exit codes: 0 all requested verdicts hold, 1 a verdict fails or a
+stage errs, 2 input error (also a stage that lacks input the scenario
+cannot give), 3 inconclusive (enumeration or search exhausted).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 from . import fpgroup, report as report_mod
 from .exact import factorize
 from .model import validate_config
+from .seifert import MissingIntegralPairing, MissingQClass
 from .scenario import (
     BUILTINS,
     ParseError,
@@ -28,6 +30,9 @@ from .scenario import (
 )
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_INCONCLUSIVE = 0, 1, 2, 3
+# pipeline errors caused by data the scenario does not give (the grammar
+# cannot declare an H_2 basis or pairing, and every surgery move clears one)
+MISSING_INPUT = (MissingIntegralPairing, MissingQClass)
 
 
 def prime(text: str) -> int:
@@ -162,7 +167,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except report_mod.PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        missing = isinstance(exc.cause, MISSING_INPUT)
+        return EXIT_INPUT if missing else EXIT_FAIL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -331,6 +331,13 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
                 return exhausted()
         process_deductions()
 
+    # deductions scan a relator at coset 0 only after a definition there,
+    # which needs a new coset; scanning each relator at coset 0 first
+    # fills what needs none, so <a | a> completes with max_cosets = 1
+    for w in relator_cols:
+        scan(0, w, 0, len(w) - 1)
+    process_deductions()
+
     a = 0
     while a < len(table):
         for x in range(ncols):

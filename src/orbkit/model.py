@@ -112,7 +112,13 @@ class OrbifoldConfig:
     # -- lookup helpers -------------------------------------------------
 
     def copy(self) -> "OrbifoldConfig":
-        return copy.deepcopy(self)
+        # One level deep is a full copy: every field of a surface, point
+        # or event, and basis and integral_pairing, is immutable (str,
+        # int, Fraction, tuples, the frozen IntMatrix), so only the lists
+        # and the records in them need new objects.
+        return replace(self, surfaces=[copy.copy(s) for s in self.surfaces],
+                       points=[copy.copy(p) for p in self.points],
+                       events=[copy.copy(e) for e in self.events])
 
     def surface(self, sid: str) -> SurfaceData:
         for s in self.surfaces:
@@ -342,8 +348,10 @@ def validate_config(cfg: OrbifoldConfig) -> list[Violation]:
                     out.append(Violation("QClassDimension", s.id,
                                          "qclass length != basis size"))
                     continue
-                val = sum(s.qclass[i] * mat[i][j] * s.qclass[j]
-                          for i in range(len(mat)) for j in range(len(mat)))
+                # q.M.q over the nonzero coordinates: the zero terms drop
+                nonzero = [(i, x) for i, x in enumerate(s.qclass) if x]
+                val = sum(x * mat[i][j] * y
+                          for i, x in nonzero for j, y in nonzero)
                 if val != s.self_intersection:
                     out.append(Violation(
                         "SelfIntersectionMismatch", s.id,

@@ -226,8 +226,10 @@ def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None,
     cfg.euler -= 1
     _invalidate_basis(cfg)
     if log is not None:
-        log.record("blow_down_minus2", {"sphere": sphere, "point_id": pid},
-                   before, cfg)
+        # the id as given: a replay that draws a fresh id advances
+        # point_seq as this call did
+        log.record("blow_down_minus2",
+                   {"sphere": sphere, "point_id": point_id}, before, cfg)
     return cfg
 
 

@@ -13,6 +13,7 @@ from orbkit.exact import (
     radical_quotient,
     smith_normal_form,
 )
+from orbkit.surgery import build_Z
 
 
 class TestModInverse:
@@ -126,6 +127,46 @@ class TestSmithNormalForm:
             q = _random_unimodular(rng, a.cols)
             assert (smith_normal_form(p @ a @ q).invariant_factors()
                     == smith_normal_form(a).invariant_factors())
+
+
+class TestSympyOracle:
+    """Invariant factors against sympy's Smith normal form over ZZ."""
+
+    @staticmethod
+    def _oracle(a: IntMatrix) -> list[int]:
+        sympy = pytest.importorskip("sympy")
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        facs = normalforms.invariant_factors(
+            sympy.Matrix([list(r) for r in a.entries]), domain=sympy.ZZ)
+        return [abs(int(d)) for d in facs if d != 0]
+
+    def test_random_matrices(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            a = _random_matrix(rng, max_dim=6)
+            if rng.random() < 0.3:
+                # a product through a thin middle has zero factors
+                k = rng.randrange(1, 3)
+                b = IntMatrix.from_rows([[rng.randrange(-4, 5)
+                                          for _ in range(a.cols)]
+                                         for _ in range(k)])
+                c = IntMatrix.from_rows([[rng.randrange(-4, 5)
+                                          for _ in range(k)]
+                                         for _ in range(a.rows)])
+                a = c @ b
+            assert smith_normal_form(a).invariant_factors() == \
+                self._oracle(a)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_glued_lattice_matrix(self, p):
+        # [P^T | diag p^i], the matrix of the surjectivity check
+        z = build_Z(p)
+        pt = z.integral_pairing.transpose()
+        a = IntMatrix.from_rows(
+            [list(pt.entries[k]) + [p ** (i + 1) if i == k else 0
+                                    for i in range(16)]
+             for k in range(16)])
+        assert smith_normal_form(a).invariant_factors() == self._oracle(a)
 
 
 def test_rational_field_laws():

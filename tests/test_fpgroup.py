@@ -135,6 +135,14 @@ class TestCosetEnumeration:
         p = presentation(["a"], [["a"]])
         assert coset_enumerate(p).status == Complete(1)
 
+    @pytest.mark.parametrize("gens", [["a"], ["a", "b"]])
+    def test_one_letter_relators_need_no_second_coset(self, gens):
+        # each relator closes at coset 0, so a budget of one coset suffices
+        p = presentation(gens, [[g] for g in gens])
+        res = coset_enumerate(p, max_cosets=1)
+        assert res.status == Complete(1)
+        assert res.defined == 1 and res.coincidences == 0
+
 
 def _sympy_group(pres: Presentation):
     """sympy's FpGroup of pres, and a map from orbkit words to its words.
@@ -212,6 +220,7 @@ class TestOrbifoldGroup:
     def test_every_prime_completes_within_64_cosets(self, p):
         res = coset_enumerate(build_pi1_orb_presentation(p), max_cosets=64)
         assert res.status == Complete(8 if p == 2 else 4)
+        assert res.defined == {2: 37, 3: 41}.get(p, 42)
 
     @pytest.mark.parametrize("p, letters",
                              [(2, 210), (3, 235), (5, 351), (7, 595)])

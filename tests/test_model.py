@@ -69,6 +69,63 @@ class TestValidate:
         assert "SelfIntersectionMismatch" in \
             [v.kind for v in validate_config(cfg)]
 
+    def test_self_intersection_check_matches_dense_reference(self):
+        # random pairings on bases up to 6x6 (smooth crossings and shared
+        # points of order d give 1 and 1/d); the reference sums q.M.q
+        # over every pair of coordinates, zero or not
+        rng = random.Random(2024)
+        shapes = set()
+        for _ in range(300):
+            n = rng.randrange(1, 7)
+            basis = [f"B{i}" for i in range(n)]
+            cfg = OrbifoldConfig(b2=n)
+            m = [[Fraction(0)] * n for _ in range(n)]
+            for i, sid in enumerate(basis):
+                m[i][i] = Fraction(rng.randrange(-6, 7), rng.choice((1, 2)))
+                cfg.surfaces.append(SurfaceData(
+                    sid, 0, self_intersection=m[i][i]))
+            for i in range(n):
+                for j in range(i):
+                    for _ in range(rng.randrange(3)):
+                        d = rng.choice((1, 2, 3, 5))
+                        at = "smooth"
+                        if d > 1:
+                            at = cfg.fresh_point_id()
+                            cfg.points.append(SingularPointData(
+                                at, d, (1, 1), (basis[i], basis[j])))
+                        cfg.add_event(basis[i], basis[j], at)
+                        m[i][j] += Fraction(1, d)
+                        m[j][i] += Fraction(1, d)
+            cfg.basis = tuple(basis)
+            extra = [SurfaceData(f"Q{k}", 1) for k in range(rng.randrange(4))]
+            cfg.surfaces += extra
+            want = {}
+            for s in cfg.surfaces:
+                shape = rng.choice(("dense", "sparse", "zero", None))
+                if shape is None:
+                    continue
+                q = [Fraction(0)] * n
+                if shape == "dense":
+                    q = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                  rng.choice((1, 2))) for _ in range(n)]
+                elif shape == "sparse":
+                    for i in rng.sample(range(n), rng.randrange(1, n + 1)):
+                        q[i] = Fraction(rng.choice((-2, -1, 1, 2)))
+                shapes.add(shape)
+                s.qclass = tuple(q)
+                ref = sum(q[i] * m[i][j] * q[j]
+                          for i in range(n) for j in range(n))
+                if s in extra:
+                    s.self_intersection = rng.choice(
+                        (ref, ref, ref + 1, ref - Fraction(1, 2)))
+                if ref != s.self_intersection:
+                    want[s.id] = (f"qclass gives {ref}, "
+                                  f"stored {s.self_intersection}")
+            got = {v.locus: v.message for v in validate_config(cfg)
+                   if v.kind == "SelfIntersectionMismatch"}
+            assert got == want
+        assert shapes == {"dense", "sparse", "zero"}
+
     def test_order_independent_and_idempotent(self):
         cfg = build_Z(5)
         first = validate_config(cfg)

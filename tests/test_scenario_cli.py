@@ -1,10 +1,19 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbkit import cli, seifert
 from orbkit.exact import IntMatrix
-from orbkit.model import OrbifoldConfig, SurfaceData
+from orbkit.model import (
+    IntersectionEvent,
+    OrbifoldConfig,
+    SingularPointData,
+    SurfaceData,
+)
 from orbkit.report import run_pipeline
 from orbkit.scenario import (
+    BUILTINS,
+    SPIN_TARGETS,
     ParseError,
     Scenario,
     ScriptOp,
@@ -165,6 +174,96 @@ spin_unknowns = a1=1
         self._check(text)
 
 
+# ids the grammar can carry: no space, '#', '=', ',' or '[', never "smooth"
+_IDS = st.text("ABCXYZabxyz_0123456789", min_size=1, max_size=4)
+
+
+@st.composite
+def _configs(draw):
+    cfg = OrbifoldConfig(b1=draw(st.integers(0, 4)),
+                         b2=draw(st.integers(0, 20)),
+                         euler=draw(st.integers(-10, 30)))
+    sids = draw(st.lists(_IDS, min_size=1, max_size=5, unique=True))
+    for sid in sids:
+        cfg.surfaces.append(SurfaceData(
+            sid, draw(st.integers(0, 3)), draw(st.integers(1, 9)),
+            draw(st.integers(0, 8)),
+            draw(st.fractions(-20, 20, max_denominator=6))))
+    pids = draw(st.lists(_IDS, max_size=3, unique=True))
+    for pid in pids:
+        order = draw(st.integers(1, 12))
+        cfg.points.append(SingularPointData(
+            pid, order, (draw(st.integers(0, 30)), draw(st.integers(0, 30))),
+            tuple(draw(st.lists(st.sampled_from(sids), max_size=2)))))
+    for eid in draw(st.lists(_IDS, max_size=4, unique=True)):
+        a, b = draw(st.lists(st.sampled_from(sids), min_size=2, max_size=2))
+        at = draw(st.sampled_from(["smooth", *pids]))
+        cfg.events.append(IntersectionEvent(eid, a, b, at))
+    return cfg
+
+
+@st.composite
+def _scripts(draw, cfg):
+    """Script ops on known surface ids, tracked as the parser does."""
+    known = {s.id for s in cfg.surfaces}
+    ops = []
+    for _ in range(draw(st.integers(0, 5))):
+        if not known:
+            break
+        op = draw(st.sampled_from(["blow_up", "blow_down", "resolve",
+                                   "discard", "rename"]))
+        sid = draw(st.sampled_from(sorted(known)))
+        new = draw(_IDS)
+        if op == "blow_up":
+            through = draw(st.lists(st.sampled_from(sorted(known)),
+                                    min_size=1, max_size=3))
+            args = [("through", ",".join(through))]
+            if draw(st.booleans()):
+                args.append(("id", new))
+                known.add(new)
+        elif op == "blow_down":
+            args = [("sphere", sid)]
+            if draw(st.booleans()):
+                args.append(("point", new))
+            known.discard(sid)
+        elif op == "resolve":
+            args = [("t1", sid), ("t2", draw(st.sampled_from(sorted(known)))),
+                    ("id", new)]
+            known.add(new)
+        elif op == "discard":
+            args = [("id", sid)]
+            known.discard(sid)
+        else:
+            args = [("old", sid), ("new", new)]
+            known.discard(sid)
+            known.add(new)
+        ops.append(ScriptOp(op, tuple(args)))
+    return tuple(ops)
+
+
+@st.composite
+def _scenarios(draw):
+    seifert = draw(st.none() | st.builds(
+        SeifertRequest,
+        c1B=st.just("search") | st.tuples(*[st.integers(-9, 9)] * 3),
+        spin_target=st.sampled_from(SPIN_TARGETS),
+        spin_unknowns=st.none() | st.dictionaries(
+            st.sampled_from(["a1", "a2"]), st.integers(0, 1))))
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(BUILTINS))
+        p = draw(st.integers(2, 13)) if name == "glued_Z" else \
+            draw(st.none() | st.integers(2, 13))
+        return Scenario(builtin=(name, p), seifert=seifert)
+    cfg = draw(_configs())
+    return Scenario(config=cfg, script=draw(_scripts(cfg)), seifert=seifert)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_scenarios())
+def test_emit_then_parse_is_the_identity(scn):
+    assert parse_scenario(emit_scenario(scn)) == scn
+
+
 class TestCli:
     def test_verify_builtin_glued(self, capsys):
         rc = cli.main(["verify", "--builtin", "glued_Z", "--prime", "3"])
@@ -202,6 +301,20 @@ class TestCli:
         assert rc == cli.EXIT_OK
         assert "surface C: genus 1 mult 1 j 0 self 9" in captured.out
         assert captured.err == ""
+
+    @pytest.mark.parametrize("verb", ["verify", "report"])
+    def test_seifert_on_explicit_config_is_input_error(self, verb, tmp_path,
+                                                       capsys):
+        # the grammar cannot declare an integral pairing, so the seifert
+        # stage lacks input: exit 2, not the exit 1 of a failing verdict
+        f = tmp_path / "s.scn"
+        f.write_text(EXPLICIT_TEXT.split("[script]")[0]
+                     + "[seifert]\nc1B = 1\n")
+        rc = cli.main([verb, str(f)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_INPUT
+        assert captured.err == ("error: stage seifert: config declares no "
+                                "integral pairing\n")
 
     def test_build_reports_failing_script(self, tmp_path, capsys):
         f = tmp_path / "s.scn"

@@ -1,9 +1,12 @@
+import copy
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from orbkit.model import OrbifoldConfig, SurfaceData, validate_config
+from orbkit.exact import IntMatrix
+from orbkit.model import SMOOTH, OrbifoldConfig, SurfaceData, validate_config
 from orbkit.surgery import (
     GenusMismatch,
     GluingPlan,
@@ -16,12 +19,16 @@ from orbkit.surgery import (
     PlanInconsistent,
     SurgeryLog,
     UnmatchedSingularPoint,
+    assign_isotropy,
     blow_down_minus2,
     blow_up,
     build_block_W,
     build_block_Y,
     build_Z,
+    declare_lattice,
+    discard,
     gompf_fiber_sum,
+    rename,
     replay,
     resolve_torus_pair,
 )
@@ -252,3 +259,104 @@ def test_mod5_isotropy():
     mults = [s.multiplicity for s in z.surfaces]
     assert mults == [5 ** i for i in range(1, 17)]
     assert validate_config(z) == []
+
+
+# -- moves leave their inputs alone -------------------------------------
+
+
+def _records(cfg):
+    return [*cfg.surfaces, *cfg.points, *cfg.events]
+
+
+def _check_pure(move, *inputs):
+    """Run move(); no input may change, whether it returns or raises,
+    and the result may share no surface, point or event with an input."""
+    snapshots = [copy.deepcopy(c) for c in inputs]
+    try:
+        out = move()
+    except (ValueError, KeyError):
+        out = None
+    assert list(inputs) == snapshots
+    if out is not None:
+        mine = {id(r) for r in _records(out)}
+        assert not any(id(r) in mine for c in inputs for r in _records(c))
+    return out
+
+
+def _random_move(rng, cfg, log):
+    """A random move on cfg, often one that applies, sometimes one that
+    raises."""
+    ids = [s.id for s in cfg.surfaces] or ["X"]
+    smooth = [(e.a, e.b) for e in cfg.events if e.location == SMOOTH]
+    spheres = [s.id for s in cfg.surfaces
+               if s.genus == 0 and s.self_intersection == -2]
+    fresh = f"N{rng.randrange(40)}"
+    kind = rng.randrange(7)
+    if kind == 0:
+        through = rng.choice([[], [rng.choice(ids)],
+                              list(rng.choice(smooth)) if smooth else []])
+        return lambda: blow_up(cfg, through=through, log=log)
+    if kind == 1:
+        sphere = rng.choice(spheres or ids)
+        return lambda: blow_down_minus2(cfg, sphere, log=log)
+    if kind == 2:
+        t1, t2 = rng.choice(smooth) if smooth else (ids[0], ids[-1])
+        return lambda: resolve_torus_pair(cfg, t1, t2, fresh, log=log)
+    if kind == 3:
+        sid = rng.choice(ids)
+        return lambda: discard(cfg, sid, log=log)
+    if kind == 4:
+        sid = rng.choice(ids)
+        return lambda: rename(cfg, sid, fresh, log=log)
+    if kind == 5:
+        assignment = {rng.choice(ids): (rng.randrange(1, 10),
+                                        rng.randrange(10))}
+        return lambda: assign_isotropy(cfg, assignment, log=log)
+    basis = rng.sample(ids, rng.randrange(1, len(ids) + 1))
+    n = len(basis)
+    qclasses = {sid: [int(i == k) for i in range(n)]
+                for k, sid in enumerate(basis)}
+    pairing = rng.choice([None, IntMatrix.identity(n)])
+    return lambda: declare_lattice(cfg, basis, qclasses, pairing, log=log)
+
+
+def _cp2_with_lines():
+    stages = []
+    build_block_W(stages=stages)
+    return dict(stages)["P2"]
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("start", [build_block_Y, build_block_W,
+                                   lambda: build_Z(3), _cp2_with_lines],
+                         ids=["block_Y", "block_W", "glued_Z", "P2"])
+def test_seeded_scripts_leave_inputs_unchanged_and_replay(start, seed):
+    rng = random.Random(seed)
+    first = start()
+    cfg, log = first, SurgeryLog()
+    for _ in range(12):
+        cfg = _check_pure(_random_move(rng, cfg, log), cfg) or cfg
+    assert replay(first, log) == cfg
+
+
+def test_logged_moves_leave_inputs_unchanged():
+    # every move of the glued build, replayed one at a time, with the
+    # arguments the build gave it
+    log = SurgeryLog()
+    z = build_Z(3, log=log)
+    assert {e.op for e in log.entries} == {
+        "gompf_fiber_sum", "resolve_torus_pair", "rename",
+        "assign_isotropy", "declare_lattice"}
+    cfg = build_block_Y()
+    for entry in log.entries:
+        step = SurgeryLog([entry])
+        cfg = _check_pure(lambda: replay(cfg, step), cfg,
+                          *[v for v in entry.kwargs.values()
+                            if isinstance(v, OrbifoldConfig)])
+    assert cfg == z
+
+
+def test_failing_fiber_sum_leaves_inputs_unchanged():
+    y, w = build_block_Y(), build_block_W()
+    plan = GluingPlan("T1", "C", (), (), b1=0, b2=13)
+    assert _check_pure(lambda: gompf_fiber_sum(y, w, plan), y, w) is None
