@@ -9,6 +9,11 @@ and coincidences go through a union-find queue; a run either completes
 (inconclusive, returned as a value, never an exception).
 The orbifold presentation states each torsion relation once: a power
 family x^(p^i), i >= k, has the normal closure of x^(p^k) alone.
+
+Each step does work in proportion to what it needs: the abelianization
+drops the exponent-sum rows that are zero before its Smith normal form,
+the builder spells each torsion power once as a reduced tuple, and the
+enumeration maps each relator to table columns once.
 """
 
 from __future__ import annotations
@@ -53,10 +58,9 @@ class Presentation:
 
     def __post_init__(self):
         n = len(self.generators)
-        for r in self.relators:
-            for g in r:
-                if g == 0 or abs(g) > n:
-                    raise ValueError(f"relator index {g} out of range")
+        for g in set().union(*self.relators):  # each distinct letter once
+            if g == 0 or abs(g) > n:
+                raise ValueError(f"relator index {g} out of range")
 
     def word(self, *letters) -> Word:
         """Build a word from generator names; 'x' or ('x', exp)."""
@@ -85,14 +89,20 @@ def commutator(a: Word, b: Word) -> Word:
 
 
 def abelianize(p: Presentation) -> AbelianGroup:
-    """Quotient by all commutators, via the exponent-sum matrix."""
+    """Quotient by all commutators, via the exponent-sum matrix.
+
+    A relator whose exponent sums all vanish (a commutator, say) adds no
+    relation, so only the nonzero rows go to the Smith normal form: 18 of
+    the 48 rows of the orbifold presentation.
+    """
     n = len(p.generators)
     rows = []
     for r in p.relators:
         row = [0] * n
         for g in r:
             row[abs(g) - 1] += 1 if g > 0 else -1
-        rows.append(row)
+        if any(row):
+            rows.append(row)
     if not rows:
         return AbelianGroup(rank=n)
     factors = smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors()
@@ -201,26 +211,30 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
     Exhausted(max_cosets) is inconclusive.  max_cosets bounds the rows
     ever defined, dead or alive.  Completed tables are replayed against
     every relator and subgroup generator before being returned.
+    Each relator is cyclically reduced and mapped to columns once; its
+    conjugates, the scan at coset 0 and the replay read that one list.
     """
     ncols = 2 * len(p.generators)
-
-    def col(g: int) -> int:
-        return 2 * (g - 1) if g > 0 else 2 * (-g - 1) + 1
-
-    relator_cols = [[col(g) for g in r] for r in p.relators if r]
-    subgroup_cols = [[col(g) for g in free_reduce(w)] for w in subgroup]
+    # letter g is column 2(g - 1) and its inverse the column after it
+    col = {s * g: 2 * (g - 1) + (s < 0)
+           for g in range(1, len(p.generators) + 1) for s in (1, -1)}
+    relator_cols = [[col[g] for g in r]
+                    for r in map(cyclic_reduce, p.relators) if r]
+    subgroup_cols = []
+    for w in subgroup:
+        if not col.keys() >= set(w):
+            raise ValueError(f"subgroup word {w} has a letter out of range")
+        subgroup_cols.append([col[g] for g in free_reduce(w)])
 
     # conjugates[x]: (w, first, last) for each distinct cyclic conjugate
     # w[first..last] of a relator that starts with column x; w is the
     # relator written twice, so every conjugate is a slice of it, and a
     # relator of period d has d distinct conjugates (U^(p^3) has one)
     conjugates: list[list] = [[] for _ in range(ncols)]
-    for r in p.relators:
-        r = cyclic_reduce(r)
-        cols = [col(g) for g in r]
+    for cols in relator_cols:
         twice = cols + cols
-        for s in range(_period(r) if r else 0):
-            conjugates[twice[s]].append((twice, s, s + len(r) - 1))
+        for s in range(_period(cols)):
+            conjugates[twice[s]].append((twice, s, s + len(cols) - 1))
 
     table: list[list] = [[None] * ncols]
     parent = [0]
@@ -383,6 +397,8 @@ def build_pi1_orb_presentation(p_prime: int,
     isotropy surfaces.  Torsion relators g1^p, g2^(p^2) and U^(p^3), which
     stands for the family U^(p^i), i = 3..max_power (none if max_power < 3):
     U^(p^i) = (U^(p^3))^(p^(i-3)) lies in the normal closure of U^(p^3).
+    The torsion powers are spelled once, directly as the cyclically
+    reduced tuples they are; the other relators are built from names.
     """
     gens = ["a", "b", "x1", "y1", "z1", "x2", "y2", "z2", "g1", "g2", "U"]
     pres = Presentation(tuple(gens), ())
@@ -412,13 +428,14 @@ def build_pi1_orb_presentation(p_prime: int,
         rels.append(w(f"{letter}1", (f"{letter}2", -1)))
     # section relation over the base sphere
     rels.append(w(("U", 8), ("g1", 5), ("g2", 3)))
-    # isotropy torsion
-    rels.append(w(("g1", p_prime)))
-    rels.append(w(("g2", p_prime ** 2)))
+    rels = [cyclic_reduce(r) for r in rels]
+    # isotropy torsion: powers of one letter, already cyclically reduced
+    g1, g2, u = (gens.index(name) + 1 for name in ("g1", "g2", "U"))
+    rels.append((g1,) * p_prime)
+    rels.append((g2,) * p_prime ** 2)
     if max_power >= 3:
-        rels.append(w(("U", p_prime ** 3)))
-    return Presentation(tuple(gens),
-                        tuple(cyclic_reduce(r) for r in rels))
+        rels.append((u,) * p_prime ** 3)
+    return Presentation(tuple(gens), tuple(rels))
 
 
 def simply_connected_decision(result: CosetTable, h1_zero: bool) -> bool:

@@ -244,6 +244,10 @@ def validate_config(cfg: OrbifoldConfig) -> list[Violation]:
     """Check every structural invariant; returns violations, not errors."""
     out: list[Violation] = []
 
+    for name, betti in (("b1", cfg.b1), ("b2", cfg.b2)):
+        if betti < 0:
+            out.append(Violation("NegativeBetti", name, f"{name} = {betti}"))
+
     ids = [s.id for s in cfg.surfaces]
     if len(set(ids)) != len(ids):
         out.append(Violation("DuplicateId", "surfaces", "surface ids repeat"))

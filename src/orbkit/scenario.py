@@ -205,8 +205,14 @@ def parse_scenario(text: str) -> Scenario:
                 if not config.has_surface(sid):
                     raise ParseError(kv["incident"][0],
                                      f"undefined surface {sid!r}")
+            # exponents are read mod the order, which must be >= 1; order
+            # 1 parses, and validation reports it as BadOrder
+            order = _parse_int(kv["order"][1], kv["order"][0])
+            if order < 1:
+                raise ParseError(kv["order"][0],
+                                 f"order must be >= 1, got {order}")
             config.points.append(SingularPointData(
-                pid, _parse_int(kv["order"][1], kv["order"][0]),
+                pid, order,
                 (_parse_int(exps[0], kv["exponents"][0]),
                  _parse_int(exps[1], kv["exponents"][0])), incident))
         elif header.startswith("event "):

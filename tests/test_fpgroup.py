@@ -1,8 +1,12 @@
+from collections import Counter
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbkit.abelian import AbelianGroup
+from orbkit.exact import IntMatrix, smith_normal_form
 from orbkit.fpgroup import (
     Complete,
     Exhausted,
@@ -61,6 +65,11 @@ class TestWords:
         with pytest.raises(ValueError):
             Presentation(("a",), ((2,),))
 
+    @pytest.mark.parametrize("relators", [((1, 0),), ((1,), (1, -2))])
+    def test_each_out_of_range_letter_is_refused(self, relators):
+        with pytest.raises(ValueError, match="out of range"):
+            Presentation(("a",), relators)
+
 
 class TestAbelianize:
     def test_klein_four(self):
@@ -77,6 +86,103 @@ class TestAbelianize:
         # S3 abelianizes to Z_2, A4 to Z_3
         assert abelianize(S3) == AbelianGroup(0, (2,))
         assert abelianize(A4) == AbelianGroup(0, (3,))
+
+
+@st.composite
+def _mixed_presentations(draw, max_gens=4):
+    """Relators on 1 to max_gens generators: commutators, empty words,
+    other words of exponent sum zero, powers, random words and repeats
+    of earlier relators, not necessarily reduced."""
+    n = draw(st.integers(1, max_gens))
+    letters = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    words = st.lists(letters, max_size=5).map(tuple)
+    rels: list[tuple] = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(
+            ("commutator", "empty", "zero", "power", "word", "repeat")))
+        if kind == "commutator":
+            r = commutator(draw(words), draw(words))
+        elif kind == "empty":
+            r = ()
+        elif kind == "zero":  # w, then the inverses of its letters shuffled
+            w = draw(words)
+            r = w + tuple(-g for g in draw(st.permutations(w)))
+        elif kind == "power":
+            r = (draw(letters),) * draw(st.integers(1, 9))
+        elif kind == "repeat" and rels:
+            r = draw(st.sampled_from(rels))
+        else:
+            r = draw(words)
+        rels.append(r)
+    return Presentation(tuple("abcd"[:n]), tuple(rels))
+
+
+def _finite_closure(draw, pres: Presentation) -> Presentation:
+    """pres with every commutator of generators and a power of each added:
+    an abelian group of order at most 4^n, so enumeration completes."""
+    n = len(pres.generators)
+    powers = [(g,) * draw(st.integers(1, 4)) for g in range(1, n + 1)]
+    commutators = [commutator((g,), (h,))
+                   for g in range(1, n + 1) for h in range(g + 1, n + 1)]
+    return Presentation(pres.generators,
+                        pres.relators + tuple(commutators + powers))
+
+
+def _full_matrix_abelianization(pres: Presentation) -> AbelianGroup:
+    """Z^n over the Smith normal form of every exponent-sum row, zero
+    rows included."""
+    n = len(pres.generators)
+    if not pres.relators:
+        return AbelianGroup(rank=n)
+    rows = [[c[g] - c[-g] for g in range(1, n + 1)]
+            for c in map(Counter, pres.relators)]
+    factors = smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors()
+    return AbelianGroup(n - len(factors), tuple(d for d in factors if d > 1))
+
+
+def _primary_invariants(group: AbelianGroup) -> list[int]:
+    """The torsion as sorted prime powers, sympy's abelian_invariants form."""
+    return sorted(p ** e for (p, e), count in group.primary_counts().items()
+                  for _ in range(count))
+
+
+class TestAbelianizeDifferential:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(pres=_mixed_presentations())
+    def test_equals_snf_of_full_exponent_matrix(self, pres):
+        assert abelianize(pres) == _full_matrix_abelianization(pres)
+
+    # sympy builds a permutation group first, which takes 0.3 to 2 s for a
+    # group on three or four generators, so this draws at most two; its
+    # FpGroup fails on a relator that reduces to the empty word, so those
+    # are left out of its copy
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(data=st.data(), pres=_mixed_presentations(max_gens=2))
+    def test_equals_sympy_abelian_invariants(self, data, pres):
+        finite = _finite_closure(data.draw, pres)
+        group, _ = _sympy_group(Presentation(
+            finite.generators,
+            tuple(r for r in finite.relators if free_reduce(r))))
+        ab = abelianize(finite)
+        assert ab.rank == 0
+        assert _primary_invariants(ab) == sorted(group.abelian_invariants())
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data(), pres=_mixed_presentations())
+    def test_conjugated_relators_enumerate_the_same_index(self, data, pres):
+        finite = _finite_closure(data.draw, pres)
+        letters = st.integers(1, len(finite.generators)).flatmap(
+            lambda g: st.sampled_from((g, -g)))
+        conjugates = []
+        for r in finite.relators:
+            u = tuple(data.draw(st.lists(letters, max_size=4)))
+            conjugates.append(free_reduce(u + r + inverse_word(u)))
+        conjugated = Presentation(finite.generators, tuple(conjugates))
+        reduced = Presentation(finite.generators,
+                               tuple(map(cyclic_reduce, finite.relators)))
+        order = prod(abelianize(finite).invariant_factors)  # it is abelian
+        assert coset_enumerate(conjugated).status \
+            == coset_enumerate(reduced).status == Complete(order)
 
 
 class TestTietze:
@@ -112,6 +218,11 @@ class TestCosetEnumeration:
         z6 = presentation(["a"], [[("a", 6)]])
         res = coset_enumerate(z6, subgroup=[z6.word(("a", 2))])
         assert res.status == Complete(2)
+
+    @pytest.mark.parametrize("word", [(3,), (0,), (1, -3)])
+    def test_out_of_range_subgroup_letter(self, word):
+        with pytest.raises(ValueError, match="out of range"):
+            coset_enumerate(FREE2, subgroup=[(1,), word])
 
     def test_free_group_exhausts(self):
         res = coset_enumerate(FREE2, max_cosets=100)

@@ -1,8 +1,9 @@
-"""Structured reports must stay byte-identical to the recorded goldens.
+"""CLI outputs must stay byte-identical to the recorded goldens.
 
-Each golden is the stdout of one `orbkit report --format structured`
-run; a refactor that changes any verdict, number or line order shows up
-here.  Regenerate a golden only for an intended change of output.
+Each golden is the stdout of one `orbkit report --format structured` or
+`orbkit enumerate --dump-table` run; a refactor that changes any verdict,
+number, coset table or line order shows up here.  Regenerate a golden
+only for an intended change of output.
 """
 
 from pathlib import Path
@@ -22,25 +23,44 @@ def _glued_Z_exit(p, target):
     return cli.EXIT_INCONCLUSIVE if target == "nonspin" else cli.EXIT_FAIL
 
 
-# golden name -> (report arguments, exit code)
+# golden name -> (command line, exit code)
 CASES = {
-    "report_block_Y": (["--builtin", "block_Y"], cli.EXIT_OK),
-    "report_block_W": (["--builtin", "block_W"], cli.EXIT_OK),
+    "report_block_Y": (["report", "--builtin", "block_Y"], cli.EXIT_OK),
+    "report_block_W": (["report", "--builtin", "block_W"], cli.EXIT_OK),
     **{f"report_glued_Z_p{p}_{target}": (
-        ["--builtin", "glued_Z", "--prime", str(p), "--spin-target", target],
+        ["report", "--builtin", "glued_Z", "--prime", str(p),
+         "--spin-target", target],
         _glued_Z_exit(p, target))
        for p in (2, 3, 5) for target in ("any", "spin", "nonspin")},
+    # the relator count, abelianization, coset table and counters
+    **{f"enumerate_p{p}": (
+        ["enumerate", "--prime", str(p), "--dump-table"], cli.EXIT_OK)
+       for p in (2, 3, 13)},
 }
+REPORTS = sorted(name for name in CASES if name.startswith("report_"))
+ENUMERATIONS = sorted(name for name in CASES if name.startswith("enumerate_"))
+
+
+def _check(name, capsys):
+    args, code = CASES[name]
+    if args[0] == "report":
+        args = [*args, "--format", "structured"]
+    rc = cli.main(args)
+    out = capsys.readouterr().out
+    assert out == (GOLDENS / f"{name}.out").read_text(encoding="utf-8")
+    assert rc == code
 
 
 def test_every_golden_has_a_case():
     assert sorted(p.stem for p in GOLDENS.glob("*.out")) == sorted(CASES)
+    assert sorted(REPORTS + ENUMERATIONS) == sorted(CASES)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", REPORTS)
 def test_structured_report_matches_golden(name, capsys):
-    args, code = CASES[name]
-    rc = cli.main(["report", *args, "--format", "structured"])
-    out = capsys.readouterr().out
-    assert out == (GOLDENS / f"{name}.out").read_text(encoding="utf-8")
-    assert rc == code
+    _check(name, capsys)
+
+
+@pytest.mark.parametrize("name", ENUMERATIONS)
+def test_enumerate_matches_golden(name, capsys):
+    _check(name, capsys)

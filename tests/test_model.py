@@ -45,6 +45,16 @@ class TestValidate:
         kinds = [v.kind for v in validate_config(cfg)]
         assert kinds == ["LocalInvariantNotCoprime"]
 
+    @pytest.mark.parametrize("b1, b2, bad", [(-1, 0, ["b1"]), (0, -4, ["b2"]),
+                                             (-2, -3, ["b1", "b2"])])
+    def test_negative_betti_numbers(self, b1, b2, bad):
+        cfg = OrbifoldConfig(b1=b1, b2=b2, euler=3)
+        cfg.surfaces.append(SurfaceData("C", genus=1))
+        violations = validate_config(cfg)
+        assert [(v.kind, v.locus) for v in violations] \
+            == [("NegativeBetti", name) for name in bad]
+        assert validate_config(OrbifoldConfig(b1=0, b2=0, euler=3)) == []
+
     def test_multiplicity_one_needs_zero_j(self):
         cfg = OrbifoldConfig()
         cfg.surfaces.append(SurfaceData("A", 0, multiplicity=1, local_j=2))

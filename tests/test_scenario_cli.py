@@ -316,6 +316,44 @@ class TestCli:
         assert captured.err == ("error: stage seifert: config declares no "
                                 "integral pairing\n")
 
+    # EXPLICIT_TEXT without its script, then a point: "order" is line 13
+    POINT_TEXT = (EXPLICIT_TEXT.split("[script]")[0]
+                  + "[point x]\norder = {}\nexponents = 1 1\n")
+
+    @pytest.mark.parametrize("verb", ["build", "verify", "report"])
+    @pytest.mark.parametrize("order", ["0", "-2"])
+    def test_point_order_below_one_is_input_error(self, verb, order,
+                                                  tmp_path, capsys):
+        # order 0 used to escape as a ZeroDivisionError traceback (exit 1)
+        f = tmp_path / "s.scn"
+        f.write_text(self.POINT_TEXT.format(order))
+        rc = cli.main([verb, str(f)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == (f"input error: line 13: order must be >= 1, "
+                                f"got {order}\n")
+
+    @pytest.mark.parametrize("verb", ["build", "verify", "report"])
+    def test_point_order_one_is_a_violation(self, verb, tmp_path, capsys):
+        f = tmp_path / "s.scn"
+        f.write_text(self.POINT_TEXT.format(1))
+        rc = cli.main([verb, str(f)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_FAIL
+        assert captured.err == ""
+        if verb == "verify":
+            assert "config_valid: fail" in captured.out
+        if verb == "report":
+            assert "BadOrder at x: order 1" in captured.out
+
+    def test_negative_b2_fails_validation(self, tmp_path, capsys):
+        f = tmp_path / "s.scn"
+        f.write_text(EXPLICIT_TEXT.split("[script]")[0]
+                     .replace("b2 = 1", "b2 = -4"))
+        assert cli.main(["verify", str(f)]) == cli.EXIT_FAIL
+        assert "config_valid: fail" in capsys.readouterr().out
+
     def test_build_reports_failing_script(self, tmp_path, capsys):
         f = tmp_path / "s.scn"
         f.write_text(EXPLICIT_TEXT)
