@@ -86,8 +86,10 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "IntMatrix":
+        # both levels from lists: a tuple built from a generator is
+        # resized, and a freed small tuple of that size is not reused
         return cls(len(rows), len(rows[0]) if rows else 0,
-                   tuple(tuple(int(x) for x in r) for r in rows))
+                   tuple([tuple([int(x) for x in r]) for r in rows]))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -161,8 +163,10 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     """Diagonalize A over the integers.
 
     Classical pivot-and-reduce, always pivoting on a minimal-absolute-value
-    nonzero entry to keep coefficients small.  Returns D with a divisibility
-    chain d1 | d2 | ... and unimodular transforms with U @ A @ V == D.
+    nonzero entry to keep coefficients small: the first such entry in
+    row-major order, so the search for it ends at the first entry of
+    absolute value 1.  Returns D with a divisibility chain d1 | d2 | ...
+    and unimodular transforms with U @ A @ V == D.
     """
     m, n = A.rows, A.cols
     d = [list(r) for r in A.entries]
@@ -195,12 +199,17 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
             row[dst] -= q * row[src]
 
     def min_pivot(t):
-        best = None
+        # the first entry of least absolute value in row-major order; no
+        # later entry beats a unit, so the search stops at the first one
+        best, least = None, 0
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                if d[i][j] != 0 and (best is None or
-                                     abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
+                x = row[j]
+                if x and (best is None or abs(x) < least):
+                    best, least = (i, j), abs(x)
+                    if least == 1:
+                        return best
         return best
 
     t = 0

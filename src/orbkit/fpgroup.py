@@ -13,7 +13,11 @@ family x^(p^i), i >= k, has the normal closure of x^(p^k) alone.
 Each step does work in proportion to what it needs: the abelianization
 drops the exponent-sum rows that are zero before its Smith normal form,
 the builder spells each torsion power once as a reduced tuple, and the
-enumeration maps each relator to table columns once.
+enumeration maps each relator to table columns once.  A new table entry
+is scanned against all the relator conjugates that start with its
+letter in one loop; a power x^n of one letter is traced once round x's
+cycle through the coset, not n letters, and the replay of a completed
+table checks it by that cycle's length.
 """
 
 from __future__ import annotations
@@ -204,13 +208,18 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
     and processes every deduction before the next definition.  A new
     entry alpha^x = beta is scanned at alpha under each distinct cyclic
     conjugate of a relator that starts with x, and at beta under those
-    that start with x^-1; the conjugates of inverted relators trace the
-    same cycles backwards, so they add nothing.  A scan fills an entry
-    only when exactly one is missing; entries made by scans and by
-    coincidences are deductions too.  Complete(n) certifies index n;
-    Exhausted(max_cosets) is inconclusive.  max_cosets bounds the rows
-    ever defined, dead or alive.  Completed tables are replayed against
-    every relator and subgroup generator before being returned.
+    that start with x^-1, each list in one scan loop; the conjugates of
+    inverted relators trace the same cycles backwards, so they add
+    nothing.  A scan fills an entry only when exactly one is missing;
+    entries made by scans and by coincidences are deductions too.  A
+    power x^n of one letter is traced round x's cycle through the coset
+    once: when the cycle closes after k letters, the whole rounds are
+    skipped and the n mod k letters left are traced.
+    Complete(n) certifies index n; Exhausted(max_cosets) is inconclusive.
+    max_cosets bounds the rows ever defined, dead or alive.  Completed
+    tables are replayed against every relator and subgroup generator
+    before being returned; x^n holds at a coset when the length of x's
+    cycle through it divides n.
     Each relator is cyclically reduced and mapped to columns once; its
     conjugates, the scan at coset 0 and the replay read that one list.
     """
@@ -218,23 +227,29 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
     # letter g is column 2(g - 1) and its inverse the column after it
     col = {s * g: 2 * (g - 1) + (s < 0)
            for g in range(1, len(p.generators) + 1) for s in (1, -1)}
-    relator_cols = [[col[g] for g in r]
-                    for r in map(cyclic_reduce, p.relators) if r]
-    subgroup_cols = []
+
+    def item(w: list) -> tuple:
+        """w as scan traces it: (w, first, last, power), where power
+        marks a word that is one letter repeated."""
+        return w, 0, len(w) - 1, len(set(w)) == 1
+
+    relators = [item([col[g] for g in r])
+                for r in map(cyclic_reduce, p.relators) if r]
+    subgroup_words = []
     for w in subgroup:
         if not col.keys() >= set(w):
             raise ValueError(f"subgroup word {w} has a letter out of range")
-        subgroup_cols.append([col[g] for g in free_reduce(w)])
+        subgroup_words.append(item([col[g] for g in free_reduce(w)]))
 
-    # conjugates[x]: (w, first, last) for each distinct cyclic conjugate
+    # conjugates[x]: the items for each distinct cyclic conjugate
     # w[first..last] of a relator that starts with column x; w is the
     # relator written twice, so every conjugate is a slice of it, and a
     # relator of period d has d distinct conjugates (U^(p^3) has one)
     conjugates: list[list] = [[] for _ in range(ncols)]
-    for cols in relator_cols:
-        twice = cols + cols
-        for s in range(_period(cols)):
-            conjugates[twice[s]].append((twice, s, s + len(cols) - 1))
+    for w, _, last, power in relators:
+        twice = w + w
+        for s in range(_period(w)):
+            conjugates[twice[s]].append((twice, s, s + last, power))
 
     table: list[list] = [[None] * ncols]
     parent = [0]
@@ -289,58 +304,75 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
         deductions.append((a, x))
         return True
 
-    def scan(a: int, w: list, i: int, j: int):
-        """Trace w[i..j] at coset a forwards and backwards.  Ends that
-        meet at two cosets make them coincide, and a single missing
-        entry between the ends is filled.  Returns (coset, column) of
-        the first missing entry when two or more are missing, else
-        None."""
-        f = a
-        while i <= j:
-            g = table[f][w[i]]
-            if g is None:
-                break
-            f = g
-            i += 1
-        else:
-            if f != a:
-                coincidence(f, a)
-            return None
-        b = a
-        while j >= i:
-            g = table[b][w[j] ^ 1]
-            if g is None:
-                break
-            b = g
-            j -= 1
-        if j < i:
-            coincidence(f, b)
-        elif j == i:
-            table[f][w[i]] = b
-            table[b][w[i] ^ 1] = f
-            deductions.append((f, w[i]))
-        else:
-            return f, w[i]
-        return None
+    def scan(a: int, cycles: list):
+        """Trace each w[i..j] of cycles at coset a forwards and
+        backwards, in order, until a dies.  Ends that meet at two cosets
+        make them coincide, and a single missing entry between the ends
+        is filled.  Returns (coset, column) of the first missing entry
+        of the last word that has two or more missing, else None: the
+        gap of a one-item list."""
+        gap = None
+        for w, i, j, power in cycles:
+            f = a
+            if power:  # w[i..j] is x^n: go round x's cycle at a once
+                x, n, k = w[i], j - i + 1, 0
+                while k < n:
+                    g = table[f][x]
+                    if g is None:
+                        break
+                    f = g
+                    k += 1
+                    if f == a:  # closed after k letters: skip whole rounds
+                        k = n - n % k
+                i += k
+            else:
+                while i <= j:
+                    g = table[f][w[i]]
+                    if g is None:
+                        break
+                    f = g
+                    i += 1
+            if i > j:
+                if f != a:
+                    coincidence(f, a)
+                    if parent[a] != a:
+                        break
+                continue
+            b = a
+            while j >= i:
+                g = table[b][w[j] ^ 1]
+                if g is None:
+                    break
+                b = g
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                if parent[a] != a:
+                    break
+            elif j == i:
+                table[f][w[i]] = b
+                table[b][w[i] ^ 1] = f
+                deductions.append((f, w[i]))
+            else:
+                gap = f, w[i]
+        return gap
 
     def process_deductions() -> None:
         while deductions:
             a, x = deductions.pop()
-            for c, y in ((a, x), (table[a][x], x ^ 1)):
-                if parent[c] != c:
-                    break
-                for w, i, j in conjugates[y]:
-                    scan(c, w, i, j)
-                    if parent[c] != c:
-                        break
+            b = table[a][x]  # read before the scan at a can change it
+            if parent[a] == a:
+                scan(a, conjugates[x])
+                if parent[b] == b:
+                    scan(b, conjugates[x ^ 1])
 
     def exhausted() -> CosetTable:
         dead = sum(parent[k] != k for k in range(len(table)))
         return CosetTable(Exhausted(max_cosets), defined=len(table),
                           coincidences=dead)
 
-    for w in subgroup_cols:
-        while w and (gap := scan(0, w, 0, len(w) - 1)) is not None:
+    for h in subgroup_words:
+        while h[0] and (gap := scan(0, [h])) is not None:
             if not define(*gap):
                 return exhausted()
         process_deductions()
@@ -348,8 +380,8 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
     # deductions scan a relator at coset 0 only after a definition there,
     # which needs a new coset; scanning each relator at coset 0 first
     # fills what needs none, so <a | a> completes with max_cosets = 1
-    for w in relator_cols:
-        scan(0, w, 0, len(w) - 1)
+    for r in relators:
+        scan(0, [r])
     process_deductions()
 
     a = 0
@@ -375,11 +407,24 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
             c = compact[c][x]
         return c
 
-    for w in relator_cols:
+    def holds(c: int, w: list, power: bool) -> bool:
+        """w fixes c.  x^n does when x's cycle through c has a length
+        dividing n; the walk stops after one round of the index, since
+        in a corrupt table c could lie on no cycle."""
+        if not power:
+            return trace(c, w) == c
+        f = c
+        for k in range(1, len(compact) + 1):
+            f = compact[f][w[0]]
+            if f == c:
+                return len(w) % k == 0
+        return False
+
+    for w, _, _, power in relators:
         for c in range(len(compact)):
-            if trace(c, w) != c:
+            if not holds(c, w, power):
                 raise AssertionError("completed table fails a relator scan")
-    for w in subgroup_cols:
+    for w, *_ in subgroup_words:
         if trace(0, w) != 0:
             raise AssertionError("completed table moves the subgroup coset")
 

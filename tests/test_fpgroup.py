@@ -1,8 +1,8 @@
 from collections import Counter
-from math import prod
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbkit.abelian import AbelianGroup
@@ -253,6 +253,21 @@ class TestCosetEnumeration:
         res = coset_enumerate(p, max_cosets=1)
         assert res.status == Complete(1)
         assert res.defined == 1 and res.coincidences == 0
+
+    # <a, b | a^(ms), a^(mt), b^n, [a, b]> with gcd(s, t) = 1 is
+    # Z_m x Z_n.  The long power has up to 60,000 letters and is traced
+    # round a's cycles; s stays small, since Felsch needs a chain of
+    # m * min(s, t) cosets before the first a-cycle closes
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(m=st.integers(1, 12), n=st.integers(1, 12),
+           s=st.integers(1, 12), t=st.integers(1, 5000),
+           long_first=st.booleans())
+    def test_long_powers_against_closed_form(self, m, n, s, t, long_first):
+        assume(gcd(s, t) == 1)
+        powers = ((1,) * (m * s), (1,) * (m * t))
+        pres = Presentation(("a", "b"), powers[::-1 if long_first else 1]
+                            + ((2,) * n, (1, 2, -1, -2)))
+        assert coset_enumerate(pres).status == Complete(m * n)
 
 
 def _sympy_group(pres: Presentation):

@@ -35,7 +35,11 @@ CASES = {
     # the relator count, abelianization, coset table and counters
     **{f"enumerate_p{p}": (
         ["enumerate", "--prime", str(p), "--dump-table"], cli.EXIT_OK)
-       for p in (2, 3, 13)},
+       for p in (2, 3, 11, 13)},
+    # the budget runs out mid-run: pins the counters where it stops
+    "enumerate_p13_bound30": (
+        ["enumerate", "--prime", "13", "--coset-bound", "30"],
+        cli.EXIT_INCONCLUSIVE),
 }
 REPORTS = sorted(name for name in CASES if name.startswith("report_"))
 ENUMERATIONS = sorted(name for name in CASES if name.startswith("enumerate_"))

@@ -1,3 +1,7 @@
+import io
+import re
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,7 +144,10 @@ class TestRoundTrip:
         self._check(EXPLICIT_TEXT)
 
     def test_full_featured_round_trip(self):
-        text = """\
+        self._check(FULL_TEXT)
+
+
+FULL_TEXT = """\
 scenario v1
 
 [config]
@@ -171,7 +178,6 @@ c1B = 1 0
 spin_target = nonspin
 spin_unknowns = a1=1
 """
-        self._check(text)
 
 
 # ids the grammar can carry: no space, '#', '=', ',' or '[', never "smooth"
@@ -497,3 +503,110 @@ def test_one_lattice_per_pipeline_run(monkeypatch):
                                 seifert=SeifertRequest(spin_target="spin")))
     assert len(rep.spin_entries) == 4
     assert len(snf_calls) == 1
+
+
+SCRIPT_TEXT = """\
+scenario v1
+
+[config]
+b1 = 0
+b2 = 1
+euler = 3
+
+[surface C]
+genus = 1
+self = 9
+
+[surface L]
+genus = 0
+self = 1
+
+[surface M]
+genus = 0
+self = 1
+
+[surface T1]
+genus = 1
+
+[surface T2]
+genus = 1
+
+[point s]
+order = 3
+exponents = 1 2
+incident = C T1
+
+[event e]
+between = L M
+
+[event t]
+between = T1 T2
+
+[event c]
+between = C T1
+at = s
+
+[script]
+blow_up through=L,M id=E
+blow_up through=E id=F
+blow_up through=F id=G
+rename old=G new=H
+blow_down sphere=F point=q
+resolve t1=T1 t2=T2 id=S
+discard id=C
+"""
+# valid files whose sections together use every key and script operation
+_FUZZ_SEEDS = (
+    BUILTIN_TEXT.replace("[seifert]\n", "[seifert]\nb_residues = auto\n"),
+    EXPLICIT_TEXT,
+    FULL_TEXT,
+    SCRIPT_TEXT,
+    "scenario v1\n\n[builtin]\nname = block_Y\n",
+)
+# integers outside the range of every integer key; each factors at once,
+# and none is a prime, so no p can make the pi1 relators large
+_BAD_INTS = ("-1", "0", "1", "-7", "4", str(2 ** 64), str(-10 ** 30))
+# an integer value, or the bit of a name=bit pair
+_INT = re.compile(r"(?<![^\s=])-?\d+(?!\S)")
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """A seed file with one to three lines dropped, duplicated, garbled,
+    or with the integers of a 'key = value' line put out of range."""
+    lines = draw(st.sampled_from(_FUZZ_SEEDS)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        keyed = [i for i, line in enumerate(lines)
+                 if re.match(r"\w+ = ", line) and _INT.search(line)]
+        kind = draw(st.sampled_from(("drop", "duplicate", "garble",
+                                     "integer")))
+        if kind == "integer" and keyed:
+            k = draw(st.sampled_from(keyed))
+            lines[k] = _INT.sub(lambda _: draw(st.sampled_from(_BAD_INTS)),
+                                lines[k])
+        elif kind == "duplicate":
+            lines.insert(k, lines[k])
+        elif kind == "garble":
+            i = draw(st.integers(0, len(lines[k])))
+            lines[k] = (lines[k][:i] + draw(st.text("[]=#,/ x0-", max_size=3))
+                        + lines[k][i + draw(st.integers(0, 3)):])
+        elif len(lines) > 1:
+            del lines[k]
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(text=_mutated_scenarios())
+def test_mutated_scenarios_exit_with_one_line(text, tmp_path_factory):
+    # every outcome is a verdict or a one-line message: no traceback
+    f = tmp_path_factory.getbasetemp() / "fuzz.scn"
+    f.write_text(text)
+    for verb in ("build", "verify", "report"):
+        with redirect_stdout(io.StringIO()), \
+                redirect_stderr(io.StringIO()) as stderr:
+            rc = cli.main([verb, str(f)])
+        err = stderr.getvalue()
+        assert rc in (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_INPUT,
+                      cli.EXIT_INCONCLUSIVE)
+        assert err.count("\n") <= 1 and "Traceback" not in err

@@ -320,6 +320,15 @@ def _random_move(rng, cfg, log):
     return lambda: declare_lattice(cfg, basis, qclasses, pairing, log=log)
 
 
+# (euler, b2) change of each move _random_move makes: a blow-up and the
+# resolution of a torus pair each add one class, a -2 blow-down removes
+# one, and the rest only relabel or annotate
+_EULER_B2_STEP = {"blow_up": (1, 1), "resolve_torus_pair": (1, 1),
+                  "blow_down_minus2": (-1, -1), "discard": (0, 0),
+                  "rename": (0, 0), "assign_isotropy": (0, 0),
+                  "declare_lattice": (0, 0)}
+
+
 def _cp2_with_lines():
     stages = []
     build_block_W(stages=stages)
@@ -335,7 +344,18 @@ def test_seeded_scripts_leave_inputs_unchanged_and_replay(start, seed):
     first = start()
     cfg, log = first, SurgeryLog()
     for _ in range(12):
-        cfg = _check_pure(_random_move(rng, cfg, log), cfg) or cfg
+        logged = len(log.entries)
+        out = _check_pure(_random_move(rng, cfg, log), cfg)
+        if out is None:  # a move that raises logs nothing
+            assert len(log.entries) == logged
+            continue
+        # each logged step changes (euler, b2) as its move does, b1 never
+        (entry,) = log.entries[logged:]
+        d_euler, d_b2 = _EULER_B2_STEP[entry.op]
+        assert entry.before == (cfg.euler, cfg.b1, cfg.b2)
+        assert entry.after == (out.euler, out.b1, out.b2) \
+            == (cfg.euler + d_euler, cfg.b1, cfg.b2 + d_b2)
+        cfg = out
     assert replay(first, log) == cfg
 
 
