@@ -9,12 +9,12 @@ abelianizations land here.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .exact import factorize
+from .record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AbelianGroup:
     """Z^rank plus a direct sum of cyclic groups.
 

@@ -17,7 +17,6 @@ import argparse
 import sys
 
 from . import fpgroup, report as report_mod
-from .exact import factorize
 from .model import validate_config
 from .seifert import MissingIntegralPairing, MissingQClass
 from .scenario import (
@@ -26,6 +25,7 @@ from .scenario import (
     Scenario,
     SeifertRequest,
     SPIN_TARGETS,
+    check_prime,
     parse_scenario,
 )
 
@@ -36,10 +36,12 @@ MISSING_INPUT = (MissingIntegralPairing, MissingQClass)
 
 
 def prime(text: str) -> int:
-    """argparse type of --prime: a prime p >= 2."""
+    """argparse type of --prime: a prime p, 2 <= p <= MAX_PRIME."""
     p = int(text)
-    if p < 2 or factorize(p) != [(p, 1)]:
-        raise argparse.ArgumentTypeError(f"{text} is not a prime >= 2")
+    try:
+        check_prime(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return p
 
 
@@ -166,7 +168,9 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except report_mod.PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a cause such as MemoryError() has no message: name its type
+        cause = str(exc.cause) or type(exc.cause).__name__
+        print(f"error: stage {exc.stage}: {cause}", file=sys.stderr)
         missing = isinstance(exc.cause, MISSING_INPUT)
         return EXIT_INPUT if missing else EXIT_FAIL
 

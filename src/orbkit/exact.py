@@ -8,9 +8,10 @@ Chern classes, abelianizations) reduces to these primitives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+from .record import record
 
 # Rational numbers are stdlib Fractions: reduced form and positive
 # denominator are guaranteed by the class itself.
@@ -69,7 +70,7 @@ def radical_quotient(d: int, j: int) -> int:
     return rd // gcd(rd, radical(j))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, row-major."""
 
@@ -147,7 +148,7 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SnfResult:
     """Smith normal form data: U @ A @ V == D, U and V unimodular."""
 

@@ -22,10 +22,10 @@ table checks it by that cycle's length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from .abelian import AbelianGroup
 from .exact import IntMatrix, smith_normal_form
+from .record import field, record
 
 Word = tuple[int, ...]
 
@@ -55,7 +55,7 @@ def inverse_word(w) -> Word:
     return tuple(-g for g in reversed(w))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Presentation:
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
@@ -172,17 +172,17 @@ def tietze_simplify(p: Presentation) -> Presentation:
     return Presentation(tuple(gens), tuple(rels))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Complete:
     index: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Exhausted:
     bound: int
 
 
-@dataclass
+@record
 class CosetTable:
     status: object  # Complete | Exhausted
     table: list = field(default_factory=list)  # live rows, column per +-gen

@@ -14,11 +14,11 @@ order d contributes 1/d.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
 from .exact import IntMatrix, mod_inverse, radical_quotient
+from .record import field, record, replace
 
 SMOOTH = "smooth"
 
@@ -31,7 +31,7 @@ class NotIncident(ValueError):
     """The named surface does not pass through the named point."""
 
 
-@dataclass
+@record
 class SurfaceData:
     """A closed surface tracked in the configuration.
 
@@ -55,7 +55,7 @@ class SurfaceData:
         return 2 - 2 * self.genus
 
 
-@dataclass
+@record
 class SingularPointData:
     """Isolated cyclic quotient singularity of order d with weights (e1, e2)."""
 
@@ -70,7 +70,7 @@ class SingularPointData:
         self.incident = tuple(self.incident)
 
 
-@dataclass
+@record
 class IntersectionEvent:
     """One transverse positive intersection point of two distinct surfaces.
 
@@ -86,7 +86,7 @@ class IntersectionEvent:
         return frozenset((self.a, self.b))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Violation:
     kind: str
     locus: str
@@ -96,7 +96,7 @@ class Violation:
         return f"{self.kind} at {self.locus}: {self.message}"
 
 
-@dataclass
+@record
 class OrbifoldConfig:
     surfaces: list[SurfaceData] = field(default_factory=list)
     points: list[SingularPointData] = field(default_factory=list)
@@ -204,7 +204,7 @@ class OrbifoldConfig:
             p.incident = tuple(x for x in p.incident if x != sid)
 
 
-@dataclass
+@record
 class PointLocalInvariant:
     """Weights (m, j1, j2) of the cyclic action at a singular point."""
 

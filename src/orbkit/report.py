@@ -11,7 +11,6 @@ golden-file-friendly structured format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from . import fpgroup, seifert, spin, surgery
 from .model import (
@@ -20,6 +19,7 @@ from .model import (
     check_even_point_bound,
     validate_config,
 )
+from .record import field, record
 from .scenario import Scenario, SeifertRequest
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
@@ -34,7 +34,7 @@ class PipelineError(Exception):
         self.cause = cause
 
 
-@dataclass
+@record
 class SpinEntry:
     assignment: tuple  # sorted (name, bit) pairs
     c1B: tuple[int, ...]
@@ -42,7 +42,7 @@ class SpinEntry:
     gk_ok: bool
 
 
-@dataclass
+@record
 class Report:
     scenario_label: str
     config: object

@@ -31,9 +31,9 @@ lines are operations::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .exact import factorize
 from .model import (
     SMOOTH,
     IntersectionEvent,
@@ -41,9 +41,13 @@ from .model import (
     SingularPointData,
     SurfaceData,
 )
+from .record import field, record
 
 BUILTINS = ("block_Y", "block_W", "glued_Z")
 SPIN_TARGETS = ("spin", "nonspin", "any")
+# the largest isotropy prime taken: the pi_1 presentation of glued_Z
+# spells U^(p^3) letter by letter, 912,673 letters at p = 97
+MAX_PRIME = 97
 
 
 class ParseError(ValueError):
@@ -52,13 +56,13 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScriptOp:
     op: str
     args: tuple[tuple[str, str], ...]  # (key, raw value) pairs, ordered
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SeifertRequest:
     b_residues: str = "auto"
     c1B: object = "search"  # "search" or tuple of ints
@@ -66,7 +70,7 @@ class SeifertRequest:
     spin_unknowns: object = None  # None (sweep) or dict name -> 0/1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scenario:
     builtin: object = None  # (name, p or None)
     config: OrbifoldConfig | None = None
@@ -81,6 +85,15 @@ _SCRIPT_KEYS = {
     "discard": ({"id"}, {"id"}),
     "rename": ({"old", "new"}, {"old", "new"}),
 }
+
+
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime from 2 to MAX_PRIME."""
+    if p > MAX_PRIME:  # before factorize, whose trial division is O(sqrt p)
+        raise ValueError(f"{p} is above the largest supported prime, "
+                         f"{MAX_PRIME}")
+    if p < 2 or factorize(p) != [(p, 1)]:
+        raise ValueError(f"{p} is not a prime >= 2")
 
 
 def _parse_int(raw, ln):
@@ -163,6 +176,10 @@ def parse_scenario(text: str) -> Scenario:
             p = None
             if "p" in kv:
                 p = _parse_int(kv["p"][1], kv["p"][0])
+                try:
+                    check_prime(p)
+                except ValueError as exc:
+                    raise ParseError(kv["p"][0], str(exc)) from None
             if name == "glued_Z" and p is None:
                 raise ParseError(h_ln, "glued_Z requires p")
             builtin = (name, p)

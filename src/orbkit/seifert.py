@@ -14,7 +14,6 @@ is its vector of pairings against the declared integral basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -22,6 +21,7 @@ from math import gcd, lcm
 from .abelian import AbelianGroup
 from .exact import IntMatrix, factorize, mod_inverse, smith_normal_form
 from .model import OrbifoldConfig
+from .record import record
 
 
 class MissingIntegralPairing(ValueError):
@@ -48,7 +48,7 @@ class NotFound(Exception):
     """Bounded search exhausted without a hit."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RationalClass:
     """A class in H^2(X - P, Q) as pairings against the integral basis."""
 
@@ -93,7 +93,7 @@ def in_span_mod2(vectors, target) -> bool:
     return not any(_reduce(_echelon(vectors), target))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Mod2Class:
     """A Z/2 pairing vector plus unknown multiples of surface classes."""
 
@@ -126,7 +126,7 @@ def compute_b_residues(cfg: OrbifoldConfig) -> dict[str, int]:
             for s in isotropy_surfaces(cfg)}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SeifertSpec:
     base: OrbifoldConfig
     b_residues: dict
@@ -149,7 +149,7 @@ class SeifertSpec:
         return Lattice.of(self.base)
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Lattice:
     """The facts of one configuration that every background class shares.
 
@@ -265,7 +265,7 @@ def is_primitive(alpha: RationalClass) -> bool:
     return gcd(*alpha.integer_entries()) == 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class H1Decision:
     holds: bool
     b1_zero: bool

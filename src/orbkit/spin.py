@@ -19,8 +19,8 @@ statistics, plus the standard realizability constraints on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .record import record
 from .seifert import (
     H1NotZero,
     Lattice,
@@ -77,7 +77,7 @@ def spin_sweep(spec: SeifertSpec) -> dict[tuple, bool]:
             for key in assignments(spin_target(spec).unknown_names())}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SmaleBardenData:
     """Classifying data of a simply connected 5-manifold.
 

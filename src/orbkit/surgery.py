@@ -13,7 +13,6 @@ starting config reproduces the final config exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,6 +25,7 @@ from .model import (
     SurfaceData,
     UnsupportedGeometry,
 )
+from .record import field, record
 
 
 class NotSmoothPoint(ValueError):
@@ -64,7 +64,7 @@ class NotSingleIntersection(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GluingPlan:
     """Recipe for a fiber connected sum.
 
@@ -82,7 +82,7 @@ class GluingPlan:
     b2: int
 
 
-@dataclass
+@record
 class LogEntry:
     op: str
     kwargs: dict
@@ -91,7 +91,7 @@ class LogEntry:
     surface_deltas: dict
 
 
-@dataclass
+@record
 class SurgeryLog:
     entries: list[LogEntry] = field(default_factory=list)
 

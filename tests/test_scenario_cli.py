@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbkit import cli, seifert
+from orbkit import cli, fpgroup, seifert
 from orbkit.exact import IntMatrix
 from orbkit.model import (
     IntersectionEvent,
@@ -17,6 +17,7 @@ from orbkit.model import (
 from orbkit.report import run_pipeline
 from orbkit.scenario import (
     BUILTINS,
+    MAX_PRIME,
     SPIN_TARGETS,
     ParseError,
     Scenario,
@@ -257,8 +258,8 @@ def _scenarios(draw):
             st.sampled_from(["a1", "a2"]), st.integers(0, 1))))
     if draw(st.booleans()):
         name = draw(st.sampled_from(BUILTINS))
-        p = draw(st.integers(2, 13)) if name == "glued_Z" else \
-            draw(st.none() | st.integers(2, 13))
+        primes = st.sampled_from([2, 3, 5, 7, 11, 13])
+        p = draw(primes) if name == "glued_Z" else draw(st.none() | primes)
         return Scenario(builtin=(name, p), seifert=seifert)
     cfg = draw(_configs())
     return Scenario(config=cfg, script=draw(_scripts(cfg)), seifert=seifert)
@@ -457,6 +458,48 @@ class TestCli:
             cli.main([verb, "--prime", value])
         assert exc.value.code == cli.EXIT_INPUT
         assert f"{value} is not a prime >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["build", "verify", "report"])
+    @pytest.mark.parametrize("value", ["1", "0", "-1", "4"])
+    def test_scenario_p_must_be_prime(self, verb, value, tmp_path, capsys):
+        f = tmp_path / "s.scn"
+        f.write_text(BUILTIN_TEXT.replace("p = 3", f"p = {value}"))
+        assert cli.main([verb, str(f)]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"input error: line 5: {value} is not a prime >= 2\n"
+
+    @pytest.mark.parametrize("verb", ["build", "verify", "report",
+                                      "enumerate"])
+    @pytest.mark.parametrize("value", ["101", "1009", str(10 ** 30 + 57)])
+    def test_prime_above_the_limit(self, verb, value, tmp_path, capsys):
+        # U^(p^3) would be spelled with more than 97^3 letters
+        message = (f"{value} is above the largest supported prime, "
+                   f"{MAX_PRIME}")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([verb, "--prime", value])
+        assert exc.value.code == cli.EXIT_INPUT
+        assert message in capsys.readouterr().err
+        if verb != "enumerate":
+            f = tmp_path / "s.scn"
+            f.write_text(BUILTIN_TEXT.replace("p = 3", f"p = {value}"))
+            assert cli.main([verb, str(f)]) == cli.EXIT_INPUT
+            assert capsys.readouterr().err == \
+                f"input error: line 5: {message}\n"
+
+    def test_largest_prime_is_taken(self):
+        assert cli.prime(str(MAX_PRIME)) == MAX_PRIME
+        text = BUILTIN_TEXT.replace("p = 3", f"p = {MAX_PRIME}")
+        assert parse_scenario(text).builtin == ("glued_Z", MAX_PRIME)
+
+    def test_stage_error_without_message_names_its_type(
+            self, monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+        monkeypatch.setattr(fpgroup, "coset_enumerate", out_of_memory)
+        rc = cli.main(["verify", "--builtin", "glued_Z", "--prime", "3"])
+        assert rc == cli.EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err == "error: stage fundamental_group: MemoryError\n"
 
     @pytest.mark.parametrize("verb, flag, low", [
         ("verify", "--coset-bound", 1), ("report", "--coset-bound", 1),
