@@ -10,18 +10,22 @@ and coincidences go through a union-find queue; a run either completes
 The orbifold presentation states each torsion relation once: a power
 family x^(p^i), i >= k, has the normal closure of x^(p^k) alone.
 
-Each step does work in proportion to what it needs: the abelianization
-drops the exponent-sum rows that are zero before its Smith normal form,
-the builder spells each torsion power once as a reduced tuple, and the
-enumeration maps each relator to table columns once.  A new table entry
-is scanned against all the relator conjugates that start with its
-letter in one loop; a power x^n of one letter is traced once round x's
-cycle through the coset, not n letters, and the replay of a completed
-table checks it by that cycle's length.
+Each step does work in proportion to the group, not to the length of
+its torsion powers: the builder makes the relators that do not depend
+on p once per process and spells each torsion power once as a reduced
+tuple; the abelianization counts each distinct letter of a relator with
+one count in C and drops the exponent-sum rows that are zero before its
+Smith normal form; the enumeration maps each relator to table columns
+once, a power x^n as x's column repeated n times with its one conjugate.
+A new table entry is scanned against all the relator conjugates that
+start with its letter in one loop; a power x^n of one letter is traced
+once round x's cycle through the coset, not n letters, and the replay of
+a completed table checks it by that cycle's length.
 """
 
 from __future__ import annotations
 
+from functools import cache
 
 from .abelian import AbelianGroup
 from .exact import IntMatrix, smith_normal_form
@@ -45,10 +49,11 @@ def free_reduce(w) -> Word:
 
 
 def cyclic_reduce(w) -> Word:
-    w = list(free_reduce(w))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
+    w = free_reduce(w)
+    k = 0  # letters that cancel at each end
+    while 2 * k + 1 < len(w) and w[k] == -w[-1 - k]:
+        k += 1
+    return w[k:len(w) - k]
 
 
 def inverse_word(w) -> Word:
@@ -103,8 +108,8 @@ def abelianize(p: Presentation) -> AbelianGroup:
     rows = []
     for r in p.relators:
         row = [0] * n
-        for g in r:
-            row[abs(g) - 1] += 1 if g > 0 else -1
+        for g in set(r):  # each distinct letter counted once, in C
+            row[abs(g) - 1] += r.count(g) if g > 0 else -r.count(g)
         if any(row):
             rows.append(row)
     if not rows:
@@ -222,34 +227,46 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
     cycle through it divides n.
     Each relator is cyclically reduced and mapped to columns once; its
     conjugates, the scan at coset 0 and the replay read that one list.
+    A power of one letter is already reduced: it becomes its column
+    repeated, in one step, and is its own only conjugate.
     """
     ncols = 2 * len(p.generators)
     # letter g is column 2(g - 1) and its inverse the column after it
     col = {s * g: 2 * (g - 1) + (s < 0)
            for g in range(1, len(p.generators) + 1) for s in (1, -1)}
 
-    def item(w: list) -> tuple:
-        """w as scan traces it: (w, first, last, power), where power
-        marks a word that is one letter repeated."""
-        return w, 0, len(w) - 1, len(set(w)) == 1
+    def item(r: Word, reduce) -> tuple:
+        """r as scan traces it: (w, first, last, power), where w lists
+        the columns of reduce(r) and power marks a word that is one
+        letter repeated."""
+        if len(set(r)) == 1:
+            return [col[r[0]]] * len(r), 0, len(r) - 1, True
+        r = reduce(r)
+        return (list(map(col.__getitem__, r)), 0, len(r) - 1,
+                len(set(r)) == 1)
 
-    relators = [item([col[g] for g in r])
-                for r in map(cyclic_reduce, p.relators) if r]
+    relators = [h for h in (item(r, cyclic_reduce) for r in p.relators)
+                if h[0]]
     subgroup_words = []
     for w in subgroup:
         if not col.keys() >= set(w):
             raise ValueError(f"subgroup word {w} has a letter out of range")
-        subgroup_words.append(item([col[g] for g in free_reduce(w)]))
+        subgroup_words.append(item(w, free_reduce))
 
     # conjugates[x]: the items for each distinct cyclic conjugate
-    # w[first..last] of a relator that starts with column x; w is the
-    # relator written twice, so every conjugate is a slice of it, and a
-    # relator of period d has d distinct conjugates (U^(p^3) has one)
+    # w[first..last] of a relator that starts with column x.  A power
+    # has period 1, so its one conjugate is w itself; any other word is
+    # written twice, so that every conjugate is a slice of it, and a
+    # relator of period d has d distinct conjugates
     conjugates: list[list] = [[] for _ in range(ncols)]
-    for w, _, last, power in relators:
+    for h in relators:
+        w, _, last, power = h
+        if power:
+            conjugates[w[0]].append(h)
+            continue
         twice = w + w
         for s in range(_period(w)):
-            conjugates[twice[s]].append((twice, s, s + last, power))
+            conjugates[twice[s]].append((twice, s, s + last, False))
 
     table: list[list] = [[None] * ncols]
     parent = [0]
@@ -311,13 +328,14 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
         is filled.  Returns (coset, column) of the first missing entry
         of the last word that has two or more missing, else None: the
         gap of a one-item list."""
+        rows = table  # a local, not a closure cell: read once per letter
         gap = None
         for w, i, j, power in cycles:
             f = a
             if power:  # w[i..j] is x^n: go round x's cycle at a once
                 x, n, k = w[i], j - i + 1, 0
                 while k < n:
-                    g = table[f][x]
+                    g = rows[f][x]
                     if g is None:
                         break
                     f = g
@@ -327,7 +345,7 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
                 i += k
             else:
                 while i <= j:
-                    g = table[f][w[i]]
+                    g = rows[f][w[i]]
                     if g is None:
                         break
                     f = g
@@ -340,7 +358,7 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
                 continue
             b = a
             while j >= i:
-                g = table[b][w[j] ^ 1]
+                g = rows[b][w[j] ^ 1]
                 if g is None:
                     break
                 b = g
@@ -350,8 +368,8 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
                 if parent[a] != a:
                     break
             elif j == i:
-                table[f][w[i]] = b
-                table[b][w[i] ^ 1] = f
+                rows[f][w[i]] = b
+                rows[b][w[i] ^ 1] = f
                 deductions.append((f, w[i]))
             else:
                 gap = f, w[i]
@@ -432,22 +450,16 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
                       len(table) - len(compact))
 
 
-def build_pi1_orb_presentation(p_prime: int,
-                               max_power: int = 8) -> Presentation:
-    """Presentation of the orbifold fundamental group of the glued space.
+_PI1_GENERATORS = ("a", "b", "x1", "y1", "z1", "x2", "y2", "z2", "g1",
+                   "g2", "U")
 
-    Generators: the genus-one handle loops a, b; the three order-2 loops
-    on each of the first two isotropy surfaces (x1,y1,z1 / x2,y2,z2);
-    the surface loops g1, g2; and the common loop U around the remaining
-    isotropy surfaces.  Torsion relators g1^p, g2^(p^2) and U^(p^3), which
-    stands for the family U^(p^i), i = 3..max_power (none if max_power < 3):
-    U^(p^i) = (U^(p^3))^(p^(i-3)) lies in the normal closure of U^(p^3).
-    The torsion powers are spelled once, directly as the cyclically
-    reduced tuples they are; the other relators are built from names.
-    """
-    gens = ["a", "b", "x1", "y1", "z1", "x2", "y2", "z2", "g1", "g2", "U"]
-    pres = Presentation(tuple(gens), ())
-    w = pres.word
+
+@cache
+def _fixed_relators() -> tuple[Word, ...]:
+    """The 45 relators of the orbifold presentation that do not depend on
+    p, cyclically reduced; built from names once per process."""
+    gens = _PI1_GENERATORS
+    w = Presentation(gens, ()).word
     ab = commutator(w("a"), w("b"))
     rels: list[Word] = []
     # g1, g2, U are central
@@ -473,14 +485,28 @@ def build_pi1_orb_presentation(p_prime: int,
         rels.append(w(f"{letter}1", (f"{letter}2", -1)))
     # section relation over the base sphere
     rels.append(w(("U", 8), ("g1", 5), ("g2", 3)))
-    rels = [cyclic_reduce(r) for r in rels]
-    # isotropy torsion: powers of one letter, already cyclically reduced
-    g1, g2, u = (gens.index(name) + 1 for name in ("g1", "g2", "U"))
-    rels.append((g1,) * p_prime)
-    rels.append((g2,) * p_prime ** 2)
+    return tuple(map(cyclic_reduce, rels))
+
+
+def build_pi1_orb_presentation(p_prime: int,
+                               max_power: int = 8) -> Presentation:
+    """Presentation of the orbifold fundamental group of the glued space.
+
+    Generators: the genus-one handle loops a, b; the three order-2 loops
+    on each of the first two isotropy surfaces (x1,y1,z1 / x2,y2,z2);
+    the surface loops g1, g2; and the common loop U around the remaining
+    isotropy surfaces.  Torsion relators g1^p, g2^(p^2) and U^(p^3), which
+    stands for the family U^(p^i), i = 3..max_power (none if max_power < 3):
+    U^(p^i) = (U^(p^3))^(p^(i-3)) lies in the normal closure of U^(p^3).
+    The torsion powers follow the relators that do not depend on p, each
+    spelled once, directly as the cyclically reduced tuple it is.
+    """
+    g1, g2, u = (_PI1_GENERATORS.index(name) + 1
+                 for name in ("g1", "g2", "U"))
+    rels = _fixed_relators() + ((g1,) * p_prime, (g2,) * p_prime ** 2)
     if max_power >= 3:
-        rels.append((u,) * p_prime ** 3)
-    return Presentation(tuple(gens), tuple(rels))
+        rels += ((u,) * p_prime ** 3,)
+    return Presentation(_PI1_GENERATORS, rels)
 
 
 def simply_connected_decision(result: CosetTable, h1_zero: bool) -> bool:

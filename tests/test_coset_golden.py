@@ -1,0 +1,121 @@
+"""coset_enumerate must reproduce the recorded tables on seeded random
+presentations.
+
+Each case is a presentation on one to three generators, with power
+words, periodic words, random words, conjugates of earlier relators and
+commutators, sometimes an abelian closure that makes the group finite,
+up to two subgroup words and a coset bound from BOUNDS.  The golden
+holds each case's input with its status, table, cosets defined and
+coincidences, so a change to the order of definitions or deductions
+shows up here even where the index stays the same.  Regenerate it only
+for an intended change of output:
+
+    PYTHONPATH=src python tests/test_coset_golden.py
+"""
+
+import json
+import random
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from orbkit.fpgroup import (
+    Complete,
+    Presentation,
+    commutator,
+    coset_enumerate,
+    inverse_word,
+)
+
+GOLDEN = Path(__file__).parent / "goldens" / "coset_enumerate_random.json"
+SEED = 9
+CASES = 150
+BOUNDS = (1, 5, 30, 400)
+
+
+def _word(rng: random.Random, n: int, length: int) -> tuple:
+    return tuple(rng.choice((g, -g))
+                 for g in (rng.randint(1, n) for _ in range(length)))
+
+
+def _case(rng: random.Random, bound: int) -> dict:
+    n = rng.randint(1, 3)
+    rels: list[tuple] = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.choice(("power", "periodic", "word", "conjugate",
+                           "commutator"))
+        if kind == "power":
+            g = rng.choice((1, -1)) * rng.randint(1, n)
+            r = (g,) * rng.randint(1, 40)
+        elif kind == "periodic":
+            r = _word(rng, n, rng.randint(2, 3)) * rng.randint(2, 4)
+        elif kind == "conjugate" and rels:
+            u = _word(rng, n, rng.randint(1, 3))
+            r = u + rng.choice(rels) + inverse_word(u)
+        elif kind == "commutator":
+            r = commutator(_word(rng, n, 2), _word(rng, n, 2))
+        else:
+            r = _word(rng, n, rng.randint(2, 8))
+        rels.append(r)
+    if rng.random() < 0.7:  # abelian closure: order at most 6^n
+        rels += [(g,) * rng.randint(1, 6) for g in range(1, n + 1)]
+        rels += [commutator((g,), (h,))
+                 for g in range(1, n + 1) for h in range(g + 1, n + 1)]
+    subgroup = []
+    for _ in range(rng.randint(0, 2)):
+        if rng.random() < 0.3:
+            subgroup.append((rng.choice((1, -1)) * rng.randint(1, n),)
+                            * rng.randint(1, 12))
+        else:
+            subgroup.append(_word(rng, n, rng.randint(0, 4)))
+    return {"generators": "abc"[:n], "relators": rels,
+            "subgroup": subgroup, "bound": bound}
+
+
+@cache
+def cases() -> list[dict]:
+    rng = random.Random(SEED)
+    return [_case(rng, BOUNDS[i % len(BOUNDS)]) for i in range(CASES)]
+
+
+def result(case: dict) -> dict:
+    """case with the fields of its CosetTable, in JSON's lists."""
+    pres = Presentation(tuple(case["generators"]),
+                        tuple(map(tuple, case["relators"])))
+    res = coset_enumerate(pres, subgroup=[tuple(w) for w in case["subgroup"]],
+                          max_cosets=case["bound"])
+    status = res.status
+    return {"generators": case["generators"],
+            "relators": [list(r) for r in case["relators"]],
+            "subgroup": [list(w) for w in case["subgroup"]],
+            "bound": case["bound"],
+            "status": ([type(status).__name__, status.index]
+                       if isinstance(status, Complete)
+                       else [type(status).__name__, status.bound]),
+            "table": res.table, "defined": res.defined,
+            "coincidences": res.coincidences}
+
+
+@cache
+def _golden() -> list[dict]:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_bound_and_both_outcomes():
+    golden = _golden()
+    assert len(golden) == CASES
+    assert {case["bound"] for case in golden} == set(BOUNDS)
+    assert {case["status"][0] for case in golden} == {"Complete", "Exhausted"}
+
+
+@pytest.mark.parametrize("i", range(CASES))
+def test_coset_enumerate_matches_golden(i):
+    assert result(cases()[i]) == _golden()[i]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        "[\n" + ",\n".join(json.dumps(result(case), separators=(",", ":"))
+                           for case in cases()) + "\n]\n",
+        encoding="utf-8")

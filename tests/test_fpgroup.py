@@ -47,6 +47,15 @@ class TestWords:
         assert cyclic_reduce((1, 2, -1)) == (2,)
         assert cyclic_reduce((1, 2, 3)) == (1, 2, 3)
 
+    def test_cyclic_reduce_long_conjugate(self):
+        # u r u^-1 with |u| = 100,000: the ends are cut in one slice; cut
+        # one pair at a time, this test took about a minute
+        u = (1, 2, -3, 2) * 25_000
+        core = (3, 1, 3, -2)
+        assert cyclic_reduce(u + core + inverse_word(u)) == core
+        assert cyclic_reduce((1,) * 100_000 + (2,) + (-1,) * 100_000) == (2,)
+        assert cyclic_reduce((1,) * 100_000 + (-1,) * 100_000) == ()
+
     def test_inverse(self):
         w = (1, 2, -3)
         assert inverse_word(w) == (3, -2, -1)
@@ -324,6 +333,56 @@ class TestSympyOracle:
             == (2 * n if dihedral else n)
 
 
+# the 45 relators of build_pi1_orb_presentation that do not depend on p
+FIXED_RELATORS = [
+    "g1 a g1^-1 a^-1",
+    "g1 b g1^-1 b^-1",
+    "g1 x1 g1^-1 x1^-1",
+    "g1 y1 g1^-1 y1^-1",
+    "g1 z1 g1^-1 z1^-1",
+    "g1 x2 g1^-1 x2^-1",
+    "g1 y2 g1^-1 y2^-1",
+    "g1 z2 g1^-1 z2^-1",
+    "g1 g2 g1^-1 g2^-1",
+    "g1 U g1^-1 U^-1",
+    "g2 a g2^-1 a^-1",
+    "g2 b g2^-1 b^-1",
+    "g2 x1 g2^-1 x1^-1",
+    "g2 y1 g2^-1 y1^-1",
+    "g2 z1 g2^-1 z1^-1",
+    "g2 x2 g2^-1 x2^-1",
+    "g2 y2 g2^-1 y2^-1",
+    "g2 z2 g2^-1 z2^-1",
+    "g2 g1 g2^-1 g1^-1",
+    "g2 U g2^-1 U^-1",
+    "U a U^-1 a^-1",
+    "U b U^-1 b^-1",
+    "U x1 U^-1 x1^-1",
+    "U y1 U^-1 y1^-1",
+    "U z1 U^-1 z1^-1",
+    "U x2 U^-1 x2^-1",
+    "U y2 U^-1 y2^-1",
+    "U z2 U^-1 z2^-1",
+    "U g1 U^-1 g1^-1",
+    "U g2 U^-1 g2^-1",
+    "a b a^-1 b^-1 U",
+    "a b a^-1 b^-1 x2 y2 z2 g2^-1 g2^-1",
+    "x1 x1 g1^-1",
+    "y1 y1 g1^-1",
+    "z1 z1 g1^-1",
+    "x2 x2 g2^-1",
+    "y2 y2 g2^-1",
+    "z2 z2 g2^-1",
+    "a b a^-1 b^-1 a b a^-1 b^-1 x1 y1 z1 g1^-1",
+    "a y2 x2 g2^-1 g2^-1",
+    "b x2 z2 g2^-1 g2^-1",
+    "x1 x2^-1",
+    "y1 y2^-1",
+    "z1 z2^-1",
+    "U U U U U U U U g1 g1 g1 g1 g1 g2 g2 g2",
+]
+
+
 class TestOrbifoldGroup:
     def test_p3_completes_with_small_index(self):
         pres = build_pi1_orb_presentation(3)
@@ -347,6 +406,16 @@ class TestOrbifoldGroup:
         res = coset_enumerate(build_pi1_orb_presentation(p), max_cosets=64)
         assert res.status == Complete(8 if p == 2 else 4)
         assert res.defined == {2: 37, 3: 41}.get(p, 42)
+
+    def test_relators_not_depending_on_p(self):
+        pres = build_pi1_orb_presentation(2)
+        fixed = pres.relators[:-3]
+        assert [pres.spell(r) for r in fixed] == FIXED_RELATORS
+        for p in (3, 5, 7, 11, 13):
+            pres = build_pi1_orb_presentation(p)
+            assert pres.relators[:-3] == fixed
+            assert pres.relators[-3:] == ((9,) * p, (10,) * p ** 2,
+                                          (11,) * p ** 3)
 
     @pytest.mark.parametrize("p, letters",
                              [(2, 210), (3, 235), (5, 351), (7, 595)])

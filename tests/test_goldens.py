@@ -32,10 +32,11 @@ CASES = {
          "--spin-target", target],
         _glued_Z_exit(p, target))
        for p in (2, 3, 5) for target in ("any", "spin", "nonspin")},
-    # the relator count, abelianization, coset table and counters
+    # the relator count, abelianization, coset table and counters; 97 is
+    # the largest prime --prime takes, with U^(97^3) of 912,673 letters
     **{f"enumerate_p{p}": (
         ["enumerate", "--prime", str(p), "--dump-table"], cli.EXIT_OK)
-       for p in (2, 3, 11, 13)},
+       for p in (2, 3, 11, 13, 97)},
     # the budget runs out mid-run: pins the counters where it stops
     "enumerate_p13_bound30": (
         ["enumerate", "--prime", "13", "--coset-bound", "30"],
