@@ -31,8 +31,10 @@ from .scenario import (
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_INCONCLUSIVE = 0, 1, 2, 3
 # pipeline errors caused by data the scenario does not give (the grammar
-# cannot declare an H_2 basis or pairing, and every surgery move clears one)
-MISSING_INPUT = (MissingIntegralPairing, MissingQClass)
+# cannot declare an H_2 basis or pairing, and every surgery move clears
+# one) or gives in a form the built configuration does not fit
+INPUT_ERRORS = (MissingIntegralPairing, MissingQClass,
+                report_mod.RequestError)
 
 
 def prime(text: str) -> int:
@@ -171,8 +173,8 @@ def main(argv=None) -> int:
         # a cause such as MemoryError() has no message: name its type
         cause = str(exc.cause) or type(exc.cause).__name__
         print(f"error: stage {exc.stage}: {cause}", file=sys.stderr)
-        missing = isinstance(exc.cause, MISSING_INPUT)
-        return EXIT_INPUT if missing else EXIT_FAIL
+        bad_input = isinstance(exc.cause, INPUT_ERRORS)
+        return EXIT_INPUT if bad_input else EXIT_FAIL
 
 
 if __name__ == "__main__":  # pragma: no cover

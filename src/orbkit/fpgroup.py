@@ -11,21 +11,24 @@ The orbifold presentation states each torsion relation once: a power
 family x^(p^i), i >= k, has the normal closure of x^(p^k) alone.
 
 Each step does work in proportion to the group, not to the length of
-its torsion powers: the builder makes the relators that do not depend
-on p once per process and spells each torsion power once as a reduced
-tuple; the abelianization counts each distinct letter of a relator with
-one count in C and drops the exponent-sum rows that are zero before its
-Smith normal form; the enumeration maps each relator to table columns
-once, a power x^n as x's column repeated n times with its one conjugate.
+its torsion powers.  A relator that is one letter repeated, x^n, is
+recognised by one count of its first letter and handled as (x, n): the
+range check reads x, the abelianization adds n to x's exponent sum and
+the enumeration traces it once round x's cycle through a coset, so no
+step hashes its letters.  Every other relator word has one prepared
+form per process, made by a bounded cache keyed on the word: the letter
+the range check reads, the table columns of its cyclic reduction, the
+distinct cyclic conjugates the enumeration scans, and its nonzero
+exponent sums.  The builder makes the relators that do not depend on p
+once per process, so a certificate for any p finds theirs prepared.
 A new table entry is scanned against all the relator conjugates that
-start with its letter in one loop; a power x^n of one letter is traced
-once round x's cycle through the coset, not n letters, and the replay of
-a completed table checks it by that cycle's length.
+start with its letter in one loop, and the replay of a completed table
+checks a power x^n by the length of x's cycle.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 
 from .abelian import AbelianGroup
 from .exact import IntMatrix, smith_normal_form
@@ -60,6 +63,67 @@ def inverse_word(w) -> Word:
     return tuple(-g for g in reversed(w))
 
 
+def _is_power(w: Word) -> bool:
+    """w is one letter repeated; one count in C, no letter hashed."""
+    return w.count(w[0]) == len(w)
+
+
+def _column(g: int) -> int:
+    """The table column of letter g: 2(|g| - 1), or the next for g^-1."""
+    return 2 * abs(g) - 2 + (g < 0)
+
+
+def _power_item(x: int, n: int) -> tuple:
+    """x^n as the enumeration traces it: its columns, first and last
+    index, and the power flag."""
+    return [_column(x)] * n, 0, n - 1, True
+
+
+def _period(w) -> int:
+    """Least d > 0 such that rotating w by d letters gives w."""
+    n = len(w)
+    return next(d for d in range(1, n + 1)
+                if n % d == 0 and w[d:] + w[:d] == w)
+
+
+@lru_cache(maxsize=1024)
+def _prepared(r: Word) -> tuple:
+    """The prepared form of a relator word that is not a power:
+    (letter, item, conjugates, sums).
+
+    letter is 0 if r holds a 0, else a letter of largest |g|: the one
+    the range check of a presentation reads.  item is cyclic_reduce(r)
+    as the enumeration traces it, (columns, 0, last, power), or None if
+    it reduces to nothing; conjugates pairs the first column of each of
+    its distinct cyclic conjugates with that conjugate's item; sums
+    lists the (generator - 1, exponent sum) pairs that are not zero.
+    A pure function of r, so one form serves every presentation that
+    has r; no caller writes to the column lists it shares.
+    """
+    if 0 in r:
+        return 0, None, (), ()
+    w = cyclic_reduce(r)
+    if not w:
+        item, conjugates = None, ()
+    elif _is_power(w):  # reduces to x^n, its own only conjugate
+        item = _power_item(w[0], len(w))
+        conjugates = ((item[0][0], item),)
+    else:
+        # written twice, every conjugate is a slice; a word of period d
+        # has d distinct ones
+        cols = list(map(_column, w))
+        item = cols, 0, len(cols) - 1, False
+        twice = cols + cols
+        conjugates = tuple((twice[s], (twice, s, s + len(cols) - 1, False))
+                           for s in range(_period(cols)))
+    sums: dict[int, int] = {}
+    for g in set(r):
+        i = abs(g) - 1
+        sums[i] = sums.get(i, 0) + (r.count(g) if g > 0 else -r.count(g))
+    return (max(r, key=abs), item, conjugates,
+            tuple((i, e) for i, e in sums.items() if e))
+
+
 @record(frozen=True)
 class Presentation:
     generators: tuple[str, ...]
@@ -67,7 +131,11 @@ class Presentation:
 
     def __post_init__(self):
         n = len(self.generators)
-        for g in set().union(*self.relators):  # each distinct letter once
+        for r in self.relators:
+            if not r:
+                continue
+            # x^k is checked by x, another word by its prepared letter
+            g = r[0] if _is_power(r) else _prepared(r)[0]
             if g == 0 or abs(g) > n:
                 raise ValueError(f"relator index {g} out of range")
 
@@ -107,9 +175,14 @@ def abelianize(p: Presentation) -> AbelianGroup:
     n = len(p.generators)
     rows = []
     for r in p.relators:
+        if not r:
+            continue
         row = [0] * n
-        for g in set(r):  # each distinct letter counted once, in C
-            row[abs(g) - 1] += r.count(g) if g > 0 else -r.count(g)
+        if _is_power(r):  # x^k: k is x's exponent sum
+            row[abs(r[0]) - 1] = len(r) if r[0] > 0 else -len(r)
+        else:
+            for i, e in _prepared(r)[3]:
+                row[i] = e
         if any(row):
             rows.append(row)
     if not rows:
@@ -198,13 +271,6 @@ class CosetTable:
         return isinstance(self.status, Complete)
 
 
-def _period(w: Word) -> int:
-    """Least d > 0 such that rotating w by d letters gives w."""
-    n = len(w)
-    return next(d for d in range(1, n + 1)
-                if n % d == 0 and w[d:] + w[:d] == w)
-
-
 def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
                     ) -> CosetTable:
     """Felsch Todd-Coxeter over the given subgroup generators.
@@ -225,48 +291,41 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
     tables are replayed against every relator and subgroup generator
     before being returned; x^n holds at a coset when the length of x's
     cycle through it divides n.
-    Each relator is cyclically reduced and mapped to columns once; its
-    conjugates, the scan at coset 0 and the replay read that one list.
-    A power of one letter is already reduced: it becomes its column
-    repeated, in one step, and is its own only conjugate.
+    A relator's conjugates, the scan at coset 0 and the replay read the
+    column list of its prepared form.  A power of one letter is already
+    reduced: it becomes its column repeated, in one step, and is its own
+    only conjugate.
     """
-    ncols = 2 * len(p.generators)
-    # letter g is column 2(g - 1) and its inverse the column after it
-    col = {s * g: 2 * (g - 1) + (s < 0)
-           for g in range(1, len(p.generators) + 1) for s in (1, -1)}
+    n = len(p.generators)
+    ncols = 2 * n
+    # relators: the item of each relator that does not reduce to nothing;
+    # conjugates[x]: the items for each distinct cyclic conjugate
+    # w[first..last] of a relator that starts with column x, relator by
+    # relator.  A power is its own only conjugate
+    relators: list[tuple] = []
+    conjugates: list[list] = [[] for _ in range(ncols)]
+    for r in p.relators:
+        if not r:
+            continue
+        if _is_power(r):
+            h = _power_item(r[0], len(r))
+            conj = ((h[0][0], h),)
+        else:
+            _, h, conj, _ = _prepared(r)
+        if h is not None:
+            relators.append(h)
+        for x, c in conj:
+            conjugates[x].append(c)
 
-    def item(r: Word, reduce) -> tuple:
-        """r as scan traces it: (w, first, last, power), where w lists
-        the columns of reduce(r) and power marks a word that is one
-        letter repeated."""
-        if len(set(r)) == 1:
-            return [col[r[0]]] * len(r), 0, len(r) - 1, True
-        r = reduce(r)
-        return (list(map(col.__getitem__, r)), 0, len(r) - 1,
-                len(set(r)) == 1)
-
-    relators = [h for h in (item(r, cyclic_reduce) for r in p.relators)
-                if h[0]]
+    letters = set(range(-n, n + 1)) - {0}
     subgroup_words = []
     for w in subgroup:
-        if not col.keys() >= set(w):
+        if not letters >= set(w):
             raise ValueError(f"subgroup word {w} has a letter out of range")
-        subgroup_words.append(item(w, free_reduce))
-
-    # conjugates[x]: the items for each distinct cyclic conjugate
-    # w[first..last] of a relator that starts with column x.  A power
-    # has period 1, so its one conjugate is w itself; any other word is
-    # written twice, so that every conjugate is a slice of it, and a
-    # relator of period d has d distinct conjugates
-    conjugates: list[list] = [[] for _ in range(ncols)]
-    for h in relators:
-        w, _, last, power = h
-        if power:
-            conjugates[w[0]].append(h)
-            continue
-        twice = w + w
-        for s in range(_period(w)):
-            conjugates[twice[s]].append((twice, s, s + last, False))
+        w = free_reduce(w)
+        subgroup_words.append(
+            _power_item(w[0], len(w)) if w and _is_power(w)
+            else (list(map(_column, w)), 0, len(w) - 1, False))
 
     table: list[list] = [[None] * ncols]
     parent = [0]

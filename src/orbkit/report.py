@@ -25,6 +25,10 @@ from .scenario import Scenario, SeifertRequest
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
 
+class RequestError(ValueError):
+    """A [seifert] request that does not fit the configuration built."""
+
+
 class PipelineError(Exception):
     """A stage failed; the stage name is attached."""
 
@@ -115,6 +119,18 @@ def _spin_predicate(assignment, spin_target):
         lattice.spec(c1B), dict(assignment)) == want
 
 
+def _check_request(request: SeifertRequest, b2: int, names) -> None:
+    """Raise RequestError unless an explicit c1B has b2 entries and
+    spin_unknowns, when given, names each unknown of w2 exactly."""
+    if request.c1B != "search" and len(request.c1B) != b2:
+        raise RequestError(f"c1B has {len(request.c1B)} entries, b2 = {b2}")
+    given = request.spin_unknowns
+    if given is not None and set(given) != set(names):
+        raise RequestError(
+            f"spin_unknowns names {' '.join(sorted(given)) or 'nothing'}; "
+            f"the unknowns of w2 are {' '.join(names) or 'none'}")
+
+
 def run_pipeline(scn: Scenario, coset_bound: int = 10000,
                  search_bound: int = 4, max_l1: int = 2) -> Report:
     log = surgery.SurgeryLog()
@@ -148,7 +164,9 @@ def run_pipeline(scn: Scenario, coset_bound: int = 10000,
     if request is not None:
         try:
             lattice = seifert.Lattice.of(cfg)
-            assignments = spin.assignments(lattice.w2.unknown_names())
+            names = lattice.w2.unknown_names()
+            _check_request(request, cfg.b2, names)
+            assignments = spin.assignments(names)
             if request.spin_unknowns is not None:
                 assignments = [tuple(sorted(request.spin_unknowns.items()))]
             if request.c1B == "search":

@@ -16,7 +16,8 @@ Format sketch::
     [seifert]
     c1B = search            # or whitespace-separated integers
     spin_target = any       # spin | nonspin | any
-    spin_unknowns = a1=0 a2=1   # optional; omitted = sweep all
+    spin_unknowns = a1=0 a2=1   # optional, each unknown of w2 once,
+                                # 0 or 1; omitted = sweep all
 
 Explicit form replaces [builtin] with [config] / [surface ID] /
 [point ID] / [event ID] sections and an optional [script] section whose
@@ -327,7 +328,14 @@ def parse_scenario(text: str) -> Scenario:
                         raise ParseError(kv["spin_unknowns"][0],
                                          f"expected name=bit, got {chunk!r}")
                     name, bit = chunk.split("=", 1)
+                    if name in unknowns:
+                        raise ParseError(kv["spin_unknowns"][0],
+                                         f"duplicate unknown {name!r}")
                     unknowns[name] = _parse_int(bit, kv["spin_unknowns"][0])
+                    if unknowns[name] not in (0, 1):
+                        raise ParseError(kv["spin_unknowns"][0],
+                                         f"{name} must be 0 or 1, got "
+                                         f"{unknowns[name]}")
             seifert = SeifertRequest(b_res, c1b, target, unknowns)
         else:
             raise ParseError(h_ln, f"unknown section [{header}]")

@@ -23,6 +23,8 @@ import pytest
 from orbkit.fpgroup import (
     Complete,
     Presentation,
+    _prepared,
+    abelianize,
     commutator,
     coset_enumerate,
     inverse_word,
@@ -112,6 +114,34 @@ def test_golden_covers_every_bound_and_both_outcomes():
 @pytest.mark.parametrize("i", range(CASES))
 def test_coset_enumerate_matches_golden(i):
     assert result(cases()[i]) == _golden()[i]
+
+
+def test_prepared_forms_change_no_result():
+    # each relator word that is not a power is prepared once per process;
+    # a pass with the cache empty, a pass that finds every form made and
+    # a pass after the cache has evicted them all must give the golden
+    def run():
+        made = _prepared.cache_info().misses
+        out = [(result(case), str(abelianize(Presentation(
+            tuple(case["generators"]), tuple(map(tuple, case["relators"]))))))
+            for case in cases()]
+        return out, _prepared.cache_info().misses - made
+
+    words = {tuple(r) for case in cases() for r in case["relators"]
+             if r and r.count(r[0]) != len(r)}
+    bound = _prepared.cache_info().maxsize
+    assert len(words) < bound
+    _prepared.cache_clear()
+    first, made = run()
+    assert made == len(words)
+    second, made = run()
+    assert made == 0
+    for k in range(bound):  # as many other words (letter 4 is in none)
+        Presentation(tuple("abcd"), ((4,) * (k + 1) + (1,),))
+    third, made = run()
+    assert made == len(words)
+    assert [res for res, _ in first] == _golden()
+    assert first == second == third
 
 
 if __name__ == "__main__":

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import orbkit
 from orbkit.abelian import AbelianGroup
 from orbkit.exact import IntMatrix, smith_normal_form
 from orbkit.fpgroup import (
@@ -78,6 +83,35 @@ class TestWords:
     def test_each_out_of_range_letter_is_refused(self, relators):
         with pytest.raises(ValueError, match="out of range"):
             Presentation(("a",), relators)
+
+    @pytest.mark.parametrize("bad", [0, 2, -2])
+    def test_bad_letter_in_a_long_power_is_refused(self, bad):
+        # a power is checked by its one letter, any other word by its
+        # prepared form: neither may miss a letter among 10^5
+        k = 50_000
+        for r in ((1,) * k + (bad,) + (1,) * k, (bad,) * (2 * k + 1)):
+            with pytest.raises(ValueError, match="out of range"):
+                Presentation(("a",), (r,))
+
+    @pytest.mark.parametrize("r", [(1, 2, 3, -1), (3, 3, -2), (-3,) * 4])
+    def test_prepared_word_is_checked_for_each_presentation(self, r):
+        # a form prepared for three generators is out of range for two
+        assert Presentation(("a", "b", "c"), (r,)).relators == (r,)
+        with pytest.raises(ValueError, match="out of range"):
+            Presentation(("a", "b"), (r,))
+
+
+def test_importing_fpgroup_loads_only_its_layers():
+    # the pi1 certificate needs words, the SNF and the records, nothing
+    # of the configuration layers
+    src = Path(orbkit.__file__).resolve().parents[1]
+    code = ("import sys, orbkit.fpgroup; print(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'orbkit'))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.split() == ["orbkit", "orbkit.abelian", "orbkit.exact",
+                                  "orbkit.fpgroup", "orbkit.record"]
 
 
 class TestAbelianize:

@@ -129,6 +129,11 @@ class TestParse:
                              + "spin_unknowns = a1=1 a2=0\n")
         assert scn.seifert.spin_unknowns == {"a1": 1, "a2": 0}
 
+    @pytest.mark.parametrize("value", ["a1=2", "a1=-1", "a1=0 a1=0"])
+    def test_spin_unknowns_are_bits_named_once(self, value):
+        with pytest.raises(ParseError, match="line 10"):
+            parse_scenario(BUILTIN_TEXT + f"spin_unknowns = {value}\n")
+
 
 class TestRoundTrip:
     def _check(self, text):
@@ -322,6 +327,48 @@ class TestCli:
         assert rc == cli.EXIT_INPUT
         assert captured.err == ("error: stage seifert: config declares no "
                                 "integral pairing\n")
+
+    # glued_Z at p = 3, whose lattice has b2 = 16 and whose w2 has the
+    # unknowns a1 and a2; the one [seifert] key is line 8
+    SEIFERT_TEXT = ("scenario v1\n\n[builtin]\nname = glued_Z\np = 3\n\n"
+                    "[seifert]\n{}\n")
+
+    @pytest.mark.parametrize("verb", ["verify", "report"])
+    @pytest.mark.parametrize("line, err", [
+        # each of these used to exit 0 or 1 (a stage error, or a verdict
+        # computed from a bit read mod 2 or a name w2 does not have)
+        ("c1B = 1 2", "error: stage seifert: c1B has 2 entries, b2 = 16"),
+        ("spin_unknowns = a1=5 a2=0",
+         "input error: line 8: a1 must be 0 or 1, got 5"),
+        ("spin_unknowns = a1=-1 a2=0",
+         "input error: line 8: a1 must be 0 or 1, got -1"),
+        ("spin_unknowns = a1=0 a1=1 a2=0",
+         "input error: line 8: duplicate unknown 'a1'"),
+        ("spin_unknowns = a1=0 a2=0 a9=1",
+         "error: stage seifert: spin_unknowns names a1 a2 a9; "
+         "the unknowns of w2 are a1 a2"),
+        ("spin_unknowns = a1=0",
+         "error: stage seifert: spin_unknowns names a1; "
+         "the unknowns of w2 are a1 a2"),
+    ])
+    def test_bad_seifert_request_is_input_error(self, verb, line, err,
+                                                tmp_path, capsys):
+        f = tmp_path / "s.scn"
+        f.write_text(self.SEIFERT_TEXT.format(line))
+        rc = cli.main([verb, str(f)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == err + "\n"
+
+    def test_seifert_request_naming_every_unknown(self, tmp_path, capsys):
+        f = tmp_path / "s.scn"
+        f.write_text(self.SEIFERT_TEXT.format("spin_unknowns = a2=0 a1=1"))
+        rc = cli.main(["report", "--format", "structured", str(f)])
+        out = capsys.readouterr().out
+        assert rc == cli.EXIT_OK
+        assert [line.split(" = ")[0] for line in out.splitlines()
+                if line.startswith("spin.")] == ["spin.a1=1,a2=0"]
 
     # EXPLICIT_TEXT without its script, then a point: "order" is line 13
     POINT_TEXT = (EXPLICIT_TEXT.split("[script]")[0]
