@@ -40,15 +40,6 @@ class AbelianGroup:
                 counts[(p, e)] += 1
         return dict(counts)
 
-    def torsion_order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
-
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.invariant_factors
-
     @classmethod
     def from_prime_powers(cls, rank: int,
                           counts: dict[tuple[int, int], int]) -> "AbelianGroup":

@@ -74,9 +74,10 @@ def _column(g: int) -> int:
 
 
 def _power_item(x: int, n: int) -> tuple:
-    """x^n as the enumeration traces it: its columns, first and last
-    index, and the power flag."""
-    return [_column(x)] * n, 0, n - 1, True
+    """x^n as the enumeration traces it: x's column in place of the
+    column list, first and last index, and the power flag.  Every letter
+    of x^n is in that one column, so it is never spelled out."""
+    return _column(x), 0, n - 1, True
 
 
 def _period(w) -> int:
@@ -107,7 +108,7 @@ def _prepared(r: Word) -> tuple:
         item, conjugates = None, ()
     elif _is_power(w):  # reduces to x^n, its own only conjugate
         item = _power_item(w[0], len(w))
-        conjugates = ((item[0][0], item),)
+        conjugates = ((item[0], item),)
     else:
         # written twice, every conjugate is a slice; a word of period d
         # has d distinct ones
@@ -293,8 +294,8 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
     cycle through it divides n.
     A relator's conjugates, the scan at coset 0 and the replay read the
     column list of its prepared form.  A power of one letter is already
-    reduced: it becomes its column repeated, in one step, and is its own
-    only conjugate.
+    reduced: it is its own only conjugate, and it is carried as x's
+    column and n, never as n copies of the column.
     """
     n = len(p.generators)
     ncols = 2 * n
@@ -309,7 +310,7 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
             continue
         if _is_power(r):
             h = _power_item(r[0], len(r))
-            conj = ((h[0][0], h),)
+            conj = ((h[0], h),)
         else:
             _, h, conj, _ = _prepared(r)
         if h is not None:
@@ -323,9 +324,10 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
         if not letters >= set(w):
             raise ValueError(f"subgroup word {w} has a letter out of range")
         w = free_reduce(w)
-        subgroup_words.append(
-            _power_item(w[0], len(w)) if w and _is_power(w)
-            else (list(map(_column, w)), 0, len(w) - 1, False))
+        if w:  # the empty word is in every subgroup
+            subgroup_words.append(
+                _power_item(w[0], len(w)) if _is_power(w)
+                else (list(map(_column, w)), 0, len(w) - 1, False))
 
     table: list[list] = [[None] * ncols]
     parent = [0]
@@ -381,20 +383,20 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
         return True
 
     def scan(a: int, cycles: list):
-        """Trace each w[i..j] of cycles at coset a forwards and
-        backwards, in order, until a dies.  Ends that meet at two cosets
-        make them coincide, and a single missing entry between the ends
-        is filled.  Returns (coset, column) of the first missing entry
-        of the last word that has two or more missing, else None: the
-        gap of a one-item list."""
+        """Trace each w[i..j] of cycles (for a power x^n, x's column w
+        n times) at coset a forwards and backwards, in order, until a
+        dies.  Ends that meet at two cosets make them coincide, and a
+        single missing entry between the ends is filled.  Returns
+        (coset, column) of the first missing entry of the last word that
+        has two or more missing, else None: the gap of a one-item list."""
         rows = table  # a local, not a closure cell: read once per letter
         gap = None
         for w, i, j, power in cycles:
             f = a
-            if power:  # w[i..j] is x^n: go round x's cycle at a once
-                x, n, k = w[i], j - i + 1, 0
-                while k < n:
-                    g = rows[f][x]
+            if power:  # w is x's column and the word is x^n, n = j - i + 1
+                n, k = j - i + 1, 0
+                while k < n:  # go round x's cycle at a once
+                    g = rows[f][w]
                     if g is None:
                         break
                     f = g
@@ -402,6 +404,13 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
                     if f == a:  # closed after k letters: skip whole rounds
                         k = n - n % k
                 i += k
+                x, b = w, a  # every letter left is x, walked back from a
+                while j >= i:
+                    g = rows[b][x ^ 1]
+                    if g is None:
+                        break
+                    b = g
+                    j -= 1
             else:
                 while i <= j:
                     g = rows[f][w[i]]
@@ -409,29 +418,30 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
                         break
                     f = g
                     i += 1
-            if i > j:
-                if f != a:
-                    coincidence(f, a)
+                if i > j:
+                    if f != a:
+                        coincidence(f, a)
+                        if parent[a] != a:
+                            break
+                    continue
+                x, b = w[i], a
+                while j >= i:
+                    g = rows[b][w[j] ^ 1]
+                    if g is None:
+                        break
+                    b = g
+                    j -= 1
+            if j < i:  # the ends meet
+                if f != b:
+                    coincidence(f, b)
                     if parent[a] != a:
                         break
-                continue
-            b = a
-            while j >= i:
-                g = rows[b][w[j] ^ 1]
-                if g is None:
-                    break
-                b = g
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                if parent[a] != a:
-                    break
-            elif j == i:
-                rows[f][w[i]] = b
-                rows[b][w[i] ^ 1] = f
-                deductions.append((f, w[i]))
+            elif j == i:  # one entry missing between the ends, in column x
+                rows[f][x] = b
+                rows[b][x ^ 1] = f
+                deductions.append((f, x))
             else:
-                gap = f, w[i]
+                gap = f, x
         return gap
 
     def process_deductions() -> None:
@@ -449,7 +459,7 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
                           coincidences=dead)
 
     for h in subgroup_words:
-        while h[0] and (gap := scan(0, [h])) is not None:
+        while (gap := scan(0, [h])) is not None:
             if not define(*gap):
                 return exhausted()
         process_deductions()
@@ -484,25 +494,27 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
             c = compact[c][x]
         return c
 
-    def holds(c: int, w: list, power: bool) -> bool:
-        """w fixes c.  x^n does when x's cycle through c has a length
-        dividing n; the walk stops after one round of the index, since
-        in a corrupt table c could lie on no cycle."""
+    def holds(c: int, w, n: int, power: bool) -> bool:
+        """The word fixes c.  A power x^n, w being x's column, does when
+        x's cycle through c has a length dividing n; the walk stops after
+        one round of the index, since in a corrupt table c could lie on
+        no cycle."""
         if not power:
             return trace(c, w) == c
         f = c
         for k in range(1, len(compact) + 1):
-            f = compact[f][w[0]]
+            f = compact[f][w]
             if f == c:
-                return len(w) % k == 0
+                return n % k == 0
         return False
 
-    for w, _, _, power in relators:
+    for w, i, j, power in relators:
+        n = j - i + 1
         for c in range(len(compact)):
-            if not holds(c, w, power):
+            if not holds(c, w, n, power):
                 raise AssertionError("completed table fails a relator scan")
-    for w, *_ in subgroup_words:
-        if trace(0, w) != 0:
+    for w, i, j, power in subgroup_words:
+        if not holds(0, w, j - i + 1, power):
             raise AssertionError("completed table moves the subgroup coset")
 
     return CosetTable(Complete(len(compact)), compact, len(table),

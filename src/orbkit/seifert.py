@@ -9,7 +9,10 @@ the total space, and search for a background class a predicate admits.
 What depends only on the configuration is computed once, in its Lattice.
 
 Cohomology classes live in the dual lattice Hom(H_2(X,Z), Z): a class
-is its vector of pairings against the declared integral basis.
+is its vector of pairings against the declared integral basis.  An
+integral class (a surface class, the scaled Chern class) is a vector of
+ints; only chern_class, the oracle of scaled_chern_class, is rational.
+The H_1 decision of a spec is made once, on first use, like its Lattice.
 """
 
 from __future__ import annotations
@@ -50,9 +53,13 @@ class NotFound(Exception):
 
 @record(frozen=True)
 class RationalClass:
-    """A class in H^2(X - P, Q) as pairings against the integral basis."""
+    """A class in H^2(X - P, Q) as pairings against the integral basis.
 
-    entries: tuple[Fraction, ...]
+    The entries are Fractions for chern_class and ints for the integral
+    scaled_chern_class; integer_entries reads either.
+    """
+
+    entries: tuple[Fraction | int, ...]
 
     def integer_entries(self) -> tuple[int, ...]:
         out = []
@@ -148,6 +155,15 @@ class SeifertSpec:
         """The base configuration's Lattice, built on first use."""
         return Lattice.of(self.base)
 
+    @cached_property
+    def h1(self) -> "H1Decision":
+        """The H_1 = 0 decision (see h1_zero_decision), made on first use."""
+        b1_zero = self.base.b1 == 0
+        surjective = self.lattice.surjective
+        primitive = self.lattice.primitive(self.c1B)
+        return H1Decision(b1_zero and surjective and primitive,
+                          b1_zero, surjective, primitive)
+
 
 @record(frozen=True, eq=False)
 class Lattice:
@@ -171,8 +187,7 @@ class Lattice:
         if cfg.integral_pairing is None:
             raise MissingIntegralPairing("config declares no integral pairing")
         iso = isotropy_surfaces(cfg)
-        columns = {s.id: surface_class(cfg, s.id).integer_entries()
-                   for s in iso}
+        columns = {s.id: surface_class(cfg, s.id) for s in iso}
         rows = [list(columns[s.id])
                 + [s.multiplicity if t == k else 0 for t in range(len(iso))]
                 for k, s in enumerate(iso)]
@@ -201,6 +216,10 @@ class Lattice:
         """m * c1(M) = m c1(B) + sum_i (m/m_i) b_i [D_i], as integers."""
         return tuple(self.m * c + o for c, o in zip(c1B, self.offset))
 
+    def primitive(self, c1B) -> bool:
+        """Is the scaled Chern class of c1B primitive (entries coprime)?"""
+        return gcd(*self.scaled_chern(c1B)) == 1
+
     @cached_property
     def w2(self) -> Mod2Class:
         """w2 of the punctured base in terms of the tracked surfaces.
@@ -213,7 +232,7 @@ class Lattice:
         unknowns = []
         for s in self.cfg.surfaces:
             vec = _mod2(self.columns[s.id] if s.id in self.columns
-                        else surface_class(self.cfg, s.id).entries)
+                        else surface_class(self.cfg, s.id))
             if self.cfg.points_on(s.id):
                 unknowns.append((f"a{len(unknowns) + 1}", vec))
             elif s.self_intersection.denominator != 1:
@@ -235,13 +254,16 @@ class Lattice:
         return spec
 
 
-def surface_class(cfg: OrbifoldConfig, sid: str) -> RationalClass:
-    """[D] as a functional on the integral basis: a pairing column."""
-    if cfg.integral_pairing is None:
-        raise MissingIntegralPairing("config declares no integral pairing")
-    i = [s.id for s in cfg.surfaces].index(sid)
+def surface_class(cfg: OrbifoldConfig, sid: str) -> tuple[int, ...]:
+    """[D] as a functional on the integral basis: its integer pairing
+    column."""
     P = cfg.integral_pairing
-    return RationalClass(tuple(Fraction(P[r, i]) for r in range(P.rows)))
+    if P is None:
+        raise MissingIntegralPairing("config declares no integral pairing")
+    for i, s in enumerate(cfg.surfaces):
+        if s.id == sid:
+            return tuple([row[i] for row in P.entries])
+    raise ValueError(f"no surface {sid!r} in the configuration")
 
 
 def total_multiplicity(cfg: OrbifoldConfig) -> int:
@@ -255,9 +277,8 @@ def chern_class(spec: SeifertSpec) -> RationalClass:
 
 
 def scaled_chern_class(spec: SeifertSpec) -> RationalClass:
-    """m * c1(M) for m = lcm of the multiplicities; entries are integral."""
-    return RationalClass(tuple(
-        Fraction(x) for x in spec.lattice.scaled_chern(spec.c1B)))
+    """m * c1(M) for m = lcm of the multiplicities; its entries are ints."""
+    return RationalClass(spec.lattice.scaled_chern(spec.c1B))
 
 
 def is_primitive(alpha: RationalClass) -> bool:
@@ -274,12 +295,10 @@ class H1Decision:
 
 
 def h1_zero_decision(spec: SeifertSpec) -> H1Decision:
-    """The three-way criterion for H_1 of the total space to vanish."""
-    b1_zero = spec.base.b1 == 0
-    surjective = spec.lattice.surjective
-    primitive = is_primitive(scaled_chern_class(spec))
-    return H1Decision(b1_zero and surjective and primitive,
-                      b1_zero, surjective, primitive)
+    """The three-way criterion for H_1 of the total space to vanish: b_1
+    of the base is 0, the lattice is surjective and the scaled Chern
+    class is primitive.  Decided once per spec (SeifertSpec.h1)."""
+    return spec.h1
 
 
 def h2_of_M(spec: SeifertSpec) -> AbelianGroup:
@@ -327,7 +346,7 @@ def search_background_class(lattice: Lattice, accept, bound: int = 4,
     is admitted.
     """
     for c1B in _graded_vectors(lattice.cfg.b2, bound, max_l1):
-        if gcd(*lattice.scaled_chern(c1B)) == 1 and accept(lattice, c1B):
+        if lattice.primitive(c1B) and accept(lattice, c1B):
             return lattice.spec(c1B)
     raise NotFound(
         f"no background class within |entry| <= {bound}, L1 <= {max_l1}")

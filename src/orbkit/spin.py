@@ -12,13 +12,12 @@ and the kernel once per configuration.
 
 The closing report collects the classifying data of the simply
 connected 5-manifold: b_2, the torsion pair counts c(p^i), the Barden
-invariant (0 for spin, infinity otherwise), and the derived t/c
-statistics, plus the standard realizability constraints on them.
+invariant (0 for spin, infinity otherwise, held exactly as None), and
+the derived t/c statistics, plus the standard realizability constraints
+on them.
 """
 
 from __future__ import annotations
-
-import math
 
 from .record import record
 from .seifert import (
@@ -82,12 +81,13 @@ class SmaleBardenData:
     """Classifying data of a simply connected 5-manifold.
 
     H_2 = Z^k + sum over p^i of (Z_{p^i} + Z_{p^i})^c(p^i);
-    torsion_profile maps (p, i) -> c(p^i).
+    torsion_profile maps (p, i) -> c(p^i).  i_M is the Barden invariant
+    i(M), an int or None for infinity: 0 when spin, infinity otherwise.
     """
 
     k: int
     torsion_profile: tuple[tuple[tuple[int, int], int], ...]
-    i_M: float  # 0 (spin) or math.inf (non-spin)
+    i_M: int | None  # 0 (spin) or None, meaning infinity (non-spin)
     t: tuple[tuple[int, int], ...]
     t_max: int
     c_max: int
@@ -109,7 +109,7 @@ def smale_barden_report(spec: SeifertSpec, spin: bool) -> SmaleBardenData:
     return SmaleBardenData(
         k=h2.rank,
         torsion_profile=tuple(sorted(profile.items())),
-        i_M=0 if spin else math.inf,
+        i_M=0 if spin else None,
         t=tuple(sorted(t.items())),
         t_max=max(t.values(), default=0),
         c_max=max(profile.values(), default=0))
@@ -119,13 +119,13 @@ def gk_check(data: SmaleBardenData) -> bool:
     """Realizability constraints on the classifying data.
 
     Every prime must satisfy t(p) <= k + 1; the Barden invariant must
-    be 0 or infinity; in the non-spin case additionally t(2) <= k.
+    be 0 or infinity (None); in the non-spin case additionally t(2) <= k.
     """
     t = dict(data.t)
     if any(v > data.k + 1 for v in t.values()):
         return False
-    if data.i_M not in (0, math.inf):
+    if data.i_M not in (0, None):
         return False
-    if data.i_M == math.inf and t.get(2, 0) > data.k:
+    if data.i_M is None and t.get(2, 0) > data.k:
         return False
     return True

@@ -22,8 +22,10 @@ from orbkit.seifert import (
     is_primitive,
     scaled_chern_class,
     search_background_class,
+    surface_class,
     total_multiplicity,
 )
+from orbkit.spin import smale_barden_report, spin_decision
 from orbkit.surgery import build_block_Y, build_Z
 
 
@@ -76,8 +78,22 @@ class TestChernClass:
 
     def test_scaled_class_is_integral(self):
         for p in (2, 3, 5):
-            sc = scaled_chern_class(_glued_spec(p))
-            assert all(x.denominator == 1 for x in sc.entries)
+            spec = _glued_spec(p)
+            sc = scaled_chern_class(spec)
+            assert all(type(x) is int for x in sc.entries)
+            m = total_multiplicity(spec.base)
+            assert sc.entries == tuple(m * x
+                                       for x in chern_class(spec).entries)
+
+    def test_surface_class_is_the_integer_column(self):
+        z = build_Z(3)
+        for i, s in enumerate(z.surfaces):
+            col = surface_class(z, s.id)
+            assert all(type(x) is int for x in col)
+            assert col == tuple(z.integral_pairing[r, i]
+                                for r in range(z.integral_pairing.rows))
+        with pytest.raises(ValueError):
+            surface_class(z, "no such surface")
 
     def test_glued_unit_entry(self):
         spec = _glued_spec(3)
@@ -210,6 +226,37 @@ class TestH1H2:
         spec = SeifertSpec(y, compute_b_residues(y), (0,) * 6)
         dec = h1_zero_decision(spec)
         assert not dec.b1_zero and not dec.holds
+
+    def test_h1_decided_once_per_spec(self, monkeypatch):
+        made = []
+
+        class Counting(seifert.H1Decision):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(seifert, "H1Decision", Counting)
+        spec = _glued_spec(3)
+        dec = h1_zero_decision(spec)
+        verdicts = [spin_decision(spec, {"a1": a1, "a2": a2})
+                    for a1 in (0, 1) for a2 in (0, 1)]
+        h2_of_M(spec)
+        smale_barden_report(spec, verdicts[0])
+        assert len(made) == 1
+        assert h1_zero_decision(spec) is dec and dec.holds
+
+    def test_h1_primitivity_is_the_lattice_test(self):
+        from orbkit.seifert import _graded_vectors
+        # m c1(M) = 2 c1(B) + 1: primitive at c1(B) = 0, -1 only
+        lattice = Lattice.of(_disjoint_config([2], [[1]]))
+        seen = set()
+        for c1B in _graded_vectors(1, bound=4, max_l1=2):
+            spec = lattice.spec(c1B)
+            want = is_primitive(scaled_chern_class(spec))
+            assert lattice.primitive(c1B) == want
+            assert h1_zero_decision(spec).primitive == want
+            seen.add(want)
+        assert seen == {True, False}
 
     def test_h2_of_glued_spec(self):
         h2 = h2_of_M(_glued_spec(3))

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -151,7 +150,7 @@ class TestSmaleBarden:
 
     def test_nonspin_marker(self):
         data = smale_barden_report(_glued_spec(3), spin=False)
-        assert data.i_M == math.inf
+        assert data.i_M is None
 
     def test_profile_matches_h2(self):
         spec = _glued_spec(5)
@@ -171,8 +170,8 @@ class TestGkCheck:
         assert gk_check(ok) and not gk_check(too_many)
 
     def test_nonspin_two_torsion_needs_room(self):
-        bad = SmaleBardenData(0, (), math.inf, ((2, 1),), 1, 1)
-        good = SmaleBardenData(1, (), math.inf, ((2, 1),), 1, 1)
+        bad = SmaleBardenData(0, (), None, ((2, 1),), 1, 1)
+        good = SmaleBardenData(1, (), None, ((2, 1),), 1, 1)
         assert not gk_check(bad) and gk_check(good)
 
     def test_torsion_free(self):
