@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 from .record import record
 
@@ -87,10 +88,13 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "IntMatrix":
+        """The matrix of these rows.  Each entry must be an integer (a
+        bool reads as 0 or 1): a Fraction or a float raises TypeError
+        rather than being truncated."""
         # both levels from lists: a tuple built from a generator is
         # resized, and a freed small tuple of that size is not reused
         return cls(len(rows), len(rows[0]) if rows else 0,
-                   tuple([tuple([int(x) for x in r]) for r in rows]))
+                   tuple([tuple([index(x) for x in r]) for r in rows]))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -168,6 +172,12 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     row-major order, so the search for it ends at the first entry of
     absolute value 1.  Returns D with a divisibility chain d1 | d2 | ...
     and unimodular transforms with U @ A @ V == D.
+
+    D starts as a copy of A's rows and U, V as identity rows; every step
+    acts on these lists of ints, and D, U and V are then built from them
+    by the IntMatrix constructor, with no second pass over the entries
+    (from_rows would check each one again).  A matrix with no rows or no
+    columns gives the zero D and identity U and V of its shape.
     """
     m, n = A.rows, A.cols
     d = [list(r) for r in A.entries]
@@ -253,6 +263,6 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
                 u[t][k] = -u[t][k]
         t += 1
 
-    return SnfResult(D=IntMatrix.from_rows(d) if d else IntMatrix.zero(m, n),
-                     U=IntMatrix.from_rows(u) if u else IntMatrix.identity(m),
-                     V=IntMatrix.from_rows(v) if v else IntMatrix.identity(n))
+    return SnfResult(D=IntMatrix(m, n, tuple([tuple(r) for r in d])),
+                     U=IntMatrix(m, m, tuple([tuple(r) for r in u])),
+                     V=IntMatrix(n, n, tuple([tuple(r) for r in v])))

@@ -116,6 +116,33 @@ def test_coset_enumerate_matches_golden(i):
     assert result(cases()[i]) == _golden()[i]
 
 
+def _rotated_inverse(r: tuple) -> tuple:
+    inv = inverse_word(r)
+    return inv[1:] + inv[:1]
+
+
+# changes to the relator list that leave its normal closure, and so the
+# Felsch closure, the same
+RELATOR_CHANGES = {
+    "reversed": lambda rels: rels[::-1],
+    "rotated_inverses_appended":
+        lambda rels: rels + [_rotated_inverse(r) for r in rels],
+    "each_listed_twice": lambda rels: [r for r in rels for _ in range(2)],
+}
+
+
+@pytest.mark.parametrize("change", sorted(RELATOR_CHANGES))
+def test_closure_ignores_relator_order_and_repetition(change):
+    # coset_enumerate returns the unique closure of its definitions: a
+    # pass that skipped a scan and lost a deduction would differ here
+    fields = ("status", "table", "defined", "coincidences")
+    for case, golden in zip(cases(), _golden()):
+        rels = [tuple(r) for r in case["relators"]]
+        res = result({**case, "relators": RELATOR_CHANGES[change](rels)})
+        assert ({k: res[k] for k in fields}
+                == {k: golden[k] for k in fields}), case
+
+
 def test_prepared_forms_change_no_result():
     # each relator word that is not a power is prepared once per process;
     # a pass with the cache empty, a pass that finds every form made and

@@ -94,6 +94,24 @@ def _random_unimodular(rng, n, steps=12):
     return IntMatrix.from_rows(rows)
 
 
+class TestFromRows:
+    def test_refuses_non_integers(self):
+        # int() would truncate these to (0, 2) and 3
+        for x in (Fraction(1, 2), Fraction(7, 2), Fraction(4, 2), 2.9, 3.0,
+                  "3", None):
+            with pytest.raises(TypeError):
+                IntMatrix.from_rows([[1, x]])
+
+    def test_bools_read_as_ints(self):
+        a = IntMatrix.from_rows([[True, False], [2, -1]])
+        assert a.entries == ((1, 0), (2, -1))
+        assert {type(x) for r in a.entries for x in r} == {int}
+
+    def test_empty(self):
+        assert IntMatrix.from_rows([]) == IntMatrix(0, 0, ())
+        assert IntMatrix.from_rows([[], []]) == IntMatrix(2, 0, ((), ()))
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         snf = smith_normal_form(IntMatrix.identity(2))
