@@ -8,15 +8,10 @@ Chern classes, abelianizations) reduces to these primitives.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import index
 
 from .record import record
-
-# Rational numbers are stdlib Fractions: reduced form and positive
-# denominator are guaranteed by the class itself.
-Rational = Fraction
 
 
 class NotCoprime(ValueError):

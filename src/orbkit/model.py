@@ -51,9 +51,6 @@ class SurfaceData:
         if self.qclass is not None:
             self.qclass = tuple(Fraction(x) for x in self.qclass)
 
-    def euler(self) -> int:
-        return 2 - 2 * self.genus
-
 
 @record
 class SingularPointData:

@@ -20,7 +20,7 @@ from .model import (
     validate_config,
 )
 from .record import field, record
-from .scenario import Scenario, SeifertRequest
+from .scenario import SCRIPT_OPS, Scenario, SeifertRequest
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
@@ -76,23 +76,11 @@ class Report:
 
 def _run_script(cfg, script, log):
     for op in script:
-        args = dict(op.args)
-        if op.op == "blow_up":
-            cfg = surgery.blow_up(cfg, through=args["through"].split(","),
-                                  exceptional_id=args.get("id"), log=log)
-        elif op.op == "blow_down":
-            cfg = surgery.blow_down_minus2(cfg, args["sphere"],
-                                           point_id=args.get("point"),
-                                           log=log)
-        elif op.op == "resolve":
-            cfg = surgery.resolve_torus_pair(cfg, args["t1"], args["t2"],
-                                             new_id=args["id"], log=log)
-        elif op.op == "discard":
-            cfg = surgery.discard(cfg, args["id"], log=log)
-        elif op.op == "rename":
-            cfg = surgery.rename(cfg, args["old"], args["new"], log=log)
-        else:  # pragma: no cover - parser rejects unknown ops
-            raise ValueError(f"unknown script op {op.op!r}")
+        name, keywords, _ = SCRIPT_OPS[op.op]
+        kwargs = {keywords[key]: value for key, value in op.args}
+        if "through" in kwargs:
+            kwargs["through"] = kwargs["through"].split(",")
+        cfg = getattr(surgery, name)(cfg, log=log, **kwargs)
     return cfg
 
 

@@ -21,7 +21,7 @@ Format sketch::
 
 Explicit form replaces [builtin] with [config] / [surface ID] /
 [point ID] / [event ID] sections and an optional [script] section whose
-lines are operations::
+lines are operations, each the surgery move SCRIPT_OPS names::
 
     blow_up through=C,L id=E
     blow_down sphere=E point=s1
@@ -79,12 +79,17 @@ class Scenario:
     seifert: SeifertRequest | None = None
 
 
-_SCRIPT_KEYS = {
-    "blow_up": ({"through", "id"}, {"through"}),
-    "blow_down": ({"sphere", "point"}, {"sphere"}),
-    "resolve": ({"t1", "t2", "id"}, {"t1", "t2", "id"}),
-    "discard": ({"id"}, {"id"}),
-    "rename": ({"old", "new"}, {"old", "new"}),
+# script op -> (surgery move, {script key: the move's keyword}, required
+# keys in grammar order); through= lists surface ids joined by commas
+SCRIPT_OPS = {
+    "blow_up": ("blow_up", {"through": "through", "id": "exceptional_id"},
+                ("through",)),
+    "blow_down": ("blow_down_minus2",
+                  {"sphere": "sphere", "point": "point_id"}, ("sphere",)),
+    "resolve": ("resolve_torus_pair",
+                {"t1": "t1", "t2": "t2", "id": "new_id"}, ("t1", "t2", "id")),
+    "discard": ("discard", {"id": "surface"}, ("id",)),
+    "rename": ("rename", {"old": "old", "new": "new"}, ("old", "new")),
 }
 
 
@@ -141,6 +146,8 @@ def _sections(text: str):
 
 
 def _kv(body, ln_sec, allowed, required):
+    """{key: (line_no, value)}; required is a tuple in grammar order, so
+    a missing key is reported as the first one missing."""
     seen = {}
     for ln, line in body:
         if "=" not in line:
@@ -168,7 +175,7 @@ def parse_scenario(text: str) -> Scenario:
         if header == "builtin":
             if builtin or config:
                 raise ParseError(h_ln, "duplicate or conflicting build section")
-            kv = _kv(body, h_ln, {"name", "p"}, {"name"})
+            kv = _kv(body, h_ln, {"name", "p"}, ("name",))
             name = kv["name"][1]
             if name not in BUILTINS:
                 raise ParseError(kv["name"][0],
@@ -187,7 +194,8 @@ def parse_scenario(text: str) -> Scenario:
         elif header == "config":
             if builtin or config:
                 raise ParseError(h_ln, "duplicate or conflicting build section")
-            kv = _kv(body, h_ln, {"b1", "b2", "euler"}, {"b1", "b2", "euler"})
+            kv = _kv(body, h_ln, {"b1", "b2", "euler"},
+                     ("b1", "b2", "euler"))
             config = OrbifoldConfig(
                 b1=_parse_int(kv["b1"][1], kv["b1"][0]),
                 b2=_parse_int(kv["b2"][1], kv["b2"][0]),
@@ -198,7 +206,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError(h_ln, "[surface] before [config]")
             sid = header.split(None, 1)[1]
             kv = _kv(body, h_ln,
-                     {"genus", "multiplicity", "j", "self"}, {"genus"})
+                     {"genus", "multiplicity", "j", "self"}, ("genus",))
             config.surfaces.append(SurfaceData(
                 sid,
                 genus=_parse_int(kv["genus"][1], kv["genus"][0]),
@@ -212,7 +220,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError(h_ln, "[point] before [config]")
             pid = header.split(None, 1)[1]
             kv = _kv(body, h_ln, {"order", "exponents", "incident"},
-                     {"order", "exponents"})
+                     ("order", "exponents"))
             exps = kv["exponents"][1].split()
             if len(exps) != 2:
                 raise ParseError(kv["exponents"][0],
@@ -237,7 +245,7 @@ def parse_scenario(text: str) -> Scenario:
             if config is None:
                 raise ParseError(h_ln, "[event] before [config]")
             eid = header.split(None, 1)[1]
-            kv = _kv(body, h_ln, {"between", "at"}, {"between"})
+            kv = _kv(body, h_ln, {"between", "at"}, ("between",))
             pair = kv["between"][1].split()
             if len(pair) != 2:
                 raise ParseError(kv["between"][0],
@@ -260,9 +268,9 @@ def parse_scenario(text: str) -> Scenario:
             for ln, line in body:
                 parts = line.split()
                 op = parts[0]
-                if op not in _SCRIPT_KEYS:
+                if op not in SCRIPT_OPS:
                     raise ParseError(ln, f"unknown operation {op!r}")
-                allowed, required = _SCRIPT_KEYS[op]
+                _, keywords, required = SCRIPT_OPS[op]
                 args = []
                 seen = set()
                 for chunk in parts[1:]:
@@ -270,7 +278,7 @@ def parse_scenario(text: str) -> Scenario:
                         raise ParseError(ln, f"expected key=value, "
                                              f"got {chunk!r}")
                     key, value = chunk.split("=", 1)
-                    if key not in allowed:
+                    if key not in keywords:
                         raise ParseError(ln, f"unknown argument {key!r} "
                                              f"for {op}")
                     if key in seen:
@@ -306,7 +314,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError(h_ln, "duplicate [seifert] section")
             kv = _kv(body, h_ln,
                      {"b_residues", "c1B", "spin_target", "spin_unknowns"},
-                     set())
+                     ())
             b_res = kv["b_residues"][1] if "b_residues" in kv else "auto"
             if b_res != "auto":
                 raise ParseError(kv["b_residues"][0],

@@ -7,8 +7,15 @@ surface — each implemented as a pure config -> config transform with
 exact Euler / Betti / intersection bookkeeping.  Builders at the bottom
 assemble the two standard blocks and their fiber sum.
 
-Every move can append to a SurgeryLog; replaying a log from the same
-starting config reproduces the final config exactly.
+The move protocol: a move takes its config positionally, then its own
+arguments, then an optional `log=` keyword, and never changes its input.
+A move written under @_move edits a copy of the config and returns the
+keywords that replay it; the decorator returns the copy, records the
+keywords in the log under the move's own name, and registers the move
+in _REPLAY.  gompf_fiber_sum, which builds its result from two configs,
+records and registers itself the same way.  replay() calls
+_REPLAY[op](cfg, **kwargs) for each logged step, so replaying a log from
+the same starting config reproduces the final config exactly.
 """
 
 from __future__ import annotations
@@ -88,7 +95,6 @@ class LogEntry:
     kwargs: dict
     before: tuple[int, int, int]  # (euler, b1, b2)
     after: tuple[int, int, int]
-    surface_deltas: dict
 
 
 @record
@@ -97,31 +103,33 @@ class SurgeryLog:
 
     def record(self, op: str, kwargs: dict, before: OrbifoldConfig,
                after: OrbifoldConfig) -> None:
-        deltas = {}
-        old = {s.id: s for s in before.surfaces}
-        for s in after.surfaces:
-            prev = old.get(s.id)
-            if prev is None:
-                deltas[s.id] = ("new", s.genus, s.self_intersection)
-            elif (prev.genus, prev.self_intersection) != (
-                    s.genus, s.self_intersection):
-                deltas[s.id] = ("delta", s.genus - prev.genus,
-                                s.self_intersection - prev.self_intersection)
-        for sid in old:
-            if not after.has_surface(sid):
-                deltas[sid] = ("gone", 0, Fraction(0))
         self.entries.append(LogEntry(
-            op, kwargs,
-            (before.euler, before.b1, before.b2),
-            (after.euler, after.b1, after.b2), deltas))
+            op, kwargs, (before.euler, before.b1, before.b2),
+            (after.euler, after.b1, after.b2)))
 
 
+# move name -> the public move, which replay calls as (cfg, **kwargs)
 _REPLAY = {}
 
 
-def _replayable(fn):
-    _REPLAY[fn.__name__] = fn
-    return fn
+def _move(edit):
+    """The public move made from edit(cfg, ...), which changes cfg, a
+    copy of the caller's config, and returns the keywords that replay
+    the step."""
+    name = edit.__name__
+
+    def move(cfg: OrbifoldConfig, *args, log: SurgeryLog | None = None,
+             **kwargs) -> OrbifoldConfig:
+        out = cfg.copy()
+        step = edit(out, *args, **kwargs)
+        if log is not None:
+            log.record(name, step, cfg, out)
+        return out
+
+    move.__name__ = move.__qualname__ = name
+    move.__doc__ = edit.__doc__
+    _REPLAY[name] = move
+    return move
 
 
 def replay(initial: OrbifoldConfig, log: SurgeryLog) -> OrbifoldConfig:
@@ -140,17 +148,14 @@ def _invalidate_basis(cfg: OrbifoldConfig) -> None:
         s.qclass = None
 
 
-@_replayable
-def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None,
-            log: SurgeryLog | None = None) -> OrbifoldConfig:
+@_move
+def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None) -> dict:
     """Blow up a smooth point met pairwise-transversely by `through`.
 
     Adds the exceptional (-1)-sphere, drops each listed surface's
     self-intersection by 1, separates their pairwise intersections at
     the point, and meets each of them once.
     """
-    before = cfg
-    cfg = cfg.copy()
     through = list(through)
     for sid in through:
         cfg.surface(sid)
@@ -177,23 +182,17 @@ def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None,
     cfg.b2 += 1
     cfg.euler += 1
     _invalidate_basis(cfg)
-    if log is not None:
-        log.record("blow_up", {"through": tuple(through),
-                               "exceptional_id": eid}, before, cfg)
-    return cfg
+    return {"through": tuple(through), "exceptional_id": eid}
 
 
-@_replayable
-def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None,
-                     log: SurgeryLog | None = None) -> OrbifoldConfig:
+@_move
+def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> dict:
     """Collapse a (-2)-sphere to an ordinary double point of order 2.
 
     Surfaces that met the sphere become incident to the new point; each
     gains +1/2 of self-intersection, and each pair of them gains a +1/2
     intersection through the point.
     """
-    before = cfg
-    cfg = cfg.copy()
     s = cfg.surface(sphere)
     if s.genus != 0 or s.multiplicity != 1 or s.self_intersection != -2:
         raise NotMinusTwoSphere(
@@ -225,17 +224,14 @@ def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None,
     cfg.b2 -= 1
     cfg.euler -= 1
     _invalidate_basis(cfg)
-    if log is not None:
-        # the id as given: a replay that draws a fresh id advances
-        # point_seq as this call did
-        log.record("blow_down_minus2",
-                   {"sphere": sphere, "point_id": point_id}, before, cfg)
-    return cfg
+    # the id as given: a replay that draws a fresh id advances point_seq
+    # as this call did
+    return {"sphere": sphere, "point_id": point_id}
 
 
-@_replayable
-def resolve_torus_pair(cfg: OrbifoldConfig, t1: str, t2: str, new_id: str,
-                       log: SurgeryLog | None = None) -> OrbifoldConfig:
+@_move
+def resolve_torus_pair(cfg: OrbifoldConfig, t1: str, t2: str,
+                       new_id: str) -> dict:
     """Resolve a transverse torus pair into a disjoint genus-2 surface.
 
     Smooths the crossing into a genus-2 surface of square t1^2+t2^2+2,
@@ -243,8 +239,6 @@ def resolve_torus_pair(cfg: OrbifoldConfig, t1: str, t2: str, new_id: str,
     with squares (t1^2-1, t2^2-1, t1^2+t2^2+1); the exceptional sphere
     is not tracked afterwards.
     """
-    before = cfg
-    cfg = cfg.copy()
     for tid in (t1, t2):
         t = cfg.surface(tid)
         if t.genus != 1 or t.multiplicity != 1:
@@ -266,62 +260,40 @@ def resolve_torus_pair(cfg: OrbifoldConfig, t1: str, t2: str, new_id: str,
     cfg.b2 += 1
     cfg.euler += 1
     _invalidate_basis(cfg)
-    if log is not None:
-        log.record("resolve_torus_pair", {"t1": t1, "t2": t2,
-                                          "new_id": new_id}, before, cfg)
-    return cfg
+    return {"t1": t1, "t2": t2, "new_id": new_id}
 
 
-@_replayable
-def discard(cfg: OrbifoldConfig, surface: str,
-            log: SurgeryLog | None = None) -> OrbifoldConfig:
+@_move
+def discard(cfg: OrbifoldConfig, surface: str) -> dict:
     """Stop tracking a surface (topology and Betti numbers unchanged)."""
-    before = cfg
-    cfg = cfg.copy()
     cfg.discard_surface(surface)
-    if log is not None:
-        log.record("discard", {"surface": surface}, before, cfg)
-    return cfg
+    return {"surface": surface}
 
 
-@_replayable
-def rename(cfg: OrbifoldConfig, old: str, new: str,
-           log: SurgeryLog | None = None) -> OrbifoldConfig:
-    before = cfg
-    cfg = cfg.copy()
+@_move
+def rename(cfg: OrbifoldConfig, old: str, new: str) -> dict:
     cfg.rename_surface(old, new)
-    if log is not None:
-        log.record("rename", {"old": old, "new": new}, before, cfg)
-    return cfg
+    return {"old": old, "new": new}
 
 
-@_replayable
-def assign_isotropy(cfg: OrbifoldConfig, assignment: dict,
-                    log: SurgeryLog | None = None) -> OrbifoldConfig:
+@_move
+def assign_isotropy(cfg: OrbifoldConfig, assignment: dict) -> dict:
     """Declare multiplicities and local invariants: id -> (m, j)."""
-    before = cfg
-    cfg = cfg.copy()
     for sid, (m, j) in assignment.items():
         s = cfg.surface(sid)
         s.multiplicity = m
         s.local_j = j % m if m > 1 else 0
-    if log is not None:
-        log.record("assign_isotropy", {"assignment": dict(assignment)},
-                   before, cfg)
-    return cfg
+    return {"assignment": dict(assignment)}
 
 
-@_replayable
+@_move
 def declare_lattice(cfg: OrbifoldConfig, basis, qclasses: dict,
-                    integral_pairing: IntMatrix | None = None,
-                    log: SurgeryLog | None = None) -> OrbifoldConfig:
+                    integral_pairing: IntMatrix | None = None) -> dict:
     """Declare an H_2 basis, surface coordinates and the integral pairing.
 
     Reorders the surface list to follow the basis when the basis lists
     every surface.
     """
-    before = cfg
-    cfg = cfg.copy()
     cfg.basis = tuple(basis)
     for sid in cfg.basis:
         cfg.surface(sid)
@@ -331,11 +303,8 @@ def declare_lattice(cfg: OrbifoldConfig, basis, qclasses: dict,
         order = {sid: k for k, sid in enumerate(cfg.basis)}
         cfg.surfaces.sort(key=lambda s: order[s.id])
     cfg.integral_pairing = integral_pairing
-    if log is not None:
-        log.record("declare_lattice",
-                   {"basis": tuple(basis), "qclasses": dict(qclasses),
-                    "integral_pairing": integral_pairing}, before, cfg)
-    return cfg
+    return {"basis": cfg.basis, "qclasses": dict(qclasses),
+            "integral_pairing": integral_pairing}
 
 
 def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
@@ -481,16 +450,12 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
     out.event_seq = max(cfg_a.event_seq, cfg_b.event_seq)
     out.point_seq = max(cfg_a.point_seq, cfg_b.point_seq)
     if log is not None:
-        log.record("gompf_fiber_sum", {"cfg_b": cfg_b.copy(), "plan": plan},
-                   cfg_a, out)
+        log.record(gompf_fiber_sum.__name__,
+                   {"cfg_b": cfg_b.copy(), "plan": plan}, cfg_a, out)
     return out
 
 
-def _gompf_replay(cfg, cfg_b, plan):
-    return gompf_fiber_sum(cfg, cfg_b, plan)
-
-
-_REPLAY["gompf_fiber_sum"] = _gompf_replay
+_REPLAY[gompf_fiber_sum.__name__] = gompf_fiber_sum
 
 
 # -- builders -----------------------------------------------------------

@@ -1,8 +1,9 @@
 """CLI outputs must stay byte-identical to the recorded goldens.
 
-Each golden is the stdout of one `orbkit report --format structured` or
-`orbkit enumerate --dump-table` run; a refactor that changes any verdict,
-number, coset table or line order shows up here.  Regenerate a golden
+Each golden is the stdout of one `orbkit build`, `orbkit verify`,
+`orbkit report --format structured` or `orbkit enumerate --dump-table`
+run; a refactor that changes any verdict, number, coset table or line
+order shows up here.  Regenerate a golden
 only for an intended change of output.
 """
 
@@ -23,8 +24,22 @@ def _glued_Z_exit(p, target):
     return cli.EXIT_INCONCLUSIVE if target == "nonspin" else cli.EXIT_FAIL
 
 
+# builtin -> (its command-line arguments, the exit code of verify)
+BUILTIN_ARGS = {
+    "block_Y": (["--builtin", "block_Y"], cli.EXIT_OK),
+    "block_W": (["--builtin", "block_W"], cli.EXIT_OK),
+    **{f"glued_Z_p{p}": (["--builtin", "glued_Z", "--prime", str(p)],
+                         _glued_Z_exit(p, "any"))
+       for p in (2, 3)},
+}
+
 # golden name -> (command line, exit code)
 CASES = {
+    # the build stage's config, and verify's verdicts
+    **{f"build_{name}": (["build", *args], cli.EXIT_OK)
+       for name, (args, _) in BUILTIN_ARGS.items()},
+    **{f"verify_{name}": (["verify", *args], code)
+       for name, (args, code) in BUILTIN_ARGS.items()},
     "report_block_Y": (["report", "--builtin", "block_Y"], cli.EXIT_OK),
     "report_block_W": (["report", "--builtin", "block_W"], cli.EXIT_OK),
     **{f"report_glued_Z_p{p}_{target}": (
@@ -44,6 +59,8 @@ CASES = {
 }
 REPORTS = sorted(name for name in CASES if name.startswith("report_"))
 ENUMERATIONS = sorted(name for name in CASES if name.startswith("enumerate_"))
+STAGES = sorted(name for name in CASES
+                if name.startswith(("build_", "verify_")))
 
 
 def _check(name, capsys):
@@ -58,7 +75,7 @@ def _check(name, capsys):
 
 def test_every_golden_has_a_case():
     assert sorted(p.stem for p in GOLDENS.glob("*.out")) == sorted(CASES)
-    assert sorted(REPORTS + ENUMERATIONS) == sorted(CASES)
+    assert sorted(REPORTS + ENUMERATIONS + STAGES) == sorted(CASES)
 
 
 @pytest.mark.parametrize("name", REPORTS)
@@ -68,4 +85,9 @@ def test_structured_report_matches_golden(name, capsys):
 
 @pytest.mark.parametrize("name", ENUMERATIONS)
 def test_enumerate_matches_golden(name, capsys):
+    _check(name, capsys)
+
+
+@pytest.mark.parametrize("name", STAGES)
+def test_build_and_verify_match_golden(name, capsys):
     _check(name, capsys)

@@ -1,11 +1,16 @@
 import io
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbkit
 from orbkit import cli, fpgroup, seifert
 from orbkit.exact import IntMatrix
 from orbkit.model import (
@@ -133,6 +138,27 @@ class TestParse:
     def test_spin_unknowns_are_bits_named_once(self, value):
         with pytest.raises(ParseError, match="line 10"):
             parse_scenario(BUILTIN_TEXT + f"spin_unknowns = {value}\n")
+
+    def test_missing_keys_are_named_in_grammar_order(self):
+        # the error names the first missing key under every hash seed
+        code = ("import sys\n"
+                "from orbkit.scenario import ParseError, parse_scenario\n"
+                "for text in sys.argv[1:]:\n"
+                "    try:\n"
+                "        parse_scenario(text)\n"
+                "    except ParseError as exc:\n"
+                "        print(exc)\n")
+        no_config_keys = "scenario v1\n[config]\n"
+        bare_resolve = EXPLICIT_TEXT.split("[script]")[0] + "[script]\nresolve"
+        src = Path(orbkit.__file__).resolve().parents[1]
+        outputs = {subprocess.run(
+            [sys.executable, "-c", code, no_config_keys, bare_resolve],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(src),
+                     PYTHONHASHSEED=str(seed))).stdout
+            for seed in range(1, 7)}
+        assert outputs == {"line 2: missing required key 'b1'\n"
+                           "line 13: resolve requires t1=\n"}
 
 
 class TestRoundTrip:

@@ -5,8 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from orbkit import report, surgery
 from orbkit.exact import IntMatrix
 from orbkit.model import SMOOTH, OrbifoldConfig, SurfaceData, validate_config
+from orbkit.scenario import (
+    SCRIPT_OPS,
+    ParseError,
+    Scenario,
+    emit_scenario,
+    parse_scenario,
+)
 from orbkit.surgery import (
     GenusMismatch,
     GluingPlan,
@@ -19,16 +27,12 @@ from orbkit.surgery import (
     PlanInconsistent,
     SurgeryLog,
     UnmatchedSingularPoint,
-    assign_isotropy,
     blow_down_minus2,
     blow_up,
     build_block_W,
     build_block_Y,
     build_Z,
-    declare_lattice,
-    discard,
     gompf_fiber_sum,
-    rename,
     replay,
     resolve_torus_pair,
 )
@@ -283,41 +287,47 @@ def _check_pure(move, *inputs):
     return out
 
 
-def _random_move(rng, cfg, log):
-    """A random move on cfg, often one that applies, sometimes one that
-    raises."""
+def _random_step(rng, cfg, kinds=7):
+    """(move name, keywords) of a random move on cfg, often one that
+    applies, sometimes one that raises.  The first five kinds are the
+    moves a [script] line can name."""
     ids = [s.id for s in cfg.surfaces] or ["X"]
     smooth = [(e.a, e.b) for e in cfg.events if e.location == SMOOTH]
     spheres = [s.id for s in cfg.surfaces
                if s.genus == 0 and s.self_intersection == -2]
     fresh = f"N{rng.randrange(40)}"
-    kind = rng.randrange(7)
+    kind = rng.randrange(kinds)
     if kind == 0:
         through = rng.choice([[], [rng.choice(ids)],
                               list(rng.choice(smooth)) if smooth else []])
-        return lambda: blow_up(cfg, through=through, log=log)
+        return "blow_up", {"through": through,
+                           "exceptional_id": rng.choice([None, fresh])}
     if kind == 1:
-        sphere = rng.choice(spheres or ids)
-        return lambda: blow_down_minus2(cfg, sphere, log=log)
+        return "blow_down_minus2", {
+            "sphere": rng.choice(spheres or ids),
+            "point_id": rng.choice([None, f"q{rng.randrange(40)}"])}
     if kind == 2:
         t1, t2 = rng.choice(smooth) if smooth else (ids[0], ids[-1])
-        return lambda: resolve_torus_pair(cfg, t1, t2, fresh, log=log)
+        return "resolve_torus_pair", {"t1": t1, "t2": t2, "new_id": fresh}
     if kind == 3:
-        sid = rng.choice(ids)
-        return lambda: discard(cfg, sid, log=log)
+        return "discard", {"surface": rng.choice(ids)}
     if kind == 4:
-        sid = rng.choice(ids)
-        return lambda: rename(cfg, sid, fresh, log=log)
+        return "rename", {"old": rng.choice(ids), "new": fresh}
     if kind == 5:
-        assignment = {rng.choice(ids): (rng.randrange(1, 10),
-                                        rng.randrange(10))}
-        return lambda: assign_isotropy(cfg, assignment, log=log)
+        return "assign_isotropy", {"assignment": {
+            rng.choice(ids): (rng.randrange(1, 10), rng.randrange(10))}}
     basis = rng.sample(ids, rng.randrange(1, len(ids) + 1))
     n = len(basis)
     qclasses = {sid: [int(i == k) for i in range(n)]
                 for k, sid in enumerate(basis)}
     pairing = rng.choice([None, IntMatrix.identity(n)])
-    return lambda: declare_lattice(cfg, basis, qclasses, pairing, log=log)
+    return "declare_lattice", {"basis": basis, "qclasses": qclasses,
+                               "integral_pairing": pairing}
+
+
+def _random_move(rng, cfg, log):
+    name, kwargs = _random_step(rng, cfg)
+    return lambda: getattr(surgery, name)(cfg, **kwargs, log=log)
 
 
 # (euler, b2) change of each move _random_move makes: a blow-up and the
@@ -380,3 +390,70 @@ def test_failing_fiber_sum_leaves_inputs_unchanged():
     y, w = build_block_Y(), build_block_W()
     plan = GluingPlan("T1", "C", (), (), b1=0, b2=13)
     assert _check_pure(lambda: gompf_fiber_sum(y, w, plan), y, w) is None
+
+
+# -- the move protocol --------------------------------------------------
+
+
+def _script_line(name, kwargs):
+    """The [script] line that calls move `name` with kwargs."""
+    (op, keywords), = [(op, keywords)
+                       for op, (move, keywords, _) in SCRIPT_OPS.items()
+                       if move == name]
+    args = [f"{key}={','.join(v) if key == 'through' else v}"
+            for key, kw in keywords.items() if (v := kwargs[kw]) is not None]
+    return " ".join([op, *args])
+
+
+def _scripted(cfg, lines):
+    """Scenario text that starts from cfg and runs the script lines."""
+    text = emit_scenario(Scenario(config=cfg))
+    return text + "[script]\n" + "".join(f"{line}\n" for line in lines)
+
+
+def test_every_logged_op_replays_through_its_public_move():
+    log = SurgeryLog()
+    build_block_W(log=log)
+    build_Z(3, log=log)
+    # the block_W chain as a script, then a torus pair to resolve
+    cfg = _cp2_with_lines()
+    cfg.surfaces += [SurfaceData("U1", 1), SurfaceData("U2", 1)]
+    cfg.add_event("U1", "U2")
+    text = _scripted(cfg, [
+        "blow_up through=C,L,Lp id=E", "blow_up through=E,L id=Ep",
+        "discard id=Ep", "blow_down sphere=E point=s1",
+        "blow_up through=C,L id=A2", "blow_down sphere=L point=s2",
+        "rename old=Lp new=A1", "resolve t1=U1 t2=U2 id=V"])
+    report.build(parse_scenario(text), log)
+    ops = {e.op for e in log.entries}
+    assert ops == {move for move, _, _ in SCRIPT_OPS.values()} | {
+        "gompf_fiber_sum", "assign_isotropy", "declare_lattice"}
+    for entry in log.entries:
+        assert surgery._REPLAY[entry.op] is getattr(surgery, entry.op)
+
+
+@pytest.mark.parametrize("seed", range(16))
+@pytest.mark.parametrize("start", [build_block_Y, build_block_W,
+                                   _cp2_with_lines],
+                         ids=["block_Y", "block_W", "P2"])
+def test_seeded_scripts_build_as_the_moves_they_name(start, seed):
+    # a step joins the script when the script still parses and the move
+    # applies; the parser rejects a surface it cannot name, such as an
+    # exceptional sphere whose id the blow-up chose
+    rng = random.Random(seed)
+    first = parse_scenario(_scripted(start(), [])).config
+    cfg, log, lines = first, SurgeryLog(), []
+    for _ in range(12):
+        name, kwargs = _random_step(rng, cfg, kinds=len(SCRIPT_OPS))
+        line = _script_line(name, kwargs)
+        try:
+            parse_scenario(_scripted(first, [*lines, line]))
+            cfg = getattr(surgery, name)(cfg, **kwargs, log=log)
+        except (ParseError, ValueError, KeyError):
+            continue
+        lines.append(line)
+    scripted = SurgeryLog()
+    built, label, p = report.build(
+        parse_scenario(_scripted(first, lines)), scripted)
+    assert (built, label, p) == (cfg, "explicit", None)
+    assert scripted.entries == log.entries
