@@ -64,7 +64,7 @@ def _add_input_args(sub):
                      help="scenario file (omit to use --builtin)")
     sub.add_argument("--builtin", choices=BUILTINS,
                      help="use a named builtin instead of a scenario file")
-    sub.add_argument("--prime", type=prime, default=3,
+    sub.add_argument("--prime", type=prime,
                      help="isotropy prime p for glued_Z (default 3)")
 
 
@@ -86,15 +86,18 @@ def _add_pipeline_args(sub):
 def _load_scenario(args, spin_target="any") -> Scenario:
     if args.scenario and args.builtin:
         raise ParseError(0, "give a scenario file or --builtin, not both")
+    name = None if args.scenario else args.builtin or "glued_Z"
+    for flag, given in (("--prime", args.prime is not None),
+                        ("--spin-target", spin_target != "any")):
+        if given and name != "glued_Z":
+            raise ParseError(0, f"{flag} applies to --builtin glued_Z only")
     if args.scenario:
         with open(args.scenario, encoding="utf-8") as fh:
             return parse_scenario(fh.read())
-    name = args.builtin or "glued_Z"
-    scn = Scenario(builtin=(name, args.prime if name == "glued_Z" else None))
-    if name == "glued_Z" and spin_target != "any":
-        scn = Scenario(builtin=scn.builtin,
-                       seifert=SeifertRequest(spin_target=spin_target))
-    return scn
+    if name != "glued_Z":
+        return Scenario(builtin=(name, None))
+    return Scenario(builtin=(name, args.prime or 3),
+                    seifert=SeifertRequest(spin_target=spin_target))
 
 
 def _run(args):

@@ -150,6 +150,13 @@ class OrbifoldConfig:
         self.point_seq += 1
         return f"dp{self.point_seq}"
 
+    @staticmethod
+    def fresh_sphere_id(taken) -> str:
+        """The id a blow-up gives its sphere when none is asked for: the
+        first of E1, E2, ... not among the surface ids `taken`."""
+        return next(f"E{k}" for k in range(1, len(taken) + 2)
+                    if f"E{k}" not in taken)
+
     def add_event(self, a: str, b: str, location: str = SMOOTH,
                   eid: str | None = None) -> IntersectionEvent:
         ev = IntersectionEvent(eid or self.fresh_event_id(), a, b, location)

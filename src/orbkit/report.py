@@ -11,7 +11,6 @@ golden-file-friendly structured format.
 
 from __future__ import annotations
 
-
 from . import fpgroup, seifert, spin, surgery
 from .model import (
     assign_local_invariants,
@@ -76,11 +75,9 @@ class Report:
 
 def _run_script(cfg, script, log):
     for op in script:
-        name, keywords, _ = SCRIPT_OPS[op.op]
-        kwargs = {keywords[key]: value for key, value in op.args}
-        if "through" in kwargs:
-            kwargs["through"] = kwargs["through"].split(",")
-        cfg = getattr(surgery, name)(cfg, log=log, **kwargs)
+        rule = SCRIPT_OPS[op.op]
+        cfg = getattr(surgery, rule.move)(cfg, log=log,
+                                          **rule.kwargs(op.args))
     return cfg
 
 
@@ -147,7 +144,7 @@ def run_pipeline(scn: Scenario, coset_bound: int = 10000,
                                 PASS if even_bound[1] else FAIL))
 
     request = scn.seifert
-    if request is None and scn.builtin and scn.builtin[0] == "glued_Z":
+    if request is None and p is not None:
         request = SeifertRequest()
     if request is not None:
         try:
@@ -196,7 +193,7 @@ def run_pipeline(scn: Scenario, coset_bound: int = 10000,
                 report.verdicts.append(("spin_target",
                                         PASS if met else FAIL))
 
-    if scn.builtin and scn.builtin[0] == "glued_Z":
+    if p is not None:
         try:
             pres = fpgroup.build_pi1_orb_presentation(p)
             report.pi1_abelianization = fpgroup.abelianize(pres)

@@ -19,14 +19,19 @@ Format sketch::
     spin_unknowns = a1=0 a2=1   # optional, each unknown of w2 once,
                                 # 0 or 1; omitted = sweep all
 
-Explicit form replaces [builtin] with [config] / [surface ID] /
-[point ID] / [event ID] sections and an optional [script] section whose
-lines are operations, each the surgery move SCRIPT_OPS names::
+Only glued_Z takes p.  Explicit form replaces [builtin] with [config] /
+[surface ID] / [point ID] / [event ID] sections and an optional [script]
+section whose lines are operations, each the surgery move SCRIPT_OPS
+names.  SCRIPT_OPS also states which surface ids each op needs, adds
+and drops, so a line naming a surface that is not there is a parse
+error, and a later line may name the sphere E1, E2, ... that an
+unnamed blow_up made::
 
     blow_up through=C,L id=E
+    blow_up through=E        # adds E1
     blow_down sphere=E point=s1
     resolve t1=U1 t2=U2 id=S
-    discard id=Ep
+    discard id=E1
     rename old=Lp new=A1
 """
 
@@ -42,7 +47,7 @@ from .model import (
     SingularPointData,
     SurfaceData,
 )
-from .record import field, record
+from .record import record
 
 BUILTINS = ("block_Y", "block_W", "glued_Z")
 SPIN_TARGETS = ("spin", "nonspin", "any")
@@ -65,7 +70,6 @@ class ScriptOp:
 
 @record(frozen=True)
 class SeifertRequest:
-    b_residues: str = "auto"
     c1B: object = "search"  # "search" or tuple of ints
     spin_target: str = "any"
     spin_unknowns: object = None  # None (sweep) or dict name -> 0/1
@@ -79,17 +83,44 @@ class Scenario:
     seifert: SeifertRequest | None = None
 
 
-# script op -> (surgery move, {script key: the move's keyword}, required
-# keys in grammar order); through= lists surface ids joined by commas
+@record(frozen=True)
+class OpRule:
+    """A [script] op: the surgery move it calls, held by name so that a
+    rebound move is the one called, and what its keys mean.  A blow_up
+    without id= adds the sphere OrbifoldConfig.fresh_sphere_id names."""
+
+    move: str
+    keywords: dict  # script key -> the move's keyword, in grammar order
+    required: tuple[str, ...]  # in grammar order
+    refs: tuple[str, ...]  # keys naming surfaces that must exist
+    adds: str | None = None  # key naming the surface the op adds
+    drops: str | None = None  # key naming the surface the op drops
+    listed: str | None = None  # key whose value is ids joined by commas
+
+    def ids(self, key: str, raw: str) -> list[str]:
+        """The surface ids that key=raw names."""
+        return raw.split(",") if key == self.listed else [raw]
+
+    def kwargs(self, args) -> dict:
+        """The move's keywords for a line's (key, raw value) pairs."""
+        return {self.keywords[key]: self.ids(key, raw) if key == self.listed
+                else raw for key, raw in args}
+
+
 SCRIPT_OPS = {
-    "blow_up": ("blow_up", {"through": "through", "id": "exceptional_id"},
-                ("through",)),
-    "blow_down": ("blow_down_minus2",
-                  {"sphere": "sphere", "point": "point_id"}, ("sphere",)),
-    "resolve": ("resolve_torus_pair",
-                {"t1": "t1", "t2": "t2", "id": "new_id"}, ("t1", "t2", "id")),
-    "discard": ("discard", {"id": "surface"}, ("id",)),
-    "rename": ("rename", {"old": "old", "new": "new"}, ("old", "new")),
+    "blow_up": OpRule("blow_up",
+                      {"through": "through", "id": "exceptional_id"},
+                      ("through",), ("through",), adds="id", listed="through"),
+    "blow_down": OpRule("blow_down_minus2",
+                        {"sphere": "sphere", "point": "point_id"},
+                        ("sphere",), ("sphere",), drops="sphere"),
+    "resolve": OpRule("resolve_torus_pair",
+                      {"t1": "t1", "t2": "t2", "id": "new_id"},
+                      ("t1", "t2", "id"), ("t1", "t2"), adds="id"),
+    "discard": OpRule("discard", {"id": "surface"}, ("id",), ("id",),
+                      drops="id"),
+    "rename": OpRule("rename", {"old": "old", "new": "new"}, ("old", "new"),
+                     ("old",), adds="new", drops="old"),
 }
 
 
@@ -117,31 +148,23 @@ def _parse_fraction(raw, ln):
 
 
 def _sections(text: str):
-    """Yield (header, header_line_no, [(line_no, key_or_raw, value)])."""
+    """[(header, line_no, [(line_no, line)])], comments and blanks dropped."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "scenario v1":
         raise ParseError(1, "file must start with 'scenario v1'")
-    header = None
-    h_ln = 0
-    body: list = []
     out = []
     for ln, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        if line.lstrip().startswith("["):
-            stripped = line.strip()
-            if not stripped.endswith("]"):
+        if line.startswith("["):
+            if not line.endswith("]"):
                 raise ParseError(ln, "unterminated section header")
-            if header is not None:
-                out.append((header, h_ln, body))
-            header, h_ln, body = stripped[1:-1].strip(), ln, []
+            out.append((line[1:-1].strip(), ln, []))
+        elif not out:
+            raise ParseError(ln, "content before any section header")
         else:
-            if header is None:
-                raise ParseError(ln, "content before any section header")
-            body.append((ln, line.strip()))
-    if header is not None:
-        out.append((header, h_ln, body))
+            out[-1][2].append((ln, line))
     return out
 
 
@@ -164,194 +187,175 @@ def _kv(body, ln_sec, allowed, required):
     return seen
 
 
+def _read(kv, key, parse, default=None):
+    """kv's value of key read by parse(raw, line_no), or default."""
+    if key not in kv:
+        return default
+    ln, raw = kv[key]
+    return parse(raw, ln)
+
+
+# sections whose header names the id of what they add to [config]
+_ID_SECTIONS = ("surface", "point", "event")
+
+
+def _check_surfaces(ids, known, ln):
+    for sid in ids:
+        if sid not in known:
+            raise ParseError(ln, f"undefined surface {sid!r}")
+
+
+def _parse_script_line(ln, line, known):
+    """The ScriptOp of one [script] line; known, the set of surface ids
+    before it, becomes the set after it."""
+    op, *chunks = line.split()
+    if op not in SCRIPT_OPS:
+        raise ParseError(ln, f"unknown operation {op!r}")
+    rule = SCRIPT_OPS[op]
+    args = {}
+    for chunk in chunks:
+        if "=" not in chunk:
+            raise ParseError(ln, f"expected key=value, got {chunk!r}")
+        key, value = chunk.split("=", 1)
+        if key not in rule.keywords:
+            raise ParseError(ln, f"unknown argument {key!r} for {op}")
+        if key in args:
+            raise ParseError(ln, f"duplicate argument {key!r}")
+        args[key] = value
+    for key in rule.required:
+        if key not in args:
+            raise ParseError(ln, f"{op} requires {key}=")
+    for key in rule.refs:
+        _check_surfaces(rule.ids(key, args[key]), known, ln)
+    if rule.drops:
+        known.discard(args[rule.drops])
+    if rule.adds:
+        known.add(args[rule.adds] if rule.adds in args
+                  else OrbifoldConfig.fresh_sphere_id(known))
+    return ScriptOp(op, tuple(args.items()))
+
+
 def parse_scenario(text: str) -> Scenario:
     builtin = None
     config = None
     script: list[ScriptOp] = []
     seifert = None
-    config_ln = None
 
     for header, h_ln, body in _sections(text):
-        if header == "builtin":
-            if builtin or config:
-                raise ParseError(h_ln, "duplicate or conflicting build section")
+        kind, _, sid = header.partition(" ")
+        sid = sid.lstrip()
+        if (kind in _ID_SECTIONS) != bool(sid):
+            raise ParseError(h_ln, f"unknown section [{header}]")
+        if kind in _ID_SECTIONS and config is None:
+            raise ParseError(h_ln, f"[{kind}] before [config]")
+        if kind in ("builtin", "config") and (builtin or config):
+            raise ParseError(h_ln, "duplicate or conflicting build section")
+        if kind == "builtin":
             kv = _kv(body, h_ln, {"name", "p"}, ("name",))
             name = kv["name"][1]
             if name not in BUILTINS:
                 raise ParseError(kv["name"][0],
                                  f"unknown builtin {name!r}; "
                                  f"expected one of {', '.join(BUILTINS)}")
-            p = None
-            if "p" in kv:
-                p = _parse_int(kv["p"][1], kv["p"][0])
+            p = _read(kv, "p", _parse_int)
+            if p is not None:
                 try:
                     check_prime(p)
                 except ValueError as exc:
                     raise ParseError(kv["p"][0], str(exc)) from None
             if name == "glued_Z" and p is None:
                 raise ParseError(h_ln, "glued_Z requires p")
+            if name != "glued_Z" and p is not None:
+                raise ParseError(kv["p"][0], f"{name} takes no p")
             builtin = (name, p)
-        elif header == "config":
-            if builtin or config:
-                raise ParseError(h_ln, "duplicate or conflicting build section")
+        elif kind == "config":
             kv = _kv(body, h_ln, {"b1", "b2", "euler"},
                      ("b1", "b2", "euler"))
-            config = OrbifoldConfig(
-                b1=_parse_int(kv["b1"][1], kv["b1"][0]),
-                b2=_parse_int(kv["b2"][1], kv["b2"][0]),
-                euler=_parse_int(kv["euler"][1], kv["euler"][0]))
-            config_ln = h_ln
-        elif header.startswith("surface "):
-            if config is None:
-                raise ParseError(h_ln, "[surface] before [config]")
-            sid = header.split(None, 1)[1]
+            config = OrbifoldConfig(b1=_read(kv, "b1", _parse_int),
+                                    b2=_read(kv, "b2", _parse_int),
+                                    euler=_read(kv, "euler", _parse_int))
+        elif kind == "surface":
             kv = _kv(body, h_ln,
                      {"genus", "multiplicity", "j", "self"}, ("genus",))
             config.surfaces.append(SurfaceData(
-                sid,
-                genus=_parse_int(kv["genus"][1], kv["genus"][0]),
-                multiplicity=_parse_int(*reversed(kv["multiplicity"]))
-                if "multiplicity" in kv else 1,
-                local_j=_parse_int(*reversed(kv["j"])) if "j" in kv else 0,
-                self_intersection=_parse_fraction(*reversed(kv["self"]))
-                if "self" in kv else Fraction(0)))
-        elif header.startswith("point "):
-            if config is None:
-                raise ParseError(h_ln, "[point] before [config]")
-            pid = header.split(None, 1)[1]
+                sid, genus=_read(kv, "genus", _parse_int),
+                multiplicity=_read(kv, "multiplicity", _parse_int, 1),
+                local_j=_read(kv, "j", _parse_int, 0),
+                self_intersection=_read(kv, "self", _parse_fraction,
+                                        Fraction(0))))
+        elif kind == "point":
             kv = _kv(body, h_ln, {"order", "exponents", "incident"},
                      ("order", "exponents"))
-            exps = kv["exponents"][1].split()
-            if len(exps) != 2:
-                raise ParseError(kv["exponents"][0],
-                                 "exponents wants two integers")
-            incident = tuple(kv["incident"][1].split()) \
-                if "incident" in kv else ()
-            for sid in incident:
-                if not config.has_surface(sid):
-                    raise ParseError(kv["incident"][0],
-                                     f"undefined surface {sid!r}")
+            ln_exps, exps = kv["exponents"]
+            if len(exps.split()) != 2:
+                raise ParseError(ln_exps, "exponents wants two integers")
+            ln, incident = kv.get("incident", (h_ln, ""))
+            incident = tuple(incident.split())
+            _check_surfaces(incident, [s.id for s in config.surfaces], ln)
             # exponents are read mod the order, which must be >= 1; order
             # 1 parses, and validation reports it as BadOrder
-            order = _parse_int(kv["order"][1], kv["order"][0])
+            order = _read(kv, "order", _parse_int)
             if order < 1:
                 raise ParseError(kv["order"][0],
                                  f"order must be >= 1, got {order}")
-            config.points.append(SingularPointData(
-                pid, order,
-                (_parse_int(exps[0], kv["exponents"][0]),
-                 _parse_int(exps[1], kv["exponents"][0])), incident))
-        elif header.startswith("event "):
-            if config is None:
-                raise ParseError(h_ln, "[event] before [config]")
-            eid = header.split(None, 1)[1]
+            config.points.append(SingularPointData(sid, order, tuple(
+                _parse_int(x, ln_exps) for x in exps.split()), incident))
+        elif kind == "event":
             kv = _kv(body, h_ln, {"between", "at"}, ("between",))
             pair = kv["between"][1].split()
             if len(pair) != 2:
                 raise ParseError(kv["between"][0],
                                  "between wants two surface ids")
-            for sid in pair:
-                if not config.has_surface(sid):
-                    raise ParseError(kv["between"][0],
-                                     f"undefined surface {sid!r}")
+            _check_surfaces(pair, [s.id for s in config.surfaces],
+                            kv["between"][0])
             location = kv["at"][1] if "at" in kv else SMOOTH
             if location != SMOOTH and all(p.id != location
                                           for p in config.points):
                 raise ParseError(kv["at"][0],
                                  f"undefined point {location!r}")
             config.events.append(
-                IntersectionEvent(eid, pair[0], pair[1], location))
-        elif header == "script":
+                IntersectionEvent(sid, pair[0], pair[1], location))
+        elif kind == "script":
             if config is None:
                 raise ParseError(h_ln, "[script] requires [config]")
             known = {s.id for s in config.surfaces}
-            for ln, line in body:
-                parts = line.split()
-                op = parts[0]
-                if op not in SCRIPT_OPS:
-                    raise ParseError(ln, f"unknown operation {op!r}")
-                _, keywords, required = SCRIPT_OPS[op]
-                args = []
-                seen = set()
-                for chunk in parts[1:]:
-                    if "=" not in chunk:
-                        raise ParseError(ln, f"expected key=value, "
-                                             f"got {chunk!r}")
-                    key, value = chunk.split("=", 1)
-                    if key not in keywords:
-                        raise ParseError(ln, f"unknown argument {key!r} "
-                                             f"for {op}")
-                    if key in seen:
-                        raise ParseError(ln, f"duplicate argument {key!r}")
-                    seen.add(key)
-                    args.append((key, value))
-                for key in required:
-                    if key not in seen:
-                        raise ParseError(ln, f"{op} requires {key}=")
-                argd = dict(args)
-                refs = {"blow_up": lambda: argd["through"].split(","),
-                        "blow_down": lambda: [argd["sphere"]],
-                        "resolve": lambda: [argd["t1"], argd["t2"]],
-                        "discard": lambda: [argd["id"]],
-                        "rename": lambda: [argd["old"]]}[op]()
-                for sid in refs:
-                    if sid not in known:
-                        raise ParseError(ln, f"undefined surface {sid!r}")
-                if op == "blow_up" and "id" in argd:
-                    known.add(argd["id"])
-                elif op == "resolve":
-                    known.add(argd["id"])
-                elif op == "rename":
-                    known.discard(argd["old"])
-                    known.add(argd["new"])
-                elif op == "discard":
-                    known.discard(argd["id"])
-                elif op == "blow_down":
-                    known.discard(argd["sphere"])
-                script.append(ScriptOp(op, tuple(args)))
-        elif header == "seifert":
+            script += [_parse_script_line(ln, line, known)
+                       for ln, line in body]
+        elif kind == "seifert":
             if seifert is not None:
                 raise ParseError(h_ln, "duplicate [seifert] section")
-            kv = _kv(body, h_ln,
-                     {"b_residues", "c1B", "spin_target", "spin_unknowns"},
+            kv = _kv(body, h_ln, {"c1B", "spin_target", "spin_unknowns"},
                      ())
-            b_res = kv["b_residues"][1] if "b_residues" in kv else "auto"
-            if b_res != "auto":
-                raise ParseError(kv["b_residues"][0],
-                                 "only b_residues = auto is supported")
-            c1b = "search"
-            if "c1B" in kv and kv["c1B"][1] != "search":
-                c1b = tuple(_parse_int(x, kv["c1B"][0])
-                            for x in kv["c1B"][1].split())
-            target = kv["spin_target"][1] if "spin_target" in kv else "any"
+            ln, c1b = kv.get("c1B", (h_ln, "search"))
+            if c1b != "search":
+                c1b = tuple(_parse_int(x, ln) for x in c1b.split())
+            ln, target = kv.get("spin_target", (h_ln, "any"))
             if target not in SPIN_TARGETS:
-                raise ParseError(kv["spin_target"][0],
-                                 f"spin_target must be one of "
-                                 f"{', '.join(SPIN_TARGETS)}")
-            unknowns = None
-            if "spin_unknowns" in kv:
-                unknowns = {}
-                for chunk in kv["spin_unknowns"][1].split():
-                    if "=" not in chunk:
-                        raise ParseError(kv["spin_unknowns"][0],
-                                         f"expected name=bit, got {chunk!r}")
-                    name, bit = chunk.split("=", 1)
-                    if name in unknowns:
-                        raise ParseError(kv["spin_unknowns"][0],
-                                         f"duplicate unknown {name!r}")
-                    unknowns[name] = _parse_int(bit, kv["spin_unknowns"][0])
-                    if unknowns[name] not in (0, 1):
-                        raise ParseError(kv["spin_unknowns"][0],
-                                         f"{name} must be 0 or 1, got "
-                                         f"{unknowns[name]}")
-            seifert = SeifertRequest(b_res, c1b, target, unknowns)
+                raise ParseError(ln, "spin_target must be one of "
+                                 + ", ".join(SPIN_TARGETS))
+            unknowns = _read(kv, "spin_unknowns", _parse_bits)
+            seifert = SeifertRequest(c1b, target, unknowns)
         else:
             raise ParseError(h_ln, f"unknown section [{header}]")
 
     if builtin is None and config is None:
         raise ParseError(1, "scenario needs a [builtin] or [config] section")
-    return Scenario(builtin=builtin, config=config,
-                    script=tuple(script), seifert=seifert)
+    return Scenario(builtin, config, tuple(script), seifert)
+
+
+def _parse_bits(raw, ln):
+    """{name: bit} of a spin_unknowns value, each name once."""
+    bits = {}
+    for chunk in raw.split():
+        if "=" not in chunk:
+            raise ParseError(ln, f"expected name=bit, got {chunk!r}")
+        name, bit = chunk.split("=", 1)
+        if name in bits:
+            raise ParseError(ln, f"duplicate unknown {name!r}")
+        bits[name] = _parse_int(bit, ln)
+        if bits[name] not in (0, 1):
+            raise ParseError(ln, f"{name} must be 0 or 1, got {bits[name]}")
+    return bits
 
 
 def emit_scenario(s: Scenario) -> str:
@@ -359,8 +363,7 @@ def emit_scenario(s: Scenario) -> str:
     out = ["scenario v1", ""]
     if s.builtin is not None:
         name, p = s.builtin
-        out.append("[builtin]")
-        out.append(f"name = {name}")
+        out += ["[builtin]", f"name = {name}"]
         if p is not None:
             out.append(f"p = {p}")
         out.append("")
@@ -369,8 +372,7 @@ def emit_scenario(s: Scenario) -> str:
         out += ["[config]", f"b1 = {cfg.b1}", f"b2 = {cfg.b2}",
                 f"euler = {cfg.euler}", ""]
         for surf in cfg.surfaces:
-            out.append(f"[surface {surf.id}]")
-            out.append(f"genus = {surf.genus}")
+            out += [f"[surface {surf.id}]", f"genus = {surf.genus}"]
             if surf.multiplicity != 1:
                 out.append(f"multiplicity = {surf.multiplicity}")
             if surf.local_j:
@@ -379,32 +381,23 @@ def emit_scenario(s: Scenario) -> str:
                 out.append(f"self = {surf.self_intersection}")
             out.append("")
         for pt in cfg.points:
-            out.append(f"[point {pt.id}]")
-            out.append(f"order = {pt.order}")
-            out.append(f"exponents = {pt.exponents[0]} {pt.exponents[1]}")
+            out += [f"[point {pt.id}]", f"order = {pt.order}",
+                    f"exponents = {pt.exponents[0]} {pt.exponents[1]}"]
             if pt.incident:
                 out.append("incident = " + " ".join(pt.incident))
             out.append("")
         for ev in cfg.events:
-            out.append(f"[event {ev.id}]")
-            out.append(f"between = {ev.a} {ev.b}")
+            out += [f"[event {ev.id}]", f"between = {ev.a} {ev.b}"]
             if ev.location != SMOOTH:
                 out.append(f"at = {ev.location}")
             out.append("")
     if s.script:
-        out.append("[script]")
-        for op in s.script:
-            out.append(op.op + "".join(f" {k}={v}" for k, v in op.args))
-        out.append("")
+        out += ["[script]", *(op.op + "".join(f" {k}={v}" for k, v in op.args)
+                              for op in s.script), ""]
     if s.seifert is not None:
         sf = s.seifert
-        out.append("[seifert]")
-        out.append(f"b_residues = {sf.b_residues}")
-        if sf.c1B == "search":
-            out.append("c1B = search")
-        else:
-            out.append("c1B = " + " ".join(str(x) for x in sf.c1B))
-        out.append(f"spin_target = {sf.spin_target}")
+        c1b = sf.c1B if sf.c1B == "search" else " ".join(map(str, sf.c1B))
+        out += ["[seifert]", f"c1B = {c1b}", f"spin_target = {sf.spin_target}"]
         if sf.spin_unknowns is not None:
             out.append("spin_unknowns = " + " ".join(
                 f"{k}={v}" for k, v in sorted(sf.spin_unknowns.items())))

@@ -167,10 +167,7 @@ def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None) -> dict:
         cfg.events.remove(smooth[0])
     eid = exceptional_id
     if eid is None:
-        k = 1
-        while cfg.has_surface(f"E{k}"):
-            k += 1
-        eid = f"E{k}"
+        eid = cfg.fresh_sphere_id({s.id for s in cfg.surfaces})
     elif cfg.has_surface(eid):
         raise ValueError(f"surface id {eid!r} already in use")
     for sid in through:
@@ -201,6 +198,8 @@ def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> dict:
     if cfg.points_on(sphere) or any(e.location != SMOOTH
                                     for e in cfg.events_on(sphere)):
         raise MeetsSingularPoint(f"{sphere} passes through a singular point")
+    if any(p.id == point_id for p in cfg.points):
+        raise ValueError(f"point id {point_id!r} already in use")
     neighbors: list[str] = []
     for e in cfg.events_on(sphere):
         other = e.b if e.a == sphere else e.a

@@ -1,0 +1,84 @@
+"""A library function used only by tests must be a check in its own right.
+
+Every top-level function and method defined under src/orbkit must be
+named somewhere else in src/ or perfbench/: called, imported, bound
+(the benchmark's tracer binds functions by their names in strings), or
+reached through the operator it implements.  Docstrings do not count.
+A name used nowhere else is test-only code, and it must be on ALLOWED
+with the reason it stays; otherwise delete it.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# test-only names that stay -> why
+ALLOWED = {
+    "IntMatrix.det": "the SNF's own check: U and V are unimodular",
+    "IntMatrix.identity": "the SNF's own check",
+    "IntMatrix.zero": "the SNF's own check",
+    "IntMatrix.__matmul__": "the SNF's own check: U @ A @ V == D",
+    "presentation": "test-facing: builds a Presentation from names",
+    "Presentation.spell": "test-facing: prints a word",
+}
+
+# the method an operator or a subscript calls; Python calls the other
+# dunders itself, so they are not checked
+_OPERATORS = {ast.Add: "__add__", ast.Sub: "__sub__", ast.Mult: "__mul__",
+              ast.MatMult: "__matmul__", ast.Mod: "__mod__",
+              ast.FloorDiv: "__floordiv__", ast.Pow: "__pow__",
+              ast.Subscript: "__getitem__"}
+
+
+def _docstrings(tree):
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def _names_used(tree):
+    docstrings = _docstrings(tree)
+    for node in ast.walk(tree):
+        operator = type(getattr(node, "op", node))  # a BinOp's, AugAssign's
+        if operator in _OPERATORS:
+            yield _OPERATORS[operator]
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            yield from re.findall(r"\w+", node.value)
+
+
+def _definitions(tree):
+    """(qualified name, name) of each top-level function and method,
+    leaving out the dunders no operator calls."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                name = item.name if isinstance(item, ast.FunctionDef) else ""
+                if name and (not name.startswith("__")
+                             or name in _OPERATORS.values()):
+                    yield f"{node.name}.{name}", name
+
+
+def test_every_test_only_function_is_allowed():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))}
+    used = Counter(name for tree in trees.values()
+                   for name in _names_used(tree))
+    unused = {qualified for path, tree in trees.items()
+              if path.parent.name == "orbkit"
+              for qualified, name in _definitions(tree) if not used[name]}
+    assert sorted(unused - set(ALLOWED)) == []  # delete, or allow with why
+    assert sorted(set(ALLOWED) - unused) == []  # now used: drop from ALLOWED

@@ -130,7 +130,7 @@ def _outcome(fn, *args):
 
 
 def test_every_record_is_found():
-    assert len(RECORDS) == 27
+    assert len(RECORDS) == 28
     assert set(VALID) <= set(RECORDS)
     assert set(INVALID) == {name for name, cls in RECORDS.items()
                             if "__post_init__" in vars(cls)}

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbkit
-from orbkit import cli, fpgroup, seifert
+from orbkit import cli, fpgroup, report, seifert
 from orbkit.exact import IntMatrix
 from orbkit.model import (
     IntersectionEvent,
@@ -66,7 +66,7 @@ class TestParse:
     def test_builtin(self):
         scn = parse_scenario(BUILTIN_TEXT)
         assert scn.builtin == ("glued_Z", 3)
-        assert scn.seifert == SeifertRequest("auto", "search", "spin", None)
+        assert scn.seifert == SeifertRequest("search", "spin", None)
 
     def test_explicit_config_and_script(self):
         scn = parse_scenario(EXPLICIT_TEXT)
@@ -109,6 +109,32 @@ class TestParse:
             "rename old=E new=F\ndiscard id=F")
         scn = parse_scenario(text)
         assert scn.script[-1] == ScriptOp("discard", (("id", "F"),))
+
+    def test_script_names_the_sphere_of_an_unnamed_blow_up(self):
+        # the blow-up names its sphere E1, so a later line may name it;
+        # with E1 taken, the next unnamed sphere is E2
+        text = EXPLICIT_TEXT.split("[script]")[0] + (
+            "[script]\nblow_up through=C\nblow_up through=E1 id=F\n"
+            "blow_up through=F\ndiscard id=E2\n")
+        scn = parse_scenario(text)
+        assert scn.script[1] == ScriptOp("blow_up", (("through", "E1"),
+                                                     ("id", "F")))
+        cfg, _, _ = report.build(scn)
+        assert [(s.id, s.self_intersection) for s in cfg.surfaces] == [
+            ("C", 8), ("E1", -2), ("F", -2)]
+        with pytest.raises(ParseError, match="undefined surface 'E2'"):
+            parse_scenario(text + "rename old=E2 new=G\n")
+
+    def test_b_residues_is_an_unknown_key(self):
+        with pytest.raises(ParseError, match="line 8: unknown key "
+                                             "'b_residues'"):
+            parse_scenario(BUILTIN_TEXT.replace(
+                "[seifert]\n", "[seifert]\nb_residues = auto\n"))
+
+    @pytest.mark.parametrize("name", ["block_Y", "block_W"])
+    def test_block_takes_no_p(self, name):
+        with pytest.raises(ParseError, match=f"line 5: {name} takes no p"):
+            parse_scenario(BUILTIN_TEXT.replace("glued_Z", name))
 
     def test_unknown_section(self):
         with pytest.raises(ParseError):
@@ -258,7 +284,9 @@ def _scripts(draw, cfg):
             args = [("through", ",".join(through))]
             if draw(st.booleans()):
                 args.append(("id", new))
-                known.add(new)
+            else:  # the sphere the move names
+                new = OrbifoldConfig.fresh_sphere_id(known)
+            known.add(new)
         elif op == "blow_down":
             args = [("sphere", sid)]
             if draw(st.booleans()):
@@ -290,7 +318,7 @@ def _scenarios(draw):
     if draw(st.booleans()):
         name = draw(st.sampled_from(BUILTINS))
         primes = st.sampled_from([2, 3, 5, 7, 11, 13])
-        p = draw(primes) if name == "glued_Z" else draw(st.none() | primes)
+        p = draw(primes) if name == "glued_Z" else None
         return Scenario(builtin=(name, p), seifert=seifert)
     cfg = draw(_configs())
     return Scenario(config=cfg, script=draw(_scripts(cfg)), seifert=seifert)
@@ -595,6 +623,42 @@ class TestCli:
         assert exc.value.code == cli.EXIT_INPUT
         assert "--max-power" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["build", "verify", "report"])
+    @pytest.mark.parametrize("args", [
+        ["{file}", "--prime", "5"], ["--builtin", "block_Y", "--prime", "3"],
+        ["--builtin", "block_W", "--prime", "3"]])
+    def test_prime_applies_to_glued_Z_only(self, verb, args, tmp_path,
+                                           capsys):
+        f = tmp_path / "s.scn"
+        f.write_text(BUILTIN_TEXT)
+        rc = cli.main([verb, *(a.format(file=f) for a in args)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_INPUT and captured.out == ""
+        assert captured.err == ("input error: line 0: --prime applies to "
+                                "--builtin glued_Z only\n")
+
+    @pytest.mark.parametrize("verb", ["verify", "report"])
+    @pytest.mark.parametrize("args", [
+        ["{file}", "--spin-target", "nonspin"],
+        ["--builtin", "block_W", "--spin-target", "spin"]])
+    def test_spin_target_applies_to_glued_Z_only(self, verb, args, tmp_path,
+                                                 capsys):
+        f = tmp_path / "s.scn"
+        f.write_text(BUILTIN_TEXT)
+        rc = cli.main([verb, *(a.format(file=f) for a in args)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_INPUT and captured.out == ""
+        assert captured.err == ("input error: line 0: --spin-target "
+                                "applies to --builtin glued_Z only\n")
+
+    def test_glued_Z_prime_defaults_to_3(self, capsys):
+        cli.main(["report", "--format", "structured"])
+        default = capsys.readouterr().out
+        cli.main(["report", "--builtin", "glued_Z", "--prime", "3",
+                  "--format", "structured"])
+        assert capsys.readouterr().out == default
+        assert "scenario = glued_Z p=3" in default
+
 
 def test_no_background_class_without_spin_target_verdict():
     # m = 4, pairing 2: the scaled Chern class 4c + 2 is never primitive
@@ -670,10 +734,12 @@ rename old=G new=H
 blow_down sphere=F point=q
 resolve t1=T1 t2=T2 id=S
 discard id=C
+blow_up through=S
+discard id=E1
 """
 # valid files whose sections together use every key and script operation
 _FUZZ_SEEDS = (
-    BUILTIN_TEXT.replace("[seifert]\n", "[seifert]\nb_residues = auto\n"),
+    BUILTIN_TEXT,
     EXPLICIT_TEXT,
     FULL_TEXT,
     SCRIPT_TEXT,

@@ -118,6 +118,16 @@ class TestBlowDown:
         with pytest.raises(MeetsSingularPoint):
             blow_down_minus2(cfg, "S")
 
+    def test_rejects_point_id_in_use(self):
+        # blowing up a point of the (-1)-sphere E makes E a (-2)-sphere;
+        # block_W already has the double point s1
+        w = blow_up(blow_up(build_block_W(), ["C"], exceptional_id="E"),
+                    ["E"])
+        with pytest.raises(ValueError, match="point id 's1' already in use"):
+            blow_down_minus2(w, "E", point_id="s1")
+        assert [p.id for p in blow_down_minus2(w, "E").points] == \
+            ["s1", "s2", "dp1"]
+
 
 class TestResolveTorusPair:
     def _pair(self, s1, s2):
@@ -397,11 +407,11 @@ def test_failing_fiber_sum_leaves_inputs_unchanged():
 
 def _script_line(name, kwargs):
     """The [script] line that calls move `name` with kwargs."""
-    (op, keywords), = [(op, keywords)
-                       for op, (move, keywords, _) in SCRIPT_OPS.items()
-                       if move == name]
-    args = [f"{key}={','.join(v) if key == 'through' else v}"
-            for key, kw in keywords.items() if (v := kwargs[kw]) is not None]
+    (op, rule), = [(op, rule) for op, rule in SCRIPT_OPS.items()
+                   if rule.move == name]
+    args = [f"{key}={','.join(v) if key == rule.listed else v}"
+            for key, kw in rule.keywords.items()
+            if (v := kwargs[kw]) is not None]
     return " ".join([op, *args])
 
 
@@ -426,7 +436,7 @@ def test_every_logged_op_replays_through_its_public_move():
         "rename old=Lp new=A1", "resolve t1=U1 t2=U2 id=V"])
     report.build(parse_scenario(text), log)
     ops = {e.op for e in log.entries}
-    assert ops == {move for move, _, _ in SCRIPT_OPS.values()} | {
+    assert ops == {rule.move for rule in SCRIPT_OPS.values()} | {
         "gompf_fiber_sum", "assign_isotropy", "declare_lattice"}
     for entry in log.entries:
         assert surgery._REPLAY[entry.op] is getattr(surgery, entry.op)
@@ -438,8 +448,7 @@ def test_every_logged_op_replays_through_its_public_move():
                          ids=["block_Y", "block_W", "P2"])
 def test_seeded_scripts_build_as_the_moves_they_name(start, seed):
     # a step joins the script when the script still parses and the move
-    # applies; the parser rejects a surface it cannot name, such as an
-    # exceptional sphere whose id the blow-up chose
+    # applies
     rng = random.Random(seed)
     first = parse_scenario(_scripted(start(), [])).config
     cfg, log, lines = first, SurgeryLog(), []
