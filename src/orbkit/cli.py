@@ -37,6 +37,10 @@ INPUT_ERRORS = (MissingIntegralPairing, MissingQClass,
                 report_mod.RequestError)
 
 
+class InputError(ValueError):
+    """Command-line input that names no line of a file: exit 2."""
+
+
 def prime(text: str) -> int:
     """argparse type of --prime: a prime p, 2 <= p <= MAX_PRIME."""
     p = int(text)
@@ -85,12 +89,12 @@ def _add_pipeline_args(sub):
 
 def _load_scenario(args, spin_target="any") -> Scenario:
     if args.scenario and args.builtin:
-        raise ParseError(0, "give a scenario file or --builtin, not both")
+        raise InputError("give a scenario file or --builtin, not both")
     name = None if args.scenario else args.builtin or "glued_Z"
     for flag, given in (("--prime", args.prime is not None),
                         ("--spin-target", spin_target != "any")):
         if given and name != "glued_Z":
-            raise ParseError(0, f"{flag} applies to --builtin glued_Z only")
+            raise InputError(f"{flag} applies to --builtin glued_Z only")
     if args.scenario:
         with open(args.scenario, encoding="utf-8") as fh:
             return parse_scenario(fh.read())
@@ -169,7 +173,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, FileNotFoundError, OSError) as exc:
+    except (InputError, ParseError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except report_mod.PipelineError as exc:

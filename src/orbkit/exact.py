@@ -1,9 +1,10 @@
 """Exact integer and rational arithmetic.
 
 Arbitrary-precision integers (Python ints), reduced rationals
-(fractions.Fraction), modular inverses, trial-division factorization and
-Smith normal form of integer matrices.  Everything downstream (homology,
-Chern classes, abelianizations) reduces to these primitives.
+(fractions.Fraction), modular inverses, bounded trial-division
+factorization and Smith normal form of integer matrices.  Everything
+downstream (homology, Chern classes, abelianizations) reduces to these
+primitives.
 """
 
 from __future__ import annotations
@@ -30,16 +31,31 @@ def mod_inverse(a: int, m: int) -> int:
     return pow(a, -1, m)
 
 
+# factorize tries divisors up to TRIAL_BOUND, at most 0.1 s of work
+TRIAL_BOUND = 10 ** 6
+
+
+class PrimalityUnknown(ValueError):
+    """A cofactor above TRIAL_BOUND ** 2 with no prime factor up to
+    TRIAL_BOUND: trial division cannot tell whether it is a prime."""
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as ordered (prime, exponent) pairs.
 
-    Trial division; inputs in this toolkit are tiny.
+    Trial division up to TRIAL_BOUND; a cofactor left at or above
+    (TRIAL_BOUND + 1) ** 2 raises PrimalityUnknown, as trial division
+    has not proved it prime.
     """
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     out: list[tuple[int, int]] = []
     p = 2
     while p * p <= n:
+        if p > TRIAL_BOUND:
+            raise PrimalityUnknown(
+                f"{n} has no prime factor up to {TRIAL_BOUND} and is above "
+                f"{TRIAL_BOUND ** 2}, so it cannot be factored")
         if n % p == 0:
             e = 0
             while n % p == 0:

@@ -9,6 +9,12 @@ basis with its pairing data.
 Intersection numbers between distinct surfaces are derived from events:
 a smooth transverse point contributes 1, a shared singular point of
 order d contributes 1/d.
+
+Ids are unique within each kind.  What a move adds without a given id
+gets the id OrbifoldConfig.fresh_id draws: the first of E1, E2, ...
+(surfaces), dp1, dp2, ... (points) or ev1, ev2, ... (events) that the
+config does not hold, so a drawn id depends only on the config's
+contents.
 """
 
 from __future__ import annotations
@@ -103,8 +109,6 @@ class OrbifoldConfig:
     euler: int = 0
     basis: tuple[str, ...] | None = None
     integral_pairing: IntMatrix | None = None
-    event_seq: int = 0
-    point_seq: int = 0
 
     # -- lookup helpers -------------------------------------------------
 
@@ -142,26 +146,20 @@ class OrbifoldConfig:
     def points_on(self, sid: str) -> list[SingularPointData]:
         return [p for p in self.points if sid in p.incident]
 
-    def fresh_event_id(self) -> str:
-        self.event_seq += 1
-        return f"ev{self.event_seq}"
-
-    def fresh_point_id(self) -> str:
-        self.point_seq += 1
-        return f"dp{self.point_seq}"
+    def ids(self, kind: str) -> list[str]:
+        """The ids of the config's "surfaces", "points" or "events"."""
+        return [x.id for x in getattr(self, kind)]
 
     @staticmethod
-    def fresh_sphere_id(taken) -> str:
-        """The id a blow-up gives its sphere when none is asked for: the
-        first of E1, E2, ... not among the surface ids `taken`."""
-        return next(f"E{k}" for k in range(1, len(taken) + 2)
-                    if f"E{k}" not in taken)
+    def fresh_id(prefix: str, taken) -> str:
+        """The id a move gives what it adds unnamed: the first of
+        <prefix>1, <prefix>2, ... not in `taken`."""
+        return next(f"{prefix}{k}" for k in range(1, len(taken) + 2)
+                    if f"{prefix}{k}" not in taken)
 
-    def add_event(self, a: str, b: str, location: str = SMOOTH,
-                  eid: str | None = None) -> IntersectionEvent:
-        ev = IntersectionEvent(eid or self.fresh_event_id(), a, b, location)
-        self.events.append(ev)
-        return ev
+    def add_event(self, a: str, b: str, location: str = SMOOTH) -> None:
+        self.events.append(IntersectionEvent(
+            self.fresh_id("ev", self.ids("events")), a, b, location))
 
     # -- derived quantities --------------------------------------------
 
@@ -252,12 +250,11 @@ def validate_config(cfg: OrbifoldConfig) -> list[Violation]:
         if betti < 0:
             out.append(Violation("NegativeBetti", name, f"{name} = {betti}"))
 
-    ids = [s.id for s in cfg.surfaces]
-    if len(set(ids)) != len(ids):
-        out.append(Violation("DuplicateId", "surfaces", "surface ids repeat"))
-    pids = [p.id for p in cfg.points]
-    if len(set(pids)) != len(pids):
-        out.append(Violation("DuplicateId", "points", "point ids repeat"))
+    for kind in ("surfaces", "points", "events"):
+        ids = cfg.ids(kind)
+        if len(set(ids)) != len(ids):
+            out.append(Violation("DuplicateId", kind,
+                                 f"{kind[:-1]} ids repeat"))
 
     for s in cfg.surfaces:
         if s.genus < 0:

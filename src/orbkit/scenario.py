@@ -20,16 +20,18 @@ Format sketch::
                                 # 0 or 1; omitted = sweep all
 
 Only glued_Z takes p.  Explicit form replaces [builtin] with [config] /
-[surface ID] / [point ID] / [event ID] sections and an optional [script]
-section whose lines are operations, each the surgery move SCRIPT_OPS
-names.  SCRIPT_OPS also states which surface ids each op needs, adds
-and drops, so a line naming a surface that is not there is a parse
-error, and a later line may name the sphere E1, E2, ... that an
-unnamed blow_up made::
+[surface ID] / [point ID] / [event ID] sections, each ID unique among
+the sections of its kind, and an optional [script] section whose lines
+are operations, each the surgery move SCRIPT_OPS names.  SCRIPT_OPS
+also states which surface ids each op needs, adds and drops, so a line
+naming a surface that is not there is a parse error.  What a move adds
+unnamed gets the first free id of E1, E2, ... (a blow_up's sphere),
+dp1, dp2, ... (a blow_down's point) or ev1, ev2, ... (an intersection
+event), and a later line may name such a sphere::
 
     blow_up through=C,L id=E
     blow_up through=E        # adds E1
-    blow_down sphere=E point=s1
+    blow_down sphere=E point=s1   # without point=, adds dp1
     resolve t1=U1 t2=U2 id=S
     discard id=E1
     rename old=Lp new=A1
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import factorize
+from .exact import PrimalityUnknown, factorize
 from .model import (
     SMOOTH,
     IntersectionEvent,
@@ -87,7 +89,7 @@ class Scenario:
 class OpRule:
     """A [script] op: the surgery move it calls, held by name so that a
     rebound move is the one called, and what its keys mean.  A blow_up
-    without id= adds the sphere OrbifoldConfig.fresh_sphere_id names."""
+    without id= adds the sphere E<k> that OrbifoldConfig.fresh_id draws."""
 
     move: str
     keywords: dict  # script key -> the move's keyword, in grammar order
@@ -138,6 +140,18 @@ def _parse_int(raw, ln):
         return int(raw)
     except ValueError:
         raise ParseError(ln, f"expected integer, got {raw!r}") from None
+
+
+def _parse_factored(raw, ln):
+    """An integer; one >= 1 that factorize cannot factor is refused, so
+    that no later stage stalls on it."""
+    n = _parse_int(raw, ln)
+    try:
+        if n >= 1:
+            factorize(n)
+    except PrimalityUnknown as exc:
+        raise ParseError(ln, str(exc)) from None
+    return n
 
 
 def _parse_fraction(raw, ln):
@@ -195,8 +209,9 @@ def _read(kv, key, parse, default=None):
     return parse(raw, ln)
 
 
-# sections whose header names the id of what they add to [config]
-_ID_SECTIONS = ("surface", "point", "event")
+# sections whose header names the id of what they add to [config] ->
+# the config's list of those records
+_ID_SECTIONS = {"surface": "surfaces", "point": "points", "event": "events"}
 
 
 def _check_surfaces(ids, known, ln):
@@ -231,7 +246,7 @@ def _parse_script_line(ln, line, known):
         known.discard(args[rule.drops])
     if rule.adds:
         known.add(args[rule.adds] if rule.adds in args
-                  else OrbifoldConfig.fresh_sphere_id(known))
+                  else OrbifoldConfig.fresh_id("E", known))
     return ScriptOp(op, tuple(args.items()))
 
 
@@ -248,6 +263,8 @@ def parse_scenario(text: str) -> Scenario:
             raise ParseError(h_ln, f"unknown section [{header}]")
         if kind in _ID_SECTIONS and config is None:
             raise ParseError(h_ln, f"[{kind}] before [config]")
+        if kind in _ID_SECTIONS and sid in config.ids(_ID_SECTIONS[kind]):
+            raise ParseError(h_ln, f"duplicate {kind} id {sid!r}")
         if kind in ("builtin", "config") and (builtin or config):
             raise ParseError(h_ln, "duplicate or conflicting build section")
         if kind == "builtin":
@@ -279,8 +296,8 @@ def parse_scenario(text: str) -> Scenario:
                      {"genus", "multiplicity", "j", "self"}, ("genus",))
             config.surfaces.append(SurfaceData(
                 sid, genus=_read(kv, "genus", _parse_int),
-                multiplicity=_read(kv, "multiplicity", _parse_int, 1),
-                local_j=_read(kv, "j", _parse_int, 0),
+                multiplicity=_read(kv, "multiplicity", _parse_factored, 1),
+                local_j=_read(kv, "j", _parse_factored, 0),
                 self_intersection=_read(kv, "self", _parse_fraction,
                                         Fraction(0))))
         elif kind == "point":
@@ -291,10 +308,10 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError(ln_exps, "exponents wants two integers")
             ln, incident = kv.get("incident", (h_ln, ""))
             incident = tuple(incident.split())
-            _check_surfaces(incident, [s.id for s in config.surfaces], ln)
+            _check_surfaces(incident, config.ids("surfaces"), ln)
             # exponents are read mod the order, which must be >= 1; order
             # 1 parses, and validation reports it as BadOrder
-            order = _read(kv, "order", _parse_int)
+            order = _read(kv, "order", _parse_factored)
             if order < 1:
                 raise ParseError(kv["order"][0],
                                  f"order must be >= 1, got {order}")
@@ -306,11 +323,9 @@ def parse_scenario(text: str) -> Scenario:
             if len(pair) != 2:
                 raise ParseError(kv["between"][0],
                                  "between wants two surface ids")
-            _check_surfaces(pair, [s.id for s in config.surfaces],
-                            kv["between"][0])
+            _check_surfaces(pair, config.ids("surfaces"), kv["between"][0])
             location = kv["at"][1] if "at" in kv else SMOOTH
-            if location != SMOOTH and all(p.id != location
-                                          for p in config.points):
+            if location != SMOOTH and location not in config.ids("points"):
                 raise ParseError(kv["at"][0],
                                  f"undefined point {location!r}")
             config.events.append(

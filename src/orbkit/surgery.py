@@ -16,6 +16,12 @@ in _REPLAY.  gompf_fiber_sum, which builds its result from two configs,
 records and registers itself the same way.  replay() calls
 _REPLAY[op](cfg, **kwargs) for each logged step, so replaying a log from
 the same starting config reproduces the final config exactly.
+
+Ids: a move refuses a given surface or point id that the config already
+holds, and gompf_fiber_sum an output id that a surviving surface or an
+earlier join holds.  A move that adds a surface, point or event without
+a given id draws it with OrbifoldConfig.fresh_id from the ids the config
+holds, so a replay draws the same id.
 """
 
 from __future__ import annotations
@@ -167,7 +173,7 @@ def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None) -> dict:
         cfg.events.remove(smooth[0])
     eid = exceptional_id
     if eid is None:
-        eid = cfg.fresh_sphere_id({s.id for s in cfg.surfaces})
+        eid = cfg.fresh_id("E", cfg.ids("surfaces"))
     elif cfg.has_surface(eid):
         raise ValueError(f"surface id {eid!r} already in use")
     for sid in through:
@@ -198,7 +204,7 @@ def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> dict:
     if cfg.points_on(sphere) or any(e.location != SMOOTH
                                     for e in cfg.events_on(sphere)):
         raise MeetsSingularPoint(f"{sphere} passes through a singular point")
-    if any(p.id == point_id for p in cfg.points):
+    if point_id in cfg.ids("points"):
         raise ValueError(f"point id {point_id!r} already in use")
     neighbors: list[str] = []
     for e in cfg.events_on(sphere):
@@ -213,7 +219,7 @@ def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> dict:
             "would lie on more than two of them")
     cfg.surfaces.remove(s)
     cfg.events = [e for e in cfg.events if sphere not in (e.a, e.b)]
-    pid = point_id or cfg.fresh_point_id()
+    pid = point_id or cfg.fresh_id("dp", cfg.ids("points"))
     cfg.points.append(SingularPointData(pid, order=2, exponents=(1, 1),
                                         incident=tuple(neighbors)))
     for sid in neighbors:
@@ -223,8 +229,6 @@ def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> dict:
     cfg.b2 -= 1
     cfg.euler -= 1
     _invalidate_basis(cfg)
-    # the id as given: a replay that draws a fresh id advances point_seq
-    # as this call did
     return {"sphere": sphere, "point_id": point_id}
 
 
@@ -324,17 +328,10 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
         raise NormalBundleObstruction(
             f"{fa.self_intersection} + {fb.self_intersection} != 0")
 
-    ids_a = {s.id for s in cfg_a.surfaces}
-    ids_b = {s.id for s in cfg_b.surfaces}
-    if ids_a & ids_b:
-        raise ValueError(f"surface id collision: {sorted(ids_a & ids_b)}")
-    ev_ids_a = {e.id for e in cfg_a.events}
-    ev_ids_b = {e.id for e in cfg_b.events}
-    if ev_ids_a & ev_ids_b:
-        raise ValueError(f"event id collision: {sorted(ev_ids_a & ev_ids_b)}")
-    pt_ids = {p.id for p in cfg_a.points} & {p.id for p in cfg_b.points}
-    if pt_ids:
-        raise ValueError(f"point id collision: {sorted(pt_ids)}")
+    for kind in ("surfaces", "events", "points"):
+        clash = set(cfg_a.ids(kind)) & set(cfg_b.ids(kind))
+        if clash:
+            raise ValueError(f"{kind[:-1]} id collision: {sorted(clash)}")
 
     on_a = {e.id: e for e in cfg_a.events_on(plan.fiber_a)}
     on_b = {e.id: e for e in cfg_b.events_on(plan.fiber_b)}
@@ -375,6 +372,14 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
             raise PlanInconsistent(f"join references unknown surface {sid!r}")
     if plan.fiber_a in piece_of or plan.fiber_b in piece_of:
         raise PlanInconsistent("a fiber surface cannot be a join piece")
+    survivors = [s for cfg in (cfg_a, cfg_b) for s in cfg.surfaces
+                 if s.id not in (plan.fiber_a, plan.fiber_b)
+                 and s.id not in piece_of]
+    taken = {s.id for s in survivors}
+    for out_id, _ in plan.surface_joins:
+        if out_id in taken:
+            raise ValueError(f"surface id {out_id!r} already in use")
+        taken.add(out_id)
 
     def lookup(sid):
         return (cfg_a if cfg_a.has_surface(sid) else cfg_b).surface(sid)
@@ -400,12 +405,9 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
             f"declared b1={plan.b1}, b2={plan.b2} disagree with "
             f"euler characteristic {out.euler}")
 
-    for cfg in (cfg_a, cfg_b):
-        for s in cfg.surfaces:
-            if s.id in (plan.fiber_a, plan.fiber_b) or s.id in piece_of:
-                continue
-            out.surfaces.append(SurfaceData(s.id, s.genus, s.multiplicity,
-                                            s.local_j, s.self_intersection))
+    for s in survivors:
+        out.surfaces.append(SurfaceData(s.id, s.genus, s.multiplicity,
+                                        s.local_j, s.self_intersection))
     for out_id, pieces in plan.surface_joins:
         chi = 0
         square = Fraction(0)
@@ -446,8 +448,6 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
             out.points.append(SingularPointData(
                 p.id, p.order, p.exponents,
                 tuple(remap(s) for s in p.incident if s != fiber)))
-    out.event_seq = max(cfg_a.event_seq, cfg_b.event_seq)
-    out.point_seq = max(cfg_a.point_seq, cfg_b.point_seq)
     if log is not None:
         log.record(gompf_fiber_sum.__name__,
                    {"cfg_b": cfg_b.copy(), "plan": plan}, cfg_a, out)

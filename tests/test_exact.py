@@ -7,6 +7,7 @@ import pytest
 from orbkit.exact import (
     IntMatrix,
     NotCoprime,
+    PrimalityUnknown,
     factorize,
     mod_inverse,
     radical,
@@ -53,6 +54,16 @@ class TestFactorize:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+    def test_trial_division_is_bounded(self):
+        # 10**12 + 39 is a prime; its square root is the last divisor tried
+        assert factorize(10 ** 12 + 39) == [(10 ** 12 + 39, 1)]
+        assert factorize(2 * (10 ** 12 + 39)) == [(2, 1), (10 ** 12 + 39, 1)]
+        assert factorize(97 ** 16) == [(97, 16)]
+        for n in (10 ** 30 + 57, 3 * 1000003 * 1000033):
+            with pytest.raises(PrimalityUnknown, match="no prime factor up "
+                                                       "to 1000000"):
+                factorize(n)
 
     def test_roundtrip(self):
         rng = random.Random(7)

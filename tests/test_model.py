@@ -17,6 +17,7 @@ from orbkit.model import (
     check_even_point_bound,
     validate_config,
 )
+from orbkit.record import replace
 from orbkit.surgery import build_Z
 
 
@@ -27,9 +28,28 @@ def _single_point_config(n, j, d, e1, e2):
     return cfg
 
 
+def test_fresh_id_is_the_first_free_number():
+    assert OrbifoldConfig.fresh_id("ev", []) == "ev1"
+    assert OrbifoldConfig.fresh_id("ev", ["ev1", "ev3", "e2"]) == "ev2"
+    assert OrbifoldConfig.fresh_id("dp", {"dp1", "dp2"}) == "dp3"
+
+
 class TestValidate:
     def test_glued_config_clean(self):
         assert validate_config(build_Z(3)) == []
+
+    @pytest.mark.parametrize("kind", ["surfaces", "points", "events"])
+    def test_repeated_id(self, kind):
+        cfg = OrbifoldConfig(b2=2)
+        cfg.surfaces += [SurfaceData("A", 0), SurfaceData("B", 0)]
+        cfg.points.append(SingularPointData("x", 2, (1, 1), ("A", "B")))
+        cfg.events += [IntersectionEvent("e", "A", "B"),
+                       IntersectionEvent("f", "A", "B", "x")]
+        assert validate_config(cfg) == []
+        records = getattr(cfg, kind)
+        records += [replace(records[0], id="y"), replace(records[0], id="y")]
+        assert [(v.kind, v.locus) for v in validate_config(cfg)] \
+            == [("DuplicateId", kind)]
 
     def test_intersecting_non_coprime(self):
         cfg = OrbifoldConfig(b2=2)
@@ -100,7 +120,7 @@ class TestValidate:
                         d = rng.choice((1, 2, 3, 5))
                         at = "smooth"
                         if d > 1:
-                            at = cfg.fresh_point_id()
+                            at = cfg.fresh_id("dp", cfg.ids("points"))
                             cfg.points.append(SingularPointData(
                                 at, d, (1, 1), (basis[i], basis[j])))
                         cfg.add_event(basis[i], basis[j], at)

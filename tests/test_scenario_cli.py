@@ -61,6 +61,51 @@ blow_up through=C id=E
 blow_down sphere=E   # fails at run time (E is a -1 sphere), parses fine
 """
 
+# a point dp1 and an event ev1 declared, then a blow-up that adds an
+# event and a blow-down that adds a point, each without an id
+DRAWN_IDS_TEXT = """\
+scenario v1
+
+[config]
+b1 = 0
+b2 = 2
+euler = 4
+
+[surface C]
+genus = 0
+self = 1
+
+[surface L]
+genus = 0
+self = 1
+
+[surface S]
+genus = 0
+self = -2
+
+[point dp1]
+order = 2
+exponents = 1 1
+incident = C L
+
+[event ev1]
+between = C L
+at = dp1
+
+[event cs]
+between = C S
+
+[script]
+blow_up through=C
+blow_down sphere=S
+"""
+
+# EXPLICIT_TEXT without its script, C of multiplicity 3, and a point on C
+FACTOR_TEXT = (EXPLICIT_TEXT.split("[script]")[0].replace(
+    "self = 9\n", "self = 9\nmultiplicity = 3\nj = 1\n")
+    + "[point x]\norder = 5\nexponents = 1 1\nincident = C\n")
+BIG_PRIME = 10 ** 30 + 57
+
 
 class TestParse:
     def test_builtin(self):
@@ -124,6 +169,33 @@ class TestParse:
             ("C", 8), ("E1", -2), ("F", -2)]
         with pytest.raises(ParseError, match="undefined surface 'E2'"):
             parse_scenario(text + "rename old=E2 new=G\n")
+
+    @pytest.mark.parametrize("kind, body", [
+        ("surface", "genus = 0\n"), ("point", "order = 2\nexponents = 1 1\n"),
+        ("event", "between = C L\n")])
+    def test_repeated_section_id(self, kind, body):
+        # ids are unique per kind: the second [kind x] header is refused
+        first = (EXPLICIT_TEXT.split("[script]")[0]
+                 + f"[surface L]\ngenus = 0\n\n[{kind} x]\n{body}\n")
+        ln = len(first.splitlines()) + 1
+        with pytest.raises(ParseError,
+                           match=f"^line {ln}: duplicate {kind} id 'x'$"):
+            parse_scenario(first + f"[{kind} x]\n{body}")
+        # one id may name one record of each kind
+        parse_scenario(first + "[point C]\norder = 2\nexponents = 1 1\n"
+                       "[event C]\nbetween = C L\n")
+
+    @pytest.mark.parametrize("line", ["multiplicity = 3", "j = 1",
+                                      "order = 5"])
+    def test_integer_that_cannot_be_factored(self, line):
+        key = line.split()[0]
+        text = FACTOR_TEXT.replace(line, f"{key} = {BIG_PRIME}")
+        ln = text.splitlines().index(f"{key} = {BIG_PRIME}") + 1
+        with pytest.raises(ParseError, match=f"^line {ln}: {BIG_PRIME} has "
+                                             "no prime factor up to 1000000"):
+            parse_scenario(text)
+        # a larger value with small prime factors parses
+        parse_scenario(FACTOR_TEXT.replace(line, f"{key} = {97 ** 16}"))
 
     def test_b_residues_is_an_unknown_key(self):
         with pytest.raises(ParseError, match="line 8: unknown key "
@@ -285,7 +357,7 @@ def _scripts(draw, cfg):
             if draw(st.booleans()):
                 args.append(("id", new))
             else:  # the sphere the move names
-                new = OrbifoldConfig.fresh_sphere_id(known)
+                new = OrbifoldConfig.fresh_id("E", known)
             known.add(new)
         elif op == "blow_down":
             args = [("sphere", sid)]
@@ -496,11 +568,44 @@ class TestCli:
         f.write_text("not a scenario\n")
         assert cli.main(["verify", str(f)]) == cli.EXIT_INPUT
 
-    def test_file_and_builtin_conflict(self, tmp_path):
+    def test_file_and_builtin_conflict(self, tmp_path, capsys):
         f = tmp_path / "s.scn"
         f.write_text(BUILTIN_TEXT)
         assert cli.main(["verify", str(f), "--builtin", "glued_Z"]) \
             == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "input error: give a scenario file or --builtin, not both\n")
+
+    def test_drawn_ids_skip_the_ids_a_file_declares(self, tmp_path, capsys):
+        # the blow-down's point is dp2 and the blow-up's event ev2; each
+        # used to be a second dp1 / ev1, and config_valid failed
+        f = tmp_path / "s.scn"
+        f.write_text(DRAWN_IDS_TEXT)
+        rc = cli.main(["report", str(f), "--format", "structured"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == cli.EXIT_OK
+        for line in ("config.points = 2", "local.dp1 = m 2 j1 1 j2 1",
+                     "local.dp2 = m 2 j1 1 j2 1",
+                     "verdict.config_valid = pass"):
+            assert line in lines
+        cfg, _, _ = report.build(parse_scenario(DRAWN_IDS_TEXT))
+        assert (cfg.ids("points"), cfg.ids("events")) == (
+            ["dp1", "dp2"], ["ev1", "ev2"])
+
+    def test_large_prime_factor_is_refused_at_once(self, tmp_path):
+        # verify used to trial-divide the order up to its square root; in
+        # a subprocess, so that a hang fails the test
+        f = tmp_path / "s.scn"
+        f.write_text(FACTOR_TEXT.replace("order = 5", f"order = {BIG_PRIME}"))
+        src = Path(orbkit.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-m", "orbkit.cli", "verify", str(f)],
+            capture_output=True, text=True, timeout=30,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (run.returncode, run.stdout) == (cli.EXIT_INPUT, "")
+        assert run.stderr == (
+            f"input error: line 15: {BIG_PRIME} has no prime factor up to "
+            f"1000000 and is above 1000000000000, so it cannot be factored\n")
 
     def test_enumerate(self, capsys):
         for p in ("3", "11"):
@@ -634,7 +739,7 @@ class TestCli:
         rc = cli.main([verb, *(a.format(file=f) for a in args)])
         captured = capsys.readouterr()
         assert rc == cli.EXIT_INPUT and captured.out == ""
-        assert captured.err == ("input error: line 0: --prime applies to "
+        assert captured.err == ("input error: --prime applies to "
                                 "--builtin glued_Z only\n")
 
     @pytest.mark.parametrize("verb", ["verify", "report"])
@@ -648,7 +753,7 @@ class TestCli:
         rc = cli.main([verb, *(a.format(file=f) for a in args)])
         captured = capsys.readouterr()
         assert rc == cli.EXIT_INPUT and captured.out == ""
-        assert captured.err == ("input error: line 0: --spin-target "
+        assert captured.err == ("input error: --spin-target "
                                 "applies to --builtin glued_Z only\n")
 
     def test_glued_Z_prime_defaults_to_3(self, capsys):

@@ -8,6 +8,7 @@ import pytest
 from orbkit import report, surgery
 from orbkit.exact import IntMatrix
 from orbkit.model import SMOOTH, OrbifoldConfig, SurfaceData, validate_config
+from orbkit.record import replace
 from orbkit.scenario import (
     SCRIPT_OPS,
     ParseError,
@@ -267,6 +268,21 @@ class TestGompfSum:
         z = build_Z(3, log=log)
         assert replay(build_block_Y(), log) == z
 
+    @pytest.mark.parametrize("taken", ["U1", "V1"])
+    def test_rejects_join_id_in_use(self, taken):
+        # build_Z's plan with the V3 join renamed: U1 survives from
+        # block_Y, and V1 is an earlier join
+        log = SurgeryLog()
+        build_Z(3, log=log)
+        kwargs = log.entries[0].kwargs
+        plan = kwargs["plan"]
+        joins = tuple((taken if out_id == "V3" else out_id, pieces)
+                      for out_id, pieces in plan.surface_joins)
+        with pytest.raises(ValueError,
+                           match=f"surface id '{taken}' already in use"):
+            gompf_fiber_sum(build_block_Y(), kwargs["cfg_b"],
+                            replace(plan, surface_joins=joins))
+
 
 def test_mod5_isotropy():
     z = build_Z(5)
@@ -335,6 +351,12 @@ def _random_step(rng, cfg, kinds=7):
                                "integral_pairing": pairing}
 
 
+def _assert_unique_ids(cfg):
+    for kind in ("surfaces", "points", "events"):
+        ids = cfg.ids(kind)
+        assert len(set(ids)) == len(ids), (kind, ids)
+
+
 def _random_move(rng, cfg, log):
     name, kwargs = _random_step(rng, cfg)
     return lambda: getattr(surgery, name)(cfg, **kwargs, log=log)
@@ -375,6 +397,7 @@ def test_seeded_scripts_leave_inputs_unchanged_and_replay(start, seed):
         assert entry.before == (cfg.euler, cfg.b1, cfg.b2)
         assert entry.after == (out.euler, out.b1, out.b2) \
             == (cfg.euler + d_euler, cfg.b1, cfg.b2 + d_b2)
+        _assert_unique_ids(out)
         cfg = out
     assert replay(first, log) == cfg
 
@@ -460,6 +483,7 @@ def test_seeded_scripts_build_as_the_moves_they_name(start, seed):
             cfg = getattr(surgery, name)(cfg, **kwargs, log=log)
         except (ParseError, ValueError, KeyError):
             continue
+        _assert_unique_ids(cfg)
         lines.append(line)
     scripted = SurgeryLog()
     built, label, p = report.build(
