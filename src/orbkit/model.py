@@ -42,7 +42,7 @@ class SurfaceData:
     """A closed surface tracked in the configuration.
 
     multiplicity 1 marks a plain (non-isotropy) surface kept for
-    bookkeeping; then local_j must be 0.
+    bookkeeping; then local_j must be 0.  Above 1, it is stored mod m.
     """
 
     id: str
@@ -53,6 +53,8 @@ class SurfaceData:
     qclass: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
+        if self.multiplicity > 1:
+            self.local_j %= self.multiplicity
         self.self_intersection = Fraction(self.self_intersection)
         if self.qclass is not None:
             self.qclass = tuple(Fraction(x) for x in self.qclass)
@@ -334,18 +336,11 @@ def validate_config(cfg: OrbifoldConfig) -> list[Violation]:
         if len(cfg.basis) != cfg.b2:
             out.append(Violation("BasisDimension", "basis",
                                  f"{len(cfg.basis)} basis classes, b2 = {cfg.b2}"))
-        mat = None
-        if all(cfg.has_surface(s) for s in cfg.basis):
-            mat = cfg.pairing_matrix()
-            for i in range(len(mat)):
-                for j in range(i):
-                    if mat[i][j] != mat[j][i]:
-                        out.append(Violation("PairingAsymmetry", "pairing",
-                                             f"entry ({i},{j})"))
-        else:
+        if not all(cfg.has_surface(s) for s in cfg.basis):
             out.append(Violation("UnknownSurface", "basis",
                                  "basis references untracked surface"))
-        if mat is not None:
+        else:
+            mat = cfg.pairing_matrix()
             for s in cfg.surfaces:
                 if s.qclass is None:
                     continue

@@ -24,10 +24,11 @@ Only glued_Z takes p.  Explicit form replaces [builtin] with [config] /
 the sections of its kind, and an optional [script] section whose lines
 are operations, each the surgery move SCRIPT_OPS names.  SCRIPT_OPS
 also states which surface ids each op needs, adds and drops, so a line
-naming a surface that is not there is a parse error.  What a move adds
-unnamed gets the first free id of E1, E2, ... (a blow_up's sphere),
-dp1, dp2, ... (a blow_down's point) or ev1, ev2, ... (an intersection
-event), and a later line may name such a sphere::
+naming a surface that is not there, or adding one under an id in use,
+is a parse error.  What a move adds unnamed gets the first free id of
+E1, E2, ... (a blow_up's sphere), dp1, dp2, ... (a blow_down's point)
+or ev1, ev2, ... (an intersection event), and a later line may name
+such a sphere::
 
     blow_up through=C,L id=E
     blow_up through=E        # adds E1
@@ -242,6 +243,9 @@ def _parse_script_line(ln, line, known):
             raise ParseError(ln, f"{op} requires {key}=")
     for key in rule.refs:
         _check_surfaces(rule.ids(key, args[key]), known, ln)
+    # before the drop: the move refuses rename old=X new=X too
+    if args.get(rule.adds) in known:
+        raise ParseError(ln, f"surface id {args[rule.adds]!r} already in use")
     if rule.drops:
         known.discard(args[rule.drops])
     if rule.adds:

@@ -13,6 +13,8 @@ is its vector of pairings against the declared integral basis.  An
 integral class (a surface class, the scaled Chern class) is a vector of
 ints; only chern_class, the oracle of scaled_chern_class, is rational.
 The H_1 decision of a spec is made once, on first use, like its Lattice.
+A Z/2 row is an int, bit r holding coordinate r; the Lattice echelons
+its kernel once, and a spin decision only reduces against that echelon.
 """
 
 from __future__ import annotations
@@ -70,57 +72,50 @@ class RationalClass:
         return tuple(out)
 
 
-def _mod2(vec) -> tuple[int, ...]:
-    return tuple(int(x) % 2 for x in vec)
+def _mod2(vec) -> int:
+    """The Z/2 row of an integer vector: bit r holds entry r mod 2."""
+    return sum(1 << r for r, x in enumerate(vec) if x % 2)
 
 
-def _xor(a, b) -> tuple[int, ...]:
-    return tuple(x ^ y for x, y in zip(a, b))
+def _reduce(pivots, v: int) -> int:
+    """v reduced against (pivot bit, row) pairs; 0 iff v is in their span."""
+    for bit, row in pivots:
+        if v >> bit & 1:
+            v ^= row
+    return v
 
 
-def _reduce(pivots, v) -> tuple[int, ...]:
-    for col, pv in pivots:
-        if v[col]:
-            v = _xor(v, pv)
-    return tuple(v)
-
-
-def _echelon(vectors) -> list[tuple[int, tuple[int, ...]]]:
-    """(leading column, row) pairs of an echelon basis of the Z/2 span."""
-    pivots: list[tuple[int, tuple[int, ...]]] = []
-    for v in vectors:
+def _echelon(rows) -> tuple[tuple[int, int], ...]:
+    """(pivot bit, row) pairs of a Z/2 echelon basis; pivot = top bit."""
+    pivots: list[tuple[int, int]] = []
+    for v in rows:
         v = _reduce(pivots, v)
-        if any(v):
-            pivots.append((v.index(1), v))
-    return pivots
-
-
-def in_span_mod2(vectors, target) -> bool:
-    """Gaussian elimination membership test over Z/2."""
-    return not any(_reduce(_echelon(vectors), target))
+        if v:
+            pivots.append((v.bit_length() - 1, v))
+    return tuple(pivots)
 
 
 @record(frozen=True)
 class Mod2Class:
     """A Z/2 pairing vector plus unknown multiples of surface classes."""
 
-    base: tuple[int, ...]
-    unknowns: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    base: int
+    unknowns: tuple[tuple[str, int], ...] = ()
 
-    def resolve(self, assignment: dict) -> tuple[int, ...]:
+    def resolve(self, assignment: dict) -> int:
         out = self.base
         for name, vec in self.unknowns:
             if name not in assignment:
                 raise UnresolvedUnknown(f"no value for coefficient {name!r}")
             if assignment[name] % 2:
-                out = _xor(out, vec)
+                out ^= vec
         return out
 
     def unknown_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.unknowns)
 
-    def __add__(self, other) -> "Mod2Class":
-        return Mod2Class(_xor(self.base, tuple(other)), self.unknowns)
+    def __add__(self, other: int) -> "Mod2Class":
+        return Mod2Class(self.base ^ other, self.unknowns)
 
 
 def isotropy_surfaces(cfg: OrbifoldConfig):
@@ -178,8 +173,8 @@ class Lattice:
     residues: dict  # isotropy surface id -> b_i
     m: int  # lcm of the multiplicities
     surjective: bool  # H^2(X,Z) onto sum Z_{m_i}: one SNF of [P^T | diag m_i]
-    odd_b: tuple[int, ...]  # sum mod 2 of the columns with b_i odd
-    kernel: tuple | None  # echelon basis of even-m columns mod 2, or None
+    odd_b: int  # Z/2 row: sum mod 2 of the columns with b_i odd
+    kernel: tuple | None  # _echelon of the even-m columns mod 2, or None
 
     @classmethod
     def of(cls, cfg: OrbifoldConfig) -> "Lattice":
@@ -196,7 +191,7 @@ class Lattice:
         odd_b = _mod2(sum(b * columns[sid][r] for sid, b in residues.items())
                       for r in range(cfg.integral_pairing.rows))
         even = [_mod2(columns[s.id]) for s in iso if s.multiplicity % 2 == 0]
-        kernel = tuple(v for _, v in _echelon(even)) if even else None
+        kernel = _echelon(even) if even else None
         return cls(cfg, columns, residues, total_multiplicity(cfg),
                    len(factors) == len(iso) and all(d == 1 for d in factors),
                    odd_b, kernel)
@@ -228,7 +223,7 @@ class Lattice:
         of their self-intersection; surfaces through singular points get
         the unknown coefficients a1, a2, ... in listing order.
         """
-        base = (0,) * self.cfg.integral_pairing.rows
+        base = 0
         unknowns = []
         for s in self.cfg.surfaces:
             vec = _mod2(self.columns[s.id] if s.id in self.columns
@@ -240,12 +235,12 @@ class Lattice:
                     f"{s.id} avoids the singular points but has "
                     f"non-integral self-intersection {s.self_intersection}")
             elif s.self_intersection % 2:
-                base = _xor(base, vec)
+                base ^= vec
         return Mod2Class(base, tuple(unknowns))
 
-    def twist(self, c1B) -> tuple[int, ...]:
-        """c1(B) + sum_i b_i [D_i] mod 2."""
-        return _xor(_mod2(c1B), self.odd_b)
+    def twist(self, c1B) -> int:
+        """c1(B) + sum_i b_i [D_i] mod 2, as a Z/2 row."""
+        return _mod2(c1B) ^ self.odd_b
 
     def spec(self, c1B) -> SeifertSpec:
         """The SeifertSpec of background class c1B, sharing this lattice."""

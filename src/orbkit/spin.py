@@ -8,7 +8,8 @@ pullback, i.e. lies in the explicitly described kernel (the even-
 multiplicity surface classes, or — when every multiplicity is odd — the
 single class c1(B) + sum_i b_i [D_i]).  All of it is Z/2 linear algebra
 on the pairing vectors of the configuration's Lattice, which holds w2
-and the kernel once per configuration.
+and the kernel's echelon once per configuration; a Z/2 row is an int,
+so a decision is a few XORs and one reduction.
 
 The closing report collects the classifying data of the simply
 connected 5-manifold: b_2, the torsion pair counts c(p^i), the Barden
@@ -25,9 +26,9 @@ from .seifert import (
     Lattice,
     Mod2Class,
     SeifertSpec,
+    _reduce,
     h1_zero_decision,
     h2_of_M,
-    in_span_mod2,
 )
 
 
@@ -36,14 +37,14 @@ def w2_base_class(cfg) -> Mod2Class:
     return Lattice.of(cfg).w2
 
 
-def pi_star_kernel(spec: SeifertSpec) -> list[tuple[int, ...]]:
-    """Spanning vectors of the classes killed by pullback to the bundle."""
+def pi_star_kernel(spec: SeifertSpec) -> list[int]:
+    """Spanning Z/2 rows of the classes killed by pullback to the bundle."""
     if not h1_zero_decision(spec).holds:
         raise H1NotZero("kernel description requires the H_1 = 0 criteria")
     lattice = spec.lattice
     if lattice.kernel is None:  # every multiplicity is odd
         return [lattice.twist(spec.c1B)]
-    return list(lattice.kernel)
+    return [row for _, row in lattice.kernel]
 
 
 def spin_target(spec: SeifertSpec) -> Mod2Class:
@@ -55,13 +56,17 @@ def spin_decision(spec: SeifertSpec, unknowns: dict) -> bool:
     """Is the total space spin, for the given unknown-coefficient values?
 
     Spin exactly when spin_target, resolved with `unknowns`, lies in
-    pi_star_kernel.  Both are read off the spec's Lattice, so after the
-    first call on a spec a decision is an XOR and a Z/2 reduction.
-    Raises H1NotZero unless H_1 = 0, and UnresolvedUnknown when
-    `unknowns` lacks a coefficient of w2.
+    pi_star_kernel: it is 0 or the twist when every multiplicity is odd,
+    and else reduces to 0 against the echelon the Lattice holds.  Raises
+    H1NotZero unless H_1 = 0, then UnresolvedUnknown when `unknowns`
+    lacks a coefficient of w2.
     """
-    kernel = pi_star_kernel(spec)
-    return in_span_mod2(kernel, spin_target(spec).resolve(unknowns))
+    if not h1_zero_decision(spec).holds:
+        raise H1NotZero("kernel description requires the H_1 = 0 criteria")
+    kernel, target = spec.lattice.kernel, spin_target(spec).resolve(unknowns)
+    if kernel is None:
+        return target in (0, spec.lattice.twist(spec.c1B))
+    return not _reduce(kernel, target)
 
 
 def assignments(names) -> list[tuple[tuple[str, int], ...]]:

@@ -187,6 +187,16 @@ class TestAssignLocalInvariants:
         assert gcd(11, 18) == 1
         assert pli.violations() == []
 
+    @pytest.mark.parametrize("j", [-1, 2, 5, 17])
+    def test_j_is_a_residue_mod_the_multiplicity(self, j):
+        # j = 5 gave (15, 9, 8), the same action up to the unit 4 mod 15;
+        # j = -1 failed with "factorize needs n >= 1, got -1"
+        cfg = _single_point_config(n=3, j=j, d=5, e1=1, e2=1)
+        assert cfg.surface("D").local_j == 2
+        pli = assign_local_invariants(cfg)["x"]
+        assert (pli.m, pli.j1, pli.j2) == (15, 6, 2)
+        assert check_compatibility(pli, cfg.surface("D"))
+
     def test_two_isotropy_surfaces_refused(self):
         cfg = OrbifoldConfig()
         cfg.surfaces.append(SurfaceData("A", 0, multiplicity=3, local_j=1))

@@ -170,6 +170,18 @@ class TestParse:
         with pytest.raises(ParseError, match="undefined surface 'E2'"):
             parse_scenario(text + "rename old=E2 new=G\n")
 
+    @pytest.mark.parametrize("line", [
+        "blow_up through=C id=L", "resolve t1=C t2=C id=L",
+        "rename old=C new=L", "rename old=L new=L"])
+    def test_script_refuses_a_surface_id_in_use(self, line):
+        # each line used to parse and then fail the build stage
+        text = (EXPLICIT_TEXT.split("[script]")[0]
+                + f"[surface L]\ngenus = 0\n\n[script]\n{line}\n")
+        ln = len(text.splitlines())
+        with pytest.raises(ParseError, match=f"^line {ln}: surface id 'L' "
+                                             "already in use$"):
+            parse_scenario(text)
+
     @pytest.mark.parametrize("kind, body", [
         ("surface", "genus = 0\n"), ("point", "order = 2\nexponents = 1 1\n"),
         ("event", "between = C L\n")])
@@ -349,7 +361,8 @@ def _scripts(draw, cfg):
         op = draw(st.sampled_from(["blow_up", "blow_down", "resolve",
                                    "discard", "rename"]))
         sid = draw(st.sampled_from(sorted(known)))
-        new = draw(_IDS)
+        # the parser refuses a line that adds a surface id already in use
+        new = draw(_IDS.filter(lambda x: x not in known))
         if op == "blow_up":
             through = draw(st.lists(st.sampled_from(sorted(known)),
                                     min_size=1, max_size=3))
@@ -591,6 +604,28 @@ class TestCli:
         cfg, _, _ = report.build(parse_scenario(DRAWN_IDS_TEXT))
         assert (cfg.ids("points"), cfg.ids("events")) == (
             ["dp1", "dp2"], ["ev1", "ev2"])
+
+    def test_surface_id_in_use_is_input_error(self, tmp_path, capsys):
+        # used to exit 1 with "stage build: surface id 'L' already in use"
+        f = tmp_path / "s.scn"
+        f.write_text(EXPLICIT_TEXT.split("[script]")[0]
+                     + "[surface L]\ngenus = 0\n\n[script]\n"
+                     "blow_up through=C id=L\n")
+        assert cli.main(["build", str(f)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "input error: line 16: surface id 'L' already in use\n")
+
+    def test_j_is_read_mod_the_multiplicity(self, tmp_path, capsys):
+        # j = -1 at multiplicity 3 built, and then verify stopped with
+        # "factorize needs n >= 1, got -1"; it is the residue 2
+        outputs = []
+        for j in (-1, 2):
+            f = tmp_path / f"j{j}.scn"
+            f.write_text(FACTOR_TEXT.replace("j = 1", f"j = {j}"))
+            rc = cli.main(["report", str(f), "--format", "structured"])
+            outputs.append((rc, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == cli.EXIT_OK
 
     def test_large_prime_factor_is_refused_at_once(self, tmp_path):
         # verify used to trial-divide the order up to its square root; in
