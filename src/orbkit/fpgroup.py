@@ -1,8 +1,10 @@
 """Finitely presented groups: abelianization, Tietze moves, coset
 enumeration, and the orbifold fundamental-group presentation builder.
 
-Words are tuples of nonzero signed generator indices (1-based; negative
-means inverse), kept freely reduced.  Coset enumeration is Felsch-style
+A word is a tuple of syllables (generator, exponent): the generator is
+1-based and the exponent a nonzero int, so x^n is the one syllable
+(x, n) whatever n is.  Words are kept freely reduced: adjacent syllables
+name different generators.  Coset enumeration is Felsch-style
 Todd-Coxeter: a definition is followed by every deduction it forces,
 and coincidences go through a union-find queue; a run either completes
 (the subgroup index is certain) or exhausts its coset budget
@@ -10,31 +12,29 @@ and coincidences go through a union-find queue; a run either completes
 The orbifold presentation states each torsion relation once: a power
 family x^(p^i), i >= k, has the normal closure of x^(p^k) alone.
 
-Each step does work in proportion to the group, not to the length of
-its torsion powers.  A relator that is one letter repeated, x^n, is
-recognised by one count of its first letter and handled as (x, n): the
-range check reads x, the abelianization adds n to x's exponent sum and
-the enumeration traces it once round x's cycle through a coset, so no
-step hashes its letters.  Every other relator word has one prepared
-form per process, made by a bounded cache keyed on the word: the letter
-the range check reads, the table columns of its cyclic reduction, the
-distinct cyclic conjugates the enumeration scans, and its nonzero
-exponent sums.  The builder makes the relators that do not depend on p
-once per process, so a certificate for any p finds theirs prepared.
-A new table entry is scanned against all the relator conjugates that
-start with its letter in one loop, and the replay of a completed table
-checks a power x^n by the length of x's cycle.
+Each relator word has one prepared form per process, made by a bounded
+cache keyed on the word: the generators the range check reads, the
+table columns of its cyclic reduction, the distinct cyclic conjugates
+the enumeration scans, and its nonzero exponent sums.  A word that
+reduces to one syllable x^n is traced once round x's cycle through a
+coset, as x's column and n; any other is spelled as table columns.
+The relators of the orbifold presentation that do not depend on p are
+made once per process, so a certificate for any p finds theirs
+prepared.  A new table entry is scanned against all the relator
+conjugates that start with its letter in one loop, and the replay of a
+completed table checks a power x^n by the length of x's cycle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache, lru_cache
 
 from .abelian import AbelianGroup
 from .exact import IntMatrix, smith_normal_form
 from .record import field, record
 
-Word = tuple[int, ...]
+Word = tuple[tuple[int, int], ...]  # (generator, exponent) syllables
 
 
 class NotApplicable(ValueError):
@@ -42,42 +42,52 @@ class NotApplicable(ValueError):
 
 
 def free_reduce(w) -> Word:
-    out: list[int] = []
-    for g in w:
-        if out and out[-1] == -g:
-            out.pop()
-        else:
-            out.append(g)
+    """w with adjacent syllables on one generator merged and every
+    exponent that sums to 0 dropped."""
+    out: list[tuple[int, int]] = []
+    for g, e in w:
+        if out and out[-1][0] == g:
+            e += out.pop()[1]
+        if e:
+            out.append((g, e))
     return tuple(out)
 
 
 def cyclic_reduce(w) -> Word:
-    w = free_reduce(w)
-    k = 0  # letters that cancel at each end
-    while 2 * k + 1 < len(w) and w[k] == -w[-1 - k]:
-        k += 1
-    return w[k:len(w) - k]
+    """free_reduce(w) with the letters that cancel at its two ends cut:
+    ends x^a ... x^b of opposite signs lose min(|a|, |b|) letters each.
+    Ends of one sign are not merged, since that would rotate the word."""
+    w = list(free_reduce(w))
+    i, j = 0, len(w) - 1
+    while i < j and w[i][0] == w[j][0] and (w[i][1] > 0) != (w[j][1] > 0):
+        g, e = w[i][0], w[i][1] + w[j][1]
+        if e * w[i][1] > 0:  # the head outlasts the tail
+            w[i], j = (g, e), j - 1
+        elif e:
+            w[j], i = (g, e), i + 1
+        else:
+            i, j = i + 1, j - 1
+    return tuple(w[i:j + 1])
 
 
 def inverse_word(w) -> Word:
-    return tuple(-g for g in reversed(w))
+    return tuple((g, -e) for g, e in reversed(w))
 
 
-def _is_power(w: Word) -> bool:
-    """w is one letter repeated; one count in C, no letter hashed."""
-    return w.count(w[0]) == len(w)
+def _column(g: int, e: int) -> int:
+    """The table column of generator g, 2(g - 1), or the next for e < 0."""
+    return 2 * g - 2 + (e < 0)
 
 
-def _column(g: int) -> int:
-    """The table column of letter g: 2(|g| - 1), or the next for g^-1."""
-    return 2 * abs(g) - 2 + (g < 0)
-
-
-def _power_item(x: int, n: int) -> tuple:
-    """x^n as the enumeration traces it: x's column in place of the
-    column list, first and last index, and the power flag.  Every letter
-    of x^n is in that one column, so it is never spelled out."""
-    return _column(x), 0, n - 1, True
+def _item(w: Word) -> tuple:
+    """Nonempty reduced w as the enumeration traces it: (columns, first
+    index, last index, power).  A power x^n is x's column in place of the
+    column list and the power flag, so it is never spelled out."""
+    if len(w) == 1:
+        (g, e), = w
+        return _column(g, e), 0, abs(e) - 1, True
+    cols = [c for g, e in w for c in [_column(g, e)] * abs(e)]
+    return cols, 0, len(cols) - 1, False
 
 
 def _period(w) -> int:
@@ -89,40 +99,38 @@ def _period(w) -> int:
 
 @lru_cache(maxsize=1024)
 def _prepared(r: Word) -> tuple:
-    """The prepared form of a relator word that is not a power:
-    (letter, item, conjugates, sums).
+    """The prepared form of a relator word: (span, item, conjugates, sums).
 
-    letter is 0 if r holds a 0, else a letter of largest |g|: the one
-    the range check of a presentation reads.  item is cyclic_reduce(r)
-    as the enumeration traces it, (columns, 0, last, power), or None if
-    it reduces to nothing; conjugates pairs the first column of each of
-    its distinct cyclic conjugates with that conjugate's item; sums
-    lists the (generator - 1, exponent sum) pairs that are not zero.
-    A pure function of r, so one form serves every presentation that
-    has r; no caller writes to the column lists it shares.
+    span is the least and the largest generator r names ((1, 0) if none),
+    which the range check of a presentation reads.  item is
+    cyclic_reduce(r) as the enumeration traces it, or None if it reduces
+    to nothing; conjugates pairs the first column of each of its distinct
+    cyclic conjugates with that conjugate's item; sums lists the
+    (generator - 1, exponent sum) pairs that are not zero.  A pure
+    function of r, so one form serves every presentation that has r; no
+    caller writes to the column lists it shares.
     """
-    if 0 in r:
-        return 0, None, (), ()
+    gens = {g for g, _ in r}
+    span = min(gens, default=1), max(gens, default=0)
+    if span[0] < 1:
+        return span, None, (), ()
     w = cyclic_reduce(r)
-    if not w:
-        item, conjugates = None, ()
-    elif _is_power(w):  # reduces to x^n, its own only conjugate
-        item = _power_item(w[0], len(w))
+    item = _item(w) if w else None
+    if item is None:
+        conjugates = ()
+    elif item[3]:  # reduces to x^n, its own only conjugate
         conjugates = ((item[0], item),)
     else:
         # written twice, every conjugate is a slice; a word of period d
         # has d distinct ones
-        cols = list(map(_column, w))
-        item = cols, 0, len(cols) - 1, False
+        cols = item[0]
         twice = cols + cols
         conjugates = tuple((twice[s], (twice, s, s + len(cols) - 1, False))
                            for s in range(_period(cols)))
-    sums: dict[int, int] = {}
-    for g in set(r):
-        i = abs(g) - 1
-        sums[i] = sums.get(i, 0) + (r.count(g) if g > 0 else -r.count(g))
-    return (max(r, key=abs), item, conjugates,
-            tuple((i, e) for i, e in sums.items() if e))
+    sums = Counter()
+    for g, e in r:
+        sums[g - 1] += e
+    return span, item, conjugates, tuple((i, e) for i, e in sums.items() if e)
 
 
 @record(frozen=True)
@@ -133,30 +141,25 @@ class Presentation:
     def __post_init__(self):
         n = len(self.generators)
         for r in self.relators:
-            if not r:
-                continue
-            # x^k is checked by x, another word by its prepared letter
-            g = r[0] if _is_power(r) else _prepared(r)[0]
-            if g == 0 or abs(g) > n:
-                raise ValueError(f"relator index {g} out of range")
+            low, high = _prepared(r)[0]
+            if low < 1 or high > n:
+                raise ValueError(f"relator generator "
+                                 f"{low if low < 1 else high} out of range")
 
-    def word(self, *letters) -> Word:
+    def word(self, *items) -> Word:
         """Build a word from generator names; 'x' or ('x', exp)."""
         idx = {name: i + 1 for i, name in enumerate(self.generators)}
-        out: list[int] = []
-        for item in letters:
-            name, exp = item if isinstance(item, tuple) else (item, 1)
-            g = idx[name]
-            out.extend([g if exp > 0 else -g] * abs(exp))
-        return free_reduce(out)
+        return free_reduce((idx[name], exp) for name, exp in (
+            item if isinstance(item, tuple) else (item, 1) for item in items))
 
     def spell(self, w: Word) -> str:
-        return " ".join(self.generators[abs(g) - 1] + ("" if g > 0 else "^-1")
-                        for g in w) or "1"
+        return " ".join(self.generators[g - 1] + ("" if e == 1 else f"^{e}")
+                        for g, e in w) or "1"
 
 
 def presentation(gen_names, relator_specs) -> Presentation:
-    """Presentation from name list and relators as letter lists."""
+    """Presentation from name list and relators as lists of names and
+    (name, exponent) pairs."""
     p = Presentation(tuple(gen_names), ())
     rels = tuple(cyclic_reduce(p.word(*spec)) for spec in relator_specs)
     return Presentation(tuple(gen_names), rels)
@@ -176,15 +179,11 @@ def abelianize(p: Presentation) -> AbelianGroup:
     n = len(p.generators)
     rows = []
     for r in p.relators:
-        if not r:
-            continue
-        row = [0] * n
-        if _is_power(r):  # x^k: k is x's exponent sum
-            row[abs(r[0]) - 1] = len(r) if r[0] > 0 else -len(r)
-        else:
-            for i, e in _prepared(r)[3]:
+        sums = _prepared(r)[3]
+        if sums:
+            row = [0] * n
+            for i, e in sums:
                 row[i] = e
-        if any(row):
             rows.append(row)
     if not rows:
         return AbelianGroup(rank=n)
@@ -198,53 +197,43 @@ def tietze_simplify(p: Presentation) -> Presentation:
 
     Freely/cyclically reduces and deduplicates relators, drops empty
     ones, and eliminates any generator that some relator isolates (one
-    occurrence, exponent +-1, so the relator solves for it).
+    syllable, exponent +-1, so the relator solves for it).
     """
     gens = list(p.generators)
     rels = [cyclic_reduce(r) for r in p.relators]
     changed = True
     while changed:
         changed = False
-        rels = [r for r in rels if r]
-        seen = set()
-        deduped = []
-        for r in rels:
-            if r not in seen:
-                seen.add(r)
-                deduped.append(r)
-        rels = deduped
+        rels = list(dict.fromkeys(r for r in rels if r))
         for ri, r in enumerate(rels):
-            target = None
-            for pos, g in enumerate(r):
-                occurrences = sum(1 for h in r if abs(h) == abs(g))
-                if occurrences == 1:
-                    target = (pos, g)
-                    break
-            if target is None:
+            letters = Counter()
+            for g, e in r:
+                letters[g] += abs(e)
+            pos = next((k for k, (g, _) in enumerate(r) if letters[g] == 1),
+                       None)
+            if pos is None:
                 continue
-            pos, g = target
-            # r = prefix . g . suffix = 1  =>  g = (prefix)^-1 (suffix)^-1
-            prefix, suffix = r[:pos], r[pos + 1:]
-            value = free_reduce(inverse_word(prefix) + inverse_word(suffix))
-            if g < 0:
+            dead, e = r[pos]
+            # r = prefix . g^e . suffix = 1  =>  g^e = prefix^-1 suffix^-1
+            value = free_reduce(inverse_word(r[:pos])
+                                + inverse_word(r[pos + 1:]))
+            if e < 0:
                 value = inverse_word(value)
-            dead = abs(g)
+            # renumber the generators above the eliminated one
+            value = tuple((h - (h > dead), f) for h, f in value)
             new_rels = []
             for k, other in enumerate(rels):
                 if k == ri:
                     continue
-                out: list[int] = []
-                for h in other:
-                    if abs(h) == dead:
-                        out.extend(value if h > 0 else inverse_word(value))
+                out: list[tuple[int, int]] = []
+                for h, f in other:
+                    if h == dead:
+                        out.extend((value if f > 0 else inverse_word(value))
+                                   * abs(f))
                     else:
-                        out.append(h)
+                        out.append((h - (h > dead), f))
                 new_rels.append(cyclic_reduce(out))
-            # renumber generators above the eliminated one
-            def shift(w):
-                return tuple(h - 1 if h > dead else (h + 1 if h < -dead else h)
-                             for h in w)
-            rels = [shift(w) for w in new_rels]
+            rels = new_rels
             gens.pop(dead - 1)
             changed = True
             break
@@ -284,50 +273,41 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
     inverted relators trace the same cycles backwards, so they add
     nothing.  A scan fills an entry only when exactly one is missing;
     entries made by scans and by coincidences are deductions too.  A
-    power x^n of one letter is traced round x's cycle through the coset
-    once: when the cycle closes after k letters, the whole rounds are
-    skipped and the n mod k letters left are traced.
+    word that reduces to one syllable x^n is traced round x's cycle
+    through the coset once: when the cycle closes after k letters, the
+    whole rounds are skipped and the n mod k letters left are traced.
     Complete(n) certifies index n; Exhausted(max_cosets) is inconclusive.
     max_cosets bounds the rows ever defined, dead or alive.  Completed
     tables are replayed against every relator and subgroup generator
     before being returned; x^n holds at a coset when the length of x's
     cycle through it divides n.
-    A relator's conjugates, the scan at coset 0 and the replay read the
-    column list of its prepared form.  A power of one letter is already
-    reduced: it is its own only conjugate, and it is carried as x's
-    column and n, never as n copies of the column.
+    A relator's conjugates, the scan at coset 0 and the replay read its
+    prepared form, and a subgroup word is traced as the item of its free
+    reduction.
     """
     n = len(p.generators)
     ncols = 2 * n
     # relators: the item of each relator that does not reduce to nothing;
     # conjugates[x]: the items for each distinct cyclic conjugate
     # w[first..last] of a relator that starts with column x, relator by
-    # relator.  A power is its own only conjugate
+    # relator
     relators: list[tuple] = []
     conjugates: list[list] = [[] for _ in range(ncols)]
     for r in p.relators:
-        if not r:
-            continue
-        if _is_power(r):
-            h = _power_item(r[0], len(r))
-            conj = ((h[0], h),)
-        else:
-            _, h, conj, _ = _prepared(r)
+        _, h, conj, _ = _prepared(r)
         if h is not None:
             relators.append(h)
         for x, c in conj:
             conjugates[x].append(c)
 
-    letters = set(range(-n, n + 1)) - {0}
     subgroup_words = []
     for w in subgroup:
-        if not letters >= set(w):
-            raise ValueError(f"subgroup word {w} has a letter out of range")
+        if not all(1 <= g <= n for g, _ in w):
+            raise ValueError(f"subgroup word {w} has a generator out of "
+                             "range")
         w = free_reduce(w)
         if w:  # the empty word is in every subgroup
-            subgroup_words.append(
-                _power_item(w[0], len(w)) if _is_power(w)
-                else (list(map(_column, w)), 0, len(w) - 1, False))
+            subgroup_words.append(_item(w))
 
     table: list[list] = [[None] * ncols]
     parent = [0]
@@ -570,13 +550,13 @@ def build_pi1_orb_presentation(p_prime: int,
     stands for the family U^(p^i), i = 3..max_power (none if max_power < 3):
     U^(p^i) = (U^(p^3))^(p^(i-3)) lies in the normal closure of U^(p^3).
     The torsion powers follow the relators that do not depend on p, each
-    spelled once, directly as the cyclically reduced tuple it is.
+    one syllable, so no relator grows with p.
     """
     g1, g2, u = (_PI1_GENERATORS.index(name) + 1
                  for name in ("g1", "g2", "U"))
-    rels = _fixed_relators() + ((g1,) * p_prime, (g2,) * p_prime ** 2)
+    rels = _fixed_relators() + (((g1, p_prime),), ((g2, p_prime ** 2),))
     if max_power >= 3:
-        rels += ((u,) * p_prime ** 3,)
+        rels += (((u, p_prime ** 3),),)
     return Presentation(_PI1_GENERATORS, rels)
 
 

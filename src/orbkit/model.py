@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .exact import IntMatrix, mod_inverse, radical_quotient
 from .record import field, record, replace
@@ -341,6 +341,14 @@ def validate_config(cfg: OrbifoldConfig) -> list[Violation]:
                                  "basis references untracked surface"))
         else:
             mat = cfg.pairing_matrix()
+            # the basis spans H2(X; Q) only if its pairing is nondegenerate:
+            # an exact determinant, of the pairing scaled to integers
+            scale = lcm(*(x.denominator for row in mat for x in row))
+            scaled = [[x.numerator * (scale // x.denominator) for x in row]
+                      for row in mat]
+            if IntMatrix.from_rows(scaled).det() == 0:
+                out.append(Violation("DegeneratePairing", "basis",
+                                     "the basis pairing has determinant 0"))
             for s in cfg.surfaces:
                 if s.qclass is None:
                     continue

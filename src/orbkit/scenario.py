@@ -23,12 +23,12 @@ Only glued_Z takes p.  Explicit form replaces [builtin] with [config] /
 [surface ID] / [point ID] / [event ID] sections, each ID unique among
 the sections of its kind, and an optional [script] section whose lines
 are operations, each the surgery move SCRIPT_OPS names.  SCRIPT_OPS
-also states which surface ids each op needs, adds and drops, so a line
-naming a surface that is not there, or adding one under an id in use,
-is a parse error.  What a move adds unnamed gets the first free id of
-E1, E2, ... (a blow_up's sphere), dp1, dp2, ... (a blow_down's point)
-or ev1, ev2, ... (an intersection event), and a later line may name
-such a sphere::
+also states which surface ids each op needs, adds and drops, and which
+point id it adds, so a line naming a surface that is not there, or
+adding a surface or a point under an id in use, is a parse error.  What
+a move adds unnamed gets the first free id of E1, E2, ... (a blow_up's
+sphere), dp1, dp2, ... (a blow_down's point) or ev1, ev2, ... (an
+intersection event), and a later line may name such a sphere::
 
     blow_up through=C,L id=E
     blow_up through=E        # adds E1
@@ -54,8 +54,8 @@ from .record import record
 
 BUILTINS = ("block_Y", "block_W", "glued_Z")
 SPIN_TARGETS = ("spin", "nonspin", "any")
-# the largest isotropy prime taken: the pi_1 presentation of glued_Z
-# spells U^(p^3) letter by letter, 912,673 letters at p = 97
+# the largest isotropy prime taken: the largest that the report digests
+# pin
 MAX_PRIME = 97
 
 
@@ -90,13 +90,15 @@ class Scenario:
 class OpRule:
     """A [script] op: the surgery move it calls, held by name so that a
     rebound move is the one called, and what its keys mean.  A blow_up
-    without id= adds the sphere E<k> that OrbifoldConfig.fresh_id draws."""
+    without id= adds the sphere E<k>, and a blow_down without point= the
+    point dp<k>, that OrbifoldConfig.fresh_id draws."""
 
     move: str
     keywords: dict  # script key -> the move's keyword, in grammar order
     required: tuple[str, ...]  # in grammar order
     refs: tuple[str, ...]  # keys naming surfaces that must exist
     adds: str | None = None  # key naming the surface the op adds
+    adds_point: str | None = None  # key naming the point the op adds
     drops: str | None = None  # key naming the surface the op drops
     listed: str | None = None  # key whose value is ids joined by commas
 
@@ -116,7 +118,8 @@ SCRIPT_OPS = {
                       ("through",), ("through",), adds="id", listed="through"),
     "blow_down": OpRule("blow_down_minus2",
                         {"sphere": "sphere", "point": "point_id"},
-                        ("sphere",), ("sphere",), drops="sphere"),
+                        ("sphere",), ("sphere",), drops="sphere",
+                        adds_point="point"),
     "resolve": OpRule("resolve_torus_pair",
                       {"t1": "t1", "t2": "t2", "id": "new_id"},
                       ("t1", "t2", "id"), ("t1", "t2"), adds="id"),
@@ -221,9 +224,9 @@ def _check_surfaces(ids, known, ln):
             raise ParseError(ln, f"undefined surface {sid!r}")
 
 
-def _parse_script_line(ln, line, known):
-    """The ScriptOp of one [script] line; known, the set of surface ids
-    before it, becomes the set after it."""
+def _parse_script_line(ln, line, surfaces, points):
+    """The ScriptOp of one [script] line; surfaces and points, the sets of
+    ids before it, become the sets after it."""
     op, *chunks = line.split()
     if op not in SCRIPT_OPS:
         raise ParseError(ln, f"unknown operation {op!r}")
@@ -242,15 +245,21 @@ def _parse_script_line(ln, line, known):
         if key not in args:
             raise ParseError(ln, f"{op} requires {key}=")
     for key in rule.refs:
-        _check_surfaces(rule.ids(key, args[key]), known, ln)
-    # before the drop: the move refuses rename old=X new=X too
-    if args.get(rule.adds) in known:
-        raise ParseError(ln, f"surface id {args[rule.adds]!r} already in use")
+        _check_surfaces(rule.ids(key, args[key]), surfaces, ln)
+    # (key, kind, ids of that kind, prefix of a drawn id) of what the op
+    # adds; checked before the drop, since the move refuses rename old=X
+    # new=X too
+    added = ((rule.adds, "surface", surfaces, "E"),
+             (rule.adds_point, "point", points, "dp"))
+    for key, kind, ids, _ in added:
+        if args.get(key) in ids:
+            raise ParseError(ln, f"{kind} id {args[key]!r} already in use")
     if rule.drops:
-        known.discard(args[rule.drops])
-    if rule.adds:
-        known.add(args[rule.adds] if rule.adds in args
-                  else OrbifoldConfig.fresh_id("E", known))
+        surfaces.discard(args[rule.drops])
+    for key, _, ids, prefix in added:
+        if key:
+            ids.add(args[key] if key in args
+                    else OrbifoldConfig.fresh_id(prefix, ids))
     return ScriptOp(op, tuple(args.items()))
 
 
@@ -337,8 +346,9 @@ def parse_scenario(text: str) -> Scenario:
         elif kind == "script":
             if config is None:
                 raise ParseError(h_ln, "[script] requires [config]")
-            known = {s.id for s in config.surfaces}
-            script += [_parse_script_line(ln, line, known)
+            surfaces = set(config.ids("surfaces"))
+            points = set(config.ids("points"))
+            script += [_parse_script_line(ln, line, surfaces, points)
                        for ln, line in body]
         elif kind == "seifert":
             if seifert is not None:

@@ -7,8 +7,9 @@ commutators, sometimes an abelian closure that makes the group finite,
 up to two subgroup words and a coset bound from BOUNDS.  The golden
 holds each case's input with its status, table, cosets defined and
 coincidences, so a change to the order of definitions or deductions
-shows up here even where the index stays the same.  Regenerate it only
-for an intended change of output:
+shows up here even where the index stays the same.  Cases are drawn and
+stored as letter words, and each word is passed to orbkit in syllables.
+Regenerate the golden only for an intended change of output:
 
     PYTHONPATH=src python tests/test_coset_golden.py
 """
@@ -20,14 +21,13 @@ from pathlib import Path
 
 import pytest
 
+from letter_words import commutator, inverse_word, syllables
 from orbkit.fpgroup import (
     Complete,
     Presentation,
     _prepared,
     abelianize,
-    commutator,
     coset_enumerate,
-    inverse_word,
 )
 
 GOLDEN = Path(__file__).parent / "goldens" / "coset_enumerate_random.json"
@@ -84,8 +84,9 @@ def cases() -> list[dict]:
 def result(case: dict) -> dict:
     """case with the fields of its CosetTable, in JSON's lists."""
     pres = Presentation(tuple(case["generators"]),
-                        tuple(map(tuple, case["relators"])))
-    res = coset_enumerate(pres, subgroup=[tuple(w) for w in case["subgroup"]],
+                        tuple(map(syllables, case["relators"])))
+    res = coset_enumerate(pres,
+                          subgroup=list(map(syllables, case["subgroup"])),
                           max_cosets=case["bound"])
     status = res.status
     return {"generators": case["generators"],
@@ -144,18 +145,18 @@ def test_closure_ignores_relator_order_and_repetition(change):
 
 
 def test_prepared_forms_change_no_result():
-    # each relator word that is not a power is prepared once per process;
-    # a pass with the cache empty, a pass that finds every form made and
-    # a pass after the cache has evicted them all must give the golden
+    # each relator word is prepared once per process; a pass with the
+    # cache empty, a pass that finds every form made and a pass after the
+    # cache has evicted them all must give the golden
     def run():
         made = _prepared.cache_info().misses
         out = [(result(case), str(abelianize(Presentation(
-            tuple(case["generators"]), tuple(map(tuple, case["relators"]))))))
+            tuple(case["generators"]),
+            tuple(map(syllables, case["relators"]))))))
             for case in cases()]
         return out, _prepared.cache_info().misses - made
 
-    words = {tuple(r) for case in cases() for r in case["relators"]
-             if r and r.count(r[0]) != len(r)}
+    words = {syllables(r) for case in cases() for r in case["relators"]}
     bound = _prepared.cache_info().maxsize
     assert len(words) < bound
     _prepared.cache_clear()
@@ -163,8 +164,8 @@ def test_prepared_forms_change_no_result():
     assert made == len(words)
     second, made = run()
     assert made == 0
-    for k in range(bound):  # as many other words (letter 4 is in none)
-        Presentation(tuple("abcd"), ((4,) * (k + 1) + (1,),))
+    for k in range(bound):  # as many other words (generator 4 is in none)
+        Presentation(tuple("abcd"), (((4, k + 1), (1, 1)),))
     third, made = run()
     assert made == len(words)
     assert [res for res, _ in first] == _golden()

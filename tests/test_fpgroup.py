@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from collections import Counter
+import tracemalloc
 from math import gcd, prod
 from pathlib import Path
 
@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import letter_words
 import orbkit
+from letter_words import syllables
 from orbkit.abelian import AbelianGroup
 from orbkit.exact import IntMatrix, smith_normal_form
 from orbkit.fpgroup import (
@@ -17,6 +19,8 @@ from orbkit.fpgroup import (
     Exhausted,
     NotApplicable,
     Presentation,
+    _fixed_relators,
+    _prepared,
     abelianize,
     build_pi1_orb_presentation,
     commutator,
@@ -44,56 +48,60 @@ FREE2 = presentation(["a", "b"], [])
 
 class TestWords:
     def test_free_reduce(self):
-        assert free_reduce((1, -1, 2)) == (2,)
-        assert free_reduce((1, 2, -2, -1)) == ()
-        assert free_reduce((1, 2, -2, 1)) == (1, 1)
+        assert free_reduce(((1, 1), (1, -1), (2, 1))) == ((2, 1),)
+        assert free_reduce(((1, 1), (2, 1), (2, -1), (1, -1))) == ()
+        assert free_reduce(((1, 1), (2, 1), (2, -1), (1, 1))) == ((1, 2),)
 
     def test_cyclic_reduce(self):
-        assert cyclic_reduce((1, 2, -1)) == (2,)
-        assert cyclic_reduce((1, 2, 3)) == (1, 2, 3)
+        assert cyclic_reduce(((1, 1), (2, 1), (1, -1))) == ((2, 1),)
+        assert cyclic_reduce(((1, 1), (2, 1), (3, 1))) \
+            == ((1, 1), (2, 1), (3, 1))
 
     def test_cyclic_reduce_long_conjugate(self):
         # u r u^-1 with |u| = 100,000: the ends are cut in one slice; cut
         # one pair at a time, this test took about a minute
-        u = (1, 2, -3, 2) * 25_000
-        core = (3, 1, 3, -2)
+        u = ((1, 1), (2, 1), (3, -1), (2, 1)) * 25_000
+        core = ((3, 1), (1, 1), (3, 1), (2, -1))
         assert cyclic_reduce(u + core + inverse_word(u)) == core
-        assert cyclic_reduce((1,) * 100_000 + (2,) + (-1,) * 100_000) == (2,)
-        assert cyclic_reduce((1,) * 100_000 + (-1,) * 100_000) == ()
+        assert cyclic_reduce(((1, 100_000), (2, 1), (1, -100_000))) \
+            == ((2, 1),)
+        assert cyclic_reduce(((1, 100_000), (1, -100_000))) == ()
 
     def test_inverse(self):
-        w = (1, 2, -3)
-        assert inverse_word(w) == (3, -2, -1)
+        w = ((1, 1), (2, 1), (3, -1))
+        assert inverse_word(w) == ((3, 1), (2, -1), (1, -1))
         assert free_reduce(w + inverse_word(w)) == ()
 
     def test_commutator_of_commuting_letters(self):
-        assert commutator((1,), (1,)) == ()
+        assert commutator(((1, 1),), ((1, 1),)) == ()
 
     def test_word_builder_and_spell(self):
         p = FREE2
-        assert p.word("a", ("b", -2)) == (1, -2, -2)
-        assert p.spell((1, -2)) == "a b^-1"
+        assert p.word("a", ("b", -2)) == ((1, 1), (2, -2))
+        assert p.spell(((1, 1), (2, -1))) == "a b^-1"
         assert p.spell(()) == "1"
 
     def test_out_of_range_relator(self):
         with pytest.raises(ValueError):
-            Presentation(("a",), ((2,),))
+            Presentation(("a",), (((2, 1),),))
 
-    @pytest.mark.parametrize("relators", [((1, 0),), ((1,), (1, -2))])
+    @pytest.mark.parametrize("relators", [(((1, 1), (0, 1)),),
+                                          (((1, 1),), ((1, 1), (2, -1)))])
     def test_each_out_of_range_letter_is_refused(self, relators):
         with pytest.raises(ValueError, match="out of range"):
             Presentation(("a",), relators)
 
     @pytest.mark.parametrize("bad", [0, 2, -2])
     def test_bad_letter_in_a_long_power_is_refused(self, bad):
-        # a power is checked by its one letter, any other word by its
-        # prepared form: neither may miss a letter among 10^5
+        # every word is checked by its prepared form, which may not miss a
+        # generator next to powers of 50,000
         k = 50_000
         for r in ((1,) * k + (bad,) + (1,) * k, (bad,) * (2 * k + 1)):
             with pytest.raises(ValueError, match="out of range"):
-                Presentation(("a",), (r,))
+                Presentation(("a",), (syllables(r),))
 
-    @pytest.mark.parametrize("r", [(1, 2, 3, -1), (3, 3, -2), (-3,) * 4])
+    @pytest.mark.parametrize("r", [((1, 1), (2, 1), (3, 1), (1, -1)),
+                                   ((3, 2), (2, -1)), ((3, -4),)])
     def test_prepared_word_is_checked_for_each_presentation(self, r):
         # a form prepared for three generators is out of range for two
         assert Presentation(("a", "b", "c"), (r,)).relators == (r,)
@@ -135,7 +143,8 @@ class TestAbelianize:
 def _mixed_presentations(draw, max_gens=4):
     """Relators on 1 to max_gens generators: commutators, empty words,
     other words of exponent sum zero, powers, random words and repeats
-    of earlier relators, not necessarily reduced."""
+    of earlier relators, not necessarily reduced; drawn as letters and
+    written in syllables."""
     n = draw(st.integers(1, max_gens))
     letters = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
     words = st.lists(letters, max_size=5).map(tuple)
@@ -144,7 +153,7 @@ def _mixed_presentations(draw, max_gens=4):
         kind = draw(st.sampled_from(
             ("commutator", "empty", "zero", "power", "word", "repeat")))
         if kind == "commutator":
-            r = commutator(draw(words), draw(words))
+            r = letter_words.commutator(draw(words), draw(words))
         elif kind == "empty":
             r = ()
         elif kind == "zero":  # w, then the inverses of its letters shuffled
@@ -157,15 +166,15 @@ def _mixed_presentations(draw, max_gens=4):
         else:
             r = draw(words)
         rels.append(r)
-    return Presentation(tuple("abcd"[:n]), tuple(rels))
+    return Presentation(tuple("abcd"[:n]), tuple(map(syllables, rels)))
 
 
 def _finite_closure(draw, pres: Presentation) -> Presentation:
     """pres with every commutator of generators and a power of each added:
     an abelian group of order at most 4^n, so enumeration completes."""
     n = len(pres.generators)
-    powers = [(g,) * draw(st.integers(1, 4)) for g in range(1, n + 1)]
-    commutators = [commutator((g,), (h,))
+    powers = [((g, draw(st.integers(1, 4))),) for g in range(1, n + 1)]
+    commutators = [commutator(((g, 1),), ((h, 1),))
                    for g in range(1, n + 1) for h in range(g + 1, n + 1)]
     return Presentation(pres.generators,
                         pres.relators + tuple(commutators + powers))
@@ -177,8 +186,8 @@ def _full_matrix_abelianization(pres: Presentation) -> AbelianGroup:
     n = len(pres.generators)
     if not pres.relators:
         return AbelianGroup(rank=n)
-    rows = [[c[g] - c[-g] for g in range(1, n + 1)]
-            for c in map(Counter, pres.relators)]
+    rows = [[sum(e for g, e in r if g == h) for h in range(1, n + 1)]
+            for r in pres.relators]
     factors = smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors()
     return AbelianGroup(n - len(factors), tuple(d for d in factors if d > 1))
 
@@ -218,7 +227,7 @@ class TestAbelianizeDifferential:
             lambda g: st.sampled_from((g, -g)))
         conjugates = []
         for r in finite.relators:
-            u = tuple(data.draw(st.lists(letters, max_size=4)))
+            u = syllables(data.draw(st.lists(letters, max_size=4)))
             conjugates.append(free_reduce(u + r + inverse_word(u)))
         conjugated = Presentation(finite.generators, tuple(conjugates))
         reduced = Presentation(finite.generators,
@@ -245,7 +254,7 @@ class TestTietze:
             assert abelianize(tietze_simplify(p)) == abelianize(p)
 
     def test_drops_trivial_relators(self):
-        p = Presentation(("a",), ((), (1, -1)))
+        p = Presentation(("a",), ((), ((1, 1), (1, -1))))
         assert tietze_simplify(p).relators == ()
 
 
@@ -262,10 +271,11 @@ class TestCosetEnumeration:
         res = coset_enumerate(z6, subgroup=[z6.word(("a", 2))])
         assert res.status == Complete(2)
 
-    @pytest.mark.parametrize("word", [(3,), (0,), (1, -3)])
+    @pytest.mark.parametrize("word", [((3, 1),), ((0, 1),),
+                                      ((1, 1), (3, -1))])
     def test_out_of_range_subgroup_letter(self, word):
         with pytest.raises(ValueError, match="out of range"):
-            coset_enumerate(FREE2, subgroup=[(1,), word])
+            coset_enumerate(FREE2, subgroup=[((1, 1),), word])
 
     def test_free_group_exhausts(self):
         res = coset_enumerate(FREE2, max_cosets=100)
@@ -307,9 +317,9 @@ class TestCosetEnumeration:
            long_first=st.booleans())
     def test_long_powers_against_closed_form(self, m, n, s, t, long_first):
         assume(gcd(s, t) == 1)
-        powers = ((1,) * (m * s), (1,) * (m * t))
+        powers = (((1, m * s),), ((1, m * t),))
         pres = Presentation(("a", "b"), powers[::-1 if long_first else 1]
-                            + ((2,) * n, (1, 2, -1, -2)))
+                            + (((2, n),), ((1, 1), (2, 1), (1, -1), (2, -1))))
         assert coset_enumerate(pres).status == Complete(m * n)
 
 
@@ -325,16 +335,19 @@ def _sympy_group(pres: Presentation):
 
     def word(w):
         out = F.identity
-        for g in w:
-            out *= gens[abs(g) - 1] ** (1 if g > 0 else -1)
+        for g, e in w:
+            out *= gens[g - 1] ** e
         return out
 
     return fp_groups.FpGroup(F, [word(r) for r in pres.relators]), word
 
 
 def _rotated(w: tuple, k: int, invert: bool) -> tuple:
+    """Letter word w rotated by k letters, and inverted or not, in
+    syllables."""
     k %= len(w)
-    return inverse_word(w[k:] + w[:k]) if invert else w[k:] + w[:k]
+    w = w[k:] + w[:k]
+    return syllables(letter_words.inverse_word(w) if invert else w)
 
 
 class TestSympyOracle:
@@ -400,20 +413,20 @@ FIXED_RELATORS = [
     "U g1 U^-1 g1^-1",
     "U g2 U^-1 g2^-1",
     "a b a^-1 b^-1 U",
-    "a b a^-1 b^-1 x2 y2 z2 g2^-1 g2^-1",
-    "x1 x1 g1^-1",
-    "y1 y1 g1^-1",
-    "z1 z1 g1^-1",
-    "x2 x2 g2^-1",
-    "y2 y2 g2^-1",
-    "z2 z2 g2^-1",
+    "a b a^-1 b^-1 x2 y2 z2 g2^-2",
+    "x1^2 g1^-1",
+    "y1^2 g1^-1",
+    "z1^2 g1^-1",
+    "x2^2 g2^-1",
+    "y2^2 g2^-1",
+    "z2^2 g2^-1",
     "a b a^-1 b^-1 a b a^-1 b^-1 x1 y1 z1 g1^-1",
-    "a y2 x2 g2^-1 g2^-1",
-    "b x2 z2 g2^-1 g2^-1",
+    "a y2 x2 g2^-2",
+    "b x2 z2 g2^-2",
     "x1 x2^-1",
     "y1 y2^-1",
     "z1 z2^-1",
-    "U U U U U U U U g1 g1 g1 g1 g1 g2 g2 g2",
+    "U^8 g1^5 g2^3",
 ]
 
 
@@ -448,8 +461,8 @@ class TestOrbifoldGroup:
         for p in (3, 5, 7, 11, 13):
             pres = build_pi1_orb_presentation(p)
             assert pres.relators[:-3] == fixed
-            assert pres.relators[-3:] == ((9,) * p, (10,) * p ** 2,
-                                          (11,) * p ** 3)
+            assert pres.relators[-3:] == (((9, p),), ((10, p ** 2),),
+                                          ((11, p ** 3),))
 
     @pytest.mark.parametrize("p, letters",
                              [(2, 210), (3, 235), (5, 351), (7, 595)])
@@ -457,12 +470,34 @@ class TestOrbifoldGroup:
         # U^(p^i) = (U^(p^3))^(p^(i-3)): one relator stands for the family,
         # so neither the group nor the letter count depends on max_power
         folded = build_pi1_orb_presentation(p, max_power=3)
-        assert sum(len(r) for r in folded.relators) == letters
+        assert sum(abs(e) for r in folded.relators for _, e in r) == letters
         for k in range(4, 9):
             assert build_pi1_orb_presentation(p, max_power=k) == folded
-        u_power = (len(folded.generators),) * p ** 3
+        u_power = ((len(folded.generators), p ** 3),)
         assert build_pi1_orb_presentation(p, max_power=2).relators \
             == tuple(r for r in folded.relators if r != u_power)
+
+    def test_no_relator_grows_with_p(self):
+        # each torsion power is one syllable, so p = 97 writes as many
+        # syllables per relator as p = 2
+        def shape(p):
+            return [len(r) for r in build_pi1_orb_presentation(p).relators]
+        assert shape(97) == shape(2)
+
+    def test_certificate_at_p97_stays_small(self):
+        # build, abelianization and enumeration from cold caches; a
+        # certificate that spelled U^(p^3) out held 7 MiB at once
+        _prepared.cache_clear()
+        _fixed_relators.cache_clear()
+        tracemalloc.start()
+        try:
+            pres = build_pi1_orb_presentation(97)
+            assert abelianize(pres) == AbelianGroup(0, (2, 2))
+            assert coset_enumerate(pres).status == Complete(4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_enumeration_matches_abelianization_order(self):
         pres = build_pi1_orb_presentation(3)

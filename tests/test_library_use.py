@@ -17,7 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # test-only names that stay -> why
 ALLOWED = {
-    "IntMatrix.det": "the SNF's own check: U and V are unimodular",
     "IntMatrix.identity": "the SNF's own check",
     "IntMatrix.zero": "the SNF's own check",
     "IntMatrix.__matmul__": "the SNF's own check: U @ A @ V == D",

@@ -18,6 +18,8 @@ from orbkit.model import (
     validate_config,
 )
 from orbkit.record import replace
+from orbkit.report import run_pipeline
+from orbkit.scenario import Scenario
 from orbkit.surgery import build_Z
 
 
@@ -98,6 +100,28 @@ class TestValidate:
         # A.A must equal q^T M q = 4 * A.A -> only consistent if wrong
         assert "SelfIntersectionMismatch" in \
             [v.kind for v in validate_config(cfg)]
+
+    @pytest.mark.parametrize("self_int, at, degenerate", [
+        (Fraction(1), "smooth", True),  # [[1, 1], [1, 1]]
+        (Fraction(1, 2), "x", True),  # [[1/2, 1/2], [1/2, 1/2]]
+        (Fraction(2), "smooth", False),  # [[2, 1], [1, 2]]
+        (Fraction(1, 2), "smooth", False),  # [[1/2, 1], [1, 1/2]]
+    ])
+    def test_degenerate_pairing_fails_config_valid(self, self_int, at,
+                                                   degenerate):
+        # A and B meet once, smoothly or at a point of order 2; a basis
+        # whose pairing is singular does not span H2(X; Q)
+        cfg = OrbifoldConfig(b2=2, euler=4)
+        cfg.surfaces += [SurfaceData(sid, 0, self_intersection=self_int)
+                         for sid in ("A", "B")]
+        cfg.points.append(SingularPointData("x", 2, (1, 1), ("A", "B")))
+        cfg.add_event("A", "B", at)
+        cfg.basis = ("A", "B")
+        assert [v.kind for v in validate_config(cfg)] \
+            == ["DegeneratePairing"] * degenerate
+        rep = run_pipeline(Scenario(config=cfg))
+        assert ("config_valid", "fail" if degenerate else "pass") \
+            in rep.verdicts
 
     def test_self_intersection_check_matches_dense_reference(self):
         # random pairings on bases up to 6x6 (smooth crossings and shared

@@ -87,7 +87,8 @@ VALID = {
         [(), (2,), (2, 4), (3, 6, 12)])),
     "IntMatrix": _matrix,
     "Presentation": lambda rng: (("a", "b"), tuple(
-        tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(1, 4)))
+        tuple((abs(g), g // abs(g)) for g in (
+            rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(1, 4))))
         for _ in range(rng.randint(0, 3)))),
     "SurfaceData": lambda rng: (
         f"S{rng.randint(0, 2)}", rng.randint(0, 2), rng.randint(1, 3),
@@ -105,7 +106,7 @@ VALID = {
 INVALID = {
     "AbelianGroup": ((0, (4, 6)), ValueError),
     "IntMatrix": ((2, 1, ((1,),)), ValueError),
-    "Presentation": ((("a",), ((2,),)), ValueError),
+    "Presentation": ((("a",), (((2, 1),),)), ValueError),
     "SurfaceData": (("S", 0, 1, 0, "x"), ValueError),
     "SingularPointData": (("p", 0, (1, 1)), ZeroDivisionError),
     "SeifertSpec": ((BLOCK_W, {}, ()), ValueError),

@@ -354,6 +354,7 @@ def _configs(draw):
 def _scripts(draw, cfg):
     """Script ops on known surface ids, tracked as the parser does."""
     known = {s.id for s in cfg.surfaces}
+    points = set(cfg.ids("points"))
     ops = []
     for _ in range(draw(st.integers(0, 5))):
         if not known:
@@ -374,8 +375,13 @@ def _scripts(draw, cfg):
             known.add(new)
         elif op == "blow_down":
             args = [("sphere", sid)]
+            # nor one that adds a point id already in use
             if draw(st.booleans()):
-                args.append(("point", new))
+                point = draw(_IDS.filter(lambda x: x not in points))
+                args.append(("point", point))
+            else:  # the point the move names
+                point = OrbifoldConfig.fresh_id("dp", points)
+            points.add(point)
             known.discard(sid)
         elif op == "resolve":
             args = [("t1", sid), ("t2", draw(st.sampled_from(sorted(known)))),
@@ -614,6 +620,22 @@ class TestCli:
         assert cli.main(["build", str(f)]) == cli.EXIT_INPUT
         assert capsys.readouterr().err == (
             "input error: line 16: surface id 'L' already in use\n")
+
+    @pytest.mark.parametrize("script, line, pid", [
+        ("blow_down sphere=S point=dp1\n", 40, "dp1"),  # declared
+        ("blow_down sphere=S\nblow_down sphere=T point=dp2\n", 41, "dp2"),
+    ], ids=["declared", "drawn"])
+    def test_point_id_in_use_is_input_error(self, tmp_path, capsys, script,
+                                            line, pid):
+        # used to exit 1 with "stage build: point id '...' already in use";
+        # the first blow_down without point= draws dp2, as dp1 is declared
+        f = tmp_path / "s.scn"
+        f.write_text(DRAWN_IDS_TEXT.split("[script]")[0]
+                     + "[surface T]\ngenus = 0\nself = -2\n\n"
+                     + "[event ct]\nbetween = C T\n\n[script]\n" + script)
+        assert cli.main(["build", str(f)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: line {line}: point id {pid!r} already in use\n")
 
     def test_j_is_read_mod_the_multiplicity(self, tmp_path, capsys):
         # j = -1 at multiplicity 3 built, and then verify stopped with
