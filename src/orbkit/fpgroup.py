@@ -5,10 +5,11 @@ A word is a tuple of syllables (generator, exponent): the generator is
 1-based and the exponent a nonzero int, so x^n is the one syllable
 (x, n) whatever n is.  Words are kept freely reduced: adjacent syllables
 name different generators.  Coset enumeration is Felsch-style
-Todd-Coxeter: a definition is followed by every deduction it forces,
-and coincidences go through a union-find queue; a run either completes
-(the subgroup index is certain) or exhausts its coset budget
-(inconclusive, returned as a value, never an exception).
+Todd-Coxeter of the cosets of the identity: a definition is followed by
+every deduction it forces, and coincidences go through a union-find
+queue; a run either completes (the order of the group is certain) or
+exhausts its coset budget (inconclusive, returned as a value, never an
+exception).
 The orbifold presentation states each torsion relation once: a power
 family x^(p^i), i >= k, has the normal closure of x^(p^k) alone.
 
@@ -79,17 +80,6 @@ def _column(g: int, e: int) -> int:
     return 2 * g - 2 + (e < 0)
 
 
-def _item(w: Word) -> tuple:
-    """Nonempty reduced w as the enumeration traces it: (columns, first
-    index, last index, power).  A power x^n is x's column in place of the
-    column list and the power flag, so it is never spelled out."""
-    if len(w) == 1:
-        (g, e), = w
-        return _column(g, e), 0, abs(e) - 1, True
-    cols = [c for g, e in w for c in [_column(g, e)] * abs(e)]
-    return cols, 0, len(cols) - 1, False
-
-
 def _period(w) -> int:
     """Least d > 0 such that rotating w by d letters gives w."""
     n = len(w)
@@ -103,10 +93,12 @@ def _prepared(r: Word) -> tuple:
 
     span is the least and the largest generator r names ((1, 0) if none),
     which the range check of a presentation reads.  item is
-    cyclic_reduce(r) as the enumeration traces it, or None if it reduces
-    to nothing; conjugates pairs the first column of each of its distinct
-    cyclic conjugates with that conjugate's item; sums lists the
-    (generator - 1, exponent sum) pairs that are not zero.  A pure
+    cyclic_reduce(r) as the enumeration traces it, (columns, first index,
+    last index, power), or None if it reduces to nothing; a power x^n
+    has x's column in place of the column list and the power flag, so it
+    is never spelled out.  conjugates pairs the first column of each of
+    its distinct cyclic conjugates with that conjugate's item; sums lists
+    the (generator - 1, exponent sum) pairs that are not zero.  A pure
     function of r, so one form serves every presentation that has r; no
     caller writes to the column lists it shares.
     """
@@ -115,15 +107,17 @@ def _prepared(r: Word) -> tuple:
     if span[0] < 1:
         return span, None, (), ()
     w = cyclic_reduce(r)
-    item = _item(w) if w else None
-    if item is None:
-        conjugates = ()
-    elif item[3]:  # reduces to x^n, its own only conjugate
+    if not w:
+        item, conjugates = None, ()
+    elif len(w) == 1:  # x^n, its own only conjugate
+        (g, e), = w
+        item = _column(g, e), 0, abs(e) - 1, True
         conjugates = ((item[0], item),)
     else:
         # written twice, every conjugate is a slice; a word of period d
         # has d distinct ones
-        cols = item[0]
+        cols = [c for g, e in w for c in [_column(g, e)] * abs(e)]
+        item = cols, 0, len(cols) - 1, False
         twice = cols + cols
         conjugates = tuple((twice[s], (twice, s, s + len(cols) - 1, False))
                            for s in range(_period(cols)))
@@ -261,9 +255,9 @@ class CosetTable:
         return isinstance(self.status, Complete)
 
 
-def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
-                    ) -> CosetTable:
-    """Felsch Todd-Coxeter over the given subgroup generators.
+def coset_enumerate(p: Presentation, max_cosets: int = 10000) -> CosetTable:
+    """Felsch Todd-Coxeter of the cosets of the identity alone, whose
+    number is the order of the group.
 
     Defines the first undefined table entry in coset-then-column order
     and processes every deduction before the next definition.  A new
@@ -276,17 +270,15 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
     word that reduces to one syllable x^n is traced round x's cycle
     through the coset once: when the cycle closes after k letters, the
     whole rounds are skipped and the n mod k letters left are traced.
-    Complete(n) certifies index n; Exhausted(max_cosets) is inconclusive.
-    max_cosets bounds the rows ever defined, dead or alive.  Completed
-    tables are replayed against every relator and subgroup generator
-    before being returned; x^n holds at a coset when the length of x's
-    cycle through it divides n.
-    A relator's conjugates, the scan at coset 0 and the replay read its
-    prepared form, and a subgroup word is traced as the item of its free
-    reduction.
+    Complete(n) certifies that the group has order n;
+    Exhausted(max_cosets) is inconclusive.  max_cosets bounds the rows
+    ever defined, dead or alive.  Completed tables are replayed against
+    every relator at every coset before being returned; x^n holds at a
+    coset when the length of x's cycle through it divides n.  A
+    relator's conjugates, the scan at coset 0 and the replay read its
+    prepared form.
     """
-    n = len(p.generators)
-    ncols = 2 * n
+    ncols = 2 * len(p.generators)
     # relators: the item of each relator that does not reduce to nothing;
     # conjugates[x]: the items for each distinct cyclic conjugate
     # w[first..last] of a relator that starts with column x, relator by
@@ -299,15 +291,6 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
             relators.append(h)
         for x, c in conj:
             conjugates[x].append(c)
-
-    subgroup_words = []
-    for w in subgroup:
-        if not all(1 <= g <= n for g, _ in w):
-            raise ValueError(f"subgroup word {w} has a generator out of "
-                             "range")
-        w = free_reduce(w)
-        if w:  # the empty word is in every subgroup
-            subgroup_words.append(_item(w))
 
     table: list[list] = [[None] * ncols]
     parent = [0]
@@ -362,15 +345,13 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
         deductions.append((a, x))
         return True
 
-    def scan(a: int, cycles: list):
+    def scan(a: int, cycles: list) -> None:
         """Trace each w[i..j] of cycles (for a power x^n, x's column w
         n times) at coset a forwards and backwards, in order, until a
         dies.  Ends that meet at two cosets make them coincide, and a
-        single missing entry between the ends is filled.  Returns
-        (coset, column) of the first missing entry of the last word that
-        has two or more missing, else None: the gap of a one-item list."""
+        single missing entry between the ends is filled; a word with two
+        or more missing waits for a later definition."""
         rows = table  # a local, not a closure cell: read once per letter
-        gap = None
         for w, i, j, power in cycles:
             f = a
             if power:  # w is x's column and the word is x^n, n = j - i + 1
@@ -420,9 +401,6 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
                 rows[f][x] = b
                 rows[b][x ^ 1] = f
                 deductions.append((f, x))
-            else:
-                gap = f, x
-        return gap
 
     def process_deductions() -> None:
         while deductions:
@@ -438,17 +416,10 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
         return CosetTable(Exhausted(max_cosets), defined=len(table),
                           coincidences=dead)
 
-    for h in subgroup_words:
-        while (gap := scan(0, [h])) is not None:
-            if not define(*gap):
-                return exhausted()
-        process_deductions()
-
     # deductions scan a relator at coset 0 only after a definition there,
     # which needs a new coset; scanning each relator at coset 0 first
     # fills what needs none, so <a | a> completes with max_cosets = 1
-    for r in relators:
-        scan(0, [r])
+    scan(0, relators)
     process_deductions()
 
     a = 0
@@ -466,22 +437,17 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
     renum = {k: i for i, k in enumerate(live)}
     compact = [[renum[rep(table[k][x])] for x in range(ncols)] for k in live]
 
-    # replay: the compacted action must satisfy every relator and fix
-    # coset 0 under every subgroup generator
-    def trace(start: int, w: list) -> int:
-        c = start
-        for x in w:
-            c = compact[c][x]
-        return c
-
+    # replay: the compacted action must satisfy every relator
     def holds(c: int, w, n: int, power: bool) -> bool:
         """The word fixes c.  A power x^n, w being x's column, does when
         x's cycle through c has a length dividing n; the walk stops after
         one round of the index, since in a corrupt table c could lie on
         no cycle."""
-        if not power:
-            return trace(c, w) == c
         f = c
+        if not power:
+            for x in w:
+                f = compact[f][x]
+            return f == c
         for k in range(1, len(compact) + 1):
             f = compact[f][w]
             if f == c:
@@ -493,9 +459,6 @@ def coset_enumerate(p: Presentation, subgroup=(), max_cosets: int = 10000,
         for c in range(len(compact)):
             if not holds(c, w, n, power):
                 raise AssertionError("completed table fails a relator scan")
-    for w, i, j, power in subgroup_words:
-        if not holds(0, w, j - i + 1, power):
-            raise AssertionError("completed table moves the subgroup coset")
 
     return CosetTable(Complete(len(compact)), compact, len(table),
                       len(table) - len(compact))

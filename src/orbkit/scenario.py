@@ -25,8 +25,13 @@ the sections of its kind, and an optional [script] section whose lines
 are operations, each the surgery move SCRIPT_OPS names.  SCRIPT_OPS
 also states which surface ids each op needs, adds and drops, and which
 point id it adds, so a line naming a surface that is not there, or
-adding a surface or a point under an id in use, is a parse error.  What
-a move adds unnamed gets the first free id of E1, E2, ... (a blow_up's
+adding a surface or a point under an id in use, is a parse error.  The
+lines of every [script] section are checked once, in file order,
+against the ids of the whole declared config, since the build runs
+them on that config: a second section sees what the first added, and a
+[surface] declared after a [script] counts from the start.  A point's
+incident surfaces are declared surfaces, each named once.  What a move
+adds unnamed gets the first free id of E1, E2, ... (a blow_up's
 sphere), dp1, dp2, ... (a blow_down's point) or ev1, ev2, ... (an
 intersection event), and a later line may name such a sphere::
 
@@ -51,6 +56,7 @@ from .model import (
     SurfaceData,
 )
 from .record import record
+from .surgery import DOUBLE_POINT_PREFIX, SPHERE_PREFIX
 
 BUILTINS = ("block_Y", "block_W", "glued_Z")
 SPIN_TARGETS = ("spin", "nonspin", "any")
@@ -90,8 +96,8 @@ class Scenario:
 class OpRule:
     """A [script] op: the surgery move it calls, held by name so that a
     rebound move is the one called, and what its keys mean.  A blow_up
-    without id= adds the sphere E<k>, and a blow_down without point= the
-    point dp<k>, that OrbifoldConfig.fresh_id draws."""
+    without id= adds the sphere, and a blow_down without point= the
+    point, that the move draws with OrbifoldConfig.fresh_id."""
 
     move: str
     keywords: dict  # script key -> the move's keyword, in grammar order
@@ -249,8 +255,8 @@ def _parse_script_line(ln, line, surfaces, points):
     # (key, kind, ids of that kind, prefix of a drawn id) of what the op
     # adds; checked before the drop, since the move refuses rename old=X
     # new=X too
-    added = ((rule.adds, "surface", surfaces, "E"),
-             (rule.adds_point, "point", points, "dp"))
+    added = ((rule.adds, "surface", surfaces, SPHERE_PREFIX),
+             (rule.adds_point, "point", points, DOUBLE_POINT_PREFIX))
     for key, kind, ids, _ in added:
         if args.get(key) in ids:
             raise ParseError(ln, f"{kind} id {args[key]!r} already in use")
@@ -266,7 +272,7 @@ def _parse_script_line(ln, line, surfaces, points):
 def parse_scenario(text: str) -> Scenario:
     builtin = None
     config = None
-    script: list[ScriptOp] = []
+    script_lines: list[tuple[int, str]] = []
     seifert = None
 
     for header, h_ln, body in _sections(text):
@@ -322,6 +328,10 @@ def parse_scenario(text: str) -> Scenario:
             ln, incident = kv.get("incident", (h_ln, ""))
             incident = tuple(incident.split())
             _check_surfaces(incident, config.ids("surfaces"), ln)
+            for k, surface in enumerate(incident):
+                if surface in incident[:k]:
+                    raise ParseError(ln, f"incident names surface "
+                                     f"{surface!r} twice")
             # exponents are read mod the order, which must be >= 1; order
             # 1 parses, and validation reports it as BadOrder
             order = _read(kv, "order", _parse_factored)
@@ -346,10 +356,7 @@ def parse_scenario(text: str) -> Scenario:
         elif kind == "script":
             if config is None:
                 raise ParseError(h_ln, "[script] requires [config]")
-            surfaces = set(config.ids("surfaces"))
-            points = set(config.ids("points"))
-            script += [_parse_script_line(ln, line, surfaces, points)
-                       for ln, line in body]
+            script_lines += body
         elif kind == "seifert":
             if seifert is not None:
                 raise ParseError(h_ln, "duplicate [seifert] section")
@@ -369,7 +376,13 @@ def parse_scenario(text: str) -> Scenario:
 
     if builtin is None and config is None:
         raise ParseError(1, "scenario needs a [builtin] or [config] section")
-    return Scenario(builtin, config, tuple(script), seifert)
+    script = ()
+    if script_lines:  # [script] requires [config]
+        surfaces = set(config.ids("surfaces"))
+        points = set(config.ids("points"))
+        script = tuple(_parse_script_line(ln, line, surfaces, points)
+                       for ln, line in script_lines)
+    return Scenario(builtin, config, script, seifert)
 
 
 def _parse_bits(raw, ln):

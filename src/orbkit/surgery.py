@@ -9,13 +9,12 @@ assemble the two standard blocks and their fiber sum.
 
 The move protocol: a move takes its config positionally, then its own
 arguments, then an optional `log=` keyword, and never changes its input.
-A move written under @_move edits a copy of the config and returns the
-keywords that replay it; the decorator returns the copy, records the
-keywords in the log under the move's own name, and registers the move
-in _REPLAY.  gompf_fiber_sum, which builds its result from two configs,
-records and registers itself the same way.  replay() calls
-_REPLAY[op](cfg, **kwargs) for each logged step, so replaying a log from
-the same starting config reproduces the final config exactly.
+Every move is written under @_move: it edits a copy of the config and
+returns the keywords that replay it; the decorator returns the copy,
+records the keywords in the log under the move's own name, and
+registers the move in _REPLAY.  replay() calls _REPLAY[op](cfg,
+**kwargs) for each logged step, so replaying a log from the same
+starting config reproduces the final config exactly.
 
 Ids: a move refuses a given surface or point id that the config already
 holds, and gompf_fiber_sum an output id that a surviving surface or an
@@ -117,6 +116,11 @@ class SurgeryLog:
 # move name -> the public move, which replay calls as (cfg, **kwargs)
 _REPLAY = {}
 
+# the prefixes of the ids that blow_up and blow_down_minus2 draw for the
+# sphere and the point they add unnamed
+SPHERE_PREFIX = "E"
+DOUBLE_POINT_PREFIX = "dp"
+
 
 def _move(edit):
     """The public move made from edit(cfg, ...), which changes cfg, a
@@ -173,7 +177,7 @@ def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None) -> dict:
         cfg.events.remove(smooth[0])
     eid = exceptional_id
     if eid is None:
-        eid = cfg.fresh_id("E", cfg.ids("surfaces"))
+        eid = cfg.fresh_id(SPHERE_PREFIX, cfg.ids("surfaces"))
     elif cfg.has_surface(eid):
         raise ValueError(f"surface id {eid!r} already in use")
     for sid in through:
@@ -219,7 +223,7 @@ def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> dict:
             "would lie on more than two of them")
     cfg.surfaces.remove(s)
     cfg.events = [e for e in cfg.events if sphere not in (e.a, e.b)]
-    pid = point_id or cfg.fresh_id("dp", cfg.ids("points"))
+    pid = point_id or cfg.fresh_id(DOUBLE_POINT_PREFIX, cfg.ids("points"))
     cfg.points.append(SingularPointData(pid, order=2, exponents=(1, 1),
                                         incident=tuple(neighbors)))
     for sid in neighbors:
@@ -310,9 +314,9 @@ def declare_lattice(cfg: OrbifoldConfig, basis, qclasses: dict,
             "integral_pairing": integral_pairing}
 
 
+@_move
 def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
-                    plan: GluingPlan,
-                    log: SurgeryLog | None = None) -> OrbifoldConfig:
+                    plan: GluingPlan) -> dict:
     """Fiber connected sum of two configs along matched surfaces.
 
     Both fiber surfaces are consumed; matched intersection points are
@@ -397,17 +401,18 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
                 "which do not share an output surface")
         matched_in_join[ja] += 1
 
-    out = OrbifoldConfig()
-    out.euler = cfg_a.euler + cfg_b.euler - (2 - 2 * fa.genus)
-    out.b1, out.b2 = plan.b1, plan.b2
-    if out.euler != 2 - 2 * plan.b1 + plan.b2:
+    euler = cfg_a.euler + cfg_b.euler - (2 - 2 * fa.genus)
+    if euler != 2 - 2 * plan.b1 + plan.b2:
         raise PlanInconsistent(
             f"declared b1={plan.b1}, b2={plan.b2} disagree with "
-            f"euler characteristic {out.euler}")
+            f"euler characteristic {euler}")
 
-    for s in survivors:
-        out.surfaces.append(SurfaceData(s.id, s.genus, s.multiplicity,
-                                        s.local_j, s.self_intersection))
+    # the glued lists, built from cfg_a (the move's copy) and cfg_b
+    # before cfg_a's lists are replaced
+    surfaces = [SurfaceData(s.id, s.genus, s.multiplicity, s.local_j,
+                            s.self_intersection) for s in survivors]
+    events: list[IntersectionEvent] = []
+    points: list[SingularPointData] = []
     for out_id, pieces in plan.surface_joins:
         chi = 0
         square = Fraction(0)
@@ -422,9 +427,9 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
         if chi % 2 != 0 or chi > 2:
             raise PlanInconsistent(
                 f"join {out_id} has non-surface euler characteristic {chi}")
-        out.surfaces.append(SurfaceData(out_id, genus=(2 - chi) // 2,
-                                        multiplicity=1, local_j=0,
-                                        self_intersection=square))
+        surfaces.append(SurfaceData(out_id, genus=(2 - chi) // 2,
+                                    multiplicity=1, local_j=0,
+                                    self_intersection=square))
 
     def remap(sid):
         return piece_of.get(sid, sid)
@@ -441,20 +446,17 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
             if a == b:
                 raise UnsupportedGeometry(
                     f"event {e.id} would join {a} to itself")
-            out.events.append(IntersectionEvent(e.id, a, b, e.location))
+            events.append(IntersectionEvent(e.id, a, b, e.location))
         for p in cfg.points:
             if p.id in consumed_points:
                 continue
-            out.points.append(SingularPointData(
+            points.append(SingularPointData(
                 p.id, p.order, p.exponents,
                 tuple(remap(s) for s in p.incident if s != fiber)))
-    if log is not None:
-        log.record(gompf_fiber_sum.__name__,
-                   {"cfg_b": cfg_b.copy(), "plan": plan}, cfg_a, out)
-    return out
-
-
-_REPLAY[gompf_fiber_sum.__name__] = gompf_fiber_sum
+    cfg_a.surfaces, cfg_a.events, cfg_a.points = surfaces, events, points
+    cfg_a.euler, cfg_a.b1, cfg_a.b2 = euler, plan.b1, plan.b2
+    _invalidate_basis(cfg_a)
+    return {"cfg_b": cfg_b.copy(), "plan": plan}
 
 
 # -- builders -----------------------------------------------------------

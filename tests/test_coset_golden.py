@@ -4,11 +4,11 @@ presentations.
 Each case is a presentation on one to three generators, with power
 words, periodic words, random words, conjugates of earlier relators and
 commutators, sometimes an abelian closure that makes the group finite,
-up to two subgroup words and a coset bound from BOUNDS.  The golden
-holds each case's input with its status, table, cosets defined and
-coincidences, so a change to the order of definitions or deductions
-shows up here even where the index stays the same.  Cases are drawn and
-stored as letter words, and each word is passed to orbkit in syllables.
+and a coset bound from BOUNDS.  The golden holds each case's input with
+its status, table, cosets defined and coincidences, so a change to the
+order of definitions or deductions shows up here even where the index
+stays the same.  Cases are drawn and stored as letter words, and each
+word is passed to orbkit in syllables.
 Regenerate the golden only for an intended change of output:
 
     PYTHONPATH=src python tests/test_coset_golden.py
@@ -17,6 +17,7 @@ Regenerate the golden only for an intended change of output:
 import json
 import random
 from functools import cache
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -64,15 +65,7 @@ def _case(rng: random.Random, bound: int) -> dict:
         rels += [(g,) * rng.randint(1, 6) for g in range(1, n + 1)]
         rels += [commutator((g,), (h,))
                  for g in range(1, n + 1) for h in range(g + 1, n + 1)]
-    subgroup = []
-    for _ in range(rng.randint(0, 2)):
-        if rng.random() < 0.3:
-            subgroup.append((rng.choice((1, -1)) * rng.randint(1, n),)
-                            * rng.randint(1, 12))
-        else:
-            subgroup.append(_word(rng, n, rng.randint(0, 4)))
-    return {"generators": "abc"[:n], "relators": rels,
-            "subgroup": subgroup, "bound": bound}
+    return {"generators": "abc"[:n], "relators": rels, "bound": bound}
 
 
 @cache
@@ -85,13 +78,10 @@ def result(case: dict) -> dict:
     """case with the fields of its CosetTable, in JSON's lists."""
     pres = Presentation(tuple(case["generators"]),
                         tuple(map(syllables, case["relators"])))
-    res = coset_enumerate(pres,
-                          subgroup=list(map(syllables, case["subgroup"])),
-                          max_cosets=case["bound"])
+    res = coset_enumerate(pres, max_cosets=case["bound"])
     status = res.status
     return {"generators": case["generators"],
             "relators": [list(r) for r in case["relators"]],
-            "subgroup": [list(w) for w in case["subgroup"]],
             "bound": case["bound"],
             "status": ([type(status).__name__, status.index]
                        if isinstance(status, Complete)
@@ -115,6 +105,33 @@ def test_golden_covers_every_bound_and_both_outcomes():
 @pytest.mark.parametrize("i", range(CASES))
 def test_coset_enumerate_matches_golden(i):
     assert result(cases()[i]) == _golden()[i]
+
+
+def _abelian(case: dict) -> bool:
+    """case's relators include the commutator of each pair of generators,
+    so its group is abelian."""
+    n = len(case["generators"])
+    rels = {tuple(r) for r in case["relators"]}
+    return all(commutator((g,), (h,)) in rels
+               for g in range(1, n + 1) for h in range(g + 1, n + 1))
+
+
+def test_abelian_orders_against_the_abelianization():
+    # a finite abelian group is its own abelianization, so the order
+    # coset_enumerate certifies is the product of the invariant factors
+    # that the Smith normal form of the exponent sums gives; that oracle
+    # shares no code with the enumeration
+    checked = 0
+    for case, golden in zip(cases(), _golden()):
+        if golden["status"][0] != "Complete" or not _abelian(case):
+            continue
+        group = abelianize(Presentation(
+            tuple(case["generators"]),
+            tuple(map(syllables, case["relators"]))))
+        assert group.rank == 0, case
+        assert golden["status"][1] == prod(group.invariant_factors), case
+        checked += 1
+    assert checked >= CASES // 2
 
 
 def _rotated_inverse(r: tuple) -> tuple:

@@ -212,7 +212,7 @@ class TestAbelianizeDifferential:
     @given(data=st.data(), pres=_mixed_presentations(max_gens=2))
     def test_equals_sympy_abelian_invariants(self, data, pres):
         finite = _finite_closure(data.draw, pres)
-        group, _ = _sympy_group(Presentation(
+        group = _sympy_group(Presentation(
             finite.generators,
             tuple(r for r in finite.relators if free_reduce(r))))
         ab = abelianize(finite)
@@ -266,17 +266,6 @@ class TestCosetEnumeration:
             # every coset defined is either live or found equal to another
             assert res.defined - res.coincidences == order
 
-    def test_cyclic_subgroup_index(self):
-        z6 = presentation(["a"], [[("a", 6)]])
-        res = coset_enumerate(z6, subgroup=[z6.word(("a", 2))])
-        assert res.status == Complete(2)
-
-    @pytest.mark.parametrize("word", [((3, 1),), ((0, 1),),
-                                      ((1, 1), (3, -1))])
-    def test_out_of_range_subgroup_letter(self, word):
-        with pytest.raises(ValueError, match="out of range"):
-            coset_enumerate(FREE2, subgroup=[((1, 1),), word])
-
     def test_free_group_exhausts(self):
         res = coset_enumerate(FREE2, max_cosets=100)
         assert res.status == Exhausted(100)
@@ -324,7 +313,7 @@ class TestCosetEnumeration:
 
 
 def _sympy_group(pres: Presentation):
-    """sympy's FpGroup of pres, and a map from orbkit words to its words.
+    """sympy's FpGroup of pres.
 
     sympy enumerates cosets with its own code, so it is an independent
     oracle for coset_enumerate; the tests using it skip without sympy.
@@ -339,7 +328,7 @@ def _sympy_group(pres: Presentation):
             out *= gens[g - 1] ** e
         return out
 
-    return fp_groups.FpGroup(F, [word(r) for r in pres.relators]), word
+    return fp_groups.FpGroup(F, [word(r) for r in pres.relators])
 
 
 def _rotated(w: tuple, k: int, invert: bool) -> tuple:
@@ -354,15 +343,8 @@ class TestSympyOracle:
     @pytest.mark.parametrize("pres", [KLEIN4, S3, Q8, D4, A4],
                              ids=["KLEIN4", "S3", "Q8", "D4", "A4"])
     def test_order(self, pres):
-        group, _ = _sympy_group(pres)
+        group = _sympy_group(pres)
         assert coset_enumerate(pres).status.index == group.order()
-
-    def test_subgroup_index(self):
-        z6 = presentation(["a"], [[("a", 6)]])
-        subgroup = [z6.word(("a", 2))]
-        group, word = _sympy_group(z6)
-        assert coset_enumerate(z6, subgroup=subgroup).status.index \
-            == group.index([word(w) for w in subgroup])
 
     # <a | a^n> and <r, s | r^n, s^2, (sr)^2>, each relator rotated by
     # k letters and inverted or not
@@ -375,7 +357,7 @@ class TestSympyOracle:
         pres = Presentation(("r", "s") if dihedral else ("a",),
                             tuple(_rotated(w, k, invert)
                                   for w, (k, invert) in zip(words, forms)))
-        group, _ = _sympy_group(pres)
+        group = _sympy_group(pres)
         assert coset_enumerate(pres).status.index == group.order() \
             == (2 * n if dihedral else n)
 

@@ -6,11 +6,18 @@ named somewhere else in src/ or perfbench/: called, imported, bound
 reached through the operator it implements.  Docstrings do not count.
 A name used nowhere else is test-only code, and it must be on ALLOWED
 with the reason it stays; otherwise delete it.
+
+The same holds for an optional parameter of any function there: it
+must be named in src/ or perfbench/ outside that function, as a call's
+keyword, a name or a word of a string that is not a docstring.  One
+that only tests set is a knob with one legal value in the program, and
+it must be on ALLOWED_PARAMETERS with the reason it stays.
 """
 
 import ast
 import re
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,6 +29,12 @@ ALLOWED = {
     "IntMatrix.__matmul__": "the SNF's own check: U @ A @ V == D",
     "presentation": "test-facing: builds a Presentation from names",
     "Presentation.spell": "test-facing: prints a word",
+}
+
+# test-only optional parameters that stay, as "function(parameter=)" -> why
+ALLOWED_PARAMETERS = {
+    "build_block_W(stages=)":
+        "acceptance criteria 1 and 3 read the block-W stage snapshots",
 }
 
 # the method an operator or a subscript calls; Python calls the other
@@ -70,10 +83,16 @@ def _definitions(tree):
                     yield f"{node.name}.{name}", name
 
 
+@cache
+def _trees():
+    """{path: syntax tree} of every module in src/ and perfbench/."""
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for folder in ("src", "perfbench")
+            for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
 def test_every_test_only_function_is_allowed():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for folder in ("src", "perfbench")
-             for path in sorted((ROOT / folder).rglob("*.py"))}
+    trees = _trees()
     used = Counter(name for tree in trees.values()
                    for name in _names_used(tree))
     unused = {qualified for path, tree in trees.items()
@@ -81,3 +100,51 @@ def test_every_test_only_function_is_allowed():
               for qualified, name in _definitions(tree) if not used[name]}
     assert sorted(unused - set(ALLOWED)) == []  # delete, or allow with why
     assert sorted(set(ALLOWED) - unused) == []  # now used: drop from ALLOWED
+
+
+def _parameter_uses(tree, docstrings):
+    """Each keyword, name and word of a non-docstring string in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            yield from re.findall(r"\w+", node.value)
+
+
+def _optional_parameters(tree, prefix=""):
+    """(qualified name, function node, parameter) of each parameter with
+    a default, of every function and method in tree, nested ones too."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                optional = positional[len(positional) - len(args.defaults):]
+                optional += [arg for arg, default in zip(args.kwonlyargs,
+                                                         args.kw_defaults)
+                             if default]
+                for arg in optional:
+                    yield name, node, arg.arg
+            yield from _optional_parameters(node, name + ".")
+        else:
+            yield from _optional_parameters(node, prefix)
+
+
+def test_every_test_only_parameter_is_allowed():
+    trees = _trees()
+    docstrings = set().union(*map(_docstrings, trees.values()))
+    used = Counter(name for tree in trees.values()
+                   for name in _parameter_uses(tree, docstrings))
+    unused = {f"{function}({parameter}=)"
+              for path, tree in trees.items() if path.parent.name == "orbkit"
+              for function, node, parameter in _optional_parameters(tree)
+              if used[parameter] == Counter(
+                  _parameter_uses(node, docstrings))[parameter]}
+    # delete, or allow with why
+    assert sorted(unused - set(ALLOWED_PARAMETERS)) == []
+    # now used: drop from ALLOWED_PARAMETERS
+    assert sorted(set(ALLOWED_PARAMETERS) - unused) == []

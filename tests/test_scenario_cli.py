@@ -31,6 +31,7 @@ from orbkit.scenario import (
     emit_scenario,
     parse_scenario,
 )
+from orbkit.surgery import DOUBLE_POINT_PREFIX, SPHERE_PREFIX
 
 BUILTIN_TEXT = """\
 scenario v1
@@ -181,6 +182,14 @@ class TestParse:
         with pytest.raises(ParseError, match=f"^line {ln}: surface id 'L' "
                                              "already in use$"):
             parse_scenario(text)
+
+    def test_script_sees_a_surface_declared_after_it(self):
+        # the build runs the script on the whole declared config
+        text = (EXPLICIT_TEXT.split("[script]")[0]
+                + "[script]\ndiscard id=L\n\n[surface L]\ngenus = 0\n")
+        scn = parse_scenario(text)
+        assert scn.script == (ScriptOp("discard", (("id", "L"),)),)
+        assert report.build(scn)[0].ids("surfaces") == ["C"]
 
     @pytest.mark.parametrize("kind, body", [
         ("surface", "genus = 0\n"), ("point", "order = 2\nexponents = 1 1\n"),
@@ -342,7 +351,8 @@ def _configs(draw):
         order = draw(st.integers(1, 12))
         cfg.points.append(SingularPointData(
             pid, order, (draw(st.integers(0, 30)), draw(st.integers(0, 30))),
-            tuple(draw(st.lists(st.sampled_from(sids), max_size=2)))))
+            tuple(draw(st.lists(st.sampled_from(sids), max_size=2,
+                                unique=True)))))
     for eid in draw(st.lists(_IDS, max_size=4, unique=True)):
         a, b = draw(st.lists(st.sampled_from(sids), min_size=2, max_size=2))
         at = draw(st.sampled_from(["smooth", *pids]))
@@ -371,7 +381,7 @@ def _scripts(draw, cfg):
             if draw(st.booleans()):
                 args.append(("id", new))
             else:  # the sphere the move names
-                new = OrbifoldConfig.fresh_id("E", known)
+                new = OrbifoldConfig.fresh_id(SPHERE_PREFIX, known)
             known.add(new)
         elif op == "blow_down":
             args = [("sphere", sid)]
@@ -380,7 +390,7 @@ def _scripts(draw, cfg):
                 point = draw(_IDS.filter(lambda x: x not in points))
                 args.append(("point", point))
             else:  # the point the move names
-                point = OrbifoldConfig.fresh_id("dp", points)
+                point = OrbifoldConfig.fresh_id(DOUBLE_POINT_PREFIX, points)
             points.add(point)
             known.discard(sid)
         elif op == "resolve":
@@ -419,6 +429,23 @@ def _scenarios(draw):
 @given(_scenarios())
 def test_emit_then_parse_is_the_identity(scn):
     assert parse_scenario(emit_scenario(scn)) == scn
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_a_script_split_over_sections_parses_as_in_one(data):
+    # every [script] line is checked once, in file order, against the
+    # whole declared config, so where the sections break changes nothing
+    cfg = data.draw(_configs())
+    scn = Scenario(config=cfg, script=data.draw(_scripts(cfg)))
+    head, _, tail = emit_scenario(scn).partition("[script]\n")
+    lines = tail.splitlines()
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(lines)),
+                                     max_size=3)))
+    split = head + "".join(
+        "[script]\n" + "".join(line + "\n" for line in lines[a:b]) + "\n"
+        for a, b in zip([0, *cuts], [*cuts, len(lines)]))
+    assert parse_scenario(split) == parse_scenario(emit_scenario(scn)) == scn
 
 
 class TestCli:
@@ -636,6 +663,48 @@ class TestCli:
         assert cli.main(["build", str(f)]) == cli.EXIT_INPUT
         assert capsys.readouterr().err == (
             f"input error: line {line}: point id {pid!r} already in use\n")
+
+    @pytest.mark.parametrize("second, rc", [
+        ("discard id=E", cli.EXIT_OK),
+        ("blow_up through=C id=E", cli.EXIT_INPUT)])
+    def test_script_ids_carry_across_sections(self, tmp_path, capsys,
+                                              second, rc):
+        # each [script] section used to start again from the declared ids:
+        # the discard was refused as "undefined surface 'E'" (exit 2), and
+        # the repeated blow-up failed the build stage (exit 1)
+        text = (EXPLICIT_TEXT.split("[script]")[0]
+                + "[script]\nblow_up through=C id=E\n\n[script]\n"
+                + second + "\n")
+        f = tmp_path / "s.scn"
+        f.write_text(text)
+        assert cli.main(["build", str(f)]) == rc
+        captured = capsys.readouterr()
+        if rc == cli.EXIT_OK:
+            assert captured.err == ""
+            assert captured.out.endswith(
+                "b2 = 2\npoints = 0\nsurface C: genus 1 mult 1 j 0 self 8\n")
+        else:
+            assert captured.err == (
+                f"input error: line {len(text.splitlines())}: "
+                "surface id 'E' already in use\n")
+
+    @pytest.mark.parametrize("multiplicity", [3, 1])
+    def test_incident_names_each_surface_once(self, tmp_path, capsys,
+                                              multiplicity):
+        # incident = C C used to stop verify at local_invariants (exit 1)
+        # on a surface of multiplicity 3, and to pass every verdict on one
+        # of multiplicity 1
+        text = FACTOR_TEXT.replace("incident = C", "incident = C C")
+        if multiplicity == 1:
+            text = text.replace("multiplicity = 3\nj = 1\n", "")
+        f = tmp_path / "s.scn"
+        f.write_text(text)
+        assert cli.main(["verify", str(f)]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: line {len(text.splitlines())}: incident names "
+            "surface 'C' twice\n")
 
     def test_j_is_read_mod_the_multiplicity(self, tmp_path, capsys):
         # j = -1 at multiplicity 3 built, and then verify stopped with
