@@ -4,7 +4,9 @@ Arbitrary-precision integers (Python ints), reduced rationals
 (fractions.Fraction), modular inverses, bounded trial-division
 factorization and Smith normal form of integer matrices.  Everything
 downstream (homology, Chern classes, abelianizations) reduces to these
-primitives.
+primitives.  An IntMatrix of any shape, identity and zero included, is
+made from its entries: by the constructor, or by from_rows, which
+checks that each is an integer.
 """
 
 from __future__ import annotations
@@ -106,15 +108,6 @@ class IntMatrix:
         # resized, and a freed small tuple of that size is not reused
         return cls(len(rows), len(rows[0]) if rows else 0,
                    tuple([tuple([index(x) for x in r]) for r in rows]))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
-                               for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     def __getitem__(self, idx: tuple[int, int]) -> int:
         i, j = idx

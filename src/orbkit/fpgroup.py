@@ -4,7 +4,9 @@ enumeration, and the orbifold fundamental-group presentation builder.
 A word is a tuple of syllables (generator, exponent): the generator is
 1-based and the exponent a nonzero int, so x^n is the one syllable
 (x, n) whatever n is.  Words are kept freely reduced: adjacent syllables
-name different generators.  Coset enumeration is Felsch-style
+name different generators.  Every word is written in syllables where it
+is made; a presentation's generator names only label the generators,
+and nothing builds a word from them.  Coset enumeration is Felsch-style
 Todd-Coxeter of the cosets of the identity: a definition is followed by
 every deduction it forces, and coincidences go through a union-find
 queue; a run either completes (the order of the group is certain) or
@@ -20,7 +22,7 @@ the enumeration scans, and its nonzero exponent sums.  A word that
 reduces to one syllable x^n is traced once round x's cycle through a
 coset, as x's column and n; any other is spelled as table columns.
 The relators of the orbifold presentation that do not depend on p are
-made once per process, so a certificate for any p finds theirs
+written once per process, so a certificate for any p finds theirs
 prepared.  A new table entry is scanned against all the relator
 conjugates that start with its letter in one loop, and the replay of a
 completed table checks a power x^n by the length of x's cycle.
@@ -139,24 +141,6 @@ class Presentation:
             if low < 1 or high > n:
                 raise ValueError(f"relator generator "
                                  f"{low if low < 1 else high} out of range")
-
-    def word(self, *items) -> Word:
-        """Build a word from generator names; 'x' or ('x', exp)."""
-        idx = {name: i + 1 for i, name in enumerate(self.generators)}
-        return free_reduce((idx[name], exp) for name, exp in (
-            item if isinstance(item, tuple) else (item, 1) for item in items))
-
-    def spell(self, w: Word) -> str:
-        return " ".join(self.generators[g - 1] + ("" if e == 1 else f"^{e}")
-                        for g, e in w) or "1"
-
-
-def presentation(gen_names, relator_specs) -> Presentation:
-    """Presentation from name list and relators as lists of names and
-    (name, exponent) pairs."""
-    p = Presentation(tuple(gen_names), ())
-    rels = tuple(cyclic_reduce(p.word(*spec)) for spec in relator_specs)
-    return Presentation(tuple(gen_names), rels)
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -471,34 +455,34 @@ _PI1_GENERATORS = ("a", "b", "x1", "y1", "z1", "x2", "y2", "z2", "g1",
 @cache
 def _fixed_relators() -> tuple[Word, ...]:
     """The 45 relators of the orbifold presentation that do not depend on
-    p, cyclically reduced; built from names once per process."""
-    gens = _PI1_GENERATORS
-    w = Presentation(gens, ()).word
-    ab = commutator(w("a"), w("b"))
+    p, cyclically reduced; written as syllables once per process."""
+    gens = range(1, len(_PI1_GENERATORS) + 1)
+    a, b, x1, y1, z1, x2, y2, z2, g1, g2, u = gens
+    ab = ((a, 1), (b, 1), (a, -1), (b, -1))
     rels: list[Word] = []
     # g1, g2, U are central
-    for center in ("g1", "g2", "U"):
+    for center in (g1, g2, u):
         for other in gens:
             if other != center:
-                rels.append(commutator(w(center), w(other)))
+                rels.append(commutator(((center, 1),), ((other, 1),)))
     # circle-bundle relation over the glued surface, Chern number -1
-    rels.append(free_reduce(ab + w("U")))
+    rels.append(ab + ((u, 1),))
     # branched-torus relation on the second surface: [a,b] x2 y2 z2 = g2^2
-    rels.append(free_reduce(ab + w("x2", "y2", "z2", ("g2", -2))))
+    rels.append(ab + ((x2, 1), (y2, 1), (z2, 1), (g2, -2)))
     # order-2 branch loops square to the surface loop
-    for i in (1, 2):
-        for letter in ("x", "y", "z"):
-            rels.append(w((f"{letter}{i}", 2), (f"g{i}", -1)))
+    for g, loops in ((g1, (x1, y1, z1)), (g2, (x2, y2, z2))):
+        for x in loops:
+            rels.append(((x, 2), (g, -1)))
     # double-handle relation on the first surface
-    rels.append(free_reduce(ab + ab + w("x1", "y1", "z1", ("g1", -1))))
+    rels.append(ab + ab + ((x1, 1), (y1, 1), (z1, 1), (g1, -1)))
     # lifts of the handle loops across the gluing
-    rels.append(free_reduce(w("a", "y2", "x2", ("g2", -2))))
-    rels.append(free_reduce(w("b", "x2", "z2", ("g2", -2))))
+    rels.append(((a, 1), (y2, 1), (x2, 1), (g2, -2)))
+    rels.append(((b, 1), (x2, 1), (z2, 1), (g2, -2)))
     # the two surfaces share their three branch points
-    for letter in ("x", "y", "z"):
-        rels.append(w(f"{letter}1", (f"{letter}2", -1)))
+    for first, second in ((x1, x2), (y1, y2), (z1, z2)):
+        rels.append(((first, 1), (second, -1)))
     # section relation over the base sphere
-    rels.append(w(("U", 8), ("g1", 5), ("g2", 3)))
+    rels.append(((u, 8), (g1, 5), (g2, 3)))
     return tuple(map(cyclic_reduce, rels))
 
 

@@ -152,6 +152,15 @@ class OrbifoldConfig:
         """The ids of the config's "surfaces", "points" or "events"."""
         return [x.id for x in getattr(self, kind)]
 
+    def check_new_id(self, kind: str, new: str) -> None:
+        """Raise ValueError unless new can name one more of the config's
+        "surfaces" or "points": it is not empty (no scenario file can
+        declare that id) and not in use."""
+        if not new:
+            raise ValueError(f"empty {kind[:-1]} id")
+        if new in self.ids(kind):
+            raise ValueError(f"{kind[:-1]} id {new!r} already in use")
+
     @staticmethod
     def fresh_id(prefix: str, taken) -> str:
         """The id a move gives what it adds unnamed: the first of
@@ -185,9 +194,8 @@ class OrbifoldConfig:
                 for r in self.basis]
 
     def rename_surface(self, old: str, new: str) -> None:
-        """Pure relabeling; ids must stay unique."""
-        if self.has_surface(new):
-            raise ValueError(f"surface id {new!r} already in use")
+        """Pure relabeling; ids must stay unique and nonempty."""
+        self.check_new_id("surfaces", new)
         self.surface(old).id = new
         for p in self.points:
             p.incident = tuple(new if s == old else s for s in p.incident)

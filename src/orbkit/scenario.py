@@ -24,16 +24,17 @@ Only glued_Z takes p.  Explicit form replaces [builtin] with [config] /
 the sections of its kind, and an optional [script] section whose lines
 are operations, each the surgery move SCRIPT_OPS names.  SCRIPT_OPS
 also states which surface ids each op needs, adds and drops, and which
-point id it adds, so a line naming a surface that is not there, or
-adding a surface or a point under an id in use, is a parse error.  The
-lines of every [script] section are checked once, in file order,
-against the ids of the whole declared config, since the build runs
-them on that config: a second section sees what the first added, and a
-[surface] declared after a [script] counts from the start.  A point's
-incident surfaces are declared surfaces, each named once.  What a move
-adds unnamed gets the first free id of E1, E2, ... (a blow_up's
-sphere), dp1, dp2, ... (a blow_down's point) or ev1, ev2, ... (an
-intersection event), and a later line may name such a sphere::
+point id it adds, so a line naming a surface that is not there or one
+surface twice, or adding a surface or a point under an empty id or one
+in use, is a parse error.  The lines of every [script] section are
+checked once, in file order, against the ids of the whole declared
+config, since the build runs them on that config: a second section
+sees what the first added, and a [surface] declared after a [script]
+counts from the start.  A point's incident surfaces are declared
+surfaces, each named once.  What a move adds unnamed gets the first
+free id of E1, E2, ... (a blow_up's sphere), dp1, dp2, ... (a
+blow_down's point) or ev1, ev2, ... (an intersection event), and a
+later line may name such a sphere::
 
     blow_up through=C,L id=E
     blow_up through=E        # adds E1
@@ -230,6 +231,13 @@ def _check_surfaces(ids, known, ln):
             raise ParseError(ln, f"undefined surface {sid!r}")
 
 
+def _check_once(ids, naming, ln):
+    """Refuse a surface that naming (a key or an op) names twice."""
+    for k, sid in enumerate(ids):
+        if sid in ids[:k]:
+            raise ParseError(ln, f"{naming} names surface {sid!r} twice")
+
+
 def _parse_script_line(ln, line, surfaces, points):
     """The ScriptOp of one [script] line; surfaces and points, the sets of
     ids before it, become the sets after it."""
@@ -250,16 +258,19 @@ def _parse_script_line(ln, line, surfaces, points):
     for key in rule.required:
         if key not in args:
             raise ParseError(ln, f"{op} requires {key}=")
-    for key in rule.refs:
-        _check_surfaces(rule.ids(key, args[key]), surfaces, ln)
+    named = [sid for key in rule.refs for sid in rule.ids(key, args[key])]
+    _check_surfaces(named, surfaces, ln)
     # (key, kind, ids of that kind, prefix of a drawn id) of what the op
     # adds; checked before the drop, since the move refuses rename old=X
     # new=X too
     added = ((rule.adds, "surface", surfaces, SPHERE_PREFIX),
              (rule.adds_point, "point", points, DOUBLE_POINT_PREFIX))
     for key, kind, ids, _ in added:
+        if args.get(key) == "":
+            raise ParseError(ln, f"{key}= needs a {kind} id")
         if args.get(key) in ids:
             raise ParseError(ln, f"{kind} id {args[key]!r} already in use")
+    _check_once(named, op, ln)
     if rule.drops:
         surfaces.discard(args[rule.drops])
     for key, _, ids, prefix in added:
@@ -328,10 +339,7 @@ def parse_scenario(text: str) -> Scenario:
             ln, incident = kv.get("incident", (h_ln, ""))
             incident = tuple(incident.split())
             _check_surfaces(incident, config.ids("surfaces"), ln)
-            for k, surface in enumerate(incident):
-                if surface in incident[:k]:
-                    raise ParseError(ln, f"incident names surface "
-                                     f"{surface!r} twice")
+            _check_once(incident, "incident", ln)
             # exponents are read mod the order, which must be >= 1; order
             # 1 parses, and validation reports it as BadOrder
             order = _read(kv, "order", _parse_factored)

@@ -16,11 +16,13 @@ registers the move in _REPLAY.  replay() calls _REPLAY[op](cfg,
 **kwargs) for each logged step, so replaying a log from the same
 starting config reproduces the final config exactly.
 
-Ids: a move refuses a given surface or point id that the config already
-holds, and gompf_fiber_sum an output id that a surviving surface or an
-earlier join holds.  A move that adds a surface, point or event without
-a given id draws it with OrbifoldConfig.fresh_id from the ids the config
-holds, so a replay draws the same id.
+Ids: a move refuses a given surface or point id that is empty or that
+the config already holds (OrbifoldConfig.check_new_id), blow_up and
+resolve_torus_pair a surface named twice, and gompf_fiber_sum an output
+id that a surviving surface or an earlier join holds.  A move that adds
+a surface, point or event without a given id draws it with
+OrbifoldConfig.fresh_id from the ids the config holds, so a replay
+draws the same id.
 """
 
 from __future__ import annotations
@@ -167,8 +169,10 @@ def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None) -> dict:
     the point, and meets each of them once.
     """
     through = list(through)
-    for sid in through:
+    for k, sid in enumerate(through):
         cfg.surface(sid)
+        if sid in through[:k]:
+            raise ValueError(f"blow_up names surface {sid!r} twice")
     for a, b in combinations(through, 2):
         smooth = [e for e in cfg.events_between(a, b) if e.location == SMOOTH]
         if not smooth:
@@ -178,8 +182,8 @@ def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None) -> dict:
     eid = exceptional_id
     if eid is None:
         eid = cfg.fresh_id(SPHERE_PREFIX, cfg.ids("surfaces"))
-    elif cfg.has_surface(eid):
-        raise ValueError(f"surface id {eid!r} already in use")
+    else:
+        cfg.check_new_id("surfaces", eid)
     for sid in through:
         cfg.surface(sid).self_intersection -= 1
     cfg.surfaces.append(SurfaceData(eid, genus=0, multiplicity=1, local_j=0,
@@ -208,8 +212,8 @@ def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> dict:
     if cfg.points_on(sphere) or any(e.location != SMOOTH
                                     for e in cfg.events_on(sphere)):
         raise MeetsSingularPoint(f"{sphere} passes through a singular point")
-    if point_id in cfg.ids("points"):
-        raise ValueError(f"point id {point_id!r} already in use")
+    if point_id is not None:
+        cfg.check_new_id("points", point_id)
     neighbors: list[str] = []
     for e in cfg.events_on(sphere):
         other = e.b if e.a == sphere else e.a
@@ -246,6 +250,8 @@ def resolve_torus_pair(cfg: OrbifoldConfig, t1: str, t2: str,
     with squares (t1^2-1, t2^2-1, t1^2+t2^2+1); the exceptional sphere
     is not tracked afterwards.
     """
+    if t1 == t2:
+        raise ValueError(f"resolve_torus_pair names surface {t1!r} twice")
     for tid in (t1, t2):
         t = cfg.surface(tid)
         if t.genus != 1 or t.multiplicity != 1:
@@ -255,8 +261,7 @@ def resolve_torus_pair(cfg: OrbifoldConfig, t1: str, t2: str,
     if len(cfg.events_between(t1, t2)) != 1 or len(mutual) != 1:
         raise NotSingleIntersection(
             f"{t1} and {t2} must meet in exactly one smooth point")
-    if cfg.has_surface(new_id):
-        raise ValueError(f"surface id {new_id!r} already in use")
+    cfg.check_new_id("surfaces", new_id)
     cfg.events.remove(mutual[0])
     a = cfg.surface(t1).self_intersection
     b = cfg.surface(t2).self_intersection

@@ -6,13 +6,15 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd
 
+from letter_words import syllables
 from orbkit.abelian import AbelianGroup
 from orbkit.exact import IntMatrix, mod_inverse, smith_normal_form
 from orbkit.fpgroup import (
+    Presentation,
     abelianize,
     build_pi1_orb_presentation,
     coset_enumerate,
-    presentation,
+    cyclic_reduce,
     simply_connected_decision,
 )
 from orbkit.model import (
@@ -218,22 +220,19 @@ def test_acceptance_7_classifying_data():
 
 
 def test_acceptance_8_fundamental_group():
-    # cross-validate the coset enumerator on standard finite groups
+    # cross-validate the coset enumerator on standard finite groups, each
+    # relator a letter word (a nonzero signed generator index per letter)
     known = [
-        (presentation(["x", "y"], [[("x", 2)], [("y", 2)],
-                                   ["x", "y", "x", "y"]]), 4),
-        (presentation(["r", "s"], [[("r", 3)], [("s", 2)],
-                                   ["s", "r", "s", "r"]]), 6),
-        (presentation(["i", "j"], [[("i", 4)], [("i", 2), ("j", -2)],
-                                   ["j", "i", ("j", -1), "i"]]), 8),
-        (presentation(["r", "s"], [[("r", 4)], [("s", 2)],
-                                   ["s", "r", "s", "r"]]), 8),
-        (presentation(["x", "y"], [[("x", 2)], [("y", 3)],
-                                   ["x", "y", "x", "y", "x", "y"]]), 12),
-        (presentation(["a"], [[("a", 6)]]), 6),
+        ("xy", [(1, 1), (2, 2), (1, 2, 1, 2)], 4),
+        ("rs", [(1, 1, 1), (2, 2), (2, 1, 2, 1)], 6),
+        ("ij", [(1, 1, 1, 1), (1, 1, -2, -2), (2, 1, -2, 1)], 8),
+        ("rs", [(1, 1, 1, 1), (2, 2), (2, 1, 2, 1)], 8),
+        ("xy", [(1, 1), (2, 2, 2), (1, 2, 1, 2, 1, 2)], 12),
+        ("a", [(1,) * 6], 6),
     ]
-    ok = all(coset_enumerate(p).status.index == order
-             for p, order in known)
+    ok = all(coset_enumerate(Presentation(tuple(gens), tuple(
+        cyclic_reduce(syllables(r)) for r in relators))).status.index == order
+        for gens, relators, order in known)
     pres = build_pi1_orb_presentation(3)
     result = coset_enumerate(pres, max_cosets=10000)
     ok &= result.is_complete()

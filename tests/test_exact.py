@@ -125,7 +125,7 @@ class TestFromRows:
 
 class TestSmithNormalForm:
     def test_identity(self):
-        snf = smith_normal_form(IntMatrix.identity(2))
+        snf = smith_normal_form(IntMatrix.from_rows([[1, 0], [0, 1]]))
         assert snf.D.entries == ((1, 0), (0, 1))
 
     def test_spec_example(self):
@@ -133,7 +133,7 @@ class TestSmithNormalForm:
         assert snf.invariant_factors() == [2, 4]
 
     def test_zero(self):
-        snf = smith_normal_form(IntMatrix.zero(3, 2))
+        snf = smith_normal_form(IntMatrix.from_rows([[0, 0]] * 3))
         assert snf.invariant_factors() == []
 
     def test_transform_identity(self):

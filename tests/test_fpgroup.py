@@ -28,22 +28,24 @@ from orbkit.fpgroup import (
     cyclic_reduce,
     free_reduce,
     inverse_word,
-    presentation,
     simply_connected_decision,
     tietze_simplify,
 )
 
-KLEIN4 = presentation(["x", "y"], [[("x", 2)], [("y", 2)],
-                                   ["x", "y", "x", "y"]])
-S3 = presentation(["r", "s"], [[("r", 3)], [("s", 2)],
-                               ["s", "r", "s", "r"]])
-Q8 = presentation(["i", "j"], [[("i", 4)], [("i", 2), ("j", -2)],
-                               ["j", "i", ("j", -1), "i"]])
-D4 = presentation(["r", "s"], [[("r", 4)], [("s", 2)],
-                               ["s", "r", "s", "r"]])
-A4 = presentation(["x", "y"], [[("x", 2)], [("y", 3)],
-                               ["x", "y", "x", "y", "x", "y"]])
-FREE2 = presentation(["a", "b"], [])
+
+def _presentation(gens, *relators) -> Presentation:
+    """The presentation on the generator names gens whose relators are
+    these letter words, cyclically reduced."""
+    return Presentation(tuple(gens), tuple(cyclic_reduce(syllables(r))
+                                           for r in relators))
+
+
+KLEIN4 = _presentation("xy", (1, 1), (2, 2), (1, 2, 1, 2))
+S3 = _presentation("rs", (1, 1, 1), (2, 2), (2, 1, 2, 1))
+Q8 = _presentation("ij", (1, 1, 1, 1), (1, 1, -2, -2), (2, 1, -2, 1))
+D4 = _presentation("rs", (1, 1, 1, 1), (2, 2), (2, 1, 2, 1))
+A4 = _presentation("xy", (1, 1), (2, 2, 2), (1, 2, 1, 2, 1, 2))
+FREE2 = _presentation("ab")
 
 
 class TestWords:
@@ -74,12 +76,6 @@ class TestWords:
 
     def test_commutator_of_commuting_letters(self):
         assert commutator(((1, 1),), ((1, 1),)) == ()
-
-    def test_word_builder_and_spell(self):
-        p = FREE2
-        assert p.word("a", ("b", -2)) == ((1, 1), (2, -2))
-        assert p.spell(((1, 1), (2, -1))) == "a b^-1"
-        assert p.spell(()) == "1"
 
     def test_out_of_range_relator(self):
         with pytest.raises(ValueError):
@@ -127,7 +123,7 @@ class TestAbelianize:
         assert abelianize(KLEIN4) == AbelianGroup(0, (2, 2))
 
     def test_cyclic_six(self):
-        p = presentation(["a"], [[("a", 6)]])
+        p = _presentation("a", (1,) * 6)
         assert abelianize(p) == AbelianGroup(0, (6,))
 
     def test_free_group(self):
@@ -240,7 +236,7 @@ class TestAbelianizeDifferential:
 class TestTietze:
     def test_eliminates_defined_generator(self):
         # b is defined to equal a, so the group is cyclic on one generator
-        p = presentation(["a", "b"], [["a", ("b", -1)], [("a", 4)]])
+        p = _presentation("ab", (1, -2), (1,) * 4)
         out = tietze_simplify(p)
         assert len(out.generators) == 1
         assert abelianize(out) == AbelianGroup(0, (4,))
@@ -285,13 +281,13 @@ class TestCosetEnumeration:
                 assert res.table[row[x]][x + 1] == k
 
     def test_trivial_group(self):
-        p = presentation(["a"], [["a"]])
+        p = _presentation("a", (1,))
         assert coset_enumerate(p).status == Complete(1)
 
     @pytest.mark.parametrize("gens", [["a"], ["a", "b"]])
     def test_one_letter_relators_need_no_second_coset(self, gens):
         # each relator closes at coset 0, so a budget of one coset suffices
-        p = presentation(gens, [[g] for g in gens])
+        p = _presentation(gens, *((g,) for g in range(1, len(gens) + 1)))
         res = coset_enumerate(p, max_cosets=1)
         assert res.status == Complete(1)
         assert res.defined == 1 and res.coincidences == 0
@@ -360,6 +356,10 @@ class TestSympyOracle:
         group = _sympy_group(pres)
         assert coset_enumerate(pres).status.index == group.order() \
             == (2 * n if dihedral else n)
+
+
+def _spell(names, w) -> str:
+    return " ".join(names[g - 1] + ("" if e == 1 else f"^{e}") for g, e in w)
 
 
 # the 45 relators of build_pi1_orb_presentation that do not depend on p
@@ -439,7 +439,8 @@ class TestOrbifoldGroup:
     def test_relators_not_depending_on_p(self):
         pres = build_pi1_orb_presentation(2)
         fixed = pres.relators[:-3]
-        assert [pres.spell(r) for r in fixed] == FIXED_RELATORS
+        assert [_spell(pres.generators, r) for r in fixed] \
+            == FIXED_RELATORS
         for p in (3, 5, 7, 11, 13):
             pres = build_pi1_orb_presentation(p)
             assert pres.relators[:-3] == fixed

@@ -1,4 +1,5 @@
-"""Closed-form oracle for the Seifert invariants of glued_Z.
+"""Closed-form oracle for the Seifert invariants of glued_Z, drawn at
+the 25 primes from 2 to 97, each of which is also one explicit example.
 
 glued_Z carries sixteen disjoint surfaces V1..V16 of multiplicity p^1 ..
 p^16 with j = 1 (so every b residue is 1), whose integral pairing
@@ -27,16 +28,26 @@ from orbkit.seifert import (
 )
 from orbkit.spin import spin_decision
 from orbkit.surgery import build_Z
+from test_glued_family import PRIMES
 
 D = (1, -1) + (-1,) * 12 + (1, 1)
 BACKGROUND = st.tuples(*[st.integers(-4, 4)] * 16)
 
 
+def _at_every_prime(test):
+    """test with one example per prime of PRIMES, whose c1B has the
+    parity (p mod 2, p // 2 mod 2) in its first two entries."""
+    for p in PRIMES:
+        test = example(p=p, c1B=(p % 2, p // 2 % 2) + (0,) * 14)(test)
+    return test
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(p=st.sampled_from((2, 3, 5)), c1B=BACKGROUND)
+@given(p=st.sampled_from(PRIMES), c1B=BACKGROUND)
 @example(p=3, c1B=(1, 0) + (0,) * 14)
 @example(p=5, c1B=(-1, 3) + (2, -4) * 7)
 @example(p=2, c1B=(1, 1) + (0,) * 14)
+@_at_every_prime
 def test_glued_Z_closed_form(p, c1B):
     z = build_Z(p)
     spec = SeifertSpec(z, compute_b_residues(z), c1B)

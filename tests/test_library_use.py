@@ -1,11 +1,12 @@
 """A library function used only by tests must be a check in its own right.
 
 Every top-level function and method defined under src/orbkit must be
-named somewhere else in src/ or perfbench/: called, imported, bound
-(the benchmark's tracer binds functions by their names in strings), or
-reached through the operator it implements.  Docstrings do not count.
-A name used nowhere else is test-only code, and it must be on ALLOWED
-with the reason it stays; otherwise delete it.
+named somewhere else in src/ or perfbench/: called, imported, bound, or
+reached through the operator it implements.  Docstrings do not count,
+and neither does perfbench/tracer.py, which names every layer function
+in strings to wrap it.  A name used nowhere else is test-only code, and
+it must be on ALLOWED with the reason it stays, or on TRACER_BOUND if
+the tracer is all that reaches it; otherwise delete it.
 
 The same holds for an optional parameter of any function there: it
 must be named in src/ or perfbench/ outside that function, as a call's
@@ -15,21 +16,27 @@ it must be on ALLOWED_PARAMETERS with the reason it stays.
 """
 
 import ast
+import importlib.util
 import re
 from collections import Counter
 from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # test-only names that stay -> why
 ALLOWED = {
-    "IntMatrix.identity": "the SNF's own check",
-    "IntMatrix.zero": "the SNF's own check",
     "IntMatrix.__matmul__": "the SNF's own check: U @ A @ V == D",
-    "presentation": "test-facing: builds a Presentation from names",
-    "Presentation.spell": "test-facing: prints a word",
+    "chern_class": "the oracle of scaled_chern_class",
 }
+
+# names that only the benchmark's tracer reaches -> why they stay
+_TRACER_REASON = ("perfbench/tracer.py binds it; it goes with ROADMAP "
+                  "item 5 once 6(c) lands")
+TRACER_BOUND = dict.fromkeys(
+    ["emit_scenario", "pi_star_kernel", "replay", "tietze_simplify",
+     "w2_base_class"], _TRACER_REASON)
 
 # test-only optional parameters that stay, as "function(parameter=)" -> why
 ALLOWED_PARAMETERS = {
@@ -85,10 +92,12 @@ def _definitions(tree):
 
 @cache
 def _trees():
-    """{path: syntax tree} of every module in src/ and perfbench/."""
+    """{path: syntax tree} of every module in src/ and perfbench/ but the
+    tracer."""
     return {path: ast.parse(path.read_text(encoding="utf-8"))
             for folder in ("src", "perfbench")
-            for path in sorted((ROOT / folder).rglob("*.py"))}
+            for path in sorted((ROOT / folder).rglob("*.py"))
+            if path != TRACER}
 
 
 def test_every_test_only_function_is_allowed():
@@ -98,8 +107,18 @@ def test_every_test_only_function_is_allowed():
     unused = {qualified for path, tree in trees.items()
               if path.parent.name == "orbkit"
               for qualified, name in _definitions(tree) if not used[name]}
-    assert sorted(unused - set(ALLOWED)) == []  # delete, or allow with why
-    assert sorted(set(ALLOWED) - unused) == []  # now used: drop from ALLOWED
+    kept = set(ALLOWED) | set(TRACER_BOUND)
+    assert sorted(unused - kept) == []  # delete, or allow with why
+    assert sorted(kept - unused) == []  # now used: drop from the lists
+
+
+def test_tracer_bound_names_are_layer_functions():
+    spec = importlib.util.spec_from_file_location("tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = {name for names in tracer.LAYER_FUNCTIONS.values()
+               for name in names}
+    assert sorted(set(TRACER_BOUND) - wrapped) == []
 
 
 def _parameter_uses(tree, docstrings):

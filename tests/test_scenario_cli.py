@@ -331,8 +331,23 @@ spin_unknowns = a1=1
 """
 
 
-# ids the grammar can carry: no space, '#', '=', ',' or '[', never "smooth"
-_IDS = st.text("ABCXYZabxyz_0123456789", min_size=1, max_size=4)
+# ids the grammar can carry: no space, '#', '=', ',' or '[', never
+# "smooth"; E1, dp1, ... are ids a move draws too.  A config holds at most
+# ten surfaces (five declared, five added) and eight points, so a fresh id
+# is always left
+_IDS = ("A", "B", "C", "X", "Z", "a", "x", "_", "0", "12", "b_9", "XYZ0",
+        "E1", "E2", "dp1", "dp2")
+
+
+def _unique_ids(**sizes):
+    """A strategy for a list of distinct ids."""
+    return st.lists(st.sampled_from(_IDS), unique=True, **sizes)
+
+
+def _fresh(ids):
+    """A strategy for an id not in ids.  Ids are drawn from a pool and
+    never filtered, so a failing example shrinks in seconds."""
+    return st.sampled_from(sorted(set(_IDS) - ids))
 
 
 @st.composite
@@ -340,20 +355,20 @@ def _configs(draw):
     cfg = OrbifoldConfig(b1=draw(st.integers(0, 4)),
                          b2=draw(st.integers(0, 20)),
                          euler=draw(st.integers(-10, 30)))
-    sids = draw(st.lists(_IDS, min_size=1, max_size=5, unique=True))
+    sids = draw(_unique_ids(min_size=1, max_size=5))
     for sid in sids:
         cfg.surfaces.append(SurfaceData(
             sid, draw(st.integers(0, 3)), draw(st.integers(1, 9)),
             draw(st.integers(0, 8)),
             draw(st.fractions(-20, 20, max_denominator=6))))
-    pids = draw(st.lists(_IDS, max_size=3, unique=True))
+    pids = draw(_unique_ids(max_size=3))
     for pid in pids:
         order = draw(st.integers(1, 12))
         cfg.points.append(SingularPointData(
             pid, order, (draw(st.integers(0, 30)), draw(st.integers(0, 30))),
             tuple(draw(st.lists(st.sampled_from(sids), max_size=2,
                                 unique=True)))))
-    for eid in draw(st.lists(_IDS, max_size=4, unique=True)):
+    for eid in draw(_unique_ids(max_size=4)):
         a, b = draw(st.lists(st.sampled_from(sids), min_size=2, max_size=2))
         at = draw(st.sampled_from(["smooth", *pids]))
         cfg.events.append(IntersectionEvent(eid, a, b, at))
@@ -369,14 +384,15 @@ def _scripts(draw, cfg):
     for _ in range(draw(st.integers(0, 5))):
         if not known:
             break
-        op = draw(st.sampled_from(["blow_up", "blow_down", "resolve",
-                                   "discard", "rename"]))
+        # the parser refuses a line that names a surface twice (so resolve
+        # needs two surfaces) or that adds a surface id in use
+        op = draw(st.sampled_from(["blow_up", "blow_down", "discard",
+                                   "rename"] + ["resolve"] * (len(known) > 1)))
         sid = draw(st.sampled_from(sorted(known)))
-        # the parser refuses a line that adds a surface id already in use
-        new = draw(_IDS.filter(lambda x: x not in known))
+        new = draw(_fresh(known))
         if op == "blow_up":
             through = draw(st.lists(st.sampled_from(sorted(known)),
-                                    min_size=1, max_size=3))
+                                    min_size=1, max_size=3, unique=True))
             args = [("through", ",".join(through))]
             if draw(st.booleans()):
                 args.append(("id", new))
@@ -385,17 +401,17 @@ def _scripts(draw, cfg):
             known.add(new)
         elif op == "blow_down":
             args = [("sphere", sid)]
-            # nor one that adds a point id already in use
+            # or a point id in use
             if draw(st.booleans()):
-                point = draw(_IDS.filter(lambda x: x not in points))
+                point = draw(_fresh(points))
                 args.append(("point", point))
             else:  # the point the move names
                 point = OrbifoldConfig.fresh_id(DOUBLE_POINT_PREFIX, points)
             points.add(point)
             known.discard(sid)
         elif op == "resolve":
-            args = [("t1", sid), ("t2", draw(st.sampled_from(sorted(known)))),
-                    ("id", new)]
+            t2 = draw(st.sampled_from(sorted(known - {sid})))
+            args = [("t1", sid), ("t2", t2), ("id", new)]
             known.add(new)
         elif op == "discard":
             args = [("id", sid)]
@@ -647,6 +663,30 @@ class TestCli:
         assert cli.main(["build", str(f)]) == cli.EXIT_INPUT
         assert capsys.readouterr().err == (
             "input error: line 16: surface id 'L' already in use\n")
+
+    @pytest.mark.parametrize("line, err", [
+        ("blow_up through=C,C", "blow_up names surface 'C' twice"),
+        ("resolve t1=A t2=A id=N", "resolve names surface 'A' twice"),
+        ("blow_up through=C id=", "id= needs a surface id"),
+        ("rename old=C new=", "new= needs a surface id"),
+        ("resolve t1=A t2=B id=", "id= needs a surface id"),
+        ("blow_down sphere=S point=", "point= needs a point id"),
+    ], ids=["blow_up_twice", "resolve_twice", "blow_up_empty",
+            "rename_empty", "resolve_empty", "blow_down_empty"])
+    def test_script_line_names_a_surface_once_and_no_empty_id(
+            self, tmp_path, capsys, line, err):
+        # the first two used to fail the build stage (exit 1); the next
+        # three built a surface '' (exit 0), which no [surface] header can
+        # declare, and the blow-down a point dp1 where the parser had ''
+        text = (EXPLICIT_TEXT.split("[script]")[0]
+                + "[surface A]\ngenus = 1\n\n[surface B]\ngenus = 1\n\n"
+                + "[surface S]\ngenus = 0\nself = -2\n\n[script]\n"
+                + line + "\n")
+        f = tmp_path / "s.scn"
+        f.write_text(text)
+        assert cli.main(["build", str(f)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: line {len(text.splitlines())}: {err}\n")
 
     @pytest.mark.parametrize("script, line, pid", [
         ("blow_down sphere=S point=dp1\n", 40, "dp1"),  # declared

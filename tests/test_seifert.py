@@ -28,6 +28,10 @@ from orbkit.seifert import (
 from orbkit.spin import smale_barden_report, spin_decision
 from orbkit.surgery import build_block_Y, build_Z
 
+# the integral pairing that block_Y is given, where one is needed
+IDENTITY_6 = IntMatrix.from_rows([[int(i == k) for i in range(6)]
+                                  for k in range(6)])
+
 
 def _glued_spec(p=3, c1B=None):
     z = build_Z(p)
@@ -222,7 +226,7 @@ class TestH1H2:
 
     def test_block_Y_fails_b1(self):
         y = build_block_Y()
-        y.integral_pairing = IntMatrix.identity(6)
+        y.integral_pairing = IDENTITY_6
         spec = SeifertSpec(y, compute_b_residues(y), (0,) * 6)
         dec = h1_zero_decision(spec)
         assert not dec.b1_zero and not dec.holds
@@ -273,7 +277,7 @@ class TestH1H2:
 
     def test_h2_requires_h1_zero(self):
         y = build_block_Y()
-        y.integral_pairing = IntMatrix.identity(6)
+        y.integral_pairing = IDENTITY_6
         with pytest.raises(H1NotZero):
             h2_of_M(SeifertSpec(y, compute_b_residues(y), (0,) * 6))
 

@@ -104,10 +104,10 @@ def cases() -> dict:
     rng = random.Random(SEED)
     out = {name: _random_case(rng, kind)
            for name, kind in zip(NAMES, RANDOM_KINDS)}
-    out["empty_0x0"] = IntMatrix.zero(0, 0)
-    out["empty_0x7"] = IntMatrix.zero(0, 7)
-    out["empty_7x0"] = IntMatrix.zero(7, 0)
-    out["zero_5x4"] = IntMatrix.zero(5, 4)
+    out["empty_0x0"] = IntMatrix(0, 0, ())
+    out["empty_0x7"] = IntMatrix(0, 7, ())
+    out["empty_7x0"] = IntMatrix(7, 0, ((),) * 7)
+    out["zero_5x4"] = IntMatrix(5, 4, ((0,) * 4,) * 5)
     for p in GLUED_PRIMES:
         out[f"glued_Z_p{p}"] = _glued_matrix(p)
     for p in PI1_PRIMES:

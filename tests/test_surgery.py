@@ -284,6 +284,28 @@ class TestGompfSum:
                             replace(plan, surface_joins=joins))
 
 
+@pytest.mark.parametrize("name, kwargs, message", [
+    ("blow_up", {"through": ["C", "C"]}, "blow_up names surface 'C' twice"),
+    ("resolve_torus_pair", {"t1": "T1", "t2": "T1", "new_id": "N"},
+     "resolve_torus_pair names surface 'T1' twice"),
+    ("blow_up", {"through": ["C"], "exceptional_id": ""}, "empty surface id"),
+    ("rename", {"old": "C", "new": ""}, "empty surface id"),
+    ("resolve_torus_pair", {"t1": "T1", "t2": "T2", "new_id": ""},
+     "empty surface id"),
+    ("blow_down_minus2", {"sphere": "S", "point_id": ""}, "empty point id"),
+], ids=["blow_up_twice", "resolve_twice", "blow_up_empty", "rename_empty",
+        "resolve_empty", "blow_down_empty"])
+def test_moves_refuse_a_surface_named_twice_and_an_empty_id(name, kwargs,
+                                                            message):
+    # the rule a [script] line meets, for callers of the moves themselves
+    cfg = _cp2_with_cubic()
+    cfg.surfaces += [SurfaceData("T1", 1), SurfaceData("T2", 1),
+                     SurfaceData("S", 0, self_intersection=Fraction(-2))]
+    cfg.add_event("T1", "T2")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        getattr(surgery, name)(cfg, **kwargs)
+
+
 def test_mod5_isotropy():
     z = build_Z(5)
     mults = [s.multiplicity for s in z.surfaces]
@@ -346,7 +368,8 @@ def _random_step(rng, cfg, kinds=7):
     n = len(basis)
     qclasses = {sid: [int(i == k) for i in range(n)]
                 for k, sid in enumerate(basis)}
-    pairing = rng.choice([None, IntMatrix.identity(n)])
+    # the rows of qclasses, in basis order, are the identity matrix's
+    pairing = rng.choice([None, IntMatrix.from_rows(list(qclasses.values()))])
     return "declare_lattice", {"basis": basis, "qclasses": qclasses,
                                "integral_pairing": pairing}
 
