@@ -16,9 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import fpgroup, report as report_mod
+from . import fpgroup, report as report_mod, seifert
 from .model import validate_config
-from .seifert import MissingIntegralPairing, MissingQClass
 from .scenario import (
     BUILTINS,
     ParseError,
@@ -33,7 +32,7 @@ EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_INCONCLUSIVE = 0, 1, 2, 3
 # pipeline errors caused by data the scenario does not give (the grammar
 # cannot declare an H_2 basis or pairing, and every surgery move clears
 # one) or gives in a form the built configuration does not fit
-INPUT_ERRORS = (MissingIntegralPairing, MissingQClass,
+INPUT_ERRORS = (seifert.MissingIntegralPairing, seifert.MissingQClass,
                 report_mod.RequestError)
 
 
@@ -77,11 +76,13 @@ def _add_pipeline_args(sub):
     sub.add_argument("--spin-target", choices=SPIN_TARGETS, default="any",
                      help="require the searched background class to give "
                           "a spin / non-spin total space")
-    sub.add_argument("--coset-bound", type=at_least(1), default=10000,
+    sub.add_argument("--coset-bound", type=at_least(1),
+                     default=fpgroup.COSET_BOUND,
                      help="cosets the enumeration may define")
-    sub.add_argument("--search-bound", type=at_least(0), default=4,
+    sub.add_argument("--search-bound", type=at_least(0),
+                     default=seifert.SEARCH_BOUND,
                      help="coordinate bound for the background-class search")
-    sub.add_argument("--max-l1", type=at_least(0), default=2,
+    sub.add_argument("--max-l1", type=at_least(0), default=seifert.MAX_L1,
                      help="L1-norm bound for the background-class search")
     sub.add_argument("--format", choices=("human", "structured"),
                      default="human")
@@ -165,7 +166,8 @@ def main(argv=None) -> int:
         sub.set_defaults(fn=fn)
     enum = subs.add_parser("enumerate")
     enum.add_argument("--prime", type=prime, default=3)
-    enum.add_argument("--coset-bound", type=at_least(1), default=10000,
+    enum.add_argument("--coset-bound", type=at_least(1),
+                      default=fpgroup.COSET_BOUND,
                       help="cosets the enumeration may define")
     enum.add_argument("--dump-table", action="store_true")
     enum.set_defaults(fn=_cmd_enumerate)

@@ -239,7 +239,12 @@ class CosetTable:
         return isinstance(self.status, Complete)
 
 
-def coset_enumerate(p: Presentation, max_cosets: int = 10000) -> CosetTable:
+# the cosets an enumeration may define unless told otherwise
+COSET_BOUND = 10000
+
+
+def coset_enumerate(p: Presentation,
+                    max_cosets: int = COSET_BOUND) -> CosetTable:
     """Felsch Todd-Coxeter of the cosets of the identity alone, whose
     number is the order of the group.
 

@@ -5,8 +5,11 @@ run_pipeline drives a Scenario end to end: build the configuration
 search a background class, evaluate the H_1 / H_2 / spin / classifying
 invariants, and (for the full glued space) enumerate the orbifold
 fundamental group.  The Report carries every verdict together with the
-evidence behind it and renders deterministically in a human or a
-golden-file-friendly structured format.
+evidence behind it.  _rows lists it as (key, value) rows, and both
+formats print those rows in that order: structured as `key = value`
+under an `orbkit-report v1` header, human with the rows of each key's
+first dotted part under a `head:` line, each as `  rest: value`, and a
+key with no dot as `key: value`.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ class Report:
     config: object
     violations: list
     local_invariants: dict
-    compatibility_ok: bool
     even_bound: object  # (prime, bool) or None
     surgery_log: object
     h1: object = None
@@ -98,10 +100,18 @@ def build(scn: Scenario, log=None):
 
 
 def _spin_predicate(assignment, spin_target):
-    """accept(lattice, c1B): c1B gives the spin type asked for."""
+    """accept(lattice, c1B): c1B gives the spin type asked for, or fails
+    H_1 = 0, on which no spin type is decided and the h1_zero verdict
+    fails."""
     want = {"spin": True, "nonspin": False}.get(spin_target)
-    return lambda lattice, c1B: want is None or spin.spin_decision(
-        lattice.spec(c1B), dict(assignment)) == want
+
+    def accept(lattice, c1B):
+        if want is None:
+            return True
+        spec = lattice.spec(c1B)
+        return (not spec.h1.holds
+                or spin.spin_decision(spec, dict(assignment)) == want)
+    return accept
 
 
 def _check_request(request: SeifertRequest, b2: int, names) -> None:
@@ -116,8 +126,9 @@ def _check_request(request: SeifertRequest, b2: int, names) -> None:
             f"the unknowns of w2 are {' '.join(names) or 'none'}")
 
 
-def run_pipeline(scn: Scenario, coset_bound: int = 10000,
-                 search_bound: int = 4, max_l1: int = 2) -> Report:
+def run_pipeline(scn: Scenario, coset_bound: int = fpgroup.COSET_BOUND,
+                 search_bound: int = seifert.SEARCH_BOUND,
+                 max_l1: int = seifert.MAX_L1) -> Report:
     log = surgery.SurgeryLog()
     cfg, label, p = build(scn, log)
 
@@ -133,8 +144,7 @@ def run_pipeline(scn: Scenario, coset_bound: int = 10000,
         for pli in invariants.values())
     even_bound = (p, check_even_point_bound(cfg, p)) if p else None
 
-    report = Report(label, cfg, violations, invariants, compatibility_ok,
-                    even_bound, log)
+    report = Report(label, cfg, violations, invariants, even_bound, log)
     report.verdicts.append(("config_valid",
                             PASS if not violations else FAIL))
     report.verdicts.append(("local_invariants_compatible",
@@ -178,12 +188,16 @@ def run_pipeline(scn: Scenario, coset_bound: int = 10000,
                                 PASS if report.h1.holds else FAIL))
         if report.h1.holds:
             report.h2 = seifert.h2_of_M(specs[0])
+            # H_2(M) does not depend on c1(B): the datum depends only on
+            # the spin bit
+            data = {}
             for assignment, spec, is_spin in entries:
-                sb = spin.smale_barden_report(spec, is_spin)
+                if is_spin not in data:
+                    data[is_spin] = spin.smale_barden_report(spec, is_spin)
                 report.spin_entries.append(SpinEntry(
-                    assignment, spec.c1B, is_spin, spin.gk_check(sb)))
-                if report.smale_barden is None:
-                    report.smale_barden = sb
+                    assignment, spec.c1B, is_spin,
+                    spin.gk_check(data[is_spin])))
+            report.smale_barden = data[report.spin_entries[0].is_spin]
             gk_all = all(e.gk_ok for e in report.spin_entries)
             report.verdicts.append(("gk_condition",
                                     PASS if gk_all else FAIL))
@@ -219,116 +233,75 @@ def run_pipeline(scn: Scenario, coset_bound: int = 10000,
 # -- emission -----------------------------------------------------------
 
 
-def _surface_rows(cfg):
+def _joined(items) -> str:
+    return " ".join(str(x) for x in items)
+
+
+def _rows(report: Report):
+    """The (key, value) rows of a report, in the order both formats print
+    them."""
+    cfg = report.config
+    yield "scenario", report.scenario_label
+    yield "config.euler", cfg.euler
+    yield "config.b1", cfg.b1
+    yield "config.b2", cfg.b2
+    yield "config.points", len(cfg.points)
     for s in cfg.surfaces:
-        yield (s.id, s.genus, s.multiplicity, s.local_j,
-               str(s.self_intersection))
+        yield (f"surface.{s.id}", f"genus {s.genus} mult {s.multiplicity} "
+               f"j {s.local_j} self {s.self_intersection}")
+    for pid in sorted(report.local_invariants):
+        pli = report.local_invariants[pid]
+        yield f"local.{pid}", f"m {pli.m} j1 {pli.j1} j2 {pli.j2}"
+    for name, status in report.verdicts:
+        yield f"verdict.{name}", status
+    yield "violations", len(report.violations)
+    for v in report.violations:
+        yield "violation", v
+    if report.even_bound is not None:
+        yield "even_bound.p", report.even_bound[0]
+    if report.h1 is not None:
+        for name in ("b1_zero", "surjective", "primitive", "holds"):
+            yield f"h1.{name}", getattr(report.h1, name)
+        yield "chern.scaled", _joined(report.scaled_chern.entries)
+    if report.h2 is not None:
+        yield "h2.rank", report.h2.rank
+        yield "h2.invariant_factors", _joined(report.h2.invariant_factors)
+    for e in report.spin_entries:
+        key = ",".join(f"{n}={b}" for n, b in e.assignment) or "-"
+        yield (f"spin.{key}", f"c1B {_joined(e.c1B)} | "
+               f"{'spin' if e.is_spin else 'nonspin'} | "
+               f"gk {PASS if e.gk_ok else FAIL}")
+    sb = report.smale_barden
+    if sb is not None:
+        yield "smale_barden.k", sb.k
+        yield "smale_barden.torsion", _joined(
+            f"{p}^{i}:{c}" for (p, i), c in sb.torsion_profile)
+        yield "smale_barden.t_max", sb.t_max
+        yield "smale_barden.c_max", sb.c_max
+    if report.pi1_status is not None:
+        yield "pi1.status", report.pi1_status
+        yield "pi1.abelianization", report.pi1_abelianization
+    if report.simply_connected is not None:
+        yield "pi1.simply_connected", report.simply_connected
+    yield "surgery.steps", len(report.surgery_log.entries)
+    for entry in report.surgery_log.entries:
+        yield "surgery.step", f"{entry.op} {entry.before} -> {entry.after}"
 
 
 def emit_report(report: Report, format: str = "human") -> str:
+    """The rows of _rows in the layout of format (see the module
+    docstring)."""
     if format == "structured":
-        return _emit_structured(report)
-    if format == "human":
-        return _emit_human(report)
-    raise ValueError(f"unknown format {format!r}")
-
-
-def _emit_structured(report: Report) -> str:
-    lines = ["orbkit-report v1",
-             f"scenario = {report.scenario_label}"]
-    cfg = report.config
-    lines += [f"config.euler = {cfg.euler}", f"config.b1 = {cfg.b1}",
-              f"config.b2 = {cfg.b2}",
-              f"config.points = {len(cfg.points)}"]
-    for row in _surface_rows(cfg):
-        lines.append("surface.%s = genus %d mult %d j %d self %s" % row)
-    for pid in sorted(report.local_invariants):
-        pli = report.local_invariants[pid]
-        lines.append(f"local.{pid} = m {pli.m} j1 {pli.j1} j2 {pli.j2}")
-    for name, status in report.verdicts:
-        lines.append(f"verdict.{name} = {status}")
-    lines.append(f"violations = {len(report.violations)}")
-    for v in report.violations:
-        lines.append(f"violation = {v}")
-    if report.even_bound is not None:
-        lines.append(f"even_bound.p = {report.even_bound[0]}")
-    if report.h1 is not None:
-        lines += [f"h1.b1_zero = {report.h1.b1_zero}",
-                  f"h1.surjective = {report.h1.surjective}",
-                  f"h1.primitive = {report.h1.primitive}",
-                  f"h1.holds = {report.h1.holds}"]
-        lines.append("chern.scaled = " + " ".join(
-            str(x) for x in report.scaled_chern.entries))
-    if report.h2 is not None:
-        lines.append(f"h2.rank = {report.h2.rank}")
-        lines.append("h2.invariant_factors = " + " ".join(
-            str(d) for d in report.h2.invariant_factors))
-    for e in report.spin_entries:
-        key = ",".join(f"{n}={b}" for n, b in e.assignment) or "-"
-        lines.append(
-            f"spin.{key} = c1B {' '.join(str(x) for x in e.c1B)} | "
-            f"{'spin' if e.is_spin else 'nonspin'} | "
-            f"gk {'pass' if e.gk_ok else 'fail'}")
-    if report.smale_barden is not None:
-        sb = report.smale_barden
-        lines.append(f"smale_barden.k = {sb.k}")
-        lines.append("smale_barden.torsion = " + " ".join(
-            f"{p}^{i}:{c}" for (p, i), c in sb.torsion_profile))
-        lines.append(f"smale_barden.t_max = {sb.t_max}")
-        lines.append(f"smale_barden.c_max = {sb.c_max}")
-    if report.pi1_status is not None:
-        lines.append(f"pi1.status = {report.pi1_status}")
-        lines.append(f"pi1.abelianization = {report.pi1_abelianization}")
-    if report.simply_connected is not None:
-        lines.append(f"pi1.simply_connected = {report.simply_connected}")
-    lines.append(f"surgery.steps = {len(report.surgery_log.entries)}")
-    for entry in report.surgery_log.entries:
-        lines.append(f"surgery.step = {entry.op} "
-                     f"{entry.before} -> {entry.after}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_human(report: Report) -> str:
-    cfg = report.config
-    lines = [f"Scenario: {report.scenario_label}",
-             f"  euler {cfg.euler}, b1 {cfg.b1}, b2 {cfg.b2}, "
-             f"{len(cfg.points)} singular point(s)", "",
-             "  id     genus mult      j  self"]
-    for sid, g, m, j, sq in _surface_rows(cfg):
-        lines.append(f"  {sid:<8} {g:>3} {m:>6} {j:>4}  {sq}")
-    if report.local_invariants:
-        lines += ["", "Local invariants:"]
-        for pid in sorted(report.local_invariants):
-            pli = report.local_invariants[pid]
-            lines.append(f"  {pid}: (m, j1, j2) = "
-                         f"({pli.m}, {pli.j1}, {pli.j2})")
-    if report.violations:
-        lines += ["", "Violations:"]
-        lines += [f"  {v}" for v in report.violations]
-    if report.h1 is not None:
-        lines += ["", f"H1 = 0 criteria: b1_zero={report.h1.b1_zero} "
-                      f"surjective={report.h1.surjective} "
-                      f"primitive={report.h1.primitive} "
-                      f"=> holds={report.h1.holds}"]
-    if report.h2 is not None:
-        lines.append(f"H2(M) = {report.h2}")
-    if report.spin_entries:
-        lines += ["", "Spin (per unknown assignment):"]
-        for e in report.spin_entries:
-            key = ", ".join(f"{n}={b}" for n, b in e.assignment) or "-"
-            lines.append(f"  [{key}] c1B={list(e.c1B)} -> "
-                         f"{'spin' if e.is_spin else 'non-spin'}"
-                         f" (gk {'ok' if e.gk_ok else 'FAIL'})")
-    if report.smale_barden is not None:
-        sb = report.smale_barden
-        lines += ["", f"Classifying data: b2(M)={sb.k}, t_max={sb.t_max}, "
-                      f"c_max={sb.c_max}"]
-    if report.pi1_status is not None:
-        lines += ["", f"Orbifold fundamental group: {report.pi1_status}, "
-                      f"abelianization {report.pi1_abelianization}"]
-    if report.simply_connected is not None:
-        lines.append(f"Total space simply connected: "
-                     f"{report.simply_connected}")
-    lines += ["", "Verdicts:"]
-    lines += [f"  {name}: {status}" for name, status in report.verdicts]
+        lines = ["orbkit-report v1"]
+        lines += [f"{key} = {value}" for key, value in _rows(report)]
+    elif format == "human":
+        lines, last = [], None
+        for key, value in _rows(report):
+            head, dot, rest = key.partition(".")
+            if dot and head != last:
+                lines.append(f"{head}:")
+            lines.append(f"  {rest}: {value}" if dot else f"{key}: {value}")
+            last = head
+    else:
+        raise ValueError(f"unknown format {format!r}")
     return "\n".join(lines) + "\n"

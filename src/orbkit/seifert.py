@@ -328,8 +328,13 @@ def _graded_vectors(dim: int, bound: int, max_l1: int):
         yield from rec([], dim, norm)
 
 
-def search_background_class(lattice: Lattice, accept, bound: int = 4,
-                            max_l1: int = 2) -> SeifertSpec:
+# the default coordinate and L1-norm bounds of the background-class search
+SEARCH_BOUND, MAX_L1 = 4, 2
+
+
+def search_background_class(lattice: Lattice, accept,
+                            bound: int = SEARCH_BOUND,
+                            max_l1: int = MAX_L1) -> SeifertSpec:
     """First background class, in graded order, that accept admits.
 
     Walks the candidates c1(B) of the lattice's configuration by L1 norm

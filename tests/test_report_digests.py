@@ -92,6 +92,32 @@ def test_report_matches_digest(name):
         assert digests()[key] == _golden()[key], fmt
 
 
+def _human_rows(text):
+    """The (key, value) rows of a human report: a `head:` line opens a
+    group, and each `  rest: value` line under it is the row head.rest."""
+    rows = []
+    for line in text.splitlines():
+        key, sep, value = line.lstrip().partition(": ")
+        if not sep:
+            head = line.removesuffix(":")
+        elif line.startswith("  "):
+            rows.append((f"{head}.{key}", value))
+        else:
+            rows.append((key, value))
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_human_report_prints_the_structured_rows(name):
+    # one row list behind both formats: neither says what the other omits
+    header, *lines = report_mod.emit_report(
+        reports()[name], format="structured").splitlines()
+    assert header == "orbkit-report v1"
+    rows = [tuple(line.split(" = ", 1)) for line in lines]
+    human = report_mod.emit_report(reports()[name], format="human")
+    assert _human_rows(human) == rows
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_holds_no_float(name):
     floats = [path for path, value in _walk(reports()[name])
