@@ -513,11 +513,15 @@ def build_pi1_orb_presentation(p_prime: int,
 
 
 def simply_connected_decision(result: CosetTable, h1_zero: bool) -> bool:
-    """Total space simply connected?
+    """The simply-connected verdict: h1_zero, once the coset table
+    certifies an orbifold group of order dividing 4.
 
-    Valid when the orbifold group is certified finite of order dividing
-    4 (hence abelian): the bundle fundamental group is then abelian, so
-    it vanishes exactly when H_1 does.
+    Raises NotApplicable when the enumeration did not complete or the
+    index does not divide 4.  The verdict is not proved here: an order
+    dividing 4 makes the orbifold group abelian, not the bundle group,
+    which is a central extension of it (Q_8 is one of Z_2^2 by Z_2).
+    The valid argument, pi_1 of the total space vanishes iff the
+    orbifold group is trivial and H_1 = 0, belongs to ROADMAP item 10.
     """
     if not result.is_complete():
         raise NotApplicable("coset enumeration did not complete")

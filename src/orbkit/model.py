@@ -10,6 +10,10 @@ Intersection numbers between distinct surfaces are derived from events:
 a smooth transverse point contributes 1, a shared singular point of
 order d contributes 1/d.
 
+The edits of a configuration are written in the surgery moves
+(surgery.py), each on a copy; this module keeps the records, their
+lookups, the id rules (add_event draws a new event's id) and the checks.
+
 Ids are unique within each kind.  What a move adds without a given id
 gets the id OrbifoldConfig.fresh_id draws: the first of E1, E2, ...
 (surfaces), dp1, dp2, ... (points) or ev1, ev2, ... (events) that the
@@ -192,28 +196,6 @@ class OrbifoldConfig:
             raise ValueError("no declared basis")
         return [[self.pairing_of(r, c) for c in self.basis]
                 for r in self.basis]
-
-    def rename_surface(self, old: str, new: str) -> None:
-        """Pure relabeling; ids must stay unique and nonempty."""
-        self.check_new_id("surfaces", new)
-        self.surface(old).id = new
-        for p in self.points:
-            p.incident = tuple(new if s == old else s for s in p.incident)
-        for e in self.events:
-            if e.a == old:
-                e.a = new
-            if e.b == old:
-                e.b = new
-        if self.basis is not None:
-            self.basis = tuple(new if s == old else s for s in self.basis)
-
-    def discard_surface(self, sid: str) -> None:
-        """Stop tracking a surface (bookkeeping only; topology unchanged)."""
-        s = self.surface(sid)
-        self.surfaces.remove(s)
-        self.events = [e for e in self.events if sid not in (e.a, e.b)]
-        for p in self.points:
-            p.incident = tuple(x for x in p.incident if x != sid)
 
 
 @record

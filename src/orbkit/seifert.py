@@ -238,6 +238,16 @@ class Lattice:
                 base ^= vec
         return Mod2Class(base, tuple(unknowns))
 
+    @cached_property
+    def h2(self) -> AbelianGroup:
+        """Z^(b2-1) + sum_i Z_{m_i}^(2 g_i), H_2 of every total space over
+        the configuration whose H_1 vanishes (see h2_of_M)."""
+        counts: dict[tuple[int, int], int] = {}
+        for s in isotropy_surfaces(self.cfg):
+            for p, e in factorize(s.multiplicity):
+                counts[(p, e)] = counts.get((p, e), 0) + 2 * s.genus
+        return AbelianGroup.from_prime_powers(self.cfg.b2 - 1, counts)
+
     def twist(self, c1B) -> int:
         """c1(B) + sum_i b_i [D_i] mod 2, as a Z/2 row."""
         return _mod2(c1B) ^ self.odd_b
@@ -300,13 +310,7 @@ def h2_of_M(spec: SeifertSpec) -> AbelianGroup:
     """H_2 of the total space: Z^(b2-1) + sum_i Z_{m_i}^(2 g_i)."""
     if not h1_zero_decision(spec).holds:
         raise H1NotZero("H_2 formula requires the H_1 = 0 criteria")
-    counts: dict[tuple[int, int], int] = {}
-    for s in isotropy_surfaces(spec.base):
-        if s.genus == 0:
-            continue
-        for p, e in factorize(s.multiplicity):
-            counts[(p, e)] = counts.get((p, e), 0) + 2 * s.genus
-    return AbelianGroup.from_prime_powers(spec.base.b2 - 1, counts)
+    return spec.lattice.h2
 
 
 def _graded_vectors(dim: int, bound: int, max_l1: int):

@@ -12,7 +12,11 @@ arguments, then an optional `log=` keyword, and never changes its input.
 Every move is written under @_move: it edits a copy of the config and
 returns the keywords that replay it; the decorator returns the copy,
 records the keywords in the log under the move's own name, and
-registers the move in _REPLAY.  replay() calls _REPLAY[op](cfg,
+registers the move in _REPLAY.  The fiber sum edits copies too: it
+copies its second config once and moves the surviving records of that
+copy into its own, so only the joined surfaces are new records.  Every
+edit of a config is written in a move here; model.py keeps the records,
+lookups, id rules and checks.  replay() calls _REPLAY[op](cfg,
 **kwargs) for each logged step, so replaying a log from the same
 starting config reproduces the final config exactly.
 
@@ -278,13 +282,24 @@ def resolve_torus_pair(cfg: OrbifoldConfig, t1: str, t2: str,
 @_move
 def discard(cfg: OrbifoldConfig, surface: str) -> dict:
     """Stop tracking a surface (topology and Betti numbers unchanged)."""
-    cfg.discard_surface(surface)
+    cfg.surfaces.remove(cfg.surface(surface))
+    cfg.events = [e for e in cfg.events if surface not in (e.a, e.b)]
+    for p in cfg.points:
+        p.incident = tuple(s for s in p.incident if s != surface)
     return {"surface": surface}
 
 
 @_move
 def rename(cfg: OrbifoldConfig, old: str, new: str) -> dict:
-    cfg.rename_surface(old, new)
+    """Relabel a surface; the new id is nonempty and not in use."""
+    cfg.check_new_id("surfaces", new)
+    cfg.surface(old).id = new
+    for p in cfg.points:
+        p.incident = tuple(new if s == old else s for s in p.incident)
+    for e in cfg.events:
+        e.a, e.b = (new if s == old else s for s in (e.a, e.b))
+    if cfg.basis is not None:
+        cfg.basis = tuple(new if s == old else s for s in cfg.basis)
     return {"old": old, "new": new}
 
 
@@ -328,9 +343,11 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
     used up by the gluing (matched singular points disappear from the
     result); each surface join becomes one output surface whose genus
     follows from Euler-characteristic additivity of the glued pieces.
+    The euler characteristic of the sum is chi(X) + chi(Y) - 2 chi(F).
     """
+    b = cfg_b.copy()  # its records move into cfg_a, the move's copy
     fa = cfg_a.surface(plan.fiber_a)
-    fb = cfg_b.surface(plan.fiber_b)
+    fb = b.surface(plan.fiber_b)
     if fa.genus != fb.genus:
         raise GenusMismatch(f"fiber genera {fa.genus} != {fb.genus}")
     if fa.self_intersection + fb.self_intersection != 0:
@@ -338,12 +355,12 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
             f"{fa.self_intersection} + {fb.self_intersection} != 0")
 
     for kind in ("surfaces", "events", "points"):
-        clash = set(cfg_a.ids(kind)) & set(cfg_b.ids(kind))
+        clash = set(cfg_a.ids(kind)) & set(b.ids(kind))
         if clash:
             raise ValueError(f"{kind[:-1]} id collision: {sorted(clash)}")
 
     on_a = {e.id: e for e in cfg_a.events_on(plan.fiber_a)}
-    on_b = {e.id: e for e in cfg_b.events_on(plan.fiber_b)}
+    on_b = {e.id: e for e in b.events_on(plan.fiber_b)}
     matched_a = [m[0] for m in plan.point_matching]
     matched_b = [m[1] for m in plan.point_matching]
     if sorted(matched_a) != sorted(on_a) or sorted(matched_b) != sorted(on_b):
@@ -352,19 +369,18 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
 
     consumed_points: set[str] = set()
     for ea_id, eb_id in plan.point_matching:
-        ea, eb = on_a[ea_id], on_b[eb_id]
-        la, lb = ea.location, eb.location
+        la, lb = on_a[ea_id].location, on_b[eb_id].location
         if (la == SMOOTH) != (lb == SMOOTH):
             raise UnmatchedSingularPoint(
                 f"{ea_id} ({la}) matched with {eb_id} ({lb})")
         if la != SMOOTH:
-            da = cfg_a.point(la).order
-            db = cfg_b.point(lb).order
+            da, db = cfg_a.point(la).order, b.point(lb).order
             if da != db:
                 raise UnmatchedSingularPoint(
                     f"orders {da} != {db} at {la} / {lb}")
             consumed_points.update((la, lb))
-    for cfg, fiber in ((cfg_a, plan.fiber_a), (cfg_b, plan.fiber_b)):
+    sides = ((cfg_a, plan.fiber_a), (b, plan.fiber_b))
+    for cfg, fiber in sides:
         for pt in cfg.points_on(fiber):
             if pt.id not in consumed_points:
                 raise UnmatchedSingularPoint(
@@ -376,25 +392,23 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
             if sid in piece_of:
                 raise PlanInconsistent(f"{sid} appears in two joins")
             piece_of[sid] = out_id
+    by_id = {s.id: s for s in cfg_a.surfaces + b.surfaces}
     for sid in piece_of:
-        if not (cfg_a.has_surface(sid) or cfg_b.has_surface(sid)):
+        if sid not in by_id:
             raise PlanInconsistent(f"join references unknown surface {sid!r}")
     if plan.fiber_a in piece_of or plan.fiber_b in piece_of:
         raise PlanInconsistent("a fiber surface cannot be a join piece")
-    survivors = [s for cfg in (cfg_a, cfg_b) for s in cfg.surfaces
-                 if s.id not in (plan.fiber_a, plan.fiber_b)
-                 and s.id not in piece_of]
-    taken = {s.id for s in survivors}
+    # the surviving surfaces of both sides, then the joins
+    surfaces = [s for s in cfg_a.surfaces + b.surfaces
+                if s.id not in (plan.fiber_a, plan.fiber_b)
+                and s.id not in piece_of]
+    taken = {s.id for s in surfaces}
     for out_id, _ in plan.surface_joins:
         if out_id in taken:
             raise ValueError(f"surface id {out_id!r} already in use")
         taken.add(out_id)
 
-    def lookup(sid):
-        return (cfg_a if cfg_a.has_surface(sid) else cfg_b).surface(sid)
-
-    matched_in_join: dict[str, int] = {out_id: 0
-                                       for out_id, _ in plan.surface_joins}
+    matched_in_join = {out_id: 0 for out_id, _ in plan.surface_joins}
     for ea_id, eb_id in plan.point_matching:
         ea, eb = on_a[ea_id], on_b[eb_id]
         pa = ea.b if ea.a == plan.fiber_a else ea.a
@@ -406,58 +420,49 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
                 "which do not share an output surface")
         matched_in_join[ja] += 1
 
-    euler = cfg_a.euler + cfg_b.euler - (2 - 2 * fa.genus)
+    euler = cfg_a.euler + b.euler - 2 * (2 - 2 * fa.genus)
     if euler != 2 - 2 * plan.b1 + plan.b2:
         raise PlanInconsistent(
             f"declared b1={plan.b1}, b2={plan.b2} disagree with "
             f"euler characteristic {euler}")
 
-    # the glued lists, built from cfg_a (the move's copy) and cfg_b
-    # before cfg_a's lists are replaced
-    surfaces = [SurfaceData(s.id, s.genus, s.multiplicity, s.local_j,
-                            s.self_intersection) for s in survivors]
-    events: list[IntersectionEvent] = []
-    points: list[SingularPointData] = []
     for out_id, pieces in plan.surface_joins:
-        chi = 0
+        chi = -2 * matched_in_join[out_id]
         square = Fraction(0)
         for sid in pieces:
-            s = lookup(sid)
+            s = by_id[sid]
             if s.multiplicity != 1:
                 raise UnsupportedGeometry(
                     f"join piece {sid} has multiplicity {s.multiplicity}")
             chi += 2 - 2 * s.genus
             square += s.self_intersection
-        chi -= 2 * matched_in_join[out_id]
         if chi % 2 != 0 or chi > 2:
             raise PlanInconsistent(
                 f"join {out_id} has non-surface euler characteristic {chi}")
         surfaces.append(SurfaceData(out_id, genus=(2 - chi) // 2,
-                                    multiplicity=1, local_j=0,
                                     self_intersection=square))
 
-    def remap(sid):
-        return piece_of.get(sid, sid)
-
+    # surviving events and points keep their records, with their ends and
+    # incident surfaces moved from the join pieces to the joins
     matched_ids = set(matched_a) | set(matched_b)
-    for cfg, fiber in ((cfg_a, plan.fiber_a), (cfg_b, plan.fiber_b)):
+    events, points = [], []
+    for cfg, fiber in sides:
         for e in cfg.events:
             if e.id in matched_ids or fiber in (e.a, e.b):
                 continue
             if e.location in consumed_points:
                 raise UnsupportedGeometry(
                     f"event {e.id} sits at consumed point {e.location}")
-            a, b = remap(e.a), remap(e.b)
-            if a == b:
+            e.a, e.b = piece_of.get(e.a, e.a), piece_of.get(e.b, e.b)
+            if e.a == e.b:
                 raise UnsupportedGeometry(
-                    f"event {e.id} would join {a} to itself")
-            events.append(IntersectionEvent(e.id, a, b, e.location))
+                    f"event {e.id} would join {e.a} to itself")
+            events.append(e)
         for p in cfg.points:
-            if p.id in consumed_points:
-                continue
-            points.append(SingularPointData(
-                p.id, p.order, p.exponents,
-                tuple(remap(s) for s in p.incident if s != fiber)))
+            if p.id not in consumed_points:
+                p.incident = tuple(piece_of.get(s, s) for s in p.incident
+                                   if s != fiber)
+                points.append(p)
     cfg_a.surfaces, cfg_a.events, cfg_a.points = surfaces, events, points
     cfg_a.euler, cfg_a.b1, cfg_a.b2 = euler, plan.b1, plan.b2
     _invalidate_basis(cfg_a)

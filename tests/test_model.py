@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from orbkit.exact import IntMatrix
 from orbkit.model import (
     IntersectionEvent,
     OrbifoldConfig,
@@ -179,6 +180,53 @@ class TestValidate:
                    if v.kind == "SelfIntersectionMismatch"}
             assert got == want
         assert shapes == {"dense", "sparse", "zero"}
+
+    @pytest.mark.parametrize("kind, locus, edit", [
+        ("NegativeGenus", "A", lambda cfg: setattr(cfg.surface("A"),
+                                                   "genus", -1)),
+        ("BadMultiplicity", "A", lambda cfg: setattr(cfg.surface("A"),
+                                                     "multiplicity", 0)),
+        ("ExponentNotCoprime", "x", lambda cfg: cfg.points.append(
+            SingularPointData("x", 4, (2, 1), ("A",)))),
+        ("TooManyIncidentSurfaces", "x", lambda cfg: cfg.points.append(
+            SingularPointData("x", 2, (1, 1), ("A", "B", "C")))),
+        ("UnknownSurface", "x", lambda cfg: cfg.points.append(
+            SingularPointData("x", 2, (1, 1), ("nope",)))),
+        ("UnknownSurface", "e", lambda cfg: cfg.events.append(
+            IntersectionEvent("e", "A", "nope"))),
+        ("UnknownSurface", "basis",
+         lambda cfg: setattr(cfg, "basis", ("nope",))),
+        ("CoprimalityViolation", "x", lambda cfg: cfg.points.append(
+            SingularPointData("x", 3, (1, 1), ("A", "D")))),
+        ("SelfTangency", "e", lambda cfg: cfg.events.append(
+            IntersectionEvent("e", "A", "A"))),
+        ("UnknownPoint", "e", lambda cfg: cfg.events.append(
+            IntersectionEvent("e", "A", "B", "nowhere"))),
+        ("BasisDimension", "basis",
+         lambda cfg: setattr(cfg, "basis", ("A", "B"))),
+        ("QClassDimension", "A", lambda cfg: (
+            setattr(cfg, "basis", ("A",)),
+            setattr(cfg.surface("A"), "qclass", (Fraction(1), 0)))),
+        ("IntegralPairingShape", "integral_pairing", lambda cfg: setattr(
+            cfg, "integral_pairing", IntMatrix.from_rows([[1, 0]] * 2))),
+    ], ids=["negative_genus", "bad_multiplicity", "exponent_not_coprime",
+            "too_many_incident", "unknown_surface_at_point",
+            "unknown_surface_at_event", "unknown_surface_in_basis",
+            "coprimality_at_point", "self_tangency", "unknown_point",
+            "basis_dimension", "qclass_dimension",
+            "integral_pairing_shape"])
+    def test_each_violation_alone(self, kind, locus, edit):
+        # A, B, C meet nothing and pair to 1; D has multiplicity 4, so a
+        # point on D and on A (multiplicity 2) breaks coprimality
+        cfg = OrbifoldConfig(b1=0, b2=1, euler=3)
+        cfg.surfaces += [SurfaceData(sid, 1, self_intersection=Fraction(1))
+                         for sid in ("A", "B", "C")]
+        cfg.surface("A").multiplicity, cfg.surface("A").local_j = 2, 1
+        cfg.surfaces.append(SurfaceData("D", 1, multiplicity=4, local_j=1))
+        assert validate_config(cfg) == []
+        edit(cfg)
+        assert [(v.kind, v.locus) for v in validate_config(cfg)] \
+            == [(kind, locus)]
 
     def test_order_independent_and_idempotent(self):
         cfg = build_Z(5)

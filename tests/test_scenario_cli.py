@@ -12,6 +12,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import orbkit
+from orbkit.abelian import AbelianGroup
 from orbkit import cli, fpgroup, report, seifert, spin, surgery
 from orbkit.exact import IntMatrix
 from orbkit.model import (
@@ -505,6 +506,19 @@ class TestCli:
         f.write_text(BUILTIN_TEXT)
         assert cli.main(["verify", str(f)]) == cli.EXIT_OK
 
+    def test_readme_scenarios_verify(self, tmp_path, capsys):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        blocks = re.findall(r"^```ini\n(.*?)^```$", text,
+                            re.MULTILINE | re.DOTALL)
+        assert blocks and len(blocks) == text.count("```ini")
+        for k, block in enumerate(blocks):
+            parse_scenario(block)
+            f = tmp_path / f"readme{k}.scn"
+            f.write_text(block)
+            rc = cli.main(["verify", str(f)])
+            assert rc == cli.EXIT_OK, (block, capsys.readouterr())
+
     def test_build_block_W(self, capsys):
         rc = cli.main(["build", "--builtin", "block_W"])
         out = capsys.readouterr().out
@@ -988,6 +1002,25 @@ def test_one_smale_barden_datum_per_spin_type(monkeypatch):
     rep = run_pipeline(Scenario(builtin=("glued_Z", 3)))
     assert sorted(e.is_spin for e in rep.spin_entries) == [False] * 3 + [True]
     assert sorted(calls) == [False, True]
+
+
+@pytest.mark.parametrize("name, p, target", [
+    ("block_Y", None, "any"), ("block_W", None, "any"),
+    *[("glued_Z", p, target) for p in (2, 3, 5) for target in SPIN_TARGETS]])
+def test_h2_of_the_total_space_is_computed_once(monkeypatch, name, p,
+                                                target):
+    # H_2(M) does not depend on c1(B): one group per configuration, built
+    # only where the pipeline reports it
+    calls = []
+    build = AbelianGroup.from_prime_powers.__func__
+    monkeypatch.setattr(AbelianGroup, "from_prime_powers", classmethod(
+        lambda cls, *a: calls.append(a) or build(cls, *a)))
+    seifert_request = SeifertRequest(spin_target=target) if p else None
+    rep = run_pipeline(Scenario(builtin=(name, p), seifert=seifert_request))
+    # at p = 2 every total space is spin, so no nonspin class is found
+    reported = name == "glued_Z" and (p, target) != (2, "nonspin")
+    assert (rep.h2 is not None) == reported
+    assert len(calls) == reported
 
 
 @pytest.mark.parametrize("target", SPIN_TARGETS)

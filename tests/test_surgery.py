@@ -7,7 +7,15 @@ import pytest
 
 from orbkit import report, surgery
 from orbkit.exact import IntMatrix
-from orbkit.model import SMOOTH, OrbifoldConfig, SurfaceData, validate_config
+from orbkit.model import (
+    SMOOTH,
+    IntersectionEvent,
+    OrbifoldConfig,
+    SingularPointData,
+    SurfaceData,
+    UnsupportedGeometry,
+    validate_config,
+)
 from orbkit.record import replace
 from orbkit.scenario import (
     SCRIPT_OPS,
@@ -117,6 +125,22 @@ class TestBlowDown:
         from orbkit.model import SingularPointData
         cfg.points.append(SingularPointData("x", 2, (1, 1), ("S",)))
         with pytest.raises(MeetsSingularPoint):
+            blow_down_minus2(cfg, "S")
+
+    @pytest.mark.parametrize("others, message", [
+        (("C", "C"), "S meets C more than once"),
+        (("A", "B", "C"), "S meets 3 surfaces; the double point would lie "
+                          "on more than two of them"),
+    ], ids=["one_surface_twice", "three_surfaces"])
+    def test_rejects_what_the_double_point_cannot_hold(self, others,
+                                                       message):
+        cfg = OrbifoldConfig(b2=4, euler=6)
+        cfg.surfaces += [SurfaceData(sid, 1) for sid in sorted(set(others))]
+        cfg.surfaces.append(SurfaceData("S", 0,
+                                        self_intersection=Fraction(-2)))
+        for sid in others:
+            cfg.add_event("S", sid)
+        with pytest.raises(UnsupportedGeometry, match=f"^{message}$"):
             blow_down_minus2(cfg, "S")
 
     def test_rejects_point_id_in_use(self):
@@ -258,10 +282,11 @@ class TestGompfSum:
             gompf_fiber_sum(y, w, plan)
 
     def test_betti_euler_cross_check(self):
-        y = build_block_Y()
-        w = build_block_W()
-        with pytest.raises(PlanInconsistent):
-            gompf_fiber_sum(y, w, GluingPlan("T1", "C", (), (), b1=0, b2=13))
+        y, w, plan = _z_fiber_sum()
+        with pytest.raises(PlanInconsistent,
+                           match="^declared b1=0, b2=13 disagree with "
+                                 "euler characteristic 16$"):
+            gompf_fiber_sum(y, w, replace(plan, b2=13))
 
     def test_full_log_replay(self):
         log = SurgeryLog()
@@ -282,6 +307,117 @@ class TestGompfSum:
                            match=f"surface id '{taken}' already in use"):
             gompf_fiber_sum(build_block_Y(), kwargs["cfg_b"],
                             replace(plan, surface_joins=joins))
+
+
+def _z_fiber_sum():
+    """block_Y, a copy of block_W and the plan that build_Z glues them by,
+    as its log holds them."""
+    log = SurgeryLog()
+    build_Z(3, log=log)
+    kwargs = log.entries[0].kwargs
+    return build_block_Y(), kwargs["cfg_b"].copy(), kwargs["plan"]
+
+
+def _with_joins(plan, joins):
+    return replace(plan, surface_joins=tuple(joins))
+
+
+def _extra_join(pieces):
+    return lambda y, w, plan: _with_joins(
+        plan, plan.surface_joins + (("X", pieces),))
+
+
+def _split_pair(y, w, plan):
+    # T3 and E3 meet at the matched pair (f_T3, ev4) but go to V4 and V3
+    swap = {"V3": ("E3", "T4"), "V4": ("E4", "T3")}
+    return _with_joins(plan, ((out_id, swap.get(out_id, pieces))
+                              for out_id, pieces in plan.surface_joins))
+
+
+def _isotropic_piece(y, w, plan):
+    y.surface("T3").multiplicity, y.surface("T3").local_j = 2, 1
+
+
+def _two_free_spheres_joined(y, w, plan):
+    # two spheres meeting nothing glue to a surface of euler char 4
+    w.surfaces += [SurfaceData("Q1", 0), SurfaceData("Q2", 0)]
+    return _extra_join(("Q1", "Q2"))(y, w, plan)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    (lambda y, w, plan: w.surfaces.append(SurfaceData("U1", 1)),
+     ValueError, "surface id collision: ['U1']"),
+    (lambda y, w, plan: setattr(w.point("s1"), "order", 3),
+     UnmatchedSingularPoint, "orders 2 != 3 at p1q1 / s1"),
+    (lambda y, w, plan: y.points.append(
+        SingularPointData("px", 2, (1, 1), ("T1",))),
+     UnmatchedSingularPoint, "singular point px on T1 is not matched"),
+    (_extra_join(("A1",)), PlanInconsistent, "A1 appears in two joins"),
+    (_extra_join(("nope",)), PlanInconsistent,
+     "join references unknown surface 'nope'"),
+    (_extra_join(("T1",)), PlanInconsistent,
+     "a fiber surface cannot be a join piece"),
+    (_split_pair, PlanInconsistent,
+     "matched pair (f_T3, ev4) joins T3 with E3, which do not share an "
+     "output surface"),
+    (_isotropic_piece, UnsupportedGeometry,
+     "join piece T3 has multiplicity 2"),
+    (_two_free_spheres_joined, PlanInconsistent,
+     "join X has non-surface euler characteristic 4"),
+    (lambda y, w, plan: y.events.append(
+        IntersectionEvent("zz", "S1", "U1", "p1q1")),
+     UnsupportedGeometry, "event zz sits at consumed point p1q1"),
+    (lambda y, w, plan: y.events.append(
+        IntersectionEvent("zz", "S1", "T1a")),
+     UnsupportedGeometry, "event zz would join V1 to itself"),
+], ids=["id_collision", "unequal_orders", "unmatched_point_on_fiber",
+        "piece_in_two_joins", "unknown_piece", "fiber_as_piece",
+        "pair_split_across_joins", "isotropic_piece", "non_surface_join",
+        "event_at_consumed_point", "event_joins_a_surface_to_itself"])
+def test_fiber_sum_refusals(case, error, message):
+    # build_Z's own gluing with one fault each, refused by its own check
+    # and with both inputs as they were, however late the refusal; a
+    # case edits y or w in place, or returns a changed plan
+    y, w, plan = _z_fiber_sum()
+    plan = case(y, w, plan) or plan
+    inputs = copy.deepcopy((y, w))
+    with pytest.raises(error) as info:
+        gompf_fiber_sum(y, w, plan)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert (y, w) == inputs
+
+
+def _one_surface(sid, genus, square, b1=0, b2=1, euler=3):
+    cfg = OrbifoldConfig(b1=b1, b2=b2, euler=euler)
+    cfg.surfaces.append(SurfaceData(sid, genus,
+                                    self_intersection=Fraction(square)))
+    return cfg
+
+
+def test_fiber_sum_of_the_plane_and_its_mirror_along_lines_is_s4():
+    # chi(X #_F Y) = chi(X) + chi(Y) - 2 chi(F) = 3 + 3 - 4
+    cp2, mirror = _one_surface("L", 0, 1), _one_surface("M", 0, -1)
+    s4 = gompf_fiber_sum(cp2, mirror, GluingPlan("L", "M", (), (), 0, 0))
+    assert (s4.euler, s4.b1, s4.b2) == (2, 0, 0)
+    assert (s4.surfaces, s4.points, s4.events) == ([], [], [])
+    with pytest.raises(PlanInconsistent,
+                       match="^declared b1=0, b2=2 disagree with euler "
+                             "characteristic 2$"):
+        gompf_fiber_sum(cp2, mirror, GluingPlan("L", "M", (), (), 0, 2))
+
+
+def test_fiber_sum_along_a_genus_two_fiber():
+    # two copies of Sigma_2 x S^2 summed along Sigma_2 x {pt} give
+    # Sigma_2 x S^2 again: chi = -4 - 4 + 4
+    a = _one_surface("F", 2, 0, b1=4, b2=2, euler=-4)
+    b = _one_surface("G", 2, 0, b1=4, b2=2, euler=-4)
+    out = gompf_fiber_sum(a, b, GluingPlan("F", "G", (), (), 4, 2))
+    assert (out.euler, out.b1, out.b2) == (-4, 4, 2)
+    with pytest.raises(PlanInconsistent,
+                       match="^declared b1=4, b2=0 disagree with euler "
+                             "characteristic -4$"):
+        gompf_fiber_sum(a, b, GluingPlan("F", "G", (), (), 4, 0))
 
 
 @pytest.mark.parametrize("name, kwargs, message", [
