@@ -1,9 +1,11 @@
 """Command-line driver.
 
 Verbs:
-  build      build a scenario's configuration, validate and print it
+  build      build a scenario's configuration, validate and print it,
+             with its violations
   verify     run the pipeline; exit 0 only if every verdict passes
-  report     run the pipeline and print the full report
+  report     run the pipeline and print the full report in the layout
+             --format names (only report takes --format)
   enumerate  standalone fundamental-group tools
 
 Exit codes: 0 all requested verdicts hold, 1 a verdict fails or a
@@ -79,13 +81,8 @@ def _add_pipeline_args(sub):
     sub.add_argument("--coset-bound", type=at_least(1),
                      default=fpgroup.COSET_BOUND,
                      help="cosets the enumeration may define")
-    sub.add_argument("--search-bound", type=at_least(0),
-                     default=seifert.SEARCH_BOUND,
-                     help="coordinate bound for the background-class search")
     sub.add_argument("--max-l1", type=at_least(0), default=seifert.MAX_L1,
                      help="L1-norm bound for the background-class search")
-    sub.add_argument("--format", choices=("human", "structured"),
-                     default="human")
 
 
 def _load_scenario(args, spin_target="any") -> Scenario:
@@ -107,9 +104,8 @@ def _load_scenario(args, spin_target="any") -> Scenario:
 
 def _run(args):
     scn = _load_scenario(args, args.spin_target)
-    return report_mod.run_pipeline(
-        scn, coset_bound=args.coset_bound, search_bound=args.search_bound,
-        max_l1=args.max_l1)
+    return report_mod.run_pipeline(scn, coset_bound=args.coset_bound,
+                                   max_l1=args.max_l1)
 
 
 def _cmd_build(args) -> int:
@@ -121,7 +117,10 @@ def _cmd_build(args) -> int:
     for s in cfg.surfaces:
         print(f"surface {s.id}: genus {s.genus} mult {s.multiplicity} "
               f"j {s.local_j} self {s.self_intersection}")
-    return EXIT_OK if not validate_config(cfg) else EXIT_FAIL
+    violations = validate_config(cfg)
+    for v in violations:
+        print(f"violation = {v}")
+    return EXIT_FAIL if violations else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
@@ -164,6 +163,9 @@ def main(argv=None) -> int:
         sub = subs.add_parser(name)
         add_args(sub)
         sub.set_defaults(fn=fn)
+        if name == "report":
+            sub.add_argument("--format", choices=("human", "structured"),
+                             default="human")
     enum = subs.add_parser("enumerate")
     enum.add_argument("--prime", type=prime, default=3)
     enum.add_argument("--coset-bound", type=at_least(1),

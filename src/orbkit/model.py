@@ -7,8 +7,9 @@ events, Betti and Euler numbers, and (optionally) a declared homology
 basis with its pairing data.
 
 Intersection numbers between distinct surfaces are derived from events:
-a smooth transverse point contributes 1, a shared singular point of
-order d contributes 1/d.
+a smooth transverse point (an event whose location is None) contributes
+1, a shared singular point of order d (an event located at that point's
+id) contributes 1/d.  No id is reserved: a point may be named "smooth".
 
 The edits of a configuration are written in the surgery moves
 (surgery.py), each on a copy; this module keeps the records, their
@@ -29,8 +30,6 @@ from math import gcd, lcm
 
 from .exact import IntMatrix, mod_inverse, radical_quotient
 from .record import field, record, replace
-
-SMOOTH = "smooth"
 
 
 class UnsupportedGeometry(ValueError):
@@ -83,13 +82,14 @@ class SingularPointData:
 class IntersectionEvent:
     """One transverse positive intersection point of two distinct surfaces.
 
-    location is SMOOTH or a singular point id; sign is always +1.
+    location is the id of the singular point it lies at, or None at a
+    smooth point; sign is always +1.
     """
 
     id: str
     a: str
     b: str
-    location: str = SMOOTH
+    location: str | None = None
 
     def surfaces(self) -> frozenset[str]:
         return frozenset((self.a, self.b))
@@ -172,14 +172,14 @@ class OrbifoldConfig:
         return next(f"{prefix}{k}" for k in range(1, len(taken) + 2)
                     if f"{prefix}{k}" not in taken)
 
-    def add_event(self, a: str, b: str, location: str = SMOOTH) -> None:
+    def add_event(self, a: str, b: str, location: str | None = None) -> None:
         self.events.append(IntersectionEvent(
             self.fresh_id("ev", self.ids("events")), a, b, location))
 
     # -- derived quantities --------------------------------------------
 
     def event_contribution(self, ev: IntersectionEvent) -> Fraction:
-        if ev.location == SMOOTH:
+        if ev.location is None:
             return Fraction(1)
         return Fraction(1, self.point(ev.location).order)
 
@@ -294,7 +294,7 @@ def validate_config(cfg: OrbifoldConfig) -> list[Violation]:
             if not cfg.has_surface(sid):
                 out.append(Violation("UnknownSurface", e.id,
                                      f"surface {sid!r} not tracked"))
-        if e.location != SMOOTH:
+        if e.location is not None:
             try:
                 p = cfg.point(e.location)
             except KeyError:

@@ -4,7 +4,11 @@ run_pipeline drives a Scenario end to end: build the configuration
 (builtin or script), validate it, assign local invariants, pick or
 search a background class, evaluate the H_1 / H_2 / spin / classifying
 invariants, and (for the full glued space) enumerate the orbifold
-fundamental group.  The Report carries every verdict together with the
+fundamental group.  A configuration that fails validation stops there,
+at `config_valid: fail` with its violations, since every later stage
+assumes a valid one; a background-class search that finds nothing in
+range leaves the fundamental-group stage, which does not depend on
+c1(B), running.  The Report carries every verdict together with the
 evidence behind it.  _rows lists it as (key, value) rows, and both
 formats print those rows in that order: structured as `key = value`
 under an `orbkit-report v1` header, human with the rows of each key's
@@ -127,31 +131,29 @@ def _check_request(request: SeifertRequest, b2: int, names) -> None:
 
 
 def run_pipeline(scn: Scenario, coset_bound: int = fpgroup.COSET_BOUND,
-                 search_bound: int = seifert.SEARCH_BOUND,
                  max_l1: int = seifert.MAX_L1) -> Report:
     log = surgery.SurgeryLog()
     cfg, label, p = build(scn, log)
 
     violations = validate_config(cfg)
-    try:
-        invariants = assign_local_invariants(cfg)
-    except Exception as exc:
-        raise PipelineError("local_invariants", exc) from exc
-    compatibility_ok = all(
-        not pli.violations()
-        and all(check_compatibility(pli, cfg.surface(sid))
-                for sid in pli.incident)
-        for pli in invariants.values())
-    even_bound = (p, check_even_point_bound(cfg, p)) if p else None
-
-    report = Report(label, cfg, violations, invariants, even_bound, log)
+    report = Report(label, cfg, violations, {}, None, log)
     report.verdicts.append(("config_valid",
                             PASS if not violations else FAIL))
+    if violations:  # every later stage assumes a valid configuration
+        return report
+    try:
+        report.local_invariants = assign_local_invariants(cfg)
+    except Exception as exc:
+        raise PipelineError("local_invariants", exc) from exc
+    compatibility_ok = all(check_compatibility(pli, cfg.surface(sid))
+                           for pli in report.local_invariants.values()
+                           for sid in pli.incident)
     report.verdicts.append(("local_invariants_compatible",
                             PASS if compatibility_ok else FAIL))
-    if even_bound is not None:
+    if p is not None:
+        report.even_bound = (p, check_even_point_bound(cfg, p))
         report.verdicts.append(("even_point_bound",
-                                PASS if even_bound[1] else FAIL))
+                                PASS if report.even_bound[1] else FAIL))
 
     request = scn.seifert
     if request is None and p is not None:
@@ -166,8 +168,8 @@ def run_pipeline(scn: Scenario, coset_bound: int = fpgroup.COSET_BOUND,
                 assignments = [tuple(sorted(request.spin_unknowns.items()))]
             if request.c1B == "search":
                 specs = [seifert.search_background_class(
-                    lattice, _spin_predicate(a, request.spin_target),
-                    search_bound, max_l1) for a in assignments]
+                    lattice, _spin_predicate(a, request.spin_target), max_l1)
+                    for a in assignments]
             else:
                 specs = [lattice.spec(request.c1B)] * len(assignments)
             # H_1 = 0 is decided first: the spin decision presumes it
@@ -177,35 +179,36 @@ def run_pipeline(scn: Scenario, coset_bound: int = fpgroup.COSET_BOUND,
                        for a, spec in zip(assignments, specs)
                        if report.h1.holds]
         except seifert.NotFound:
+            # no class in range: the pi_1 stage, which does not depend
+            # on c1(B), still runs
             report.verdicts.append(("background_class", INCONCLUSIVE))
             if request.spin_target != "any":
                 report.verdicts.append(("spin_target", INCONCLUSIVE))
-            return report
         except Exception as exc:
             raise PipelineError("seifert", exc) from exc
-
-        report.verdicts.append(("h1_zero",
-                                PASS if report.h1.holds else FAIL))
-        if report.h1.holds:
-            report.h2 = seifert.h2_of_M(specs[0])
-            # H_2(M) does not depend on c1(B): the datum depends only on
-            # the spin bit
-            data = {}
-            for assignment, spec, is_spin in entries:
-                if is_spin not in data:
-                    data[is_spin] = spin.smale_barden_report(spec, is_spin)
-                report.spin_entries.append(SpinEntry(
-                    assignment, spec.c1B, is_spin,
-                    spin.gk_check(data[is_spin])))
-            report.smale_barden = data[report.spin_entries[0].is_spin]
-            gk_all = all(e.gk_ok for e in report.spin_entries)
-            report.verdicts.append(("gk_condition",
-                                    PASS if gk_all else FAIL))
-            if request.spin_target != "any":
-                want = request.spin_target == "spin"
-                met = all(e.is_spin == want for e in report.spin_entries)
-                report.verdicts.append(("spin_target",
-                                        PASS if met else FAIL))
+        else:
+            report.verdicts.append(("h1_zero",
+                                    PASS if report.h1.holds else FAIL))
+            if report.h1.holds:
+                report.h2 = seifert.h2_of_M(specs[0])
+                # H_2(M) does not depend on c1(B): the datum depends only
+                # on the spin bit
+                data = {}
+                for assignment, spec, is_spin in entries:
+                    if is_spin not in data:
+                        data[is_spin] = spin.smale_barden_report(spec, is_spin)
+                    report.spin_entries.append(SpinEntry(
+                        assignment, spec.c1B, is_spin,
+                        spin.gk_check(data[is_spin])))
+                report.smale_barden = data[report.spin_entries[0].is_spin]
+                gk_all = all(e.gk_ok for e in report.spin_entries)
+                report.verdicts.append(("gk_condition",
+                                        PASS if gk_all else FAIL))
+                if request.spin_target != "any":
+                    want = request.spin_target == "spin"
+                    met = all(e.is_spin == want for e in report.spin_entries)
+                    report.verdicts.append(("spin_target",
+                                            PASS if met else FAIL))
 
     if p is not None:
         try:

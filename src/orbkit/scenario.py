@@ -26,15 +26,18 @@ are operations, each the surgery move SCRIPT_OPS names.  SCRIPT_OPS
 also states which surface ids each op needs, adds and drops, and which
 point id it adds, so a line naming a surface that is not there or one
 surface twice, or adding a surface or a point under an empty id or one
-in use, is a parse error.  The lines of every [script] section are
-checked once, in file order, against the ids of the whole declared
-config, since the build runs them on that config: a second section
-sees what the first added, and a [surface] declared after a [script]
-counts from the start.  A point's incident surfaces are declared
-surfaces, each named once.  What a move adds unnamed gets the first
-free id of E1, E2, ... (a blow_up's sphere), dp1, dp2, ... (a
-blow_down's point) or ev1, ev2, ... (an intersection event), and a
-later line may name such a sphere::
+in use, is a parse error.  No id, declared in a header or added by
+id=, new= or point=, may hold whitespace or ',', since later lines
+split ids there; no id is reserved.  An [event] sits at the declared
+point its key `at` names, or, without `at`, at a smooth point.  The
+lines of every [script] section are checked once, in file order,
+against the ids of the whole declared config, since the build runs
+them on that config: a second section sees what the first added, and
+a [surface] declared after a [script] counts from the start.  A
+point's incident surfaces are declared surfaces, each named once.
+What a move adds unnamed gets the first free id of E1, E2, ... (a
+blow_up's sphere), dp1, dp2, ... (a blow_down's point) or ev1, ev2,
+... (an intersection event), and a later line may name such a sphere::
 
     blow_up through=C,L id=E
     blow_up through=E        # adds E1
@@ -50,7 +53,6 @@ from fractions import Fraction
 
 from .exact import PrimalityUnknown, factorize
 from .model import (
-    SMOOTH,
     IntersectionEvent,
     OrbifoldConfig,
     SingularPointData,
@@ -231,6 +233,13 @@ def _check_surfaces(ids, known, ln):
             raise ParseError(ln, f"undefined surface {sid!r}")
 
 
+def _check_id(sid, kind, ln):
+    """Refuse an id that later lines could not name: they split ids at
+    whitespace, and through= at ','."""
+    if any(c.isspace() or c == "," for c in sid):
+        raise ParseError(ln, f"{kind} id {sid!r} contains whitespace or ','")
+
+
 def _check_once(ids, naming, ln):
     """Refuse a surface that naming (a key or an op) names twice."""
     for k, sid in enumerate(ids):
@@ -268,6 +277,7 @@ def _parse_script_line(ln, line, surfaces, points):
     for key, kind, ids, _ in added:
         if args.get(key) == "":
             raise ParseError(ln, f"{key}= needs a {kind} id")
+        _check_id(args.get(key, ""), kind, ln)
         if args.get(key) in ids:
             raise ParseError(ln, f"{kind} id {args[key]!r} already in use")
     _check_once(named, op, ln)
@@ -293,6 +303,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ParseError(h_ln, f"unknown section [{header}]")
         if kind in _ID_SECTIONS and config is None:
             raise ParseError(h_ln, f"[{kind}] before [config]")
+        _check_id(sid, kind, h_ln)  # sid is "" outside _ID_SECTIONS
         if kind in _ID_SECTIONS and sid in config.ids(_ID_SECTIONS[kind]):
             raise ParseError(h_ln, f"duplicate {kind} id {sid!r}")
         if kind in ("builtin", "config") and (builtin or config):
@@ -355,8 +366,8 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError(kv["between"][0],
                                  "between wants two surface ids")
             _check_surfaces(pair, config.ids("surfaces"), kv["between"][0])
-            location = kv["at"][1] if "at" in kv else SMOOTH
-            if location != SMOOTH and location not in config.ids("points"):
+            location = kv["at"][1] if "at" in kv else None
+            if location is not None and location not in config.ids("points"):
                 raise ParseError(kv["at"][0],
                                  f"undefined point {location!r}")
             config.events.append(
@@ -438,7 +449,7 @@ def emit_scenario(s: Scenario) -> str:
             out.append("")
         for ev in cfg.events:
             out += [f"[event {ev.id}]", f"between = {ev.a} {ev.b}"]
-            if ev.location != SMOOTH:
+            if ev.location is not None:
                 out.append(f"at = {ev.location}")
             out.append("")
     if s.script:

@@ -6,7 +6,10 @@ decide whether the total space has H_1 = 0 (three criteria: b_1 of the
 base vanishes, the restriction map onto the multiplicity torsion is
 surjective, and the scaled Chern class is primitive), present H_2 of
 the total space, and search for a background class a predicate admits.
-What depends only on the configuration is computed once, in its Lattice.
+The search has one budget, the L1 norm of c1(B): it walks every class
+of norm at most MAX_L1 (or the caller's bound), so a bound of k also
+reaches entries up to k.  What depends only on the configuration is
+computed once, in its Lattice.
 
 Cohomology classes live in the dual lattice Hom(H_2(X,Z), Z): a class
 is its vector of pairings against the declared integral basis.  An
@@ -313,17 +316,14 @@ def h2_of_M(spec: SeifertSpec) -> AbelianGroup:
     return spec.lattice.h2
 
 
-def _graded_vectors(dim: int, bound: int, max_l1: int):
-    """All integer vectors with |entry| <= bound, by (L1 norm, lex)."""
+def _graded_vectors(dim: int, max_l1: int):
+    """All integer vectors of L1 norm <= max_l1, by (L1 norm, lex)."""
     def rec(prefix, remaining, budget):
         if remaining == 0:
             if budget == 0:
                 yield tuple(prefix)
             return
-        if budget > remaining * bound:
-            return
-        lo = -min(bound, budget)
-        for v in range(lo, min(bound, budget) + 1):
+        for v in range(-budget, budget + 1):
             prefix.append(v)
             yield from rec(prefix, remaining - 1, budget - abs(v))
             prefix.pop()
@@ -332,25 +332,24 @@ def _graded_vectors(dim: int, bound: int, max_l1: int):
         yield from rec([], dim, norm)
 
 
-# the default coordinate and L1-norm bounds of the background-class search
-SEARCH_BOUND, MAX_L1 = 4, 2
+# the default L1-norm bound of the background-class search, its only
+# budget: a norm of k bounds every entry by k too
+MAX_L1 = 2
 
 
 def search_background_class(lattice: Lattice, accept,
-                            bound: int = SEARCH_BOUND,
                             max_l1: int = MAX_L1) -> SeifertSpec:
     """First background class, in graded order, that accept admits.
 
-    Walks the candidates c1(B) of the lattice's configuration by L1 norm
-    then lexicographically, coordinates in [-bound, bound].  A candidate
+    Walks the candidates c1(B) of the lattice's configuration of L1 norm
+    at most max_l1, by L1 norm then lexicographically.  A candidate
     whose scaled Chern class is not primitive is skipped; for the others
     accept(lattice, c1B) decides.  Returns the SeifertSpec of the first
     admitted candidate, sharing the lattice, so searches over one
     Lattice.of(cfg) run one SNF between them; raises NotFound when none
     is admitted.
     """
-    for c1B in _graded_vectors(lattice.cfg.b2, bound, max_l1):
+    for c1B in _graded_vectors(lattice.cfg.b2, max_l1):
         if lattice.primitive(c1B) and accept(lattice, c1B):
             return lattice.spec(c1B)
-    raise NotFound(
-        f"no background class within |entry| <= {bound}, L1 <= {max_l1}")
+    raise NotFound(f"no background class within L1 <= {max_l1}")

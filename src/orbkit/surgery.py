@@ -36,7 +36,6 @@ from itertools import combinations
 
 from .exact import IntMatrix
 from .model import (
-    SMOOTH,
     IntersectionEvent,
     OrbifoldConfig,
     SingularPointData,
@@ -178,7 +177,7 @@ def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None) -> dict:
         if sid in through[:k]:
             raise ValueError(f"blow_up names surface {sid!r} twice")
     for a, b in combinations(through, 2):
-        smooth = [e for e in cfg.events_between(a, b) if e.location == SMOOTH]
+        smooth = [e for e in cfg.events_between(a, b) if e.location is None]
         if not smooth:
             raise NotSmoothPoint(
                 f"{a} and {b} have no smooth intersection point to blow up")
@@ -213,7 +212,7 @@ def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> dict:
         raise NotMinusTwoSphere(
             f"{sphere}: genus {s.genus}, multiplicity {s.multiplicity}, "
             f"self-intersection {s.self_intersection}")
-    if cfg.points_on(sphere) or any(e.location != SMOOTH
+    if cfg.points_on(sphere) or any(e.location is not None
                                     for e in cfg.events_on(sphere)):
         raise MeetsSingularPoint(f"{sphere} passes through a singular point")
     if point_id is not None:
@@ -261,7 +260,7 @@ def resolve_torus_pair(cfg: OrbifoldConfig, t1: str, t2: str,
         if t.genus != 1 or t.multiplicity != 1:
             raise NotTorus(f"{tid}: genus {t.genus}, "
                            f"multiplicity {t.multiplicity}")
-    mutual = [e for e in cfg.events_between(t1, t2) if e.location == SMOOTH]
+    mutual = [e for e in cfg.events_between(t1, t2) if e.location is None]
     if len(cfg.events_between(t1, t2)) != 1 or len(mutual) != 1:
         raise NotSingleIntersection(
             f"{t1} and {t2} must meet in exactly one smooth point")
@@ -370,10 +369,10 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
     consumed_points: set[str] = set()
     for ea_id, eb_id in plan.point_matching:
         la, lb = on_a[ea_id].location, on_b[eb_id].location
-        if (la == SMOOTH) != (lb == SMOOTH):
+        if (la is None) != (lb is None):
             raise UnmatchedSingularPoint(
                 f"{ea_id} ({la}) matched with {eb_id} ({lb})")
-        if la != SMOOTH:
+        if la is not None:
             da, db = cfg_a.point(la).order, b.point(lb).order
             if da != db:
                 raise UnmatchedSingularPoint(
@@ -575,11 +574,11 @@ def build_Z(p: int, log: SurgeryLog | None = None) -> OrbifoldConfig:
     s1_ev = only([e for e in w.events_between("C", "A1")
                   if e.location == "s1"])
     a1_smooth = sorted(e.id for e in w.events_between("C", "A1")
-                       if e.location == SMOOTH)
+                       if e.location is None)
     s2_ev = only([e for e in w.events_between("C", "A2")
                   if e.location == "s2"])
     a2_smooth = only([e for e in w.events_between("C", "A2")
-                      if e.location == SMOOTH])
+                      if e.location is None])
 
     matching = [("yp1", s1_ev), ("f_T1a", a1_smooth[0]),
                 ("f_T1b", a1_smooth[1]),

@@ -181,7 +181,7 @@ def test_acceptance_6_spin_dichotomy():
     res2 = compute_b_residues(z2)
     ok = True
     checked = 0
-    for cand in _graded_vectors(16, bound=4, max_l1=2):
+    for cand in _graded_vectors(16, max_l1=2):
         spec = SeifertSpec(z2, res2, cand)
         if not is_primitive(scaled_chern_class(spec)):
             continue
@@ -195,7 +195,7 @@ def test_acceptance_6_spin_dichotomy():
     for a1 in (0, 1):
         for a2 in (0, 1):
             seen = set()
-            for cand in _graded_vectors(16, bound=4, max_l1=2):
+            for cand in _graded_vectors(16, max_l1=2):
                 spec = SeifertSpec(z3, res3, cand)
                 if not is_primitive(scaled_chern_class(spec)):
                     continue

@@ -116,7 +116,8 @@ class TestValidate:
         cfg.surfaces += [SurfaceData(sid, 0, self_intersection=self_int)
                          for sid in ("A", "B")]
         cfg.points.append(SingularPointData("x", 2, (1, 1), ("A", "B")))
-        cfg.add_event("A", "B", at)
+        # a smooth crossing has no location
+        cfg.add_event("A", "B", None if at == "smooth" else at)
         cfg.basis = ("A", "B")
         assert [v.kind for v in validate_config(cfg)] \
             == ["DegeneratePairing"] * degenerate
@@ -143,7 +144,7 @@ class TestValidate:
                 for j in range(i):
                     for _ in range(rng.randrange(3)):
                         d = rng.choice((1, 2, 3, 5))
-                        at = "smooth"
+                        at = None
                         if d > 1:
                             at = cfg.fresh_id("dp", cfg.ids("points"))
                             cfg.points.append(SingularPointData(

@@ -20,6 +20,7 @@ from orbkit.model import (
     OrbifoldConfig,
     SingularPointData,
     SurfaceData,
+    validate_config,
 )
 from orbkit.report import run_pipeline
 from orbkit.scenario import (
@@ -333,12 +334,13 @@ spin_unknowns = a1=1
 """
 
 
-# ids the grammar can carry: no space, '#', '=', ',' or '[', never
-# "smooth"; E1, dp1, ... are ids a move draws too.  A config holds at most
-# ten surfaces (five declared, five added) and eight points, so a fresh id
-# is always left
+# ids the grammar can carry: no whitespace, '#', '=', ',' or '[' (the
+# parser refuses whitespace and ','); none is reserved, so "smooth" is
+# an id like any other; E1, dp1, ... are ids a move draws too.  A config
+# holds at most ten surfaces (five declared, five added) and eight
+# points, so a fresh id is always left
 _IDS = ("A", "B", "C", "X", "Z", "a", "x", "_", "0", "12", "b_9", "XYZ0",
-        "E1", "E2", "dp1", "dp2")
+        "E1", "E2", "dp1", "dp2", "smooth")
 
 
 def _unique_ids(**sizes):
@@ -384,7 +386,7 @@ def _configs(draw):
             tuple(dict.fromkeys(incident[:draw(st.integers(0, 2))]))))
     for eid in draw(_unique_ids(max_size=4)):
         a, b = _pick(draw, sids), _pick(draw, sids)
-        at = _pick(draw, ["smooth", *pids])
+        at = _pick(draw, [None, *pids])
         cfg.events.append(IntersectionEvent(eid, a, b, at))
     return cfg
 
@@ -912,7 +914,6 @@ class TestCli:
     @pytest.mark.parametrize("verb, flag, low", [
         ("verify", "--coset-bound", 1), ("report", "--coset-bound", 1),
         ("enumerate", "--coset-bound", 1),
-        ("verify", "--search-bound", 0), ("report", "--search-bound", 0),
         ("verify", "--max-l1", 0), ("report", "--max-l1", 0)])
     def test_bounds_below_their_minimum(self, verb, flag, low, capsys):
         for value in (str(low - 1), "-5"):
@@ -1144,3 +1145,176 @@ def test_mutated_scenarios_exit_with_one_line(text, tmp_path_factory):
         assert rc in (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_INPUT,
                       cli.EXIT_INCONCLUSIVE)
         assert err.count("\n") <= 1 and "Traceback" not in err
+
+
+# -- one search budget, --format for report only -------------------------
+
+
+@pytest.mark.parametrize("verb", ["verify", "report"])
+def test_no_search_bound_flag(verb, capsys):
+    # --max-l1 is the background-class search's only budget
+    with pytest.raises(SystemExit) as exc:
+        cli.main([verb, "--search-bound", "4"])
+    assert exc.value.code == cli.EXIT_INPUT
+    assert "--search-bound" in capsys.readouterr().err
+
+
+def test_format_belongs_to_report(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--builtin", "block_Y", "--format", "structured"])
+    assert exc.value.code == cli.EXIT_INPUT
+    assert "--format" in capsys.readouterr().err
+    rc = cli.main(["report", "--builtin", "block_Y", "--format",
+                   "structured"])
+    assert rc == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith(
+        "orbkit-report v1\nscenario = block_Y\n")
+
+
+# -- an exhausted search leaves the pi_1 stage running ------------------
+
+
+def test_exhausted_search_still_runs_pi1_at_p2(capsys):
+    # every total space over glued_Z at p = 2 is spin, so the nonspin
+    # search finds nothing; the pi_1 certificate does not depend on c1(B)
+    # and fails there as for the other targets
+    rc = cli.main(["verify", "--builtin", "glued_Z", "--prime", "2",
+                   "--spin-target", "nonspin"])
+    assert rc == cli.EXIT_FAIL
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "background_class: inconclusive", "spin_target: inconclusive",
+        "pi1_index_divides_4: fail"]
+
+
+def test_exhausted_search_still_runs_pi1_at_p3():
+    # only c1(B) = 0 is in range, and it is not primitive at p = 3: the
+    # certificate passes, and simply_connected, which needs H_1, is absent
+    rep = run_pipeline(Scenario(builtin=("glued_Z", 3),
+                                seifert=SeifertRequest(spin_target="spin")),
+                       max_l1=0)
+    assert [v for v in rep.verdicts if v[0] not in (
+        "config_valid", "local_invariants_compatible", "even_point_bound")] \
+        == [("background_class", "inconclusive"),
+            ("spin_target", "inconclusive"), ("pi1_index_divides_4", "pass")]
+    assert rep.pi1_status.index == 4 and rep.simply_connected is None
+    assert rep.exit_code() == cli.EXIT_INCONCLUSIVE
+
+
+# -- an invalid configuration stops at config_valid ---------------------
+
+_INVALID_CONFIG_HEAD = "scenario v1\n\n[config]\nb1 = 0\nb2 = 2\neuler = 4\n\n"
+# name -> (scenario text, its one violation); both used to fail the
+# local_invariants stage with a message that named neither violation
+INVALID_CONFIGS = {
+    # the exponent 0 is not a unit mod the order 2
+    "exponent": (_INVALID_CONFIG_HEAD
+                 + "[surface C]\ngenus = 0\nmultiplicity = 3\nj = 1\n\n"
+                 "[point x]\norder = 2\nexponents = 0 1\nincident = C\n",
+                 "ExponentNotCoprime at x: gcd(0, 2) != 1"),
+    # the point lies on isotropy surfaces of multiplicities 4 and 6
+    "coprimality": (_INVALID_CONFIG_HEAD
+                    + "[surface A]\ngenus = 0\nmultiplicity = 4\nj = 1\n\n"
+                    "[surface B]\ngenus = 0\nmultiplicity = 6\nj = 1\n\n"
+                    "[point x]\norder = 5\nexponents = 1 1\n"
+                    "incident = A B\n",
+                    "CoprimalityViolation at x: incident multiplicities "
+                    "4, 6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_CONFIGS))
+@pytest.mark.parametrize("seifert_section", ["", "\n[seifert]\nc1B = 0 0\n"],
+                         ids=["no_seifert", "seifert"])
+def test_invalid_config_stops_at_config_valid(name, seifert_section,
+                                              tmp_path, capsys):
+    # no later stage runs, since each assumes a valid configuration; with
+    # a [seifert] section this used to exit 2 for want of a pairing
+    text, violation = INVALID_CONFIGS[name]
+    f = tmp_path / "s.scn"
+    f.write_text(text + seifert_section)
+    assert cli.main(["verify", str(f)]) == cli.EXIT_FAIL
+    assert capsys.readouterr() == ("config_valid: fail\n", "")
+    assert cli.main(["report", str(f), "--format", "structured"]) \
+        == cli.EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = [line for line in out.splitlines()
+            if line.startswith(("verdict.", "violation", "local."))]
+    assert rows == ["verdict.config_valid = fail", "violations = 1",
+                    f"violation = {violation}"]
+    assert cli.main(["build", str(f)]) == cli.EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith(f"\nviolation = {violation}\n")
+
+
+# -- every id names one thing -------------------------------------------
+
+SMOOTH_POINT_TEXT = EXPLICIT_TEXT.split("[script]")[0] + """\
+[script]
+blow_up through=C id=E
+blow_up through=E id=F
+blow_down sphere=E point={}
+"""
+
+
+@pytest.mark.parametrize("pid", ["q", "smooth"])
+def test_a_point_named_smooth_is_a_point(pid):
+    # C and F meet once, at the double point: C.F = 1/2 whatever its
+    # name (a point named smooth used to read as a smooth crossing, 1)
+    cfg, _, _ = report.build(parse_scenario(SMOOTH_POINT_TEXT.format(pid)))
+    assert [e.location for e in cfg.events] == [pid]
+    assert cfg.pairing_of("C", "F") == Fraction(1, 2)
+    assert validate_config(cfg) == []
+
+
+@pytest.mark.parametrize("at, pairing", [
+    ("", 1), ("at = smooth\n", Fraction(1, 2))], ids=["no_at", "at_smooth"])
+def test_event_at_a_point_named_smooth(at, pairing):
+    # an [event] without at is smooth; at = smooth names the point
+    text = (EXPLICIT_TEXT.split("[surface C]")[0]
+            + "[surface A]\ngenus = 0\n\n[surface B]\ngenus = 0\n\n"
+            "[point smooth]\norder = 2\nexponents = 1 1\nincident = A B\n\n"
+            "[event e]\nbetween = A B\n" + at)
+    cfg = parse_scenario(text).config
+    assert cfg.pairing_of("A", "B") == pairing
+    assert parse_scenario(emit_scenario(parse_scenario(text))) \
+        == parse_scenario(text)
+
+
+def test_at_smooth_names_a_point(tmp_path, capsys):
+    text = (EXPLICIT_TEXT.split("[script]")[0]
+            + "[surface L]\ngenus = 0\n\n[event e]\nbetween = C L\n"
+            "at = smooth\n")
+    f = tmp_path / "s.scn"
+    f.write_text(text)
+    assert cli.main(["build", str(f)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"input error: line {len(text.splitlines())}: undefined point "
+        "'smooth'\n")
+
+
+@pytest.mark.parametrize("added, kind, sid", [
+    ("[surface C D]\ngenus = 0\n", "surface", "C D"),
+    ("[surface A,B]\ngenus = 0\n", "surface", "A,B"),
+    ("[point x\ty]\norder = 2\nexponents = 1 1\n", "point", "x\ty"),
+    ("[event e,f]\nbetween = C L\n", "event", "e,f"),
+    ("[script]\nblow_up through=C id=A,B\n", "surface", "A,B"),
+    ("[script]\nresolve t1=C t2=L id=A,B\n", "surface", "A,B"),
+    ("[script]\nrename old=L new=A,B\n", "surface", "A,B"),
+    ("[script]\nblow_down sphere=L point=x,y\n", "point", "x,y"),
+], ids=["header_space", "header_comma", "point_tab", "event_comma",
+        "blow_up_id", "resolve_id", "rename_new", "blow_down_point"])
+def test_id_that_later_lines_cannot_name(added, kind, sid, tmp_path,
+                                         capsys):
+    # [surface A,B] could be named by between = C A,B but read as two
+    # surfaces by through=A,B; [surface C D] by nothing at all
+    text = (EXPLICIT_TEXT.split("[script]")[0]
+            + "[surface L]\ngenus = 0\nself = -2\n\n" + added)
+    ln = text.splitlines().index(
+        next(x for x in added.splitlines() if sid in x)) + 1
+    f = tmp_path / "s.scn"
+    f.write_text(text)
+    assert cli.main(["build", str(f)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"input error: line {ln}: {kind} id {sid!r} contains whitespace "
+        "or ','\n")

@@ -254,7 +254,7 @@ class TestH1H2:
         # m c1(M) = 2 c1(B) + 1: primitive at c1(B) = 0, -1 only
         lattice = Lattice.of(_disjoint_config([2], [[1]]))
         seen = set()
-        for c1B in _graded_vectors(1, bound=4, max_l1=2):
+        for c1B in _graded_vectors(1, max_l1=2):
             spec = lattice.spec(c1B)
             want = is_primitive(scaled_chern_class(spec))
             assert lattice.primitive(c1B) == want
@@ -350,8 +350,20 @@ class TestSearch:
 
 def test_graded_enumeration_order():
     from orbkit.seifert import _graded_vectors
-    seq = list(_graded_vectors(2, bound=2, max_l1=2))
+    seq = list(_graded_vectors(2, max_l1=2))
     assert seq[0] == (0, 0)
     norms = [abs(x) + abs(y) for x, y in seq]
     assert norms == sorted(norms)
     assert len(seq) == len(set(seq)) == 1 + 4 + 8
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_graded_vectors_match_a_brute_force_list(dim, k):
+    # every vector of [-k, k]^dim with L1 norm <= k, sorted by (norm,
+    # tuple): the walk's order, lex part included, from first principles
+    from orbkit.seifert import _graded_vectors
+    box = itertools.product(range(-k, k + 1), repeat=dim)
+    want = sorted((v for v in box if sum(map(abs, v)) <= k),
+                  key=lambda v: (sum(map(abs, v)), v))
+    assert list(_graded_vectors(dim, k)) == want

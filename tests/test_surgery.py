@@ -8,7 +8,6 @@ import pytest
 from orbkit import report, surgery
 from orbkit.exact import IntMatrix
 from orbkit.model import (
-    SMOOTH,
     IntersectionEvent,
     OrbifoldConfig,
     SingularPointData,
@@ -476,7 +475,7 @@ def _random_step(rng, cfg, kinds=7):
     applies, sometimes one that raises.  The first five kinds are the
     moves a [script] line can name."""
     ids = [s.id for s in cfg.surfaces] or ["X"]
-    smooth = [(e.a, e.b) for e in cfg.events if e.location == SMOOTH]
+    smooth = [(e.a, e.b) for e in cfg.events if e.location is None]
     spheres = [s.id for s in cfg.surfaces
                if s.genus == 0 and s.self_intersection == -2]
     fresh = f"N{rng.randrange(40)}"
