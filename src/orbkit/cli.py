@@ -8,9 +8,11 @@ Verbs:
              --format names (only report takes --format)
   enumerate  standalone fundamental-group tools
 
-Exit codes: 0 all requested verdicts hold, 1 a verdict fails or a
-stage errs, 2 input error (also a stage that lacks input the scenario
-cannot give), 3 inconclusive (enumeration or search exhausted).
+Exit codes: 0 all requested verdicts hold; 1 a verdict fails or a stage
+errs; 2 input error: a bad flag or file, a scenario line that does not
+parse or whose surgery move refuses it (`line N: <reason>`), or a stage
+that lacks input the scenario cannot give; 3 inconclusive (enumeration
+or search exhausted).
 """
 
 from __future__ import annotations

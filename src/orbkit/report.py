@@ -81,9 +81,7 @@ class Report:
 
 def _run_script(cfg, script, log):
     for op in script:
-        rule = SCRIPT_OPS[op.op]
-        cfg = getattr(surgery, rule.move)(cfg, log=log,
-                                          **rule.kwargs(op.args))
+        cfg = SCRIPT_OPS[op.op].apply(cfg, op.args, log)
     return cfg
 
 

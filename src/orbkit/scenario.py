@@ -21,26 +21,25 @@ Format sketch::
 
 Only glued_Z takes p.  Explicit form replaces [builtin] with [config] /
 [surface ID] / [point ID] / [event ID] sections, each ID unique among
-the sections of its kind, and an optional [script] section whose lines
-are operations, each the surgery move SCRIPT_OPS names.  SCRIPT_OPS
-also states which surface ids each op needs, adds and drops, and which
-point id it adds, so a line naming a surface that is not there or one
-surface twice, or adding a surface or a point under an empty id or one
-in use, is a parse error.  No id, declared in a header or added by
-id=, new= or point=, may hold whitespace or ',', since later lines
-split ids there; no id is reserved.  An [event] sits at the declared
-point its key `at` names, or, without `at`, at a smooth point.  The
-lines of every [script] section are checked once, in file order,
-against the ids of the whole declared config, since the build runs
-them on that config: a second section sees what the first added, and
-a [surface] declared after a [script] counts from the start.  A
-point's incident surfaces are declared surfaces, each named once.
-What a move adds unnamed gets the first free id of E1, E2, ... (a
-blow_up's sphere), dp1, dp2, ... (a blow_down's point) or ev1, ev2,
-... (an intersection event), and a later line may name such a sphere::
+the sections of its kind and passing OrbifoldConfig.check_new_id, the
+one id rule (model.py): not empty, no whitespace or ',', since later
+lines split ids there.  No id is reserved.  An [event] sits at the
+declared point its key `at` names, or, without `at`, at a smooth point.
+A point's incident surfaces are declared surfaces, each named once.
+An optional [script] section holds operations, each the surgery move
+SCRIPT_OPS names.  A line is what its move does: after every section
+is read, each line's move runs in file order on the whole declared
+config, as the build runs them, and a line the move refuses is a
+ParseError with the move's own message.  So the moves (surgery.py) are
+the only statement of what a line may name, add and drop; a second
+[script] section sees what the first added, and a [surface] declared
+after a [script] counts from the start.  What a move adds unnamed gets
+the first free id of E1, E2, ... (a blow_up's sphere), dp1, dp2, ...
+(a blow_down's point) or ev1, ev2, ... (an intersection event), and a
+later line may name such a sphere::
 
-    blow_up through=C,L id=E
-    blow_up through=E        # adds E1
+    blow_up through=C id=E
+    blow_up through=E,C      # adds E1
     blow_down sphere=E point=s1   # without point=, adds dp1
     resolve t1=U1 t2=U2 id=S
     discard id=E1
@@ -51,6 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import surgery
 from .exact import PrimalityUnknown, factorize
 from .model import (
     IntersectionEvent,
@@ -59,7 +59,6 @@ from .model import (
     SurfaceData,
 )
 from .record import record
-from .surgery import DOUBLE_POINT_PREFIX, SPHERE_PREFIX
 
 BUILTINS = ("block_Y", "block_W", "glued_Z")
 SPIN_TARGETS = ("spin", "nonspin", "any")
@@ -97,45 +96,33 @@ class Scenario:
 
 @record(frozen=True)
 class OpRule:
-    """A [script] op: the surgery move it calls, held by name so that a
-    rebound move is the one called, and what its keys mean.  A blow_up
-    without id= adds the sphere, and a blow_down without point= the
-    point, that the move draws with OrbifoldConfig.fresh_id."""
+    """A [script] op: the surgery move it runs and what its keys mean.
+    The move alone says what a line may name, add and drop."""
 
-    move: str
+    move: str  # looked up by name, so that a rebound move is the one run
     keywords: dict  # script key -> the move's keyword, in grammar order
     required: tuple[str, ...]  # in grammar order
-    refs: tuple[str, ...]  # keys naming surfaces that must exist
-    adds: str | None = None  # key naming the surface the op adds
-    adds_point: str | None = None  # key naming the point the op adds
-    drops: str | None = None  # key naming the surface the op drops
     listed: str | None = None  # key whose value is ids joined by commas
 
-    def ids(self, key: str, raw: str) -> list[str]:
-        """The surface ids that key=raw names."""
-        return raw.split(",") if key == self.listed else [raw]
-
-    def kwargs(self, args) -> dict:
-        """The move's keywords for a line's (key, raw value) pairs."""
-        return {self.keywords[key]: self.ids(key, raw) if key == self.listed
-                else raw for key, raw in args}
+    def apply(self, cfg: OrbifoldConfig, args, log=None) -> OrbifoldConfig:
+        """The move run on cfg with a line's (key, raw value) pairs."""
+        kwargs = {self.keywords[key]: raw.split(",") if key == self.listed
+                  else raw for key, raw in args}
+        return getattr(surgery, self.move)(cfg, log=log, **kwargs)
 
 
 SCRIPT_OPS = {
     "blow_up": OpRule("blow_up",
                       {"through": "through", "id": "exceptional_id"},
-                      ("through",), ("through",), adds="id", listed="through"),
+                      ("through",), listed="through"),
     "blow_down": OpRule("blow_down_minus2",
                         {"sphere": "sphere", "point": "point_id"},
-                        ("sphere",), ("sphere",), drops="sphere",
-                        adds_point="point"),
+                        ("sphere",)),
     "resolve": OpRule("resolve_torus_pair",
                       {"t1": "t1", "t2": "t2", "id": "new_id"},
-                      ("t1", "t2", "id"), ("t1", "t2"), adds="id"),
-    "discard": OpRule("discard", {"id": "surface"}, ("id",), ("id",),
-                      drops="id"),
-    "rename": OpRule("rename", {"old": "old", "new": "new"}, ("old", "new"),
-                     ("old",), adds="new", drops="old"),
+                      ("t1", "t2", "id")),
+    "discard": OpRule("discard", {"id": "surface"}, ("id",)),
+    "rename": OpRule("rename", {"old": "old", "new": "new"}, ("old", "new")),
 }
 
 
@@ -233,23 +220,20 @@ def _check_surfaces(ids, known, ln):
             raise ParseError(ln, f"undefined surface {sid!r}")
 
 
-def _check_id(sid, kind, ln):
-    """Refuse an id that later lines could not name: they split ids at
-    whitespace, and through= at ','."""
-    if any(c.isspace() or c == "," for c in sid):
-        raise ParseError(ln, f"{kind} id {sid!r} contains whitespace or ','")
+def _at(ln, call, *args):
+    """call(*args), anything it raises (what the build stage catches)
+    made a ParseError at line ln with its message."""
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - a refused line is bad input
+        # a KeyError's str is the repr of its message
+        raise ParseError(ln, exc.args[0] if isinstance(exc, KeyError)
+                         else str(exc)) from None
 
 
-def _check_once(ids, naming, ln):
-    """Refuse a surface that naming (a key or an op) names twice."""
-    for k, sid in enumerate(ids):
-        if sid in ids[:k]:
-            raise ParseError(ln, f"{naming} names surface {sid!r} twice")
-
-
-def _parse_script_line(ln, line, surfaces, points):
-    """The ScriptOp of one [script] line; surfaces and points, the sets of
-    ids before it, become the sets after it."""
+def _parse_script_line(ln, line):
+    """The ScriptOp of one [script] line, its keys checked; its move is
+    run by parse_scenario."""
     op, *chunks = line.split()
     if op not in SCRIPT_OPS:
         raise ParseError(ln, f"unknown operation {op!r}")
@@ -267,26 +251,6 @@ def _parse_script_line(ln, line, surfaces, points):
     for key in rule.required:
         if key not in args:
             raise ParseError(ln, f"{op} requires {key}=")
-    named = [sid for key in rule.refs for sid in rule.ids(key, args[key])]
-    _check_surfaces(named, surfaces, ln)
-    # (key, kind, ids of that kind, prefix of a drawn id) of what the op
-    # adds; checked before the drop, since the move refuses rename old=X
-    # new=X too
-    added = ((rule.adds, "surface", surfaces, SPHERE_PREFIX),
-             (rule.adds_point, "point", points, DOUBLE_POINT_PREFIX))
-    for key, kind, ids, _ in added:
-        if args.get(key) == "":
-            raise ParseError(ln, f"{key}= needs a {kind} id")
-        _check_id(args.get(key, ""), kind, ln)
-        if args.get(key) in ids:
-            raise ParseError(ln, f"{kind} id {args[key]!r} already in use")
-    _check_once(named, op, ln)
-    if rule.drops:
-        surfaces.discard(args[rule.drops])
-    for key, _, ids, prefix in added:
-        if key:
-            ids.add(args[key] if key in args
-                    else OrbifoldConfig.fresh_id(prefix, ids))
     return ScriptOp(op, tuple(args.items()))
 
 
@@ -301,11 +265,12 @@ def parse_scenario(text: str) -> Scenario:
         sid = sid.lstrip()
         if (kind in _ID_SECTIONS) != bool(sid):
             raise ParseError(h_ln, f"unknown section [{header}]")
-        if kind in _ID_SECTIONS and config is None:
-            raise ParseError(h_ln, f"[{kind}] before [config]")
-        _check_id(sid, kind, h_ln)  # sid is "" outside _ID_SECTIONS
-        if kind in _ID_SECTIONS and sid in config.ids(_ID_SECTIONS[kind]):
-            raise ParseError(h_ln, f"duplicate {kind} id {sid!r}")
+        if kind in _ID_SECTIONS:
+            if config is None:
+                raise ParseError(h_ln, f"[{kind}] before [config]")
+            if sid in config.ids(_ID_SECTIONS[kind]):
+                raise ParseError(h_ln, f"duplicate {kind} id {sid!r}")
+            _at(h_ln, config.check_new_id, _ID_SECTIONS[kind], sid)
         if kind in ("builtin", "config") and (builtin or config):
             raise ParseError(h_ln, "duplicate or conflicting build section")
         if kind == "builtin":
@@ -350,7 +315,10 @@ def parse_scenario(text: str) -> Scenario:
             ln, incident = kv.get("incident", (h_ln, ""))
             incident = tuple(incident.split())
             _check_surfaces(incident, config.ids("surfaces"), ln)
-            _check_once(incident, "incident", ln)
+            for k, surface in enumerate(incident):
+                if surface in incident[:k]:
+                    raise ParseError(
+                        ln, f"incident names surface {surface!r} twice")
             # exponents are read mod the order, which must be >= 1; order
             # 1 parses, and validation reports it as BadOrder
             order = _read(kv, "order", _parse_factored)
@@ -395,13 +363,14 @@ def parse_scenario(text: str) -> Scenario:
 
     if builtin is None and config is None:
         raise ParseError(1, "scenario needs a [builtin] or [config] section")
-    script = ()
-    if script_lines:  # [script] requires [config]
-        surfaces = set(config.ids("surfaces"))
-        points = set(config.ids("points"))
-        script = tuple(_parse_script_line(ln, line, surfaces, points)
-                       for ln, line in script_lines)
-    return Scenario(builtin, config, script, seifert)
+    # each line's move runs in file order on the whole declared config,
+    # as the build runs them, so a line the move refuses is bad input
+    script, cfg = [], config
+    for ln, line in script_lines:
+        op = _parse_script_line(ln, line)
+        cfg = _at(ln, SCRIPT_OPS[op.op].apply, cfg, op.args)
+        script.append(op)
+    return Scenario(builtin, config, tuple(script), seifert)
 
 
 def _parse_bits(raw, ln):

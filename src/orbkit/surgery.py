@@ -20,13 +20,16 @@ lookups, id rules and checks.  replay() calls _REPLAY[op](cfg,
 **kwargs) for each logged step, so replaying a log from the same
 starting config reproduces the final config exactly.
 
-Ids: a move refuses a given surface or point id that is empty or that
-the config already holds (OrbifoldConfig.check_new_id), blow_up and
-resolve_torus_pair a surface named twice, and gompf_fiber_sum an output
-id that a surviving surface or an earlier join holds.  A move that adds
-a surface, point or event without a given id draws it with
-OrbifoldConfig.fresh_id from the ids the config holds, so a replay
-draws the same id.
+Ids: the moves are the only statement of what a [script] line may
+name, add and drop; the scenario parser runs them.  A move checks its
+ids before its geometry, in this order: each surface it names exists
+(OrbifoldConfig.surface), each id it adds passes
+OrbifoldConfig.check_new_id (model.py's one id rule), and no surface is
+named twice (blow_up, resolve_torus_pair).  gompf_fiber_sum passes each
+join id through check_new_id against the surviving surfaces and the
+earlier joins.  A move that adds a surface, point or event without a
+given id draws it with OrbifoldConfig.fresh_id from the ids the config
+holds, so a replay draws the same id.
 """
 
 from __future__ import annotations
@@ -172,8 +175,11 @@ def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None) -> dict:
     the point, and meets each of them once.
     """
     through = list(through)
-    for k, sid in enumerate(through):
+    for sid in through:
         cfg.surface(sid)
+    if exceptional_id is not None:
+        cfg.check_new_id("surfaces", exceptional_id)
+    for k, sid in enumerate(through):
         if sid in through[:k]:
             raise ValueError(f"blow_up names surface {sid!r} twice")
     for a, b in combinations(through, 2):
@@ -182,11 +188,7 @@ def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None) -> dict:
             raise NotSmoothPoint(
                 f"{a} and {b} have no smooth intersection point to blow up")
         cfg.events.remove(smooth[0])
-    eid = exceptional_id
-    if eid is None:
-        eid = cfg.fresh_id(SPHERE_PREFIX, cfg.ids("surfaces"))
-    else:
-        cfg.check_new_id("surfaces", eid)
+    eid = exceptional_id or cfg.fresh_id(SPHERE_PREFIX, cfg.ids("surfaces"))
     for sid in through:
         cfg.surface(sid).self_intersection -= 1
     cfg.surfaces.append(SurfaceData(eid, genus=0, multiplicity=1, local_j=0,
@@ -208,6 +210,8 @@ def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> dict:
     intersection through the point.
     """
     s = cfg.surface(sphere)
+    if point_id is not None:
+        cfg.check_new_id("points", point_id)
     if s.genus != 0 or s.multiplicity != 1 or s.self_intersection != -2:
         raise NotMinusTwoSphere(
             f"{sphere}: genus {s.genus}, multiplicity {s.multiplicity}, "
@@ -215,8 +219,6 @@ def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> dict:
     if cfg.points_on(sphere) or any(e.location is not None
                                     for e in cfg.events_on(sphere)):
         raise MeetsSingularPoint(f"{sphere} passes through a singular point")
-    if point_id is not None:
-        cfg.check_new_id("points", point_id)
     neighbors: list[str] = []
     for e in cfg.events_on(sphere):
         other = e.b if e.a == sphere else e.a
@@ -253,25 +255,24 @@ def resolve_torus_pair(cfg: OrbifoldConfig, t1: str, t2: str,
     with squares (t1^2-1, t2^2-1, t1^2+t2^2+1); the exceptional sphere
     is not tracked afterwards.
     """
+    tori = cfg.surface(t1), cfg.surface(t2)
+    cfg.check_new_id("surfaces", new_id)
     if t1 == t2:
         raise ValueError(f"resolve_torus_pair names surface {t1!r} twice")
-    for tid in (t1, t2):
-        t = cfg.surface(tid)
+    for t in tori:
         if t.genus != 1 or t.multiplicity != 1:
-            raise NotTorus(f"{tid}: genus {t.genus}, "
+            raise NotTorus(f"{t.id}: genus {t.genus}, "
                            f"multiplicity {t.multiplicity}")
     mutual = [e for e in cfg.events_between(t1, t2) if e.location is None]
     if len(cfg.events_between(t1, t2)) != 1 or len(mutual) != 1:
         raise NotSingleIntersection(
             f"{t1} and {t2} must meet in exactly one smooth point")
-    cfg.check_new_id("surfaces", new_id)
     cfg.events.remove(mutual[0])
-    a = cfg.surface(t1).self_intersection
-    b = cfg.surface(t2).self_intersection
-    cfg.surface(t1).self_intersection = a - 1
-    cfg.surface(t2).self_intersection = b - 1
+    square = tori[0].self_intersection + tori[1].self_intersection + 1
+    for t in tori:
+        t.self_intersection -= 1
     cfg.surfaces.append(SurfaceData(new_id, genus=2, multiplicity=1,
-                                    local_j=0, self_intersection=a + b + 1))
+                                    local_j=0, self_intersection=square))
     cfg.b2 += 1
     cfg.euler += 1
     _invalidate_basis(cfg)
@@ -280,8 +281,19 @@ def resolve_torus_pair(cfg: OrbifoldConfig, t1: str, t2: str,
 
 @_move
 def discard(cfg: OrbifoldConfig, surface: str) -> dict:
-    """Stop tracking a surface (topology and Betti numbers unchanged)."""
-    cfg.surfaces.remove(cfg.surface(surface))
+    """Stop tracking a surface (topology and Betti numbers unchanged).
+
+    Refused while the declared basis names the surface, or while an
+    integral pairing is declared, since its columns follow the surface
+    list.
+    """
+    surf = cfg.surface(surface)
+    if cfg.basis is not None and surface in cfg.basis:
+        raise ValueError(f"surface {surface!r} is in the declared basis")
+    if cfg.integral_pairing is not None:
+        raise ValueError(f"surface {surface!r} has a column of the "
+                         "declared integral pairing")
+    cfg.surfaces.remove(surf)
     cfg.events = [e for e in cfg.events if surface not in (e.a, e.b)]
     for p in cfg.points:
         p.incident = tuple(s for s in p.incident if s != surface)
@@ -290,9 +302,10 @@ def discard(cfg: OrbifoldConfig, surface: str) -> dict:
 
 @_move
 def rename(cfg: OrbifoldConfig, old: str, new: str) -> dict:
-    """Relabel a surface; the new id is nonempty and not in use."""
+    """Relabel a surface; the new id passes check_new_id."""
+    surf = cfg.surface(old)
     cfg.check_new_id("surfaces", new)
-    cfg.surface(old).id = new
+    surf.id = new
     for p in cfg.points:
         p.incident = tuple(new if s == old else s for s in p.incident)
     for e in cfg.events:
@@ -397,15 +410,16 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
             raise PlanInconsistent(f"join references unknown surface {sid!r}")
     if plan.fiber_a in piece_of or plan.fiber_b in piece_of:
         raise PlanInconsistent("a fiber surface cannot be a join piece")
-    # the surviving surfaces of both sides, then the joins
-    surfaces = [s for s in cfg_a.surfaces + b.surfaces
-                if s.id not in (plan.fiber_a, plan.fiber_b)
-                and s.id not in piece_of]
-    taken = {s.id for s in surfaces}
+    # the surviving surfaces of both sides, then the joins, whose genus
+    # and square are set below
+    cfg_a.surfaces = [s for s in cfg_a.surfaces + b.surfaces
+                      if s.id not in (plan.fiber_a, plan.fiber_b)
+                      and s.id not in piece_of]
+    joins = []
     for out_id, _ in plan.surface_joins:
-        if out_id in taken:
-            raise ValueError(f"surface id {out_id!r} already in use")
-        taken.add(out_id)
+        cfg_a.check_new_id("surfaces", out_id)
+        joins.append(SurfaceData(out_id, genus=0))
+        cfg_a.surfaces.append(joins[-1])
 
     matched_in_join = {out_id: 0 for out_id, _ in plan.surface_joins}
     for ea_id, eb_id in plan.point_matching:
@@ -425,7 +439,7 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
             f"declared b1={plan.b1}, b2={plan.b2} disagree with "
             f"euler characteristic {euler}")
 
-    for out_id, pieces in plan.surface_joins:
+    for (out_id, pieces), join in zip(plan.surface_joins, joins):
         chi = -2 * matched_in_join[out_id]
         square = Fraction(0)
         for sid in pieces:
@@ -438,8 +452,7 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
         if chi % 2 != 0 or chi > 2:
             raise PlanInconsistent(
                 f"join {out_id} has non-surface euler characteristic {chi}")
-        surfaces.append(SurfaceData(out_id, genus=(2 - chi) // 2,
-                                    self_intersection=square))
+        join.genus, join.self_intersection = (2 - chi) // 2, square
 
     # surviving events and points keep their records, with their ends and
     # incident surfaces moved from the join pieces to the joins
@@ -462,7 +475,7 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
                 p.incident = tuple(piece_of.get(s, s) for s in p.incident
                                    if s != fiber)
                 points.append(p)
-    cfg_a.surfaces, cfg_a.events, cfg_a.points = surfaces, events, points
+    cfg_a.events, cfg_a.points = events, points
     cfg_a.euler, cfg_a.b1, cfg_a.b2 = euler, plan.b1, plan.b2
     _invalidate_basis(cfg_a)
     return {"cfg_b": cfg_b.copy(), "plan": plan}

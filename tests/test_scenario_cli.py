@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +27,7 @@ from orbkit.report import run_pipeline
 from orbkit.scenario import (
     BUILTINS,
     MAX_PRIME,
+    SCRIPT_OPS,
     SPIN_TARGETS,
     ParseError,
     Scenario,
@@ -34,7 +36,6 @@ from orbkit.scenario import (
     emit_scenario,
     parse_scenario,
 )
-from orbkit.surgery import DOUBLE_POINT_PREFIX, SPHERE_PREFIX
 
 BUILTIN_TEXT = """\
 scenario v1
@@ -62,7 +63,15 @@ self = 9
 
 [script]
 blow_up through=C id=E
-blow_down sphere=E   # fails at run time (E is a -1 sphere), parses fine
+blow_up through=E id=F   # E is now a (-2)-sphere
+blow_down sphere=E
+"""
+
+# EXPLICIT_TEXT with a line that its move refuses for its geometry: E is
+# a (-1)-sphere, and blow_down takes (-2)-spheres
+REFUSED_GEOMETRY_TEXT = EXPLICIT_TEXT.split("[script]")[0] + """[script]
+blow_up through=C id=E
+blow_down sphere=E
 """
 
 # a point dp1 and an event ev1 declared, then a blow-up that adds an
@@ -124,7 +133,15 @@ class TestParse:
         assert scn.config.surface("C").self_intersection == 9
         assert scn.script == (
             ScriptOp("blow_up", (("through", "C"), ("id", "E"))),
+            ScriptOp("blow_up", (("through", "E"), ("id", "F"))),
             ScriptOp("blow_down", (("sphere", "E"),)))
+
+    def test_script_line_its_move_refuses(self):
+        # the parser runs each line's move: a refusal is the line's error
+        with pytest.raises(ParseError, match="^line 14: E: genus 0, "
+                                             "multiplicity 1, "
+                                             "self-intersection -1$"):
+            parse_scenario(REFUSED_GEOMETRY_TEXT)
 
     def test_missing_magic_line(self):
         with pytest.raises(ParseError) as exc:
@@ -153,11 +170,10 @@ class TestParse:
         assert "Q" in str(exc.value)
 
     def test_script_tracks_renames(self):
-        text = EXPLICIT_TEXT.replace(
-            "blow_down sphere=E   # fails at run time (E is a -1 sphere), parses fine",
-            "rename old=E new=F\ndiscard id=F")
+        text = EXPLICIT_TEXT.replace("blow_down sphere=E",
+                                     "rename old=E new=G\ndiscard id=G")
         scn = parse_scenario(text)
-        assert scn.script[-1] == ScriptOp("discard", (("id", "F"),))
+        assert scn.script[-1] == ScriptOp("discard", (("id", "G"),))
 
     def test_script_names_the_sphere_of_an_unnamed_blow_up(self):
         # the blow-up names its sphere E1, so a later line may name it;
@@ -370,6 +386,14 @@ def _configs(draw):
                          euler=draw(st.integers(-10, 30)))
     sids = draw(_unique_ids(min_size=1, max_size=5))
     for sid in sids:
+        shape = draw(st.sampled_from(("torus", "sphere", "any")))
+        if shape == "sphere":  # a (-2)-sphere, which blow_down takes
+            cfg.surfaces.append(SurfaceData(sid, 0, self_intersection=-2))
+            continue
+        if shape == "torus":  # one of multiplicity 1, which resolve takes
+            cfg.surfaces.append(SurfaceData(
+                sid, 1, self_intersection=draw(st.integers(-2, 2))))
+            continue
         # a self-intersection in [-20, 20] with denominator at most 6,
         # each one reachable: 60 is the lcm of 1..6
         cfg.surfaces.append(SurfaceData(
@@ -377,6 +401,9 @@ def _configs(draw):
             draw(st.integers(0, 8)),
             Fraction(draw(st.integers(-20 * 60, 20 * 60)),
                      60).limit_denominator(6)))
+    tori = [s.id for s in cfg.surfaces if (s.genus, s.multiplicity) == (1, 1)]
+    if len(tori) > 1:
+        cfg.add_event(*tori[:2])  # a smooth crossing, as resolve takes
     pids = draw(_unique_ids(max_size=3))
     for pid in pids:
         order = draw(st.integers(1, 12))
@@ -385,7 +412,8 @@ def _configs(draw):
             pid, order, (draw(st.integers(0, 30)), draw(st.integers(0, 30))),
             tuple(dict.fromkeys(incident[:draw(st.integers(0, 2))]))))
     for eid in draw(_unique_ids(max_size=4)):
-        a, b = _pick(draw, sids), _pick(draw, sids)
+        a = _pick(draw, sids)
+        b = _pick(draw, [sid for sid in sids if sid != a] or sids)
         at = _pick(draw, [None, *pids])
         cfg.events.append(IntersectionEvent(eid, a, b, at))
     return cfg
@@ -393,49 +421,48 @@ def _configs(draw):
 
 @st.composite
 def _scripts(draw, cfg):
-    """Script ops on known surface ids, tracked as the parser does."""
-    known = {s.id for s in cfg.surfaces}
-    points = set(cfg.ids("points"))
+    """Script ops on the surfaces cfg holds at each step, a step kept only
+    when its move accepts it, as the parser keeps a line.  blow_down and
+    resolve are drawn only where some surface has the shape they take."""
     ops = []
     for _ in range(draw(st.integers(0, 5))):
+        known = sorted(cfg.ids("surfaces"))
         if not known:
             break
-        # the parser refuses a line that names a surface twice (so resolve
-        # needs two surfaces) or that adds a surface id in use
-        op = _pick(draw, _OPS[:4 + (len(known) > 1)])
-        sid = _pick(draw, sorted(known))
+        spheres = [s.id for s in cfg.surfaces
+                   if (s.genus, s.multiplicity, s.self_intersection)
+                   == (0, 1, -2)]
+        tori = {s.id for s in cfg.surfaces
+                if (s.genus, s.multiplicity) == (1, 1)}
+        pairs = [(e.a, e.b) for e in cfg.events
+                 if e.location is None and e.a != e.b and {e.a, e.b} <= tori]
+        # few configs let resolve and blow_down apply: where they do,
+        # each is drawn as often as the other three together
+        op = _pick(draw, ["resolve"] * 3 * bool(pairs)
+                   + ["blow_down"] * 3 * bool(spheres)
+                   + ["blow_up", "discard", "rename"])
+        sid = _pick(draw, known)
         if op == "blow_up":
-            through = [_pick(draw, sorted(known))
+            through = [_pick(draw, known)
                        for _ in range(draw(st.integers(1, 3)))]
             args = [("through", ",".join(dict.fromkeys(through)))]
-            if draw(st.booleans()):
-                new = _fresh(draw, known)
-                args.append(("id", new))
-            else:  # the sphere the move names
-                new = OrbifoldConfig.fresh_id(SPHERE_PREFIX, known)
-            known.add(new)
+            if draw(st.booleans()):  # else the move names the sphere
+                args.append(("id", _fresh(draw, set(known))))
         elif op == "blow_down":
-            args = [("sphere", sid)]
-            if draw(st.booleans()):
-                point = _fresh(draw, points)
-                args.append(("point", point))
-            else:  # the point the move names
-                point = OrbifoldConfig.fresh_id(DOUBLE_POINT_PREFIX, points)
-            points.add(point)
-            known.discard(sid)
+            args = [("sphere", _pick(draw, spheres))]
+            if draw(st.booleans()):  # else the move names the point
+                args.append(("point", _fresh(draw, set(cfg.ids("points")))))
         elif op == "resolve":
-            new = _fresh(draw, known)
-            args = [("t1", sid), ("t2", _pick(draw, sorted(known - {sid}))),
-                    ("id", new)]
-            known.add(new)
+            t1, t2 = _pick(draw, pairs)
+            args = [("t1", t1), ("t2", t2), ("id", _fresh(draw, set(known)))]
         elif op == "discard":
             args = [("id", sid)]
-            known.discard(sid)
         else:
-            new = _fresh(draw, known)
-            args = [("old", sid), ("new", new)]
-            known.discard(sid)
-            known.add(new)
+            args = [("old", sid), ("new", _fresh(draw, set(known)))]
+        try:
+            cfg = SCRIPT_OPS[op].apply(cfg, args)
+        except (ValueError, KeyError):
+            continue
         ops.append(ScriptOp(op, tuple(args)))
     return tuple(ops)
 
@@ -470,12 +497,27 @@ def test_emit_then_parse_is_the_identity(scn):
     assert parse_scenario(emit_scenario(scn)) == scn
 
 
+def test_scripts_draw_every_op():
+    # a seeded count: the examples of _scripts hold each of the five ops,
+    # so the properties here see every move run at parse
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=80, deadline=None,
+              phases=_NO_EXPLAIN, database=None)
+    @given(_scenarios())
+    def count(scn):
+        seen.update(op.op for op in scn.script)
+
+    count()
+    assert set(seen) == set(_OPS)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None,
           phases=_NO_EXPLAIN)
 @given(st.data())
 def test_a_script_split_over_sections_parses_as_in_one(data):
-    # every [script] line is checked once, in file order, against the
-    # whole declared config, so where the sections break changes nothing
+    # each [script] line's move runs once, in file order, on the whole
+    # declared config, so where the sections break changes nothing
     cfg = data.draw(_configs())
     scn = Scenario(config=cfg, script=data.draw(_scripts(cfg)))
     head, _, tail = emit_scenario(scn).partition("[script]\n")
@@ -634,10 +676,13 @@ class TestCli:
         assert "config_valid: fail" in capsys.readouterr().out
 
     def test_build_reports_failing_script(self, tmp_path, capsys):
+        # the refused blow_down used to fail the build stage (exit 1)
         f = tmp_path / "s.scn"
-        f.write_text(EXPLICIT_TEXT)
-        assert cli.main(["build", str(f)]) == cli.EXIT_FAIL
-        assert "error: stage build:" in capsys.readouterr().err
+        f.write_text(REFUSED_GEOMETRY_TEXT)
+        assert cli.main(["build", str(f)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "input error: line 14: E: genus 0, multiplicity 1, "
+            "self-intersection -1\n")
 
     def test_explicit_c1B_failing_h1_is_a_verdict(self, tmp_path, capsys):
         # every scaled entry is even, so the class is not primitive
@@ -701,29 +746,38 @@ class TestCli:
         assert capsys.readouterr().err == (
             "input error: line 16: surface id 'L' already in use\n")
 
-    @pytest.mark.parametrize("line, err", [
-        ("blow_up through=C,C", "blow_up names surface 'C' twice"),
-        ("resolve t1=A t2=A id=N", "resolve names surface 'A' twice"),
-        ("blow_up through=C id=", "id= needs a surface id"),
-        ("rename old=C new=", "new= needs a surface id"),
-        ("resolve t1=A t2=B id=", "id= needs a surface id"),
-        ("blow_down sphere=S point=", "point= needs a point id"),
+    @pytest.mark.parametrize("line, name, kwargs, message", [
+        ("blow_up through=C,C", "blow_up", {"through": ["C", "C"]},
+         "blow_up names surface 'C' twice"),
+        ("resolve t1=A t2=A id=N", "resolve_torus_pair",
+         {"t1": "A", "t2": "A", "new_id": "N"},
+         "resolve_torus_pair names surface 'A' twice"),
+        ("blow_up through=C id=", "blow_up",
+         {"through": ["C"], "exceptional_id": ""}, "empty surface id"),
+        ("rename old=C new=", "rename", {"old": "C", "new": ""},
+         "empty surface id"),
+        ("resolve t1=A t2=B id=", "resolve_torus_pair",
+         {"t1": "A", "t2": "B", "new_id": ""}, "empty surface id"),
+        ("blow_down sphere=S point=", "blow_down_minus2",
+         {"sphere": "S", "point_id": ""}, "empty point id"),
     ], ids=["blow_up_twice", "resolve_twice", "blow_up_empty",
             "rename_empty", "resolve_empty", "blow_down_empty"])
     def test_script_line_names_a_surface_once_and_no_empty_id(
-            self, tmp_path, capsys, line, err):
-        # the first two used to fail the build stage (exit 1); the next
-        # three built a surface '' (exit 0), which no [surface] header can
-        # declare, and the blow-down a point dp1 where the parser had ''
-        text = (EXPLICIT_TEXT.split("[script]")[0]
+            self, tmp_path, capsys, line, name, kwargs, message):
+        # the move, called itself, refuses with its message, and the CLI
+        # prints that message with the line
+        head = (EXPLICIT_TEXT.split("[script]")[0]
                 + "[surface A]\ngenus = 1\n\n[surface B]\ngenus = 1\n\n"
-                + "[surface S]\ngenus = 0\nself = -2\n\n[script]\n"
-                + line + "\n")
+                + "[surface S]\ngenus = 0\nself = -2\n\n")
+        with pytest.raises(ValueError) as info:
+            getattr(surgery, name)(parse_scenario(head).config, **kwargs)
+        assert str(info.value) == message
+        text = head + "[script]\n" + line + "\n"
         f = tmp_path / "s.scn"
         f.write_text(text)
         assert cli.main(["build", str(f)]) == cli.EXIT_INPUT
         assert capsys.readouterr().err == (
-            f"input error: line {len(text.splitlines())}: {err}\n")
+            f"input error: line {len(text.splitlines())}: {message}\n")
 
     @pytest.mark.parametrize("script, line, pid", [
         ("blow_down sphere=S point=dp1\n", 40, "dp1"),  # declared

@@ -326,6 +326,14 @@ def _extra_join(pieces):
         plan, plan.surface_joins + (("X", pieces),))
 
 
+def _first_join_named(out_id):
+    """A case whose plan names the first join out_id: join ids meet
+    OrbifoldConfig.check_new_id, as every other new surface id does."""
+    return lambda y, w, plan: _with_joins(
+        plan, ((out_id, plan.surface_joins[0][1]),
+               *plan.surface_joins[1:]))
+
+
 def _split_pair(y, w, plan):
     # T3 and E3 meet at the matched pair (f_T3, ev4) but go to V4 and V3
     swap = {"V3": ("E3", "T4"), "V4": ("E4", "T3")}
@@ -369,10 +377,16 @@ def _two_free_spheres_joined(y, w, plan):
     (lambda y, w, plan: y.events.append(
         IntersectionEvent("zz", "S1", "T1a")),
      UnsupportedGeometry, "event zz would join V1 to itself"),
+    (_first_join_named(""), ValueError, "empty surface id"),
+    *((_first_join_named(sid), ValueError,
+       f"surface id {sid!r} contains whitespace or ','")
+      for sid in (" ", "V 1", "V,1")),
 ], ids=["id_collision", "unequal_orders", "unmatched_point_on_fiber",
         "piece_in_two_joins", "unknown_piece", "fiber_as_piece",
         "pair_split_across_joins", "isotropic_piece", "non_surface_join",
-        "event_at_consumed_point", "event_joins_a_surface_to_itself"])
+        "event_at_consumed_point", "event_joins_a_surface_to_itself",
+        "join_id_empty", "join_id_space", "join_id_inner_space",
+        "join_id_comma"])
 def test_fiber_sum_refusals(case, error, message):
     # build_Z's own gluing with one fault each, refused by its own check
     # and with both inputs as they were, however late the refusal; a
@@ -439,6 +453,33 @@ def test_moves_refuse_a_surface_named_twice_and_an_empty_id(name, kwargs,
     cfg.add_event("T1", "T2")
     with pytest.raises(ValueError, match=f"^{message}$"):
         getattr(surgery, name)(cfg, **kwargs)
+
+
+@pytest.mark.parametrize("sid", ["E 1", "E\t1", "E,1"])
+def test_blow_up_refuses_an_id_no_scenario_can_name(sid):
+    # a config built with it emitted a file that the parser refused
+    with pytest.raises(ValueError) as info:
+        blow_up(_cp2_with_cubic(), ["C"], exceptional_id=sid)
+    assert str(info.value) == f"surface id {sid!r} contains whitespace or ','"
+
+
+def test_discard_refuses_a_surface_the_declared_lattice_names():
+    # discarding V16 of build_Z(3) left a basis naming an untracked
+    # surface and an integral pairing with one column too many
+    with pytest.raises(ValueError, match="^surface 'V16' is in the "
+                                         "declared basis$"):
+        surgery.discard(build_Z(3), "V16")
+    cfg = _cp2_with_cubic()
+    cfg.surfaces.append(SurfaceData("D", 0))
+    cfg = surgery.declare_lattice(cfg, ["C"], {"C": (1,)},
+                                  IntMatrix.from_rows([[9, 0]]))
+    with pytest.raises(ValueError, match="^surface 'D' has a column of the "
+                                         "declared integral pairing$"):
+        surgery.discard(cfg, "D")
+    # a surface outside the basis may go when no pairing is declared
+    y = build_block_Y()
+    assert validate_config(surgery.discard(y, "T3")) == validate_config(y) \
+        == []
 
 
 def test_mod5_isotropy():
@@ -556,6 +597,11 @@ def test_seeded_scripts_leave_inputs_unchanged_and_replay(start, seed):
         assert entry.after == (out.euler, out.b1, out.b2) \
             == (cfg.euler + d_euler, cfg.b1, cfg.b2 + d_b2)
         _assert_unique_ids(out)
+        # and it emits a file that parses: no move adds an id that a
+        # scenario file cannot declare
+        parsed = parse_scenario(emit_scenario(Scenario(config=out))).config
+        assert [parsed.ids(k) for k in ("surfaces", "points", "events")] \
+            == [out.ids(k) for k in ("surfaces", "points", "events")]
         cfg = out
     assert replay(first, log) == cfg
 
