@@ -111,7 +111,7 @@ def _run(args):
 
 
 def _cmd_build(args) -> int:
-    cfg, _, _ = report_mod.build(_load_scenario(args))
+    cfg, _ = _load_scenario(args).built
     print(f"euler = {cfg.euler}")
     print(f"b1 = {cfg.b1}")
     print(f"b2 = {cfg.b2}")

@@ -1,24 +1,25 @@
 """Pipeline orchestration and report emission.
 
-run_pipeline drives a Scenario end to end: build the configuration
-(builtin or script), validate it, assign local invariants, pick or
-search a background class, evaluate the H_1 / H_2 / spin / classifying
-invariants, and (for the full glued space) enumerate the orbifold
-fundamental group.  A configuration that fails validation stops there,
-at `config_valid: fail` with its violations, since every later stage
-assumes a valid one; a background-class search that finds nothing in
-range leaves the fundamental-group stage, which does not depend on
-c1(B), running.  The Report carries every verdict together with the
-evidence behind it.  _rows lists it as (key, value) rows, and both
-formats print those rows in that order: structured as `key = value`
-under an `orbkit-report v1` header, human with the rows of each key's
-first dotted part under a `head:` line, each as `  rest: value`, and a
-key with no dot as `key: value`.
+run_pipeline drives a Scenario end to end: read the configuration and
+surgery log the scenario built (Scenario.built), validate it, assign
+local invariants, pick or search a background class, evaluate the
+H_1 / H_2 / spin / classifying invariants, and (for the full glued
+space) enumerate the orbifold fundamental group.  A configuration that
+fails validation stops there, at `config_valid: fail` with its
+violations, since every later stage assumes a valid one; a
+background-class search that finds nothing in range leaves the
+fundamental-group stage, which does not depend on c1(B), running.  The
+Report carries every verdict together with the evidence behind it.
+_rows lists it as (key, value) rows, and both formats print those rows
+in that order: structured as `key = value` under an `orbkit-report v1`
+header, human with the rows of each key's first dotted part under a
+`head:` line, each as `  rest: value`, and a key with no dot as
+`key: value`.
 """
 
 from __future__ import annotations
 
-from . import fpgroup, seifert, spin, surgery
+from . import fpgroup, seifert, spin
 from .model import (
     assign_local_invariants,
     check_compatibility,
@@ -26,7 +27,7 @@ from .model import (
     validate_config,
 )
 from .record import field, record
-from .scenario import SCRIPT_OPS, Scenario, SeifertRequest
+from .scenario import Scenario, SeifertRequest
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
@@ -79,28 +80,6 @@ class Report:
         return 0
 
 
-def _run_script(cfg, script, log):
-    for op in script:
-        cfg = SCRIPT_OPS[op.op].apply(cfg, op.args, log)
-    return cfg
-
-
-def build(scn: Scenario, log=None):
-    """The build stage: (config, label, prime or None) of a scenario."""
-    try:
-        if scn.builtin is not None:
-            name, p = scn.builtin
-            if name == "block_Y":
-                return surgery.build_block_Y(), "block_Y", None
-            if name == "block_W":
-                return surgery.build_block_W(log=log), "block_W", None
-            return surgery.build_Z(p, log=log), f"glued_Z p={p}", p
-        return (_run_script(scn.config.copy(), scn.script, log), "explicit",
-                None)
-    except Exception as exc:  # noqa: BLE001 - stage attribution
-        raise PipelineError("build", exc) from exc
-
-
 def _spin_predicate(assignment, spin_target):
     """accept(lattice, c1B): c1B gives the spin type asked for, or fails
     H_1 = 0, on which no spin type is decided and the h1_zero verdict
@@ -130,8 +109,12 @@ def _check_request(request: SeifertRequest, b2: int, names) -> None:
 
 def run_pipeline(scn: Scenario, coset_bound: int = fpgroup.COSET_BOUND,
                  max_l1: int = seifert.MAX_L1) -> Report:
-    log = surgery.SurgeryLog()
-    cfg, label, p = build(scn, log)
+    try:
+        cfg, log = scn.built
+    except Exception as exc:  # noqa: BLE001 - stage attribution
+        raise PipelineError("build", exc) from exc
+    name, p = scn.builtin or ("explicit", None)
+    label = name if p is None else f"{name} p={p}"
 
     violations = validate_config(cfg)
     report = Report(label, cfg, violations, {}, None, log)

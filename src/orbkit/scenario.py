@@ -28,9 +28,12 @@ declared point its key `at` names, or, without `at`, at a smooth point.
 A point's incident surfaces are declared surfaces, each named once.
 An optional [script] section holds operations, each the surgery move
 SCRIPT_OPS names.  A line is what its move does: after every section
-is read, each line's move runs in file order on the whole declared
-config, as the build runs them, and a line the move refuses is a
-ParseError with the move's own message.  So the moves (surgery.py) are
+is read, each line's move runs once, in file order, on the whole
+declared config, and a line the move refuses is a ParseError with the
+move's own message.  The configuration and SurgeryLog that run builds
+are the scenario's `built`, which the build stage reads; a builtin is
+built on first use, and Scenario.built is the one place that turns a
+scenario into a configuration.  So the moves (surgery.py) are
 the only statement of what a line may name, add and drop; a second
 [script] section sees what the first added, and a [surface] declared
 after a [script] counts from the start.  What a move adds unnamed gets
@@ -49,6 +52,7 @@ later line may name such a sphere::
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import surgery
 from .exact import PrimalityUnknown, factorize
@@ -92,6 +96,27 @@ class Scenario:
     config: OrbifoldConfig | None = None
     script: tuple[ScriptOp, ...] = ()
     seifert: SeifertRequest | None = None
+
+    @cached_property
+    def built(self) -> tuple[OrbifoldConfig, surgery.SurgeryLog]:
+        """(configuration, SurgeryLog) of the scenario, built on first
+        use: the builtin's builder, or the script's moves run on the
+        declared config.  parse_scenario fills it from the run that
+        checks each line, so a parsed file runs its moves once.  Every
+        reader gets the same two objects, so readers do not change
+        them."""
+        log = surgery.SurgeryLog()
+        if self.builtin is None:
+            cfg = self.config.copy()
+            for op in self.script:
+                cfg = SCRIPT_OPS[op.op].apply(cfg, op.args, log)
+            return cfg, log
+        name, p = self.builtin
+        if name == "block_Y":
+            return surgery.build_block_Y(), log
+        if name == "block_W":
+            return surgery.build_block_W(log=log), log
+        return surgery.build_Z(p, log=log), log
 
 
 @record(frozen=True)
@@ -364,13 +389,18 @@ def parse_scenario(text: str) -> Scenario:
     if builtin is None and config is None:
         raise ParseError(1, "scenario needs a [builtin] or [config] section")
     # each line's move runs in file order on the whole declared config,
-    # as the build runs them, so a line the move refuses is bad input
-    script, cfg = [], config
+    # so a line the move refuses is bad input; what the moves build, with
+    # their log, is the scenario's built
+    script, log = [], surgery.SurgeryLog()
+    cfg = config.copy() if config is not None else None
     for ln, line in script_lines:
         op = _parse_script_line(ln, line)
-        cfg = _at(ln, SCRIPT_OPS[op.op].apply, cfg, op.args)
+        cfg = _at(ln, SCRIPT_OPS[op.op].apply, cfg, op.args, log)
         script.append(op)
-    return Scenario(builtin, config, tuple(script), seifert)
+    scn = Scenario(builtin, config, tuple(script), seifert)
+    if builtin is None:
+        scn.__dict__["built"] = (cfg, log)
+    return scn
 
 
 def _parse_bits(raw, ln):

@@ -222,6 +222,8 @@ def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> dict:
     neighbors: list[str] = []
     for e in cfg.events_on(sphere):
         other = e.b if e.a == sphere else e.a
+        if other == sphere:
+            raise UnsupportedGeometry(f"{sphere} meets itself at event {e.id}")
         if other in neighbors:
             raise UnsupportedGeometry(
                 f"{sphere} meets {other} more than once")

@@ -9,12 +9,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, given, seed, settings
 from hypothesis import strategies as st
 
 import orbkit
 from orbkit.abelian import AbelianGroup
-from orbkit import cli, fpgroup, report, seifert, spin, surgery
+from orbkit import cli, fpgroup, seifert, spin, surgery
 from orbkit.exact import IntMatrix
 from orbkit.model import (
     IntersectionEvent,
@@ -23,7 +23,7 @@ from orbkit.model import (
     SurfaceData,
     validate_config,
 )
-from orbkit.report import run_pipeline
+from orbkit.report import emit_report, run_pipeline
 from orbkit.scenario import (
     BUILTINS,
     MAX_PRIME,
@@ -184,7 +184,7 @@ class TestParse:
         scn = parse_scenario(text)
         assert scn.script[1] == ScriptOp("blow_up", (("through", "E1"),
                                                      ("id", "F")))
-        cfg, _, _ = report.build(scn)
+        cfg, _ = scn.built
         assert [(s.id, s.self_intersection) for s in cfg.surfaces] == [
             ("C", 8), ("E1", -2), ("F", -2)]
         with pytest.raises(ParseError, match="undefined surface 'E2'"):
@@ -203,12 +203,12 @@ class TestParse:
             parse_scenario(text)
 
     def test_script_sees_a_surface_declared_after_it(self):
-        # the build runs the script on the whole declared config
+        # the parse runs the script on the whole declared config
         text = (EXPLICIT_TEXT.split("[script]")[0]
                 + "[script]\ndiscard id=L\n\n[surface L]\ngenus = 0\n")
         scn = parse_scenario(text)
         assert scn.script == (ScriptOp("discard", (("id", "L"),)),)
-        assert report.build(scn)[0].ids("surfaces") == ["C"]
+        assert scn.built[0].ids("surfaces") == ["C"]
 
     @pytest.mark.parametrize("kind, body", [
         ("surface", "genus = 0\n"), ("point", "order = 2\nexponents = 1 1\n"),
@@ -490,20 +490,29 @@ def _scenarios(draw):
 _NO_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
 
 
-@settings(derandomize=True, max_examples=80, deadline=None,
-          phases=_NO_EXPLAIN)
+# one explicit seed for the round trip and the count of its ops: a
+# derandomized run is seeded from the test's own source, so an edit to
+# either body would change the examples it sees; with this seed both see
+# the same 80 examples
+_SCENARIO_SEED = 1
+_SCENARIO_SETTINGS = settings(max_examples=80, deadline=None,
+                              phases=_NO_EXPLAIN, database=None)
+
+
+@seed(_SCENARIO_SEED)
+@_SCENARIO_SETTINGS
 @given(_scenarios())
 def test_emit_then_parse_is_the_identity(scn):
     assert parse_scenario(emit_scenario(scn)) == scn
 
 
 def test_scripts_draw_every_op():
-    # a seeded count: the examples of _scripts hold each of the five ops,
-    # so the properties here see every move run at parse
+    # the examples of the round trip hold each of the five ops, so the
+    # properties here see every move run at parse
     seen = Counter()
 
-    @settings(derandomize=True, max_examples=80, deadline=None,
-              phases=_NO_EXPLAIN, database=None)
+    @seed(_SCENARIO_SEED)
+    @_SCENARIO_SETTINGS
     @given(_scenarios())
     def count(scn):
         seen.update(op.op for op in scn.script)
@@ -732,7 +741,7 @@ class TestCli:
                      "local.dp2 = m 2 j1 1 j2 1",
                      "verdict.config_valid = pass"):
             assert line in lines
-        cfg, _, _ = report.build(parse_scenario(DRAWN_IDS_TEXT))
+        cfg, _ = parse_scenario(DRAWN_IDS_TEXT).built
         assert (cfg.ids("points"), cfg.ids("events")) == (
             ["dp1", "dp2"], ["ev1", "ev2"])
 
@@ -745,6 +754,22 @@ class TestCli:
         assert cli.main(["build", str(f)]) == cli.EXIT_INPUT
         assert capsys.readouterr().err == (
             "input error: line 16: surface id 'L' already in use\n")
+
+    @pytest.mark.parametrize("verb", ["build", "verify", "report"])
+    def test_blow_down_of_a_sphere_that_meets_itself(self, tmp_path, capsys,
+                                                     verb):
+        # the move refuses it by its event; it used to remove the sphere
+        # and then report the declared surface S as undefined
+        text = (EXPLICIT_TEXT.split("[script]")[0]
+                + "[surface S]\ngenus = 0\nself = -2\n\n"
+                "[event e]\nbetween = S S\n\n[event f]\nbetween = C S\n\n"
+                "[script]\nblow_down sphere=S\n")
+        f = tmp_path / "s.scn"
+        f.write_text(text)
+        assert cli.main([verb, str(f)]) == cli.EXIT_INPUT
+        assert capsys.readouterr() == ("", (
+            f"input error: line {len(text.splitlines())}: "
+            "S meets itself at event e\n"))
 
     @pytest.mark.parametrize("line, name, kwargs, message", [
         ("blow_up through=C,C", "blow_up", {"through": ["C", "C"]},
@@ -1059,6 +1084,63 @@ def test_one_smale_barden_datum_per_spin_type(monkeypatch):
     assert sorted(calls) == [False, True]
 
 
+def _counted(monkeypatch, names):
+    """Counter of the calls to each surgery function of names.  OpRule
+    looks each move up by name, so every script line is counted."""
+    calls = Counter()
+    for name in names:
+        fn = getattr(surgery, name)
+        monkeypatch.setattr(surgery, name, lambda *a, _n=name, _f=fn, **k:
+                            calls.update([_n]) or _f(*a, **k))
+    return calls
+
+
+def test_each_script_move_runs_once_per_command(tmp_path, monkeypatch,
+                                                capsys):
+    # the parse runs each line's move and the pipeline reads the
+    # configuration it built, so no line runs twice
+    text = EXPLICIT_TEXT.split("[surface C]")[0].replace(
+        "b2 = 1", "b2 = 3") + """\
+[surface C]
+genus = 1
+self = 9
+
+[surface U1]
+genus = 1
+
+[surface U2]
+genus = 1
+
+[event u]
+between = U1 U2
+
+[script]
+blow_up through=C id=E
+blow_up through=E id=F
+blow_down sphere=E
+resolve t1=U1 t2=U2 id=V
+rename old=F new=G
+discard id=G
+"""
+    f = tmp_path / "s.scn"
+    f.write_text(text)
+    calls = _counted(monkeypatch, [rule.move for rule in SCRIPT_OPS.values()])
+    assert cli.main(["report", str(f), "--format", "structured"]) == 0
+    assert "surgery.steps = 6" in capsys.readouterr().out.splitlines()
+    assert calls == {"blow_up": 2, "blow_down_minus2": 1,
+                     "resolve_torus_pair": 1, "rename": 1, "discard": 1}
+
+
+def test_a_builtin_is_built_once_per_scenario(monkeypatch):
+    # a Scenario keeps what it built, so a second run reads it again
+    calls = _counted(monkeypatch, ["build_Z"])
+    scn = Scenario(builtin=("glued_Z", 3))
+    first, second = run_pipeline(scn), run_pipeline(scn)
+    assert calls == {"build_Z": 1}
+    assert emit_report(first, "structured") == emit_report(second,
+                                                          "structured")
+
+
 @pytest.mark.parametrize("name, p, target", [
     ("block_Y", None, "any"), ("block_W", None, "any"),
     *[("glued_Z", p, target) for p in (2, 3, 5) for target in SPIN_TARGETS]])
@@ -1315,7 +1397,7 @@ blow_down sphere=E point={}
 def test_a_point_named_smooth_is_a_point(pid):
     # C and F meet once, at the double point: C.F = 1/2 whatever its
     # name (a point named smooth used to read as a smooth crossing, 1)
-    cfg, _, _ = report.build(parse_scenario(SMOOTH_POINT_TEXT.format(pid)))
+    cfg, _ = parse_scenario(SMOOTH_POINT_TEXT.format(pid)).built
     assert [e.location for e in cfg.events] == [pid]
     assert cfg.pairing_of("C", "F") == Fraction(1, 2)
     assert validate_config(cfg) == []

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbkit import report, surgery
+from orbkit import surgery
 from orbkit.exact import IntMatrix
 from orbkit.model import (
     IntersectionEvent,
@@ -140,6 +140,17 @@ class TestBlowDown:
         for sid in others:
             cfg.add_event("S", sid)
         with pytest.raises(UnsupportedGeometry, match=f"^{message}$"):
+            blow_down_minus2(cfg, "S")
+
+    def test_rejects_a_sphere_that_meets_itself(self):
+        # the sphere would be its own neighbour on the double point
+        cfg = OrbifoldConfig(b2=2, euler=4)
+        cfg.surfaces += [SurfaceData("C", 1), SurfaceData(
+            "S", 0, self_intersection=Fraction(-2))]
+        cfg.events += [IntersectionEvent("e", "S", "S"),
+                       IntersectionEvent("f", "C", "S")]
+        with pytest.raises(UnsupportedGeometry,
+                           match="^S meets itself at event e$"):
             blow_down_minus2(cfg, "S")
 
     def test_rejects_point_id_in_use(self):
@@ -661,7 +672,7 @@ def test_every_logged_op_replays_through_its_public_move():
         "discard id=Ep", "blow_down sphere=E point=s1",
         "blow_up through=C,L id=A2", "blow_down sphere=L point=s2",
         "rename old=Lp new=A1", "resolve t1=U1 t2=U2 id=V"])
-    report.build(parse_scenario(text), log)
+    log.entries += parse_scenario(text).built[1].entries
     ops = {e.op for e in log.entries}
     assert ops == {rule.move for rule in SCRIPT_OPS.values()} | {
         "gompf_fiber_sum", "assign_isotropy", "declare_lattice"}
@@ -689,8 +700,7 @@ def test_seeded_scripts_build_as_the_moves_they_name(start, seed):
             continue
         _assert_unique_ids(cfg)
         lines.append(line)
-    scripted = SurgeryLog()
-    built, label, p = report.build(
-        parse_scenario(_scripted(first, lines)), scripted)
-    assert (built, label, p) == (cfg, "explicit", None)
+    scn = parse_scenario(_scripted(first, lines))
+    built, scripted = scn.built
+    assert (built, scn.builtin) == (cfg, None)
     assert scripted.entries == log.entries
