@@ -111,7 +111,7 @@ def _run(args):
 
 
 def _cmd_build(args) -> int:
-    cfg, _ = _load_scenario(args).built
+    cfg, _ = report_mod.built(_load_scenario(args))
     print(f"euler = {cfg.euler}")
     print(f"b1 = {cfg.b1}")
     print(f"b2 = {cfg.b2}")

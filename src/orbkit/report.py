@@ -107,12 +107,18 @@ def _check_request(request: SeifertRequest, b2: int, names) -> None:
             f"the unknowns of w2 are {' '.join(names) or 'none'}")
 
 
-def run_pipeline(scn: Scenario, coset_bound: int = fpgroup.COSET_BOUND,
-                 max_l1: int = seifert.MAX_L1) -> Report:
+def built(scn: Scenario):
+    """scn.built, with anything its build raises as the build stage's
+    PipelineError."""
     try:
-        cfg, log = scn.built
+        return scn.built
     except Exception as exc:  # noqa: BLE001 - stage attribution
         raise PipelineError("build", exc) from exc
+
+
+def run_pipeline(scn: Scenario, coset_bound: int = fpgroup.COSET_BOUND,
+                 max_l1: int = seifert.MAX_L1) -> Report:
+    cfg, log = built(scn)
     name, p = scn.builtin or ("explicit", None)
     label = name if p is None else f"{name} p={p}"
 

@@ -107,7 +107,7 @@ class Scenario:
         them."""
         log = surgery.SurgeryLog()
         if self.builtin is None:
-            cfg = self.config.copy()
+            cfg = self.config  # each move copies the config it is given
             for op in self.script:
                 cfg = SCRIPT_OPS[op.op].apply(cfg, op.args, log)
             return cfg, log
@@ -391,8 +391,7 @@ def parse_scenario(text: str) -> Scenario:
     # each line's move runs in file order on the whole declared config,
     # so a line the move refuses is bad input; what the moves build, with
     # their log, is the scenario's built
-    script, log = [], surgery.SurgeryLog()
-    cfg = config.copy() if config is not None else None
+    script, log, cfg = [], surgery.SurgeryLog(), config
     for ln, line in script_lines:
         op = _parse_script_line(ln, line)
         cfg = _at(ln, SCRIPT_OPS[op.op].apply, cfg, op.args, log)

@@ -490,10 +490,10 @@ def _scenarios(draw):
 _NO_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
 
 
-# one explicit seed for the round trip and the count of its ops: a
-# derandomized run is seeded from the test's own source, so an edit to
-# either body would change the examples it sees; with this seed both see
-# the same 80 examples
+# one explicit seed for the round trip, the count of its ops and the
+# split script: a derandomized run is seeded from the test's own source,
+# so an edit to a body would change the examples it sees; with this seed
+# the round trip and the count see the same 80 examples
 _SCENARIO_SEED = 1
 _SCENARIO_SETTINGS = settings(max_examples=80, deadline=None,
                               phases=_NO_EXPLAIN, database=None)
@@ -503,7 +503,10 @@ _SCENARIO_SETTINGS = settings(max_examples=80, deadline=None,
 @_SCENARIO_SETTINGS
 @given(_scenarios())
 def test_emit_then_parse_is_the_identity(scn):
-    assert parse_scenario(emit_scenario(scn)) == scn
+    parsed = parse_scenario(emit_scenario(scn))
+    assert parsed == scn
+    # the parse's checking run builds what the scenario builds on its own
+    assert parsed.built[0] == scn.built[0]
 
 
 def test_scripts_draw_every_op():
@@ -521,8 +524,8 @@ def test_scripts_draw_every_op():
     assert set(seen) == set(_OPS)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None,
-          phases=_NO_EXPLAIN)
+@seed(_SCENARIO_SEED)
+@settings(max_examples=60, deadline=None, phases=_NO_EXPLAIN, database=None)
 @given(st.data())
 def test_a_script_split_over_sections_parses_as_in_one(data):
     # each [script] line's move runs once, in file order, on the whole
@@ -1126,7 +1129,8 @@ discard id=G
     f.write_text(text)
     calls = _counted(monkeypatch, [rule.move for rule in SCRIPT_OPS.values()])
     assert cli.main(["report", str(f), "--format", "structured"]) == 0
-    assert "surgery.steps = 6" in capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out.splitlines()
+    assert {"scenario = explicit", "surgery.steps = 6"} <= set(out)
     assert calls == {"blow_up": 2, "blow_down_minus2": 1,
                      "resolve_torus_pair": 1, "rename": 1, "discard": 1}
 
@@ -1139,6 +1143,19 @@ def test_a_builtin_is_built_once_per_scenario(monkeypatch):
     assert calls == {"build_Z": 1}
     assert emit_report(first, "structured") == emit_report(second,
                                                           "structured")
+
+
+@pytest.mark.parametrize("verb", ["build", "verify", "report"])
+def test_a_builder_that_raises_fails_the_build_stage(monkeypatch, capsys,
+                                                     verb):
+    # every verb reports a builtin's failed build as its stage, not a
+    # traceback
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(surgery, "build_block_W", fail)
+    assert cli.main([verb, "--builtin", "block_W"]) == 1
+    assert capsys.readouterr().err == "error: stage build: MemoryError\n"
 
 
 @pytest.mark.parametrize("name, p, target", [

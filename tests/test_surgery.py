@@ -16,6 +16,7 @@ from orbkit.model import (
     validate_config,
 )
 from orbkit.record import replace
+from orbkit.report import run_pipeline
 from orbkit.scenario import (
     SCRIPT_OPS,
     ParseError,
@@ -703,4 +704,5 @@ def test_seeded_scripts_build_as_the_moves_they_name(start, seed):
     scn = parse_scenario(_scripted(first, lines))
     built, scripted = scn.built
     assert (built, scn.builtin) == (cfg, None)
+    assert run_pipeline(scn).scenario_label == "explicit"
     assert scripted.entries == log.entries
