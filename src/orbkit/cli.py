@@ -83,8 +83,6 @@ def _add_pipeline_args(sub):
     sub.add_argument("--coset-bound", type=at_least(1),
                      default=fpgroup.COSET_BOUND,
                      help="cosets the enumeration may define")
-    sub.add_argument("--max-l1", type=at_least(0), default=seifert.MAX_L1,
-                     help="L1-norm bound for the background-class search")
 
 
 def _load_scenario(args, spin_target="any") -> Scenario:
@@ -97,7 +95,12 @@ def _load_scenario(args, spin_target="any") -> Scenario:
             raise InputError(f"{flag} applies to --builtin glued_Z only")
     if args.scenario:
         with open(args.scenario, encoding="utf-8") as fh:
-            return parse_scenario(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{args.scenario}: byte {exc.start} is not "
+                                 "UTF-8") from None
+        return parse_scenario(text)
     if name != "glued_Z":
         return Scenario(builtin=(name, None))
     return Scenario(builtin=(name, args.prime or 3),
@@ -106,8 +109,7 @@ def _load_scenario(args, spin_target="any") -> Scenario:
 
 def _run(args):
     scn = _load_scenario(args, args.spin_target)
-    return report_mod.run_pipeline(scn, coset_bound=args.coset_bound,
-                                   max_l1=args.max_l1)
+    return report_mod.run_pipeline(scn, coset_bound=args.coset_bound)
 
 
 def _cmd_build(args) -> int:

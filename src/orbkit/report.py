@@ -116,8 +116,8 @@ def built(scn: Scenario):
         raise PipelineError("build", exc) from exc
 
 
-def run_pipeline(scn: Scenario, coset_bound: int = fpgroup.COSET_BOUND,
-                 max_l1: int = seifert.MAX_L1) -> Report:
+def run_pipeline(scn: Scenario,
+                 coset_bound: int = fpgroup.COSET_BOUND) -> Report:
     cfg, log = built(scn)
     name, p = scn.builtin or ("explicit", None)
     label = name if p is None else f"{name} p={p}"
@@ -155,7 +155,7 @@ def run_pipeline(scn: Scenario, coset_bound: int = fpgroup.COSET_BOUND,
                 assignments = [tuple(sorted(request.spin_unknowns.items()))]
             if request.c1B == "search":
                 specs = [seifert.search_background_class(
-                    lattice, _spin_predicate(a, request.spin_target), max_l1)
+                    lattice, _spin_predicate(a, request.spin_target))
                     for a in assignments]
             else:
                 specs = [lattice.spec(request.c1B)] * len(assignments)

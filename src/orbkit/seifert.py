@@ -6,10 +6,10 @@ decide whether the total space has H_1 = 0 (three criteria: b_1 of the
 base vanishes, the restriction map onto the multiplicity torsion is
 surjective, and the scaled Chern class is primitive), present H_2 of
 the total space, and search for a background class a predicate admits.
-The search has one budget, the L1 norm of c1(B): it walks every class
-of norm at most MAX_L1 (or the caller's bound), so a bound of k also
-reaches entries up to k.  What depends only on the configuration is
-computed once, in its Lattice.
+The search has one fixed budget, the L1 norm of c1(B): it walks every
+class of norm at most MAX_L1, so it also reaches entries up to MAX_L1.
+What depends only on the configuration is computed once, in its
+Lattice.
 
 Cohomology classes live in the dual lattice Hom(H_2(X,Z), Z): a class
 is its vector of pairings against the declared integral basis.  An
@@ -279,9 +279,16 @@ def total_multiplicity(cfg: OrbifoldConfig) -> int:
 
 
 def chern_class(spec: SeifertSpec) -> RationalClass:
-    """c1(M) = c1(B) + sum_i (b_i/m_i) [D_i], as a pairing vector."""
-    return RationalClass(tuple(Fraction(x, spec.lattice.m)
-                               for x in spec.lattice.scaled_chern(spec.c1B)))
+    """c1(M) = c1(B) + sum_i (b_i/m_i) [D_i], as a pairing vector.
+
+    Summed in Fractions from the surface classes and the residues, apart
+    from the Lattice, whose scaled_chern it checks."""
+    out = tuple(Fraction(c) for c in spec.c1B)
+    for s in isotropy_surfaces(spec.base):
+        b = Fraction(spec.b_residues[s.id], s.multiplicity)
+        out = tuple(x + b * d
+                    for x, d in zip(out, surface_class(spec.base, s.id)))
+    return RationalClass(out)
 
 
 def scaled_chern_class(spec: SeifertSpec) -> RationalClass:
@@ -332,24 +339,24 @@ def _graded_vectors(dim: int, max_l1: int):
         yield from rec([], dim, norm)
 
 
-# the default L1-norm bound of the background-class search, its only
-# budget: a norm of k bounds every entry by k too
+# the L1-norm bound of the background-class search, its only budget: a
+# norm of k bounds every entry by k too.  A bound of 3 gives every
+# glued_Z question the same answer, and the walk grows exponentially in it
 MAX_L1 = 2
 
 
-def search_background_class(lattice: Lattice, accept,
-                            max_l1: int = MAX_L1) -> SeifertSpec:
+def search_background_class(lattice: Lattice, accept) -> SeifertSpec:
     """First background class, in graded order, that accept admits.
 
     Walks the candidates c1(B) of the lattice's configuration of L1 norm
-    at most max_l1, by L1 norm then lexicographically.  A candidate
-    whose scaled Chern class is not primitive is skipped; for the others
-    accept(lattice, c1B) decides.  Returns the SeifertSpec of the first
-    admitted candidate, sharing the lattice, so searches over one
-    Lattice.of(cfg) run one SNF between them; raises NotFound when none
-    is admitted.
+    at most MAX_L1, read when called, by L1 norm then lexicographically.
+    A candidate whose scaled Chern class is not primitive is skipped;
+    for the others accept(lattice, c1B) decides.  Returns the SeifertSpec
+    of the first admitted candidate, sharing the lattice, so searches
+    over one Lattice.of(cfg) run one SNF between them; raises NotFound
+    when none is admitted.
     """
-    for c1B in _graded_vectors(lattice.cfg.b2, max_l1):
+    for c1B in _graded_vectors(lattice.cfg.b2, MAX_L1):
         if lattice.primitive(c1B) and accept(lattice, c1B):
             return lattice.spec(c1B)
-    raise NotFound(f"no background class within L1 <= {max_l1}")
+    raise NotFound(f"no background class within L1 <= {MAX_L1}")

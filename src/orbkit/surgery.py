@@ -528,15 +528,14 @@ def build_block_Y() -> OrbifoldConfig:
     return cfg
 
 
-def build_block_W(stages: list | None = None,
-                  log: SurgeryLog | None = None) -> OrbifoldConfig:
+def build_block_W(log: SurgeryLog | None = None) -> OrbifoldConfig:
     """Second building block, from the projective plane by surgery.
 
     Cubic C and lines L, L' through a common triple point: two blow-ups,
     a blow-down, a blow-up, a blow-down (yielding the half-integer
     surfaces A1, A2 and double points s1, s2), then eight blow-ups along
-    C to kill its square.  Pass a list as `stages` to collect named
-    (label, config) snapshots of the chain.
+    C to kill its square.  The log's first 0, 1, 2, 4, 5, 7 and 15 steps
+    lead from P^2 to the stages P2, X1, X2, X3, X4, Wp and W.
     """
     cfg = OrbifoldConfig(b1=0, b2=1, euler=3)
     cfg.surfaces.append(SurfaceData("C", 1, self_intersection=Fraction(9)))
@@ -547,27 +546,16 @@ def build_block_W(stages: list | None = None,
         cfg.events.append(IntersectionEvent(f"clp_{k}", "C", "Lp"))
     cfg.events.append(IntersectionEvent("llp_0", "L", "Lp"))
 
-    def snap(label):
-        if stages is not None:
-            stages.append((label, cfg.copy()))
-
-    snap("P2")
     # the triple point: one C.L, one C.L', one L.L' crossing consumed
     cfg = blow_up(cfg, ["C", "L", "Lp"], exceptional_id="E", log=log)
-    snap("X1")
     cfg = blow_up(cfg, ["E", "L"], exceptional_id="Ep", log=log)
-    snap("X2")
     cfg = discard(cfg, "Ep", log=log)
     cfg = blow_down_minus2(cfg, "E", point_id="s1", log=log)
-    snap("X3")
     cfg = blow_up(cfg, ["C", "L"], exceptional_id="A2", log=log)
-    snap("X4")
     cfg = blow_down_minus2(cfg, "L", point_id="s2", log=log)
     cfg = rename(cfg, "Lp", "A1", log=log)
-    snap("Wp")
     for i in range(3, 11):
         cfg = blow_up(cfg, ["C"], exceptional_id=f"E{i}", log=log)
-    snap("W")
     return cfg
 
 

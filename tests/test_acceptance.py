@@ -37,6 +37,7 @@ from orbkit.seifert import (
 )
 from orbkit.spin import gk_check, smale_barden_report, spin_decision, spin_sweep
 from orbkit.surgery import SurgeryLog, build_block_W, build_block_Y, build_Z
+from test_surgery import block_W_stages
 
 
 def _verdict(n, label, ok):
@@ -53,9 +54,8 @@ def test_acceptance_1_building_blocks():
     y = build_block_Y()
     ok = (y.euler, y.b1, y.b2) == (4, 2, 6)
     ok &= len(y.points) == 8 and all(p.order == 2 for p in y.points)
-    stages = []
-    w = build_block_W(stages=stages)
-    wp = dict(stages)["Wp"]
+    w = build_block_W()
+    wp = dict(block_W_stages())["Wp"]
     ok &= (wp.b2, wp.euler) == (2, 4)
     ok &= (w.b2, w.euler) == (10, 12)
     ok &= w.surface("C").self_intersection == 0
@@ -80,10 +80,8 @@ def test_acceptance_2_glued_configuration():
 
 
 def test_acceptance_3_self_intersection_trajectory():
-    stages = []
-    build_block_W(stages=stages)
     got = [(label, cfg.surface("C").self_intersection)
-           for label, cfg in stages]
+           for label, cfg in block_W_stages()]
     ok = got == [("P2", 9), ("X1", 8), ("X2", 8),
                  ("X3", Fraction(17, 2)), ("X4", Fraction(15, 2)),
                  ("Wp", 8), ("W", 0)]

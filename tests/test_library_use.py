@@ -2,17 +2,22 @@
 
 Every top-level function and method defined under src/orbkit must be
 named somewhere else in src/ or perfbench/: called, imported, bound, or
-reached through the operator it implements.  Docstrings do not count,
-and neither does perfbench/tracer.py, which names every layer function
-in strings to wrap it.  A name used nowhere else is test-only code, and
-it must be on ALLOWED with the reason it stays, or on TRACER_BOUND if
-the tracer is all that reaches it; otherwise delete it.
+reached through the operator it implements.  A word of a string counts
+only in src/orbkit, where a table such as OpRule.move or SCRIPT_OPS
+holds names looked up at run time; docstrings do not count, and a
+string in perfbench/, such as the workload name "spin_sweep", does not
+call the function it spells.  perfbench/tracer.py, which names every
+layer function in strings to wrap it, does not count at all.  A name
+used nowhere else is test-only code, and it must be on ALLOWED with the
+reason it stays, or on TRACER_BOUND if the tracer is all that reaches
+it; otherwise delete it.
 
 The same holds for an optional parameter of any function there: it
 must be named in src/ or perfbench/ outside that function, as a call's
-keyword, a name or a word of a string that is not a docstring.  One
-that only tests set is a knob with one legal value in the program, and
-it must be on ALLOWED_PARAMETERS with the reason it stays.
+keyword, a name, or a word of a string in src/orbkit that is not a
+docstring.  One that only tests set is a knob with one legal value in
+the program, and it must be on ALLOWED_PARAMETERS with the reason it
+stays.
 """
 
 import ast
@@ -35,14 +40,11 @@ ALLOWED = {
 _TRACER_REASON = ("perfbench/tracer.py binds it; it goes with ROADMAP "
                   "item 5 once 6(c) lands")
 TRACER_BOUND = dict.fromkeys(
-    ["emit_scenario", "pi_star_kernel", "replay", "tietze_simplify",
-     "w2_base_class"], _TRACER_REASON)
+    ["emit_scenario", "pi_star_kernel", "replay", "spin_sweep",
+     "tietze_simplify", "w2_base_class"], _TRACER_REASON)
 
 # test-only optional parameters that stay, as "function(parameter=)" -> why
-ALLOWED_PARAMETERS = {
-    "build_block_W(stages=)":
-        "acceptance criteria 1 and 3 read the block-W stage snapshots",
-}
+ALLOWED_PARAMETERS = {}
 
 # the method an operator or a subscript calls; Python calls the other
 # dunders itself, so they are not checked
@@ -59,7 +61,13 @@ def _docstrings(tree):
             and isinstance(node.body[0].value, ast.Constant)}
 
 
-def _names_used(tree):
+def _in_orbkit(path):
+    """Is the module at path orbkit's own?  Only there are definitions
+    checked and words of strings counted as uses."""
+    return path.parent.name == "orbkit"
+
+
+def _names_used(tree, strings):
     docstrings = _docstrings(tree)
     for node in ast.walk(tree):
         operator = type(getattr(node, "op", node))  # a BinOp's, AugAssign's
@@ -71,7 +79,8 @@ def _names_used(tree):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)
               and id(node) not in docstrings):
             yield from re.findall(r"\w+", node.value)
 
@@ -102,10 +111,10 @@ def _trees():
 
 def test_every_test_only_function_is_allowed():
     trees = _trees()
-    used = Counter(name for tree in trees.values()
-                   for name in _names_used(tree))
+    used = Counter(name for path, tree in trees.items()
+                   for name in _names_used(tree, _in_orbkit(path)))
     unused = {qualified for path, tree in trees.items()
-              if path.parent.name == "orbkit"
+              if _in_orbkit(path)
               for qualified, name in _definitions(tree) if not used[name]}
     kept = set(ALLOWED) | set(TRACER_BOUND)
     assert sorted(unused - kept) == []  # delete, or allow with why
@@ -121,14 +130,16 @@ def test_tracer_bound_names_are_layer_functions():
     assert sorted(set(TRACER_BOUND) - wrapped) == []
 
 
-def _parameter_uses(tree, docstrings):
-    """Each keyword, name and word of a non-docstring string in tree."""
+def _parameter_uses(tree, docstrings, strings):
+    """Each keyword, name and, with strings, word of a non-docstring
+    string in tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.keyword) and node.arg:
             yield node.arg
         elif isinstance(node, ast.Name):
             yield node.id
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)
               and id(node) not in docstrings):
             yield from re.findall(r"\w+", node.value)
 
@@ -156,13 +167,14 @@ def _optional_parameters(tree, prefix=""):
 def test_every_test_only_parameter_is_allowed():
     trees = _trees()
     docstrings = set().union(*map(_docstrings, trees.values()))
-    used = Counter(name for tree in trees.values()
-                   for name in _parameter_uses(tree, docstrings))
+    used = Counter(name for path, tree in trees.items()
+                   for name in _parameter_uses(tree, docstrings,
+                                               _in_orbkit(path)))
     unused = {f"{function}({parameter}=)"
-              for path, tree in trees.items() if path.parent.name == "orbkit"
+              for path, tree in trees.items() if _in_orbkit(path)
               for function, node, parameter in _optional_parameters(tree)
               if used[parameter] == Counter(
-                  _parameter_uses(node, docstrings))[parameter]}
+                  _parameter_uses(node, docstrings, True))[parameter]}
     # delete, or allow with why
     assert sorted(unused - set(ALLOWED_PARAMETERS)) == []
     # now used: drop from ALLOWED_PARAMETERS

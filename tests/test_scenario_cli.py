@@ -724,6 +724,17 @@ class TestCli:
         f.write_text("not a scenario\n")
         assert cli.main(["verify", str(f)]) == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("verb", ["build", "verify", "report"])
+    def test_non_utf8_file_is_input_error(self, verb, tmp_path, capsys):
+        # a byte 0xff in a comment line used to escape as a traceback
+        f = tmp_path / "s.scn"
+        f.write_bytes(b"scenario v1\n# caf\xff\n"
+                      + BUILTIN_TEXT.encode().partition(b"\n")[2])
+        assert cli.main([verb, str(f)]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {f}: byte 17 is not UTF-8\n"
+        assert captured.out == ""
+
     def test_file_and_builtin_conflict(self, tmp_path, capsys):
         f = tmp_path / "s.scn"
         f.write_text(BUILTIN_TEXT)
@@ -995,8 +1006,7 @@ class TestCli:
 
     @pytest.mark.parametrize("verb, flag, low", [
         ("verify", "--coset-bound", 1), ("report", "--coset-bound", 1),
-        ("enumerate", "--coset-bound", 1),
-        ("verify", "--max-l1", 0), ("report", "--max-l1", 0)])
+        ("enumerate", "--coset-bound", 1)])
     def test_bounds_below_their_minimum(self, verb, flag, low, capsys):
         for value in (str(low - 1), "-5"):
             with pytest.raises(SystemExit) as exc:
@@ -1305,11 +1315,12 @@ def test_mutated_scenarios_exit_with_one_line(text, tmp_path_factory):
 
 @pytest.mark.parametrize("verb", ["verify", "report"])
 def test_no_search_bound_flag(verb, capsys):
-    # --max-l1 is the background-class search's only budget
-    with pytest.raises(SystemExit) as exc:
-        cli.main([verb, "--search-bound", "4"])
-    assert exc.value.code == cli.EXIT_INPUT
-    assert "--search-bound" in capsys.readouterr().err
+    # the background-class search walks the fixed bound seifert.MAX_L1
+    for flag in ("--search-bound", "--max-l1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([verb, flag, "4"])
+        assert exc.value.code == cli.EXIT_INPUT
+        assert flag in capsys.readouterr().err
 
 
 def test_format_belongs_to_report(capsys):
@@ -1339,18 +1350,34 @@ def test_exhausted_search_still_runs_pi1_at_p2(capsys):
         "pi1_index_divides_4: fail"]
 
 
-def test_exhausted_search_still_runs_pi1_at_p3():
+def test_exhausted_search_still_runs_pi1_at_p3(monkeypatch):
     # only c1(B) = 0 is in range, and it is not primitive at p = 3: the
     # certificate passes, and simply_connected, which needs H_1, is absent
+    monkeypatch.setattr(seifert, "MAX_L1", 0)
     rep = run_pipeline(Scenario(builtin=("glued_Z", 3),
-                                seifert=SeifertRequest(spin_target="spin")),
-                       max_l1=0)
+                                seifert=SeifertRequest(spin_target="spin")))
     assert [v for v in rep.verdicts if v[0] not in (
         "config_valid", "local_invariants_compatible", "even_point_bound")] \
         == [("background_class", "inconclusive"),
             ("spin_target", "inconclusive"), ("pi1_index_divides_4", "pass")]
     assert rep.pi1_status.index == 4 and rep.simply_connected is None
     assert rep.exit_code() == cli.EXIT_INCONCLUSIVE
+
+
+@pytest.mark.parametrize("target", SPIN_TARGETS)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_larger_search_bound_changes_no_glued_report(p, target,
+                                                      monkeypatch):
+    # the fixed bound loses no answer that norm 3 would find: p = 2
+    # nonspin has no class at any norm, and p = 3 spin needs norm 2
+    def structured():
+        scn = Scenario(builtin=("glued_Z", p),
+                       seifert=SeifertRequest(spin_target=target))
+        return emit_report(run_pipeline(scn), format="structured")
+
+    want = structured()
+    monkeypatch.setattr(seifert, "MAX_L1", 3)
+    assert structured() == want
 
 
 # -- an invalid configuration stops at config_valid ---------------------

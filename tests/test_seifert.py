@@ -311,13 +311,13 @@ class TestSearch:
                 (c - a) % 2 for c, a in zip(c1B, alpha)))
         assert any((c - a) % 2 for c, a in zip(spec.c1B, alpha))
 
-    def test_impossible_constraint(self):
+    def test_impossible_constraint(self, monkeypatch):
         z = build_Z(3)
-        # at max_l1 = 0 the only candidate is the zero vector
+        # at MAX_L1 = 0 the only candidate is the zero vector
+        monkeypatch.setattr(seifert, "MAX_L1", 0)
         with pytest.raises(NotFound):
             search_background_class(
-                Lattice.of(z), lambda lattice, c1B: any(c % 2 for c in c1B),
-                max_l1=0)
+                Lattice.of(z), lambda lattice, c1B: any(c % 2 for c in c1B))
 
     def test_deterministic_first_hit(self):
         z = build_Z(3)

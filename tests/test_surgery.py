@@ -53,6 +53,34 @@ def _cp2_with_cubic():
     return cfg
 
 
+def _cp2_with_lines():
+    """The P^2 that build_block_W starts from: the cubic C and two lines
+    L, L' through a common point of C."""
+    cfg = _cp2_with_cubic()
+    cfg.surfaces.append(SurfaceData("L", 0, self_intersection=Fraction(1)))
+    cfg.surfaces.append(SurfaceData("Lp", 0, self_intersection=Fraction(1)))
+    for k in range(3):
+        cfg.events.append(IntersectionEvent(f"cl_{k}", "C", "L"))
+        cfg.events.append(IntersectionEvent(f"clp_{k}", "C", "Lp"))
+    cfg.events.append(IntersectionEvent("llp_0", "L", "Lp"))
+    return cfg
+
+
+# each stage of block W -> the number of steps of build_block_W's log
+# that lead to it from P^2
+BLOCK_W_STEPS = {"P2": 0, "X1": 1, "X2": 2, "X3": 4, "X4": 5, "Wp": 7,
+                 "W": 15}
+
+
+def block_W_stages():
+    """[(label, config)] of block W's stages in order, each replayed from
+    _cp2_with_lines over its prefix of build_block_W's log."""
+    log = SurgeryLog()
+    build_block_W(log=log)
+    return [(label, replay(_cp2_with_lines(), SurgeryLog(log.entries[:k])))
+            for label, k in BLOCK_W_STEPS.items()]
+
+
 class TestBlowUp:
     def test_point_on_cubic(self):
         cfg = blow_up(_cp2_with_cubic(), through=["C"])
@@ -68,10 +96,8 @@ class TestBlowUp:
         assert (cfg.b2, cfg.euler) == (2, 4)
 
     def test_separates_triple_point(self):
-        stages = []
-        build_block_W(stages=stages)
-        p2 = dict(stages)["P2"]
-        x1 = dict(stages)["X1"]
+        stages = dict(block_W_stages())
+        p2, x1 = stages["P2"], stages["X1"]
         assert len(p2.events_between("L", "Lp")) == 1
         assert len(x1.events_between("L", "Lp")) == 0
         assert x1.surface("L").self_intersection == 0
@@ -86,18 +112,14 @@ class TestBlowUp:
 
 class TestBlowDown:
     def test_trajectory(self):
-        stages = []
-        build_block_W(stages=stages)
         got = [(label, cfg.surface("C").self_intersection)
-               for label, cfg in stages]
+               for label, cfg in block_W_stages()]
         assert got == [("P2", 9), ("X1", 8), ("X2", 8),
                        ("X3", Fraction(17, 2)), ("X4", Fraction(15, 2)),
                        ("Wp", 8), ("W", 0)]
 
     def test_creates_half_intersections(self):
-        stages = []
-        build_block_W(stages=stages)
-        x3 = dict(stages)["X3"]
+        x3 = dict(block_W_stages())["X3"]
         assert x3.surface("Lp").self_intersection == Fraction(1, 2)
         assert x3.point("s1").order == 2
         assert x3.point("s1").exponents == (1, 1)
@@ -225,9 +247,8 @@ class TestBlockY:
 
 class TestBlockW:
     def test_final_invariants(self):
-        stages = []
-        w = build_block_W(stages=stages)
-        wp = dict(stages)["Wp"]
+        w = build_block_W()
+        wp = dict(block_W_stages())["Wp"]
         assert (wp.b2, wp.euler) == (2, 4)
         assert (w.b2, w.euler) == (10, 12)
         assert w.surface("C").self_intersection == 0
@@ -238,10 +259,8 @@ class TestBlockW:
 
     def test_log_replays_bit_exactly(self):
         log = SurgeryLog()
-        stages = []
-        w = build_block_W(stages=stages, log=log)
-        start = dict(stages)["P2"]
-        assert replay(start, log) == w
+        w = build_block_W(log=log)
+        assert replay(_cp2_with_lines(), log) == w
 
 
 class TestGompfSum:
@@ -580,12 +599,6 @@ _EULER_B2_STEP = {"blow_up": (1, 1), "resolve_torus_pair": (1, 1),
                   "blow_down_minus2": (-1, -1), "discard": (0, 0),
                   "rename": (0, 0), "assign_isotropy": (0, 0),
                   "declare_lattice": (0, 0)}
-
-
-def _cp2_with_lines():
-    stages = []
-    build_block_W(stages=stages)
-    return dict(stages)["P2"]
 
 
 @pytest.mark.parametrize("seed", range(12))
