@@ -1,15 +1,21 @@
 """Pipeline orchestration and report emission.
 
-run_pipeline drives a Scenario end to end: read the configuration and
-surgery log the scenario built (Scenario.built), validate it, assign
-local invariants, pick or search a background class, evaluate the
-H_1 / H_2 / spin / classifying invariants, and (for the full glued
-space) enumerate the orbifold fundamental group.  A configuration that
-fails validation stops there, at `config_valid: fail` with its
-violations, since every later stage assumes a valid one; a
-background-class search that finds nothing in range leaves the
-fundamental-group stage, which does not depend on c1(B), running.  The
-Report carries every verdict together with the evidence behind it.
+run_pipeline drives a Scenario end to end.  It reads the configuration
+and surgery log the scenario built (Scenario.built) and validates the
+configuration: one that fails validation stops there, at `config_valid:
+fail` with its violations, since every later stage assumes a valid one.
+Then one loop runs the stages in order, local_invariants, seifert and
+fundamental_group.  Each fills its fields of the Report and yields its
+verdicts, and the loop appends them; anything a stage raises is that
+stage's PipelineError, so the loop is the one place that names a failed
+stage after the build (built).  The seifert stage picks or searches a
+background class and evaluates the H_1 / H_2 / spin / classifying
+invariants; a search that finds no class in range is the verdict
+`background_class: inconclusive`, and the fundamental_group stage, which
+does not depend on c1(B), still enumerates the orbifold fundamental
+group of the full glued space.  It reads the H_1 decision the seifert
+stage made.  The Report carries every verdict together with the
+evidence behind it.
 _rows lists it as (key, value) rows, and both formats print those rows
 in that order: structured as `key = value` under an `orbkit-report v1`
 header, human with the rows of each key's first dotted part under a
@@ -80,12 +86,14 @@ class Report:
         return 0
 
 
-def _spin_predicate(assignment, spin_target):
-    """accept(lattice, c1B): c1B gives the spin type asked for, or fails
-    H_1 = 0, on which no spin type is decided and the h1_zero verdict
-    fails."""
-    want = {"spin": True, "nonspin": False}.get(spin_target)
+def _status(ok: bool) -> str:
+    return PASS if ok else FAIL
 
+
+def _spin_predicate(assignment, want):
+    """accept(lattice, c1B): c1B gives the spin type want asks for (True
+    spin, False nonspin, None either), or fails H_1 = 0, on which no spin
+    type is decided and the h1_zero verdict fails."""
     def accept(lattice, c1B):
         if want is None:
             return True
@@ -116,6 +124,92 @@ def built(scn: Scenario):
         raise PipelineError("build", exc) from exc
 
 
+def _local_invariants(report: Report, p):
+    """The local invariants of each point, and the even-point bound at
+    the isotropy prime p of a builtin."""
+    cfg = report.config
+    report.local_invariants = assign_local_invariants(cfg)
+    yield "local_invariants_compatible", _status(all(
+        check_compatibility(pli, cfg.surface(sid))
+        for pli in report.local_invariants.values() for sid in pli.incident))
+    if p is not None:
+        report.even_bound = (p, check_even_point_bound(cfg, p))
+        yield "even_point_bound", _status(report.even_bound[1])
+
+
+def _seifert(report: Report, request):
+    """H_1 of the total space over the requested or searched background
+    class, and where it vanishes the spin type, H_2 and the Smale-Barden
+    data."""
+    if request is None:
+        return
+    cfg = report.config
+    lattice = seifert.Lattice.of(cfg)
+    names = lattice.w2.unknown_names()
+    _check_request(request, cfg.b2, names)
+    assignments = spin.assignments(names)
+    if request.spin_unknowns is not None:
+        assignments = [tuple(sorted(request.spin_unknowns.items()))]
+    # True asks for spin, False for nonspin, None for either
+    want = {"spin": True, "nonspin": False}.get(request.spin_target)
+    if request.c1B != "search":
+        specs = [lattice.spec(request.c1B)] * len(assignments)
+    else:
+        specs = []
+        for a in assignments:
+            specs.append(seifert.search_background_class(
+                lattice, _spin_predicate(a, want)))
+            if specs[-1] is None:
+                # no class in range: the pi_1 stage, which does not
+                # depend on c1(B), still runs
+                yield "background_class", INCONCLUSIVE
+                if want is not None:
+                    yield "spin_target", INCONCLUSIVE
+                return
+    # H_1 = 0 is decided first: the spin decision presumes it
+    report.h1 = seifert.h1_zero_decision(specs[0])
+    report.scaled_chern = seifert.scaled_chern_class(specs[0])
+    yield "h1_zero", _status(report.h1.holds)
+    if not report.h1.holds:
+        return
+    report.h2 = seifert.h2_of_M(specs[0])
+    # H_2(M) does not depend on c1(B): the datum depends only on the spin
+    # bit
+    data = {}
+    for a, spec in zip(assignments, specs):
+        is_spin = spin.spin_decision(spec, dict(a))
+        if is_spin not in data:
+            data[is_spin] = spin.smale_barden_report(spec, is_spin)
+        report.spin_entries.append(SpinEntry(
+            a, spec.c1B, is_spin, spin.gk_check(data[is_spin])))
+    report.smale_barden = data[report.spin_entries[0].is_spin]
+    yield "gk_condition", _status(all(e.gk_ok for e in report.spin_entries))
+    if want is not None:
+        yield "spin_target", _status(
+            all(e.is_spin == want for e in report.spin_entries))
+
+
+def _fundamental_group(report: Report, p, coset_bound):
+    """The coset enumeration of the orbifold fundamental group of glued_Z
+    at p, and with the H_1 decision whether the total space is simply
+    connected."""
+    if p is None:
+        return
+    pres = fpgroup.build_pi1_orb_presentation(p)
+    report.pi1_abelianization = fpgroup.abelianize(pres)
+    result = fpgroup.coset_enumerate(pres, max_cosets=coset_bound)
+    report.pi1_status = result.status
+    if not result.is_complete():
+        yield "pi1_index_divides_4", INCONCLUSIVE
+        return
+    ok = 4 % result.status.index == 0
+    yield "pi1_index_divides_4", _status(ok)
+    if ok and report.h1 is not None:
+        report.simply_connected = fpgroup.simply_connected_decision(
+            result, report.h1.holds)
+        yield "simply_connected", _status(report.simply_connected)
+
+
 def run_pipeline(scn: Scenario,
                  coset_bound: int = fpgroup.COSET_BOUND) -> Report:
     cfg, log = built(scn)
@@ -124,99 +218,22 @@ def run_pipeline(scn: Scenario,
 
     violations = validate_config(cfg)
     report = Report(label, cfg, violations, {}, None, log)
-    report.verdicts.append(("config_valid",
-                            PASS if not violations else FAIL))
+    report.verdicts.append(("config_valid", _status(not violations)))
     if violations:  # every later stage assumes a valid configuration
         return report
-    try:
-        report.local_invariants = assign_local_invariants(cfg)
-    except Exception as exc:
-        raise PipelineError("local_invariants", exc) from exc
-    compatibility_ok = all(check_compatibility(pli, cfg.surface(sid))
-                           for pli in report.local_invariants.values()
-                           for sid in pli.incident)
-    report.verdicts.append(("local_invariants_compatible",
-                            PASS if compatibility_ok else FAIL))
-    if p is not None:
-        report.even_bound = (p, check_even_point_bound(cfg, p))
-        report.verdicts.append(("even_point_bound",
-                                PASS if report.even_bound[1] else FAIL))
-
     request = scn.seifert
     if request is None and p is not None:
         request = SeifertRequest()
-    if request is not None:
+    # in this order: the pi_1 stage reads the H_1 decision of the Seifert
+    # stage
+    for stage, run, args in (("local_invariants", _local_invariants, (p,)),
+                             ("seifert", _seifert, (request,)),
+                             ("fundamental_group", _fundamental_group,
+                              (p, coset_bound))):
         try:
-            lattice = seifert.Lattice.of(cfg)
-            names = lattice.w2.unknown_names()
-            _check_request(request, cfg.b2, names)
-            assignments = spin.assignments(names)
-            if request.spin_unknowns is not None:
-                assignments = [tuple(sorted(request.spin_unknowns.items()))]
-            if request.c1B == "search":
-                specs = [seifert.search_background_class(
-                    lattice, _spin_predicate(a, request.spin_target))
-                    for a in assignments]
-            else:
-                specs = [lattice.spec(request.c1B)] * len(assignments)
-            # H_1 = 0 is decided first: the spin decision presumes it
-            report.h1 = seifert.h1_zero_decision(specs[0])
-            report.scaled_chern = seifert.scaled_chern_class(specs[0])
-            entries = [(a, spec, spin.spin_decision(spec, dict(a)))
-                       for a, spec in zip(assignments, specs)
-                       if report.h1.holds]
-        except seifert.NotFound:
-            # no class in range: the pi_1 stage, which does not depend
-            # on c1(B), still runs
-            report.verdicts.append(("background_class", INCONCLUSIVE))
-            if request.spin_target != "any":
-                report.verdicts.append(("spin_target", INCONCLUSIVE))
-        except Exception as exc:
-            raise PipelineError("seifert", exc) from exc
-        else:
-            report.verdicts.append(("h1_zero",
-                                    PASS if report.h1.holds else FAIL))
-            if report.h1.holds:
-                report.h2 = seifert.h2_of_M(specs[0])
-                # H_2(M) does not depend on c1(B): the datum depends only
-                # on the spin bit
-                data = {}
-                for assignment, spec, is_spin in entries:
-                    if is_spin not in data:
-                        data[is_spin] = spin.smale_barden_report(spec, is_spin)
-                    report.spin_entries.append(SpinEntry(
-                        assignment, spec.c1B, is_spin,
-                        spin.gk_check(data[is_spin])))
-                report.smale_barden = data[report.spin_entries[0].is_spin]
-                gk_all = all(e.gk_ok for e in report.spin_entries)
-                report.verdicts.append(("gk_condition",
-                                        PASS if gk_all else FAIL))
-                if request.spin_target != "any":
-                    want = request.spin_target == "spin"
-                    met = all(e.is_spin == want for e in report.spin_entries)
-                    report.verdicts.append(("spin_target",
-                                            PASS if met else FAIL))
-
-    if p is not None:
-        try:
-            pres = fpgroup.build_pi1_orb_presentation(p)
-            report.pi1_abelianization = fpgroup.abelianize(pres)
-            result = fpgroup.coset_enumerate(pres, max_cosets=coset_bound)
-        except Exception as exc:
-            raise PipelineError("fundamental_group", exc) from exc
-        report.pi1_status = result.status
-        if result.is_complete():
-            ok = 4 % result.status.index == 0
-            report.verdicts.append(("pi1_index_divides_4",
-                                    PASS if ok else FAIL))
-            if ok and report.h1 is not None:
-                report.simply_connected = fpgroup.simply_connected_decision(
-                    result, report.h1.holds)
-                report.verdicts.append((
-                    "simply_connected",
-                    PASS if report.simply_connected else FAIL))
-        else:
-            report.verdicts.append(("pi1_index_divides_4", INCONCLUSIVE))
+            report.verdicts.extend(run(report, *args))
+        except Exception as exc:  # noqa: BLE001 - stage attribution
+            raise PipelineError(stage, exc) from exc
     return report
 
 
@@ -260,7 +277,7 @@ def _rows(report: Report):
         key = ",".join(f"{n}={b}" for n, b in e.assignment) or "-"
         yield (f"spin.{key}", f"c1B {_joined(e.c1B)} | "
                f"{'spin' if e.is_spin else 'nonspin'} | "
-               f"gk {PASS if e.gk_ok else FAIL}")
+               f"gk {_status(e.gk_ok)}")
     sb = report.smale_barden
     if sb is not None:
         yield "smale_barden.k", sb.k

@@ -160,7 +160,17 @@ def check_prime(p: int) -> None:
         raise ValueError(f"{p} is not a prime >= 2")
 
 
+# the most digits an integer of a scenario file may have.  Python turns
+# ints of at most 4,300 digits into text and back, and no number a stage
+# derives from the file gets there: m <= 97**16 adds 32 digits to
+# m*c1B + o, a blow-down keeps denominators at most 2, and n*d at most
+# doubles the digits
+MAX_DIGITS = 1000
+
+
 def _parse_int(raw, ln):
+    if len(raw.strip().lstrip("+-")) > MAX_DIGITS:
+        raise ParseError(ln, f"integer longer than {MAX_DIGITS} digits")
     try:
         return int(raw)
     except ValueError:
@@ -180,9 +190,12 @@ def _parse_factored(raw, ln):
 
 
 def _parse_fraction(raw, ln):
+    """a or a/b, each read by _parse_int: the form emit_scenario writes."""
+    num, slash, den = raw.partition("/")
     try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
+        return Fraction(_parse_int(num, ln),
+                        _parse_int(den, ln) if slash else 1)
+    except ZeroDivisionError:
         raise ParseError(ln, f"expected rational, got {raw!r}") from None
 
 

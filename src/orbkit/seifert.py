@@ -52,10 +52,6 @@ class UnresolvedUnknown(ValueError):
     pass
 
 
-class NotFound(Exception):
-    """Bounded search exhausted without a hit."""
-
-
 @record(frozen=True)
 class RationalClass:
     """A class in H^2(X - P, Q) as pairings against the integral basis.
@@ -345,18 +341,19 @@ def _graded_vectors(dim: int, max_l1: int):
 MAX_L1 = 2
 
 
-def search_background_class(lattice: Lattice, accept) -> SeifertSpec:
-    """First background class, in graded order, that accept admits.
+def search_background_class(lattice: Lattice, accept) -> SeifertSpec | None:
+    """First background class, in graded order, that accept admits, or
+    None when the walk admits none.
 
     Walks the candidates c1(B) of the lattice's configuration of L1 norm
     at most MAX_L1, read when called, by L1 norm then lexicographically.
     A candidate whose scaled Chern class is not primitive is skipped;
     for the others accept(lattice, c1B) decides.  Returns the SeifertSpec
     of the first admitted candidate, sharing the lattice, so searches
-    over one Lattice.of(cfg) run one SNF between them; raises NotFound
-    when none is admitted.
+    over one Lattice.of(cfg) run one SNF between them.  An exhausted walk
+    is an answer, not an error: the caller reports it as inconclusive.
     """
     for c1B in _graded_vectors(lattice.cfg.b2, MAX_L1):
         if lattice.primitive(c1B) and accept(lattice, c1B):
             return lattice.spec(c1B)
-    raise NotFound(f"no background class within L1 <= {MAX_L1}")
+    return None

@@ -6,6 +6,10 @@ built.  So in src/orbkit only scenario.py may name the script table or
 a builder, and surgery.py, which defines the builders.  A name counts
 when code reads, binds or imports it, or holds it as a string, as a
 getattr by name would; docstrings and comments do not count.
+
+Likewise one place names the stage that fails: report.built for the
+build, and run_pipeline's stage loop for every later stage.  So those
+are the only two places in src/orbkit that construct a PipelineError.
 """
 
 import ast
@@ -44,3 +48,23 @@ def test_only_the_scenario_builds():
             if hits and name not in OWNERS} == {}
     # the owners do name them: the check reads the names they use
     assert named["scenario.py"] == sorted(BUILD_NAMES)
+
+
+def _pipeline_errors(node, where=None):
+    """The enclosing function of each PipelineError(...) under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                getattr(func, "id", None))
+            if name == "PipelineError":
+                yield where
+        inner = child.name if isinstance(child, ast.FunctionDef) else where
+        yield from _pipeline_errors(child, inner)
+
+
+def test_two_places_name_a_failed_stage():
+    sites = [(path.name, where) for path in sorted(SRC.glob("*.py"))
+             for where in _pipeline_errors(ast.parse(
+                 path.read_text(encoding="utf-8")))]
+    assert sites == [("report.py", "built"), ("report.py", "run_pipeline")]

@@ -7,12 +7,15 @@ pairing of its declared basis is nondegenerate, so the basis spans
 H2(X; Q).  The pairing is read off the surfaces and events here and
 eliminated over Fractions here: nothing comes from the seifert or spin
 modules, nor from the validation rule that checks the same pairing.
+The H_2 of the total space and its Smale-Barden data are written out
+here in closed form too; seifert and spin give only the values checked.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from orbkit import seifert, spin
 from orbkit.surgery import build_Z
 
 PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
@@ -74,3 +77,31 @@ def test_rank_sees_a_singular_pairing():
     assert _rank([[one, one], [one, one]]) == 1
     assert _rank([[half, half], [half, half]]) == 1
     assert _rank([[half, one], [one, half]]) == 2
+
+
+def _h2_exponents() -> list[int]:
+    """i of each Z_{p^i} summand of H2(M), ascending: Z_p^4, Z_{p^i}^2
+    for 2 <= i <= 14, Z_{p^15}^4 and Z_{p^16}^4."""
+    return ([1] * 4 + [i for i in range(2, 15) for _ in range(2)]
+            + [15] * 4 + [16] * 4)
+
+
+# conditional on H1(M) = 0, which ROADMAP item 10 may overturn: h2_of_M
+# and smale_barden_report assume it, and so do these closed forms
+@pytest.mark.parametrize("p", PRIMES)
+def test_h2_of_the_total_space_in_closed_form(p):
+    lattice = seifert.Lattice.of(build_Z(p))
+    spec = seifert.search_background_class(lattice, lambda lat, c1B: True)
+    h2 = seifert.h2_of_M(spec)
+    # one prime, so the invariant factors are the summands in order
+    assert h2.rank == 15
+    assert h2.invariant_factors == tuple(p ** i for i in _h2_exponents())
+    data = spin.smale_barden_report(spec, True)
+    assert data.k == 15
+    assert data.torsion_profile == (((p, 1), 2),
+                                    *(((p, i), 1) for i in range(2, 15)),
+                                    ((p, 15), 2), ((p, 16), 2))
+    # t(p) = 16 = k + 1: gk_check's bound holds with equality
+    assert data.t == ((p, 16),)
+    assert (data.t_max, data.c_max) == (16, 2)
+    assert spin.gk_check(data)

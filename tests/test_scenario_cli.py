@@ -26,6 +26,7 @@ from orbkit.model import (
 from orbkit.report import emit_report, run_pipeline
 from orbkit.scenario import (
     BUILTINS,
+    MAX_DIGITS,
     MAX_PRIME,
     SCRIPT_OPS,
     SPIN_TARGETS,
@@ -236,6 +237,16 @@ class TestParse:
             parse_scenario(text)
         # a larger value with small prime factors parses
         parse_scenario(FACTOR_TEXT.replace(line, f"{key} = {97 ** 16}"))
+
+    @pytest.mark.parametrize("raw, value", [
+        ("9", 9), ("-1/2", Fraction(-1, 2)), ("17/2", Fraction(17, 2)),
+        ("9" * MAX_DIGITS, int("9" * MAX_DIGITS)),
+        ("-" + "9" * MAX_DIGITS, -int("9" * MAX_DIGITS))],
+        ids=["integer", "negative_half", "fraction", "longest", "longest_neg"])
+    def test_self_is_an_integer_or_a_fraction(self, raw, value):
+        text = EXPLICIT_TEXT.split("[script]")[0]
+        scn = parse_scenario(text.replace("self = 9", f"self = {raw}"))
+        assert scn.config.surface("C").self_intersection == value
 
     def test_b_residues_is_an_unknown_key(self):
         with pytest.raises(ParseError, match="line 8: unknown key "
@@ -735,6 +746,34 @@ class TestCli:
         assert captured.err == f"input error: {f}: byte 17 is not UTF-8\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("text, message", [
+        (EXPLICIT_TEXT.replace("self = 9", "self = 1e5000"),
+         "line 10: expected integer, got '1e5000'"),
+        (EXPLICIT_TEXT.replace("self = 9", "self = 1e10000000"),
+         "line 10: expected integer, got '1e10000000'"),
+        (EXPLICIT_TEXT.replace("self = 9", "self = 1.5"),
+         "line 10: expected integer, got '1.5'"),
+        (EXPLICIT_TEXT.replace("self = 9", "self = " + "9" * 4300),
+         f"line 10: integer longer than {MAX_DIGITS} digits"),
+        (BUILTIN_TEXT.replace("c1B = search",
+                              "c1B = " + "9" * 4299 + " 0" * 15),
+         f"line 8: integer longer than {MAX_DIGITS} digits"),
+    ], ids=["exponent", "exponent_of_ten_million_digits", "decimal",
+            "self_of_4300_digits", "c1B_of_4299_digits"])
+    @pytest.mark.parametrize("verb", ["build", "verify", "report"])
+    def test_a_number_past_the_digit_cap_is_input_error(
+            self, verb, text, message, tmp_path, capsys):
+        # build and report used to print a traceback for a number of more
+        # than 4,300 digits (the exponent, the blow-down of the long self,
+        # the scaled Chern class of the long c1B), and reading 1e10000000
+        # took seconds
+        f = tmp_path / "s.scn"
+        f.write_text(text)
+        assert cli.main([verb, str(f)]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {message}\n"
+        assert captured.out == ""
+
     def test_file_and_builtin_conflict(self, tmp_path, capsys):
         f = tmp_path / "s.scn"
         f.write_text(BUILTIN_TEXT)
@@ -1166,6 +1205,36 @@ def test_a_builder_that_raises_fails_the_build_stage(monkeypatch, capsys,
     monkeypatch.setattr(surgery, "build_block_W", fail)
     assert cli.main([verb, "--builtin", "block_W"]) == 1
     assert capsys.readouterr().err == "error: stage build: MemoryError\n"
+
+
+# each call a stage of `verify --builtin glued_Z --prime 3` makes, at the
+# module attribute the pipeline reads, and the stage it belongs to
+STAGE_CALLS = [
+    ("orbkit.report.assign_local_invariants", "local_invariants"),
+    ("orbkit.report.check_compatibility", "local_invariants"),
+    ("orbkit.report.check_even_point_bound", "local_invariants"),
+    ("orbkit.spin.spin_decision", "seifert"),
+    ("orbkit.seifert.h2_of_M", "seifert"),
+    ("orbkit.spin.smale_barden_report", "seifert"),
+    ("orbkit.spin.gk_check", "seifert"),
+    ("orbkit.fpgroup.coset_enumerate", "fundamental_group"),
+    ("orbkit.fpgroup.simply_connected_decision", "fundamental_group"),
+]
+
+
+@pytest.mark.parametrize("target, stage", STAGE_CALLS,
+                         ids=[t.rsplit(".", 1)[1] for t, _ in STAGE_CALLS])
+def test_a_call_that_raises_fails_its_stage(monkeypatch, capsys, target,
+                                             stage):
+    # six of these used to escape main as a traceback
+    def fail(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(target, fail)
+    assert cli.main(["verify", "--builtin", "glued_Z", "--prime", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: stage {stage}: boom\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("name, p, target", [
