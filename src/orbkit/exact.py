@@ -109,10 +109,6 @@ class IntMatrix:
         return cls(len(rows), len(rows[0]) if rows else 0,
                    tuple([tuple([index(x) for x in r]) for r in rows]))
 
-    def __getitem__(self, idx: tuple[int, int]) -> int:
-        i, j = idx
-        return self.entries[i][j]
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
                          tuple(zip(*self.entries)) if self.entries else ())

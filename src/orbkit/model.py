@@ -3,8 +3,11 @@
 An OrbifoldConfig is the arithmetic shadow of the geometry: isotropy
 surfaces with genus / multiplicity / self-intersection, isolated cyclic
 singular points with their weights, transverse positive intersection
-events, Betti and Euler numbers, and (optionally) a declared homology
-basis with its pairing data.
+events, the Betti numbers b1 and b2, and (optionally) a declared
+homology basis with its pairing data.  What follows from these is
+derived, not stored: the Euler number is 2 - 2*b1 + b2, and a point's
+local invariant (m; j1, j2) is read off its (m1, m2, d, e1, e2), so no
+copy can disagree with what it follows from.
 
 Intersection numbers between distinct surfaces are derived from events:
 a smooth transverse point (an event whose location is None) contributes
@@ -115,7 +118,6 @@ class OrbifoldConfig:
     events: list[IntersectionEvent] = field(default_factory=list)
     b1: int = 0
     b2: int = 0
-    euler: int = 0
     basis: tuple[str, ...] | None = None
     integral_pairing: IntMatrix | None = None
 
@@ -185,6 +187,13 @@ class OrbifoldConfig:
 
     # -- derived quantities --------------------------------------------
 
+    @property
+    def euler(self) -> int:
+        """chi = 2 - 2*b1 + b2 of the underlying rational homology
+        4-manifold: Poincare duality over Q gives b3 = b1 and b4 = b0 = 1.
+        gompf_fiber_sum checks its plan against the same identity."""
+        return 2 - 2 * self.b1 + self.b2
+
     def event_contribution(self, ev: IntersectionEvent) -> Fraction:
         if ev.location is None:
             return Fraction(1)
@@ -207,34 +216,41 @@ class OrbifoldConfig:
 
 @record
 class PointLocalInvariant:
-    """Weights (m, j1, j2) of the cyclic action at a singular point."""
+    """Weights (m, j1, j2) of the cyclic action at a singular point, read
+    off derived = (m1, m2, d, e1, e2): m = m1*m2*d, j1 = m1*e1 and
+    j2 = m2*e2 mod m."""
 
     point_id: str
-    m: int
-    j1: int
-    j2: int
     derived: tuple[int, int, int, int, int]  # (m1, m2, d, e1, e2)
     incident: tuple[str, ...] = ()
 
+    @property
+    def m(self) -> int:
+        m1, m2, d, _, _ = self.derived
+        return m1 * m2 * d
+
+    @property
+    def j1(self) -> int:
+        m1, _, _, e1, _ = self.derived
+        return m1 * e1 % self.m
+
+    @property
+    def j2(self) -> int:
+        _, m2, _, _, e2 = self.derived
+        return m2 * e2 % self.m
+
     def violations(self) -> list[str]:
+        """The coprimality conditions on (m1, m2, d, e1, e2).  They give
+        gcd(j1, m) = m1 and gcd(j2, m) = m2, since gcd(m1*e1, m1*m2*d) =
+        m1*gcd(e1, m2*d), and likewise for j2."""
         m1, m2, d, e1, e2 = self.derived
         out = []
-        if m1 * m2 * d != self.m:
-            out.append(f"m1*m2*d = {m1 * m2 * d} != m = {self.m}")
-        if gcd(self.j1, self.m) != m1:
-            out.append(f"gcd(j1, m) = {gcd(self.j1, self.m)} != m1 = {m1}")
-        if gcd(self.j2, self.m) != m2:
-            out.append(f"gcd(j2, m) = {gcd(self.j2, self.m)} != m2 = {m2}")
         if gcd(m1, m2) != 1:
-            out.append(f"gcd(m1, m2) != 1")
-        if self.j1 % self.m != (m1 * e1) % self.m:
-            out.append("j1 != m1*e1 mod m")
-        if self.j2 % self.m != (m2 * e2) % self.m:
-            out.append("j2 != m2*e2 mod m")
+            out.append("gcd(m1, m2) != 1")
         if gcd(e1, m2 * d) != 1:
-            out.append(f"gcd(e1, m2*d) != 1")
+            out.append("gcd(e1, m2*d) != 1")
         if gcd(e2, m1 * d) != 1:
-            out.append(f"gcd(e2, m1*d) != 1")
+            out.append("gcd(e2, m1*d) != 1")
         return out
 
 
@@ -381,10 +397,11 @@ def assign_local_invariants(cfg: OrbifoldConfig) -> dict[str, PointLocalInvarian
 
         e  = e1 * e2^-1 mod d
         x  = rad(d) / gcd(rad(d), rad(j))
-        j2 = j + n*x,  e2' = j2,  e1' = e * e2',  j1 = n * e1'
+        e2' = j + n*x,  e1' = e * e2'
 
-    giving (m, j1, j2) = (n*d, j1 mod m, j2 mod m).  Points on no
-    isotropy surface keep (d, e1, e2) verbatim.
+    giving (m1, m2, d, e1, e2) = (n, 1, d, e1' mod d, e2' mod n*d), so
+    (m, j1, j2) = (n*d, n*e1' mod m, e2' mod m).  Points on no isotropy
+    surface get (1, 1, d, e1, e2), so (m, j1, j2) = (d, e1, e2).
     """
     out: dict[str, PointLocalInvariant] = {}
     for p in cfg.points:
@@ -397,22 +414,15 @@ def assign_local_invariants(cfg: OrbifoldConfig) -> dict[str, PointLocalInvarian
                 f"point {p.id}: {len(isotropy)} incident isotropy surfaces; "
                 "assignment is only defined for at most one")
         if not isotropy:
-            out[p.id] = PointLocalInvariant(
-                p.id, m=d, j1=e1 % d, j2=e2 % d,
-                derived=(1, 1, d, e1 % d, e2 % d), incident=p.incident)
+            out[p.id] = PointLocalInvariant(p.id, (1, 1, d, e1, e2),
+                                            p.incident)
             continue
         surf = isotropy[0]
         n, j = surf.multiplicity, surf.local_j
         e = (e1 * mod_inverse(e2, d)) % d
-        x = radical_quotient(d, j)
-        j2 = j + n * x
-        e2p = j2
-        e1p = e * e2p
-        j1 = n * e1p
-        m = n * d
-        pli = PointLocalInvariant(
-            p.id, m=m, j1=j1 % m, j2=j2 % m,
-            derived=(n, 1, d, e1p % d, e2p % (n * d)), incident=p.incident)
+        e2p = j + n * radical_quotient(d, j)
+        pli = PointLocalInvariant(p.id, (n, 1, d, e * e2p % d, e2p % (n * d)),
+                                  p.incident)
         bad = pli.violations()
         if bad:
             raise UnsupportedGeometry(

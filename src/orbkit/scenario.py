@@ -19,13 +19,14 @@ Format sketch::
     spin_unknowns = a1=0 a2=1   # optional, each unknown of w2 once,
                                 # 0 or 1; omitted = sweep all
 
-Only glued_Z takes p.  Explicit form replaces [builtin] with [config] /
-[surface ID] / [point ID] / [event ID] sections, each ID unique among
-the sections of its kind and passing OrbifoldConfig.check_new_id, the
-one id rule (model.py): not empty, no whitespace or ',', since later
-lines split ids there.  No id is reserved.  An [event] sits at the
-declared point its key `at` names, or, without `at`, at a smooth point.
-A point's incident surfaces are declared surfaces, each named once.
+Only glued_Z takes p.  Explicit form replaces [builtin] with [config]
+(b1, b2 and euler, which must equal 2 - 2*b1 + b2, the Euler number
+OrbifoldConfig derives) / [surface ID] / [point ID] / [event ID]
+sections, each ID passing OrbifoldConfig.check_new_id, the one id rule
+(model.py): not empty, no whitespace or ',' (later lines split ids
+there) and not in use among its kind.  No id is reserved.  An [event] sits at the declared point its key `at`
+names, or, without `at`, at a smooth point.  A point's incident
+surfaces are declared surfaces, each named once.
 An optional [script] section holds operations, each the surgery move
 SCRIPT_OPS names.  A line is what its move does: after every section
 is read, each line's move runs once, in file order, on the whole
@@ -306,8 +307,6 @@ def parse_scenario(text: str) -> Scenario:
         if kind in _ID_SECTIONS:
             if config is None:
                 raise ParseError(h_ln, f"[{kind}] before [config]")
-            if sid in config.ids(_ID_SECTIONS[kind]):
-                raise ParseError(h_ln, f"duplicate {kind} id {sid!r}")
             _at(h_ln, config.check_new_id, _ID_SECTIONS[kind], sid)
         if kind in ("builtin", "config") and (builtin or config):
             raise ParseError(h_ln, "duplicate or conflicting build section")
@@ -333,8 +332,11 @@ def parse_scenario(text: str) -> Scenario:
             kv = _kv(body, h_ln, {"b1", "b2", "euler"},
                      ("b1", "b2", "euler"))
             config = OrbifoldConfig(b1=_read(kv, "b1", _parse_int),
-                                    b2=_read(kv, "b2", _parse_int),
-                                    euler=_read(kv, "euler", _parse_int))
+                                    b2=_read(kv, "b2", _parse_int))
+            if _read(kv, "euler", _parse_int) != config.euler:
+                raise ParseError(kv["euler"][0],
+                                 "euler must equal 2 - 2*b1 + b2 = "
+                                 f"{config.euler}")
         elif kind == "surface":
             kv = _kv(body, h_ln,
                      {"genus", "multiplicity", "j", "self"}, ("genus",))

@@ -88,14 +88,30 @@ class SmaleBardenData:
     H_2 = Z^k + sum over p^i of (Z_{p^i} + Z_{p^i})^c(p^i);
     torsion_profile maps (p, i) -> c(p^i).  i_M is the Barden invariant
     i(M), an int or None for infinity: 0 when spin, infinity otherwise.
+    The t/c statistics are read off the torsion profile.
     """
 
     k: int
     torsion_profile: tuple[tuple[tuple[int, int], int], ...]
     i_M: int | None  # 0 (spin) or None, meaning infinity (non-spin)
-    t: tuple[tuple[int, int], ...]
-    t_max: int
-    c_max: int
+
+    @property
+    def t(self) -> tuple[tuple[int, int], ...]:
+        """(p, t(p)) for each prime p of the torsion, t(p) the number of
+        powers p^i with c(p^i) > 0."""
+        t = {}
+        for (p, _), c in self.torsion_profile:
+            if c > 0:
+                t[p] = t.get(p, 0) + 1
+        return tuple(sorted(t.items()))
+
+    @property
+    def t_max(self) -> int:
+        return max((v for _, v in self.t), default=0)
+
+    @property
+    def c_max(self) -> int:
+        return max((c for _, c in self.torsion_profile), default=0)
 
 
 def smale_barden_report(spec: SeifertSpec, spin: bool) -> SmaleBardenData:
@@ -107,17 +123,9 @@ def smale_barden_report(spec: SeifertSpec, spin: bool) -> SmaleBardenData:
                 f"torsion Z_{p}^{i} appears an odd number of times; "
                 "it cannot be grouped into pairs")
         profile[(p, i)] = count // 2
-    t = {}
-    for (p, _), c in profile.items():
-        if c > 0:
-            t[p] = t.get(p, 0) + 1
-    return SmaleBardenData(
-        k=h2.rank,
-        torsion_profile=tuple(sorted(profile.items())),
-        i_M=0 if spin else None,
-        t=tuple(sorted(t.items())),
-        t_max=max(t.values(), default=0),
-        c_max=max(profile.values(), default=0))
+    return SmaleBardenData(k=h2.rank,
+                           torsion_profile=tuple(sorted(profile.items())),
+                           i_M=0 if spin else None)
 
 
 def gk_check(data: SmaleBardenData) -> bool:

@@ -196,7 +196,6 @@ def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None) -> dict:
     for sid in through:
         cfg.add_event(sid, eid)
     cfg.b2 += 1
-    cfg.euler += 1
     _invalidate_basis(cfg)
     return {"through": tuple(through), "exceptional_id": eid}
 
@@ -242,7 +241,6 @@ def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> dict:
     for a, b in combinations(neighbors, 2):
         cfg.add_event(a, b, location=pid)
     cfg.b2 -= 1
-    cfg.euler -= 1
     _invalidate_basis(cfg)
     return {"sphere": sphere, "point_id": point_id}
 
@@ -276,7 +274,6 @@ def resolve_torus_pair(cfg: OrbifoldConfig, t1: str, t2: str,
     cfg.surfaces.append(SurfaceData(new_id, genus=2, multiplicity=1,
                                     local_j=0, self_intersection=square))
     cfg.b2 += 1
-    cfg.euler += 1
     _invalidate_basis(cfg)
     return {"t1": t1, "t2": t2, "new_id": new_id}
 
@@ -357,7 +354,8 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
     used up by the gluing (matched singular points disappear from the
     result); each surface join becomes one output surface whose genus
     follows from Euler-characteristic additivity of the glued pieces.
-    The euler characteristic of the sum is chi(X) + chi(Y) - 2 chi(F).
+    The plan's b1 and b2 must give the sum's Euler characteristic,
+    chi(X) + chi(Y) - 2 chi(F); the result takes them.
     """
     b = cfg_b.copy()  # its records move into cfg_a, the move's copy
     fa = cfg_a.surface(plan.fiber_a)
@@ -478,7 +476,7 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
                                    if s != fiber)
                 points.append(p)
     cfg_a.events, cfg_a.points = events, points
-    cfg_a.euler, cfg_a.b1, cfg_a.b2 = euler, plan.b1, plan.b2
+    cfg_a.b1, cfg_a.b2 = plan.b1, plan.b2
     _invalidate_basis(cfg_a)
     return {"cfg_b": cfg_b.copy(), "plan": plan}
 
@@ -495,7 +493,7 @@ def build_block_Y() -> OrbifoldConfig:
     and four tori U1..U4 meeting in the pairs (U1,U2), (U3,U4).
     Rational classes: [S2] = [S1], [fiber] = 2[S1].
     """
-    cfg = OrbifoldConfig(b1=2, b2=6, euler=4)
+    cfg = OrbifoldConfig(b1=2, b2=6)
 
     def unit(i):
         return tuple(Fraction(1 if k == i else 0) for k in range(6))
@@ -537,7 +535,7 @@ def build_block_W(log: SurgeryLog | None = None) -> OrbifoldConfig:
     C to kill its square.  The log's first 0, 1, 2, 4, 5, 7 and 15 steps
     lead from P^2 to the stages P2, X1, X2, X3, X4, Wp and W.
     """
-    cfg = OrbifoldConfig(b1=0, b2=1, euler=3)
+    cfg = OrbifoldConfig(b1=0, b2=1)
     cfg.surfaces.append(SurfaceData("C", 1, self_intersection=Fraction(9)))
     cfg.surfaces.append(SurfaceData("L", 0, self_intersection=Fraction(1)))
     cfg.surfaces.append(SurfaceData("Lp", 0, self_intersection=Fraction(1)))

@@ -107,7 +107,7 @@ def test_acceptance_4_local_invariants():
         j = rng.randrange(1, n)
         if gcd(e1, d) != 1 or gcd(e2, d) != 1 or gcd(j, n) != 1:
             continue
-        cfg = OrbifoldConfig(b1=0, b2=1, euler=3)
+        cfg = OrbifoldConfig(b1=0, b2=1)
         cfg.surfaces.append(SurfaceData("D", 1, multiplicity=n, local_j=j))
         cfg.points.append(SingularPointData("x", d, (e1, e2), ("D",)))
         pli = assign_local_invariants(cfg)["x"]
@@ -122,7 +122,7 @@ def _brute_force_surjective(cfg):
     mods = [s.multiplicity for s in iso]
     ids = [s.id for s in cfg.surfaces]
     P = cfg.integral_pairing
-    gens = [tuple(P[r, ids.index(s.id)] % s.multiplicity for s in iso)
+    gens = [tuple(P.entries[r][ids.index(s.id)] % s.multiplicity for s in iso)
             for r in range(P.rows)]
     reached = {tuple([0] * len(iso))}
     frontier = [tuple([0] * len(iso))]
@@ -160,7 +160,7 @@ def test_acceptance_5_homology_of_bundle():
         if prod > 10**4:
             continue
         b2 = rng.randrange(1, 4)
-        cfg = OrbifoldConfig(b1=0, b2=b2, euler=0)
+        cfg = OrbifoldConfig(b1=0, b2=b2)
         for k, m in enumerate(mults):
             cfg.surfaces.append(SurfaceData(f"D{k}", 1, multiplicity=m,
                                             local_j=1))
@@ -256,7 +256,7 @@ def test_acceptance_9_exact_arithmetic():
         diag = res.D.diagonal()
         ok &= all(diag[i + 1] % diag[i] == 0
                   for i in range(len(diag) - 1) if diag[i])
-        ok &= all(res.D[i, j] == 0
+        ok &= all(res.D.entries[i][j] == 0
                   for i in range(res.D.rows)
                   for j in range(res.D.cols) if i != j)
     count = 0

@@ -162,7 +162,7 @@ def _random_config(rng, mixed):
     every multiplicity is odd."""
     n, k = rng.randint(1, 4), rng.randint(2, 4)
     firsts = [rng.choice(EVEN), rng.choice(ODD)] if mixed else []
-    cfg = OrbifoldConfig(b1=0, b2=n, euler=2 + n)
+    cfg = OrbifoldConfig(b1=0, b2=n)
     for i in range(k):
         if i < len(firsts):
             mult = firsts[i]

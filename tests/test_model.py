@@ -25,7 +25,7 @@ from orbkit.surgery import build_Z
 
 
 def _single_point_config(n, j, d, e1, e2):
-    cfg = OrbifoldConfig(b1=0, b2=1, euler=3)
+    cfg = OrbifoldConfig(b1=0, b2=1)
     cfg.surfaces.append(SurfaceData("D", genus=1, multiplicity=n, local_j=j))
     cfg.points.append(SingularPointData("x", d, (e1, e2), ("D",)))
     return cfg
@@ -71,12 +71,12 @@ class TestValidate:
     @pytest.mark.parametrize("b1, b2, bad", [(-1, 0, ["b1"]), (0, -4, ["b2"]),
                                              (-2, -3, ["b1", "b2"])])
     def test_negative_betti_numbers(self, b1, b2, bad):
-        cfg = OrbifoldConfig(b1=b1, b2=b2, euler=3)
+        cfg = OrbifoldConfig(b1=b1, b2=b2)
         cfg.surfaces.append(SurfaceData("C", genus=1))
         violations = validate_config(cfg)
         assert [(v.kind, v.locus) for v in violations] \
             == [("NegativeBetti", name) for name in bad]
-        assert validate_config(OrbifoldConfig(b1=0, b2=0, euler=3)) == []
+        assert validate_config(OrbifoldConfig(b1=0, b2=0)) == []
 
     def test_multiplicity_one_needs_zero_j(self):
         cfg = OrbifoldConfig()
@@ -93,7 +93,7 @@ class TestValidate:
         assert "NotIncidentAtEvent" in [v.kind for v in validate_config(cfg)]
 
     def test_qclass_consistency(self):
-        cfg = OrbifoldConfig(b2=1, euler=3)
+        cfg = OrbifoldConfig(b2=1)
         cfg.surfaces.append(SurfaceData(
             "A", 0, self_intersection=Fraction(4),
             qclass=(Fraction(2),)))
@@ -112,7 +112,7 @@ class TestValidate:
                                                    degenerate):
         # A and B meet once, smoothly or at a point of order 2; a basis
         # whose pairing is singular does not span H2(X; Q)
-        cfg = OrbifoldConfig(b2=2, euler=4)
+        cfg = OrbifoldConfig(b2=2)
         cfg.surfaces += [SurfaceData(sid, 0, self_intersection=self_int)
                          for sid in ("A", "B")]
         cfg.points.append(SingularPointData("x", 2, (1, 1), ("A", "B")))
@@ -219,7 +219,7 @@ class TestValidate:
     def test_each_violation_alone(self, kind, locus, edit):
         # A, B, C meet nothing and pair to 1; D has multiplicity 4, so a
         # point on D and on A (multiplicity 2) breaks coprimality
-        cfg = OrbifoldConfig(b1=0, b2=1, euler=3)
+        cfg = OrbifoldConfig(b1=0, b2=1)
         cfg.surfaces += [SurfaceData(sid, 1, self_intersection=Fraction(1))
                          for sid in ("A", "B", "C")]
         cfg.surface("A").multiplicity, cfg.surface("A").local_j = 2, 1
@@ -300,7 +300,7 @@ class TestAssignLocalInvariants:
 
 
 class TestCompatibility:
-    PLI = PointLocalInvariant("x", 6, 3, 1, (3, 1, 2, 1, 1), ("D",))
+    PLI = PointLocalInvariant("x", (3, 1, 2, 1, 1), ("D",))  # m 6 j1 3 j2 1
 
     def test_matching_surface(self):
         assert check_compatibility(

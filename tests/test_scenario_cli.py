@@ -219,8 +219,8 @@ class TestParse:
         first = (EXPLICIT_TEXT.split("[script]")[0]
                  + f"[surface L]\ngenus = 0\n\n[{kind} x]\n{body}\n")
         ln = len(first.splitlines()) + 1
-        with pytest.raises(ParseError,
-                           match=f"^line {ln}: duplicate {kind} id 'x'$"):
+        with pytest.raises(ParseError, match=f"^line {ln}: {kind} id 'x' "
+                                             "already in use$"):
             parse_scenario(first + f"[{kind} x]\n{body}")
         # one id may name one record of each kind
         parse_scenario(first + "[point C]\norder = 2\nexponents = 1 1\n"
@@ -393,8 +393,7 @@ _OPS = ("blow_up", "blow_down", "discard", "rename", "resolve")
 @st.composite
 def _configs(draw):
     cfg = OrbifoldConfig(b1=draw(st.integers(0, 4)),
-                         b2=draw(st.integers(0, 20)),
-                         euler=draw(st.integers(-10, 30)))
+                         b2=draw(st.integers(0, 20)))
     sids = draw(_unique_ids(min_size=1, max_size=5))
     for sid in sids:
         shape = draw(st.sampled_from(("torus", "sphere", "any")))
@@ -693,8 +692,10 @@ class TestCli:
 
     def test_negative_b2_fails_validation(self, tmp_path, capsys):
         f = tmp_path / "s.scn"
+        # euler = 2 - 2*b1 + b2, so that the parse takes the file
         f.write_text(EXPLICIT_TEXT.split("[script]")[0]
-                     .replace("b2 = 1", "b2 = -4"))
+                     .replace("b2 = 1", "b2 = -4")
+                     .replace("euler = 3", "euler = -2"))
         assert cli.main(["verify", str(f)]) == cli.EXIT_FAIL
         assert "config_valid: fail" in capsys.readouterr().out
 
@@ -772,6 +773,20 @@ class TestCli:
         assert cli.main([verb, str(f)]) == cli.EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.err == f"input error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("verb", ["build", "verify", "report"])
+    def test_euler_must_follow_from_the_betti_numbers(self, verb, tmp_path,
+                                                      capsys):
+        # chi = 2 - 2*b1 + b2; euler = 3 beside a 1,000-digit b2 used to
+        # pass config_valid, and every verb exited 0
+        b2 = "9" * MAX_DIGITS
+        f = tmp_path / "s.scn"
+        f.write_text(EXPLICIT_TEXT.replace("b2 = 1", f"b2 = {b2}"))
+        assert cli.main([verb, str(f)]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == ("input error: line 6: euler must equal "
+                                f"2 - 2*b1 + b2 = {int(b2) + 2}\n")
         assert captured.out == ""
 
     def test_file_and_builtin_conflict(self, tmp_path, capsys):
@@ -1101,7 +1116,7 @@ class TestCli:
 
 def test_no_background_class_without_spin_target_verdict():
     # m = 4, pairing 2: the scaled Chern class 4c + 2 is never primitive
-    cfg = OrbifoldConfig(b1=0, b2=1, euler=0)
+    cfg = OrbifoldConfig(b1=0, b2=1)
     cfg.surfaces.append(SurfaceData("D", 1, multiplicity=4, local_j=1,
                                     qclass=(1,)))
     cfg.integral_pairing = IntMatrix.from_rows([[2]])
@@ -1152,7 +1167,7 @@ def test_each_script_move_runs_once_per_command(tmp_path, monkeypatch,
     # the parse runs each line's move and the pipeline reads the
     # configuration it built, so no line runs twice
     text = EXPLICIT_TEXT.split("[surface C]")[0].replace(
-        "b2 = 1", "b2 = 3") + """\
+        "b2 = 1", "b2 = 3").replace("euler = 3", "euler = 5") + """\
 [surface C]
 genus = 1
 self = 9

@@ -39,7 +39,7 @@ def _glued_spec(p=3, c1B=None):
 
 
 def _disjoint_config(mults, pairing_rows, genus=None):
-    cfg = OrbifoldConfig(b1=0, b2=len(pairing_rows), euler=0)
+    cfg = OrbifoldConfig(b1=0, b2=len(pairing_rows))
     for k, m in enumerate(mults):
         cfg.surfaces.append(SurfaceData(
             f"D{k}", genus[k] if genus else 1, multiplicity=m,
@@ -93,7 +93,7 @@ class TestChernClass:
         for i, s in enumerate(z.surfaces):
             col = surface_class(z, s.id)
             assert all(type(x) is int for x in col)
-            assert col == tuple(z.integral_pairing[r, i]
+            assert col == tuple(z.integral_pairing.entries[r][i]
                                 for r in range(z.integral_pairing.rows))
         with pytest.raises(ValueError):
             surface_class(z, "no such surface")
@@ -156,7 +156,7 @@ def _brute_force_surjective(cfg):
     P = cfg.integral_pairing
     gens = []
     for r in range(P.rows):
-        gens.append(tuple(P[r, all_ids.index(s.id)] % s.multiplicity
+        gens.append(tuple(P.entries[r][all_ids.index(s.id)] % s.multiplicity
                           for s in iso))
     reached = {tuple([0] * len(iso))}
     frontier = [tuple([0] * len(iso))]

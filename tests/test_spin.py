@@ -76,7 +76,7 @@ class TestW2BaseClass:
         assert w2.base.bit_count() == 14
 
     def test_all_even_squares_give_zero(self):
-        cfg = OrbifoldConfig(b1=0, b2=2, euler=0)
+        cfg = OrbifoldConfig(b1=0, b2=2)
         for k, sq in enumerate((2, -4)):
             cfg.surfaces.append(SurfaceData(
                 f"D{k}", 1, self_intersection=Fraction(sq),
@@ -86,7 +86,7 @@ class TestW2BaseClass:
         assert w2.base == 0 and w2.unknowns == ()
 
     def test_odd_sphere_contributes(self):
-        cfg = OrbifoldConfig(b1=0, b2=1, euler=0)
+        cfg = OrbifoldConfig(b1=0, b2=1)
         cfg.surfaces.append(SurfaceData(
             "E", 0, self_intersection=Fraction(-1), qclass=(Fraction(1),)))
         cfg.integral_pairing = IntMatrix.from_rows([[-1]])
@@ -168,22 +168,29 @@ class TestSmaleBarden:
             == h2.primary_counts()
 
 
+def _profile(p, powers):
+    """A torsion profile with c(p^i) = 1 for i = 1..powers."""
+    return tuple(((p, i), 1) for i in range(1, powers + 1))
+
+
 class TestGkCheck:
     def test_glued_data_passes(self):
         assert gk_check(smale_barden_report(_glued_spec(3), spin=True))
 
     def test_bound_is_tight(self):
-        ok = SmaleBardenData(15, (), 0, ((3, 16),), 16, 1)
-        too_many = SmaleBardenData(15, (), 0, ((3, 17),), 17, 1)
+        # t(3) is the number of powers 3^i with c(3^i) > 0
+        ok = SmaleBardenData(15, _profile(3, 16), 0)
+        too_many = SmaleBardenData(15, _profile(3, 17), 0)
+        assert (ok.t, too_many.t) == (((3, 16),), ((3, 17),))
         assert gk_check(ok) and not gk_check(too_many)
 
     def test_nonspin_two_torsion_needs_room(self):
-        bad = SmaleBardenData(0, (), None, ((2, 1),), 1, 1)
-        good = SmaleBardenData(1, (), None, ((2, 1),), 1, 1)
+        bad = SmaleBardenData(0, _profile(2, 1), None)
+        good = SmaleBardenData(1, _profile(2, 1), None)
         assert not gk_check(bad) and gk_check(good)
 
     def test_torsion_free(self):
-        assert gk_check(SmaleBardenData(3, (), 0, (), 0, 0))
+        assert gk_check(SmaleBardenData(3, (), 0))
 
     def test_bad_barden_invariant(self):
-        assert not gk_check(SmaleBardenData(3, (), 1, (), 0, 0))
+        assert not gk_check(SmaleBardenData(3, (), 1))

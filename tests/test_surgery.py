@@ -48,7 +48,7 @@ from orbkit.surgery import (
 
 
 def _cp2_with_cubic():
-    cfg = OrbifoldConfig(b1=0, b2=1, euler=3)
+    cfg = OrbifoldConfig(b1=0, b2=1)
     cfg.surfaces.append(SurfaceData("C", 1, self_intersection=Fraction(9)))
     return cfg
 
@@ -126,22 +126,22 @@ class TestBlowDown:
         assert set(x3.point("s1").incident) == {"C", "Lp"}
 
     def test_isolated_sphere(self):
-        cfg = OrbifoldConfig(b1=0, b2=1, euler=4)
+        cfg = OrbifoldConfig(b1=0, b2=1)
         cfg.surfaces.append(SurfaceData("S", 0,
                                         self_intersection=Fraction(-2)))
         out = blow_down_minus2(cfg, "S")
-        assert (out.b2, out.euler) == (0, 3)
+        assert (out.b2, out.euler) == (0, 2)
         assert out.surfaces == [] and len(out.points) == 1
 
     def test_rejects_wrong_square(self):
-        cfg = OrbifoldConfig(b2=1, euler=4)
+        cfg = OrbifoldConfig(b2=1)
         cfg.surfaces.append(SurfaceData("S", 0,
                                         self_intersection=Fraction(-1)))
         with pytest.raises(NotMinusTwoSphere):
             blow_down_minus2(cfg, "S")
 
     def test_rejects_singular_contact(self):
-        cfg = OrbifoldConfig(b2=1, euler=4)
+        cfg = OrbifoldConfig(b2=1)
         cfg.surfaces.append(SurfaceData("S", 0,
                                         self_intersection=Fraction(-2)))
         from orbkit.model import SingularPointData
@@ -156,7 +156,7 @@ class TestBlowDown:
     ], ids=["one_surface_twice", "three_surfaces"])
     def test_rejects_what_the_double_point_cannot_hold(self, others,
                                                        message):
-        cfg = OrbifoldConfig(b2=4, euler=6)
+        cfg = OrbifoldConfig(b2=4)
         cfg.surfaces += [SurfaceData(sid, 1) for sid in sorted(set(others))]
         cfg.surfaces.append(SurfaceData("S", 0,
                                         self_intersection=Fraction(-2)))
@@ -167,7 +167,7 @@ class TestBlowDown:
 
     def test_rejects_a_sphere_that_meets_itself(self):
         # the sphere would be its own neighbour on the double point
-        cfg = OrbifoldConfig(b2=2, euler=4)
+        cfg = OrbifoldConfig(b2=2)
         cfg.surfaces += [SurfaceData("C", 1), SurfaceData(
             "S", 0, self_intersection=Fraction(-2))]
         cfg.events += [IntersectionEvent("e", "S", "S"),
@@ -189,7 +189,7 @@ class TestBlowDown:
 
 class TestResolveTorusPair:
     def _pair(self, s1, s2):
-        cfg = OrbifoldConfig(b1=0, b2=2, euler=0)
+        cfg = OrbifoldConfig(b1=0, b2=2)
         cfg.surfaces.append(SurfaceData("T1", 1, self_intersection=s1))
         cfg.surfaces.append(SurfaceData("T2", 1, self_intersection=s2))
         cfg.add_event("T1", "T2")
@@ -202,7 +202,7 @@ class TestResolveTorusPair:
         assert sq == {"T1": -1, "T2": -1, "S": 1}
         assert out.surface("S").genus == 2
         assert out.events == []
-        assert (out.b2, out.euler) == (3, 1)
+        assert (out.b2, out.euler) == (3, 5)
 
     def test_mixed_squares(self):
         out = resolve_torus_pair(self._pair(Fraction(1), Fraction(0)),
@@ -432,8 +432,8 @@ def test_fiber_sum_refusals(case, error, message):
     assert (y, w) == inputs
 
 
-def _one_surface(sid, genus, square, b1=0, b2=1, euler=3):
-    cfg = OrbifoldConfig(b1=b1, b2=b2, euler=euler)
+def _one_surface(sid, genus, square, b1=0, b2=1):
+    cfg = OrbifoldConfig(b1=b1, b2=b2)
     cfg.surfaces.append(SurfaceData(sid, genus,
                                     self_intersection=Fraction(square)))
     return cfg
@@ -454,8 +454,8 @@ def test_fiber_sum_of_the_plane_and_its_mirror_along_lines_is_s4():
 def test_fiber_sum_along_a_genus_two_fiber():
     # two copies of Sigma_2 x S^2 summed along Sigma_2 x {pt} give
     # Sigma_2 x S^2 again: chi = -4 - 4 + 4
-    a = _one_surface("F", 2, 0, b1=4, b2=2, euler=-4)
-    b = _one_surface("G", 2, 0, b1=4, b2=2, euler=-4)
+    a = _one_surface("F", 2, 0, b1=4, b2=2)
+    b = _one_surface("G", 2, 0, b1=4, b2=2)
     out = gompf_fiber_sum(a, b, GluingPlan("F", "G", (), (), 4, 2))
     assert (out.euler, out.b1, out.b2) == (-4, 4, 2)
     with pytest.raises(PlanInconsistent,
