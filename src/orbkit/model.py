@@ -21,11 +21,11 @@ lookups, the id rules (add_event draws a new event's id) and the checks.
 Ids are unique within each kind.  OrbifoldConfig.check_new_id is the
 one rule for a given new id, which the surgery moves and the scenario
 parser's section headers both call: it is not empty, holds no
-whitespace or ',' and is not in use.  What a move adds without a given
-id gets the id OrbifoldConfig.fresh_id draws: the first of E1, E2, ...
-(surfaces), dp1, dp2, ... (points) or ev1, ev2, ... (events) that the
-config does not hold, so a drawn id depends only on the config's
-contents.
+whitespace, ',' or '#' and is not in use.  What a move adds without a
+given id gets the id OrbifoldConfig.fresh_id draws: the first of E1,
+E2, ... (surfaces), dp1, dp2, ... (points) or ev1, ev2, ... (events)
+that the config does not hold, so a drawn id depends only on the
+config's contents.
 """
 
 from __future__ import annotations
@@ -164,13 +164,14 @@ class OrbifoldConfig:
     def check_new_id(self, kind: str, new: str) -> None:
         """Raise ValueError unless new can name one more of the config's
         "surfaces", "points" or "events": it is not empty, holds no
-        whitespace or ',' (a scenario file splits ids there, so no later
-        line could name it) and is not in use."""
+        whitespace or ',' (a scenario file splits ids there) and no '#'
+        (a comment starts there), so that a later line can name it, and
+        is not in use."""
         if not new:
             raise ValueError(f"empty {kind[:-1]} id")
-        if any(c.isspace() or c == "," for c in new):
+        if any(c.isspace() or c in ",#" for c in new):
             raise ValueError(
-                f"{kind[:-1]} id {new!r} contains whitespace or ','")
+                f"{kind[:-1]} id {new!r} contains whitespace, ',' or '#'")
         if new in self.ids(kind):
             raise ValueError(f"{kind[:-1]} id {new!r} already in use")
 

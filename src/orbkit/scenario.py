@@ -24,7 +24,8 @@ Only glued_Z takes p.  Explicit form replaces [builtin] with [config]
 OrbifoldConfig derives) / [surface ID] / [point ID] / [event ID]
 sections, each ID passing OrbifoldConfig.check_new_id, the one id rule
 (model.py): not empty, no whitespace or ',' (later lines split ids
-there) and not in use among its kind.  No id is reserved.  An [event] sits at the declared point its key `at`
+there), no '#' (a comment starts there) and not in use among its kind.
+No id is reserved.  An [event] sits at the declared point its key `at`
 names, or, without `at`, at a smooth point.  A point's incident
 surfaces are declared surfaces, each named once.
 An optional [script] section holds operations, each the surgery move

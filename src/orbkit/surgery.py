@@ -9,16 +9,18 @@ assemble the two standard blocks and their fiber sum.
 
 The move protocol: a move takes its config positionally, then its own
 arguments, then an optional `log=` keyword, and never changes its input.
-Every move is written under @_move: it edits a copy of the config and
-returns the keywords that replay it; the decorator returns the copy,
-records the keywords in the log under the move's own name, and
-registers the move in _REPLAY.  The fiber sum edits copies too: it
+Every move is written under @_move as an edit of a copy of the config,
+which returns nothing; the decorator returns the copy and records the
+call in the log under the move's own name: the move's parameters after
+the config, by name, as the caller gave them, with the signature's
+default where the caller gave none.  The fiber sum edits copies too: it
 copies its second config once and moves the surviving records of that
 copy into its own, so only the joined surfaces are new records.  Every
 edit of a config is written in a move here; model.py keeps the records,
-lookups, id rules and checks.  replay() calls _REPLAY[op](cfg,
-**kwargs) for each logged step, so replaying a log from the same
-starting config reproduces the final config exactly.
+lookups, id rules and checks.  replay() calls the module's move of each
+logged name with the logged keywords, the lookup scenario.OpRule.apply
+makes, so replaying a log from the same starting config reproduces the
+final config exactly: an id the caller left out is drawn again.
 
 Ids: the moves are the only statement of what a [script] line may
 name, add and drop; the scenario parser runs them.  A move checks its
@@ -121,9 +123,6 @@ class SurgeryLog:
             (after.euler, after.b1, after.b2)))
 
 
-# move name -> the public move, which replay calls as (cfg, **kwargs)
-_REPLAY = {}
-
 # the prefixes of the ids that blow_up and blow_down_minus2 draw for the
 # sphere and the point they add unnamed
 SPHERE_PREFIX = "E"
@@ -132,21 +131,25 @@ DOUBLE_POINT_PREFIX = "dp"
 
 def _move(edit):
     """The public move made from edit(cfg, ...), which changes cfg, a
-    copy of the caller's config, and returns the keywords that replay
-    the step."""
+    copy of the caller's config, and returns nothing.  The parameters
+    after cfg and their defaults are read off edit's code object, as
+    importing inspect would cost every command start-up time."""
     name = edit.__name__
+    code = edit.__code__
+    params = code.co_varnames[1:code.co_argcount]
+    defaults = dict(zip(reversed(params), reversed(edit.__defaults__ or ())))
 
     def move(cfg: OrbifoldConfig, *args, log: SurgeryLog | None = None,
              **kwargs) -> OrbifoldConfig:
         out = cfg.copy()
-        step = edit(out, *args, **kwargs)
+        edit(out, *args, **kwargs)
         if log is not None:
-            log.record(name, step, cfg, out)
+            given = {**defaults, **dict(zip(params, args)), **kwargs}
+            log.record(name, {p: given[p] for p in params}, cfg, out)
         return out
 
     move.__name__ = move.__qualname__ = name
     move.__doc__ = edit.__doc__
-    _REPLAY[name] = move
     return move
 
 
@@ -154,7 +157,7 @@ def replay(initial: OrbifoldConfig, log: SurgeryLog) -> OrbifoldConfig:
     """Re-apply a recorded operation sequence to a starting config."""
     cfg = initial
     for entry in log.entries:
-        cfg = _REPLAY[entry.op](cfg, **entry.kwargs)
+        cfg = globals()[entry.op](cfg, **entry.kwargs)
     return cfg
 
 
@@ -167,7 +170,7 @@ def _invalidate_basis(cfg: OrbifoldConfig) -> None:
 
 
 @_move
-def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None) -> dict:
+def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None) -> None:
     """Blow up a smooth point met pairwise-transversely by `through`.
 
     Adds the exceptional (-1)-sphere, drops each listed surface's
@@ -197,11 +200,10 @@ def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None) -> dict:
         cfg.add_event(sid, eid)
     cfg.b2 += 1
     _invalidate_basis(cfg)
-    return {"through": tuple(through), "exceptional_id": eid}
 
 
 @_move
-def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> dict:
+def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> None:
     """Collapse a (-2)-sphere to an ordinary double point of order 2.
 
     Surfaces that met the sphere become incident to the new point; each
@@ -242,12 +244,11 @@ def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> dict:
         cfg.add_event(a, b, location=pid)
     cfg.b2 -= 1
     _invalidate_basis(cfg)
-    return {"sphere": sphere, "point_id": point_id}
 
 
 @_move
 def resolve_torus_pair(cfg: OrbifoldConfig, t1: str, t2: str,
-                       new_id: str) -> dict:
+                       new_id: str) -> None:
     """Resolve a transverse torus pair into a disjoint genus-2 surface.
 
     Smooths the crossing into a genus-2 surface of square t1^2+t2^2+2,
@@ -275,11 +276,10 @@ def resolve_torus_pair(cfg: OrbifoldConfig, t1: str, t2: str,
                                     local_j=0, self_intersection=square))
     cfg.b2 += 1
     _invalidate_basis(cfg)
-    return {"t1": t1, "t2": t2, "new_id": new_id}
 
 
 @_move
-def discard(cfg: OrbifoldConfig, surface: str) -> dict:
+def discard(cfg: OrbifoldConfig, surface: str) -> None:
     """Stop tracking a surface (topology and Betti numbers unchanged).
 
     Refused while the declared basis names the surface, or while an
@@ -296,11 +296,10 @@ def discard(cfg: OrbifoldConfig, surface: str) -> dict:
     cfg.events = [e for e in cfg.events if surface not in (e.a, e.b)]
     for p in cfg.points:
         p.incident = tuple(s for s in p.incident if s != surface)
-    return {"surface": surface}
 
 
 @_move
-def rename(cfg: OrbifoldConfig, old: str, new: str) -> dict:
+def rename(cfg: OrbifoldConfig, old: str, new: str) -> None:
     """Relabel a surface; the new id passes check_new_id."""
     surf = cfg.surface(old)
     cfg.check_new_id("surfaces", new)
@@ -311,22 +310,20 @@ def rename(cfg: OrbifoldConfig, old: str, new: str) -> dict:
         e.a, e.b = (new if s == old else s for s in (e.a, e.b))
     if cfg.basis is not None:
         cfg.basis = tuple(new if s == old else s for s in cfg.basis)
-    return {"old": old, "new": new}
 
 
 @_move
-def assign_isotropy(cfg: OrbifoldConfig, assignment: dict) -> dict:
+def assign_isotropy(cfg: OrbifoldConfig, assignment: dict) -> None:
     """Declare multiplicities and local invariants: id -> (m, j)."""
     for sid, (m, j) in assignment.items():
         s = cfg.surface(sid)
         s.multiplicity = m
         s.local_j = j % m if m > 1 else 0
-    return {"assignment": dict(assignment)}
 
 
 @_move
 def declare_lattice(cfg: OrbifoldConfig, basis, qclasses: dict,
-                    integral_pairing: IntMatrix | None = None) -> dict:
+                    integral_pairing: IntMatrix | None = None) -> None:
     """Declare an H_2 basis, surface coordinates and the integral pairing.
 
     Reorders the surface list to follow the basis when the basis lists
@@ -341,13 +338,11 @@ def declare_lattice(cfg: OrbifoldConfig, basis, qclasses: dict,
         order = {sid: k for k, sid in enumerate(cfg.basis)}
         cfg.surfaces.sort(key=lambda s: order[s.id])
     cfg.integral_pairing = integral_pairing
-    return {"basis": cfg.basis, "qclasses": dict(qclasses),
-            "integral_pairing": integral_pairing}
 
 
 @_move
 def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
-                    plan: GluingPlan) -> dict:
+                    plan: GluingPlan) -> None:
     """Fiber connected sum of two configs along matched surfaces.
 
     Both fiber surfaces are consumed; matched intersection points are
@@ -478,7 +473,6 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
     cfg_a.events, cfg_a.points = events, points
     cfg_a.b1, cfg_a.b2 = plan.b1, plan.b2
     _invalidate_basis(cfg_a)
-    return {"cfg_b": cfg_b.copy(), "plan": plan}
 
 
 # -- builders -----------------------------------------------------------

@@ -39,6 +39,10 @@ CASES = {
        for name, (args, _) in BUILTIN_ARGS.items()},
     **{f"verify_{name}": (["verify", *args], code)
        for name, (args, code) in BUILTIN_ARGS.items()},
+    **{f"verify_glued_Z_p3_{target}": (
+        ["verify", "--builtin", "glued_Z", "--prime", "3",
+         "--spin-target", target], cli.EXIT_OK)
+       for target in ("spin", "nonspin")},
     "report_block_Y": (["report", "--builtin", "block_Y"], cli.EXIT_OK),
     "report_block_W": (["report", "--builtin", "block_W"], cli.EXIT_OK),
     **{f"report_glued_Z_p{p}_{target}": (

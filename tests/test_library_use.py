@@ -1,16 +1,18 @@
 """A library function used only by tests must be a check in its own right.
 
 Every top-level function and method defined under src/orbkit must be
-named somewhere else in src/ or perfbench/: called, imported, bound, or
-reached through the operator it implements.  A word of a string counts
-only in src/orbkit, where a table such as OpRule.move or SCRIPT_OPS
-holds names looked up at run time; docstrings do not count, and a
-string in perfbench/, such as the workload name "spin_sweep", does not
-call the function it spells.  perfbench/tracer.py, which names every
-layer function in strings to wrap it, does not count at all.  A name
-used nowhere else is test-only code, and it must be on ALLOWED with the
-reason it stays, or on TRACER_BOUND if the tracer is all that reaches
-it; otherwise delete it.
+named somewhere else in src/ or perfbench/: called, imported or bound.
+An operator method (__add__, __getitem__, ...) is not named where its
+operator is used, and a `+` or a subscript does not say whose method it
+calls, so each one orbkit defines is on ALLOWED with its operator site
+as the reason.  A word of a string counts only in src/orbkit, where a
+table such as OpRule.move or SCRIPT_OPS holds names looked up at run
+time; docstrings do not count, and a string in perfbench/, such as the
+workload name "spin_sweep", does not call the function it spells.
+perfbench/tracer.py, which names every layer function in strings to
+wrap it, does not count at all.  A name used nowhere else is test-only
+code, and it must be on ALLOWED with the reason it stays, or on
+TRACER_BOUND if the tracer is all that reaches it; otherwise delete it.
 
 The same holds for an optional parameter of any function there: it
 must be named in src/ or perfbench/ outside that function, as a call's
@@ -30,9 +32,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
-# test-only names that stay -> why
+# test-only names and operator methods that stay -> why
 ALLOWED = {
     "IntMatrix.__matmul__": "the SNF's own check: U @ A @ V == D",
+    "Mod2Class.__add__": "spin.spin_target's w2 + twist",
     "chern_class": "the oracle of scaled_chern_class",
 }
 
@@ -46,12 +49,10 @@ TRACER_BOUND = dict.fromkeys(
 # test-only optional parameters that stay, as "function(parameter=)" -> why
 ALLOWED_PARAMETERS = {}
 
-# the method an operator or a subscript calls; Python calls the other
+# the methods an operator or a subscript calls; Python calls the other
 # dunders itself, so they are not checked
-_OPERATORS = {ast.Add: "__add__", ast.Sub: "__sub__", ast.Mult: "__mul__",
-              ast.MatMult: "__matmul__", ast.Mod: "__mod__",
-              ast.FloorDiv: "__floordiv__", ast.Pow: "__pow__",
-              ast.Subscript: "__getitem__"}
+_OPERATORS = ("__add__", "__sub__", "__mul__", "__matmul__", "__mod__",
+              "__floordiv__", "__pow__", "__getitem__")
 
 
 def _docstrings(tree):
@@ -70,10 +71,7 @@ def _in_orbkit(path):
 def _names_used(tree, strings):
     docstrings = _docstrings(tree)
     for node in ast.walk(tree):
-        operator = type(getattr(node, "op", node))  # a BinOp's, AugAssign's
-        if operator in _OPERATORS:
-            yield _OPERATORS[operator]
-        elif isinstance(node, ast.Name):
+        if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -95,7 +93,7 @@ def _definitions(tree):
             for item in node.body:
                 name = item.name if isinstance(item, ast.FunctionDef) else ""
                 if name and (not name.startswith("__")
-                             or name in _OPERATORS.values()):
+                             or name in _OPERATORS):
                     yield f"{node.name}.{name}", name
 
 

@@ -362,10 +362,10 @@ spin_unknowns = a1=1
 
 
 # ids the grammar can carry: no whitespace, '#', '=', ',' or '[' (the
-# parser refuses whitespace and ','); none is reserved, so "smooth" is
-# an id like any other; E1, dp1, ... are ids a move draws too.  A config
-# holds at most ten surfaces (five declared, five added) and eight
-# points, so a fresh id is always left
+# id rule refuses whitespace, ',' and '#'); none is reserved, so
+# "smooth" is an id like any other; E1, dp1, ... are ids a move draws
+# too.  A config holds at most ten surfaces (five declared, five added)
+# and eight points, so a fresh id is always left
 _IDS = ("A", "B", "C", "X", "Z", "a", "x", "_", "0", "12", "b_9", "XYZ0",
         "E1", "E2", "dp1", "dp2", "smooth")
 
@@ -1580,5 +1580,5 @@ def test_id_that_later_lines_cannot_name(added, kind, sid, tmp_path,
     f.write_text(text)
     assert cli.main(["build", str(f)]) == cli.EXIT_INPUT
     assert capsys.readouterr().err == (
-        f"input error: line {ln}: {kind} id {sid!r} contains whitespace "
-        "or ','\n")
+        f"input error: line {ln}: {kind} id {sid!r} contains whitespace, "
+        "',' or '#'\n")

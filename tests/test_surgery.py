@@ -45,6 +45,7 @@ from orbkit.surgery import (
     replay,
     resolve_torus_pair,
 )
+from test_cli_verify_outputs import SEEDS, workloads
 
 
 def _cp2_with_cubic():
@@ -410,7 +411,7 @@ def _two_free_spheres_joined(y, w, plan):
      UnsupportedGeometry, "event zz would join V1 to itself"),
     (_first_join_named(""), ValueError, "empty surface id"),
     *((_first_join_named(sid), ValueError,
-       f"surface id {sid!r} contains whitespace or ','")
+       f"surface id {sid!r} contains whitespace, ',' or '#'")
       for sid in (" ", "V 1", "V,1")),
 ], ids=["id_collision", "unequal_orders", "unmatched_point_on_fiber",
         "piece_in_two_joins", "unknown_piece", "fiber_as_piece",
@@ -491,7 +492,30 @@ def test_blow_up_refuses_an_id_no_scenario_can_name(sid):
     # a config built with it emitted a file that the parser refused
     with pytest.raises(ValueError) as info:
         blow_up(_cp2_with_cubic(), ["C"], exceptional_id=sid)
-    assert str(info.value) == f"surface id {sid!r} contains whitespace or ','"
+    assert str(info.value) == \
+        f"surface id {sid!r} contains whitespace, ',' or '#'"
+
+
+@pytest.mark.parametrize("name, kwargs, kind", [
+    ("blow_up", {"through": ["C"], "exceptional_id": "X#Y"}, "surface"),
+    ("blow_down_minus2", {"sphere": "S", "point_id": "X#Y"}, "point"),
+    ("resolve_torus_pair", {"t1": "T1", "t2": "T2", "new_id": "X#Y"},
+     "surface"),
+    ("rename", {"old": "C", "new": "X#Y"}, "surface"),
+], ids=["blow_up", "blow_down", "resolve", "rename"])
+def test_moves_refuse_an_id_a_comment_would_cut(name, kwargs, kind):
+    # '[surface X#Y]' reads as '[surface X', so a config holding such an
+    # id would emit a file that does not parse
+    cfg = _cp2_with_cubic()
+    cfg.surfaces += [SurfaceData("T1", 1), SurfaceData("T2", 1),
+                     SurfaceData("S", 0, self_intersection=Fraction(-2))]
+    cfg.add_event("T1", "T2")
+    before = copy.deepcopy(cfg)
+    with pytest.raises(ValueError) as info:
+        getattr(surgery, name)(cfg, **kwargs)
+    assert str(info.value) == \
+        f"{kind} id 'X#Y' contains whitespace, ',' or '#'"
+    assert cfg == before
 
 
 def test_discard_refuses_a_surface_the_declared_lattice_names():
@@ -673,7 +697,7 @@ def _scripted(cfg, lines):
     return text + "[script]\n" + "".join(f"{line}\n" for line in lines)
 
 
-def test_every_logged_op_replays_through_its_public_move():
+def test_every_logged_op_replays_through_its_public_move(monkeypatch):
     log = SurgeryLog()
     build_block_W(log=log)
     build_Z(3, log=log)
@@ -690,8 +714,26 @@ def test_every_logged_op_replays_through_its_public_move():
     ops = {e.op for e in log.entries}
     assert ops == {rule.move for rule in SCRIPT_OPS.values()} | {
         "gompf_fiber_sum", "assign_isotropy", "declare_lattice"}
-    for entry in log.entries:
-        assert surgery._REPLAY[entry.op] is getattr(surgery, entry.op)
+    # replay calls the move the module binds under each name, so a
+    # rebinding there (as the benchmark's tracer makes) is what runs
+    called = []
+    for op in ops:
+        move = getattr(surgery, op)
+        assert move.__name__ == op
+
+        def counted(*args, move=move, **kwargs):
+            called.append(move.__name__)
+            return move(*args, **kwargs)
+        monkeypatch.setattr(surgery, op, counted)
+    scn = parse_scenario(text)
+    w, script = BLOCK_W_STEPS["W"], len(scn.built[1].entries)
+    for start, entries, end in [
+            (_cp2_with_lines(), log.entries[:w], build_block_W()),
+            (build_block_Y(), log.entries[w:-script], build_Z(3)),
+            (scn.config, log.entries[-script:], scn.built[0])]:
+        called.clear()
+        assert replay(start, SurgeryLog(entries)) == end
+        assert called == [entry.op for entry in entries]
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -719,3 +761,83 @@ def test_seeded_scripts_build_as_the_moves_they_name(start, seed):
     assert (built, scn.builtin) == (cfg, None)
     assert run_pipeline(scn).scenario_label == "explicit"
     assert scripted.entries == log.entries
+
+
+def _protocol_calls():
+    """(move name, starting config, keywords) of each of the eight moves,
+    and once more without the optional arguments of the moves that have
+    them."""
+    cfg = _cp2_with_lines()
+    cfg.surfaces += [SurfaceData("T1", 1), SurfaceData("T2", 1),
+                     SurfaceData("S", 0, self_intersection=Fraction(-2))]
+    cfg.add_event("T1", "T2")
+    cfg.add_event("S", "C")
+    y, w, plan = _z_fiber_sum()
+    return [
+        ("blow_up", cfg, {"through": ["C", "L", "Lp"],
+                          "exceptional_id": "E"}),
+        ("blow_up", cfg, {"through": ["C"]}),
+        ("blow_down_minus2", cfg, {"sphere": "S", "point_id": "q"}),
+        ("blow_down_minus2", cfg, {"sphere": "S"}),
+        ("resolve_torus_pair", cfg, {"t1": "T1", "t2": "T2", "new_id": "N"}),
+        ("discard", cfg, {"surface": "Lp"}),
+        ("rename", cfg, {"old": "C", "new": "D"}),
+        ("assign_isotropy", cfg, {"assignment": {"C": (3, 1), "L": (2, 1)}}),
+        ("declare_lattice", cfg, {"basis": ["C", "L"],
+                                  "qclasses": {"C": (3, 0), "L": (0, 1)},
+                                  "integral_pairing": IntMatrix.from_rows(
+                                      [[9, 3], [3, 1]])}),
+        ("declare_lattice", cfg, {"basis": ["C"], "qclasses": {"C": (1,)}}),
+        ("gompf_fiber_sum", y, {"cfg_b": w, "plan": plan}),
+    ]
+
+
+@pytest.mark.parametrize("name, start, kwargs", _protocol_calls(), ids=[
+    "blow_up", "blow_up_drawn_id", "blow_down", "blow_down_drawn_point",
+    "resolve", "discard", "rename", "assign_isotropy", "declare_lattice",
+    "declare_lattice_no_pairing", "gompf_fiber_sum"])
+def test_positional_and_keyword_calls_log_and_replay_alike(name, start,
+                                                          kwargs):
+    move = getattr(surgery, name)
+    by_position, by_keyword = SurgeryLog(), SurgeryLog()
+    out = move(start, *kwargs.values(), log=by_position)
+    assert move(start, **kwargs, log=by_keyword) == out
+    assert by_position.entries == by_keyword.entries
+    (entry,) = by_position.entries
+    assert entry.op == name
+    assert replay(start, by_position) == replay(start, by_keyword) == out
+
+
+def test_a_log_entry_is_the_call_as_given():
+    # with the default of what the caller left out; the drawn sphere id
+    # is drawn again on replay
+    cfg, through, log = _cp2_with_cubic(), ["C"], SurgeryLog()
+    out = blow_up(cfg, through, log=log)
+    (entry,) = log.entries
+    assert entry.kwargs == {"through": through, "exceptional_id": None}
+    assert entry.kwargs["through"] is through
+    assert [s.id for s in replay(cfg, log).surfaces] == ["C", "E1"]
+    assert replay(cfg, log) == out
+
+
+@pytest.mark.parametrize("build, start", [
+    (build_block_W, _cp2_with_lines),
+    *((lambda log, p=p: build_Z(p, log=log), build_block_Y)
+      for p in (2, 3, 5))], ids=["block_W", "Z_p2", "Z_p3", "Z_p5"])
+def test_builder_logs_replay_to_what_they_built(build, start):
+    log = SurgeryLog()
+    built = build(log=log)
+    assert log.entries
+    assert replay(start(), log) == built
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_benchmark_scripts_replay_to_what_they_built(seed):
+    # the seeded scenarios of cli_verify, drawn as the benchmark draws
+    # them: each script's log replays from the declared config
+    rng = random.Random(f"cli_verify:{seed}")
+    for k in range(workloads.SCENARIOS_PER_RUN):
+        scn = parse_scenario(workloads.scripted_config(rng).text())
+        built, log = scn.built
+        assert log.entries, k
+        assert replay(scn.config, log) == built, k
