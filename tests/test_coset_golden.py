@@ -1,28 +1,36 @@
 """coset_enumerate must reproduce the recorded tables on seeded random
 presentations.
 
-Each case is a presentation on one to three generators, with power
-words, periodic words, random words, conjugates of earlier relators and
-commutators, sometimes an abelian closure that makes the group finite,
-and a coset bound from BOUNDS.  The golden holds each case's input with
-its status, table, cosets defined and coincidences, so a change to the
-order of definitions or deductions shows up here even where the index
-stays the same.  Cases are drawn and stored as letter words, and each
-word is passed to orbkit in syllables.
-Regenerate the golden only for an intended change of output:
+Each case of goldens/coset_enumerate_random.json is a presentation on
+one to three generators, with power words, periodic words, random
+words, conjugates of earlier relators and commutators, sometimes an
+abelian closure that makes the group finite, and a coset bound from
+BOUNDS.  Each case of goldens/coset_enumerate_identified.json, drawn
+from a seed of its own, is such a case with one or two more generators
+and one to three relators x^+-1 y^+-1 on two generators, which identify
+one generator with another or its inverse: chains and cycles of them,
+identifications of two old generators that make other relators cancel,
+and a power x^2 beside a two-letter word that reads the same columns.
+A golden holds each case's input with its status, table, cosets
+defined and coincidences, so a change to the order of definitions or
+deductions shows up here even where the index stays the same.  Cases
+are drawn and stored as letter words, and each word is passed to
+orbkit in syllables.
+Regenerate both goldens only for an intended change of output:
 
     PYTHONPATH=src python tests/test_coset_golden.py
 """
 
 import json
 import random
+from collections import Counter
 from functools import cache
 from math import prod
 from pathlib import Path
 
 import pytest
 
-from letter_words import commutator, inverse_word, syllables
+from letter_words import commutator, cyclic_reduce, inverse_word, syllables
 from orbkit.fpgroup import (
     Complete,
     Presentation,
@@ -74,6 +82,40 @@ def cases() -> list[dict]:
     return [_case(rng, BOUNDS[i % len(BOUNDS)]) for i in range(CASES)]
 
 
+IDENTIFIED = Path(__file__).parent / "goldens" / "coset_enumerate_identified.json"
+IDENTIFIED_SEED = 41
+IDENTIFIED_CASES = 160
+
+
+def _identified_case(rng: random.Random, bound: int) -> dict:
+    """A _case with one or two more generators and one to three relators
+    x^+-1 y^+-1, each put in at a random place among the others.  A
+    relator may repeat the pair before it with y's sign flipped, so the
+    two say x^2 = 1 once y is read as x^+-1; then x^2 may follow too."""
+    case = _case(rng, bound)
+    n = len(case["generators"]) + rng.randint(1, 2)
+    rels = list(case["relators"])
+    r = None
+    for _ in range(rng.randint(1, 3)):
+        if r is not None and rng.random() < 0.25:
+            r = (r[0], -r[1])
+        else:
+            r = tuple(rng.choice((g, -g))
+                      for g in rng.sample(range(1, n + 1), 2))
+        rels.insert(rng.randint(0, len(rels)), r)
+    if rng.random() < 0.3:
+        g = abs(r[0])
+        rels.insert(rng.randint(0, len(rels)), (g, g))
+    return {**case, "generators": "abcde"[:n], "relators": rels}
+
+
+@cache
+def identified_cases() -> list[dict]:
+    rng = random.Random(IDENTIFIED_SEED)
+    return [_identified_case(rng, BOUNDS[i % len(BOUNDS)])
+            for i in range(IDENTIFIED_CASES)]
+
+
 def result(case: dict) -> dict:
     """case with the fields of its CosetTable, in JSON's lists."""
     pres = Presentation(tuple(case["generators"]),
@@ -90,9 +132,21 @@ def result(case: dict) -> dict:
             "coincidences": res.coincidences}
 
 
+def _dump(path: Path, drawn: list[dict]) -> None:
+    path.write_text(
+        "[\n" + ",\n".join(json.dumps(result(case), separators=(",", ":"))
+                           for case in drawn) + "\n]\n",
+        encoding="utf-8")
+
+
 @cache
 def _golden() -> list[dict]:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@cache
+def _identified_golden() -> list[dict]:
+    return json.loads(IDENTIFIED.read_text(encoding="utf-8"))
 
 
 def test_golden_covers_every_bound_and_both_outcomes():
@@ -105,6 +159,67 @@ def test_golden_covers_every_bound_and_both_outcomes():
 @pytest.mark.parametrize("i", range(CASES))
 def test_coset_enumerate_matches_golden(i):
     assert result(cases()[i]) == _golden()[i]
+
+
+def _identifications(case: dict) -> tuple[dict, list]:
+    """(value, kept) for case's relators x^+-1 y^+-1 on two generators,
+    read in order: value maps each generator to the letter of the least
+    generator of its class that equals it, and kept lists the relators
+    whose two generators were one class already."""
+    value = {g: g for g in range(1, len(case["generators"]) + 1)}
+    kept = []
+    for r in map(tuple, case["relators"]):
+        if len(r) != 2 or abs(r[0]) == abs(r[1]):
+            continue
+        vx, vy = (value[abs(g)] if g > 0 else -value[abs(g)] for g in r)
+        if abs(vx) == abs(vy):
+            kept.append(r)
+            continue
+        low, high = sorted((vx, vy), key=abs)
+        new = -low if high > 0 else low  # vx vy = 1: high = low^-1
+        for g, v in value.items():
+            if abs(v) == abs(high):
+                value[g] = new if v > 0 else -new
+    return value, kept
+
+
+def _kinds(case: dict, golden: dict) -> set[str]:
+    value, kept = _identifications(case)
+    rels = [tuple(r) for r in case["relators"]]
+
+    def read(r):
+        return tuple(value[g] if g > 0 else -value[-g] for g in r)
+
+    kinds = {golden["status"][0]}
+    if max(Counter(map(abs, value.values())).values()) >= 3:
+        kinds.add("chain")
+    if kept:
+        kinds.add("cycle")
+    if any(cyclic_reduce(r) and not cyclic_reduce(read(r)) for r in rels
+           if r not in kept and not (len(r) == 2 and abs(r[0]) != abs(r[1]))):
+        kinds.add("cancelled")
+    squares = {abs(value[abs(r[0])]) for r in rels
+               if len(r) == 2 and r[0] == r[1]}
+    if any(abs(read(r)[0]) in squares and read(r)[0] == read(r)[1]
+           for r in kept):
+        kinds.add("square beside a word")
+    return kinds
+
+
+def test_identified_golden_covers_each_kind():
+    golden = _identified_golden()
+    assert len(golden) == IDENTIFIED_CASES
+    assert {case["bound"] for case in golden} == set(BOUNDS)
+    kinds = Counter(kind for case, g in zip(identified_cases(), golden)
+                    for kind in _kinds(case, g))
+    for kind in ("Complete", "Exhausted", "chain", "cycle", "cancelled",
+                 "square beside a word"):
+        assert kinds[kind] >= 5, (kind, kinds)
+
+
+@pytest.mark.parametrize("i", range(IDENTIFIED_CASES))
+def test_coset_enumerate_matches_identified_golden(i):
+    assert result(identified_cases()[i]) == _identified_golden()[i]
 
 
 def _abelian(case: dict) -> bool:
@@ -190,7 +305,5 @@ def test_prepared_forms_change_no_result():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(
-        "[\n" + ",\n".join(json.dumps(result(case), separators=(",", ":"))
-                           for case in cases()) + "\n]\n",
-        encoding="utf-8")
+    _dump(GOLDEN, cases())
+    _dump(IDENTIFIED, identified_cases())
