@@ -26,6 +26,21 @@ written once per process, so a certificate for any p finds theirs
 prepared.  A new table entry is scanned against all the relator
 conjugates that start with its letter in one loop, and the replay of a
 completed table checks a power x^n by the length of x's cycle.
+
+Each presentation has one enumeration plan per process, made by a
+bounded cache keyed on its generator count and relators, as a word's
+prepared form is.  A relator x^+-1 y^+-1 on two generators identifies
+them: the later one's columns read the earlier one's, swapped for an
+inverse, through chains of such relators, and one that joins two
+generators already identified stays a relator.  The other relators'
+prepared cycles are mapped through that column map as they are, never
+reduced again, and a cycle equal to an earlier one or to an earlier
+one read backwards is scanned once, powers and spelled words apart.
+Felsch then fills only the columns of the least generator of each
+class (16 of the 22 of the orbifold presentation, which states x2 =
+x1, y2 = y1 and z2 = z1, and scans 145 of its 199 cycles), and the
+finished table is written out to every column and replayed against
+every relator as given, so the result is the one the full table gives.
 """
 
 from __future__ import annotations
@@ -127,6 +142,85 @@ def _prepared(r: Word) -> tuple:
     for g, e in r:
         sums[g - 1] += e
     return span, item, conjugates, tuple((i, e) for i, e in sums.items() if e)
+
+
+@lru_cache(maxsize=256)
+def _plan(ngens: int, relators: tuple[Word, ...]) -> tuple:
+    """The enumeration plan of a presentation on ngens generators:
+    (width, columns, items, conjugates, checks).
+
+    A relator that cyclically reduces to x^+-1 y^+-1, x != y, says that
+    y's columns read x's, swapped, and joins their classes; once all
+    such relators are read in order, each generator's columns read
+    those of the least generator of its class, and one that joins two
+    generators already in one class stays a relator.  The least
+    generators of the classes, in order, own the width table columns
+    the enumeration fills, and columns[c] is the table column that the
+    presentation's column c reads.
+    Every other relator has its prepared items and conjugates mapped
+    through columns, as they are, never reduced again; items lists
+    those traced at coset 0 and conjugates[x] those that start with x.
+    A mapped cycle equal to an earlier one, or to the earlier one read
+    backwards from the same coset or through the same edge, is left
+    out, since its scan would trace the same cycle again; a power x^n
+    and a word that spells x n times are kept apart, as they are traced
+    differently.  checks lists every relator's item as given, for the
+    replay.  A pure function of its arguments, made once per process
+    for each presentation; no caller writes to the lists it shares.
+    """
+    prepared = [_prepared(r) for r in relators]
+    reads = list(range(2 * ngens))  # column -> the column it reads
+    joins = set()
+    for k, (_, item, _, _) in enumerate(prepared):
+        if item is None or item[3] or len(item[0]) != 2:
+            continue
+        c, d = (reads[x] for x in item[0])
+        if c >> 1 != d >> 1:  # c d = 1: the later of c, d^-1 reads the other
+            low, high = sorted((c, d ^ 1))
+            low ^= high & 1
+            reads = [x if x >> 1 != high >> 1 else low ^ (x & 1)
+                     for x in reads]
+            joins.add(k)
+    owners = {g: i for i, g in enumerate(sorted({x >> 1 for x in reads}))}
+    columns = [2 * owners[x >> 1] + (x & 1) for x in reads]
+    width = 2 * len(owners)
+
+    checks = []
+    items: list[tuple] = []
+    conjugates: list[list] = [[] for _ in range(width)]
+    # the cycles kept and the same cycles read backwards: words traced
+    # from coset 0, words traced through an edge, and powers (x, n - 1)
+    at_0, edges, powers = set(), set(), set()
+    for k, (_, item, conj, _) in enumerate(prepared):
+        if item is None:
+            continue
+        checks.append(item)
+        if k in joins:
+            continue
+        w, i, j, power = item
+        if power:  # its own only conjugate
+            x = columns[w]
+            if (x, j) not in powers:
+                powers.update(((x, j), (x ^ 1, j)))
+                items.append((x, i, j, True))
+                conjugates[x].append(items[-1])
+            continue
+        word = tuple(map(columns.__getitem__, w))
+        if word in at_0:  # an earlier word or its inverse, whose cycles
+            continue  # through an edge are all kept or left out already
+        back = tuple(x ^ 1 for x in reversed(word))
+        at_0.update((word, back))
+        items.append((word, i, j, False))
+        # the cycle from letter s is twice[s:s + n]; read backwards
+        # through the same edge, it is backs[n - 1 - s:2n - 1 - s]
+        n = len(word)
+        twice, backs = word + word, back + back
+        for _, (_, s, _, _) in conj:
+            cycle = twice[s:s + n]
+            if cycle not in edges:
+                edges.update((cycle, backs[n - 1 - s:2 * n - 1 - s]))
+                conjugates[twice[s]].append((twice, s, s + n - 1, False))
+    return width, columns, items, conjugates, checks
 
 
 @record(frozen=True)
@@ -252,9 +346,12 @@ def coset_enumerate(p: Presentation,
     and processes every deduction before the next definition.  A new
     entry alpha^x = beta is scanned at alpha under each distinct cyclic
     conjugate of a relator that starts with x, and at beta under those
-    that start with x^-1, each list in one scan loop; the conjugates of
-    inverted relators trace the same cycles backwards, so they add
-    nothing.  A scan fills an entry only when exactly one is missing;
+    that start with x^-1, each list in one scan loop.  The plan (see
+    _plan) gives the columns the table fills, one pair for each class of
+    generators that relators x^+-1 y^+-1 identify, and the cycles in
+    each list, each scanned once: a cycle traced backwards, as an
+    inverted relator's conjugates trace its own, adds nothing.  A scan
+    fills an entry only when exactly one is missing;
     entries made by scans and by coincidences are deductions too.  A
     word that reduces to one syllable x^n is traced round x's cycle
     through the coset once: when the cycle closes after k letters, the
@@ -263,24 +360,13 @@ def coset_enumerate(p: Presentation,
     Exhausted(max_cosets) is inconclusive.  max_cosets bounds the rows
     ever defined, dead or alive.  Completed tables are replayed against
     every relator at every coset before being returned; x^n holds at a
-    coset when the length of x's cycle through it divides n.  A
-    relator's conjugates, the scan at coset 0 and the replay read its
-    prepared form.
+    coset when the length of x's cycle through it divides n; the table
+    returned has a column for each generator and its inverse, those of
+    an identified generator copied from its class's.  The plan reads
+    each relator's prepared form, and the replay reads it as given.
     """
-    ncols = 2 * len(p.generators)
-    # relators: the item of each relator that does not reduce to nothing;
-    # conjugates[x]: the items for each distinct cyclic conjugate
-    # w[first..last] of a relator that starts with column x, relator by
-    # relator
-    relators: list[tuple] = []
-    conjugates: list[list] = [[] for _ in range(ncols)]
-    for r in p.relators:
-        _, h, conj, _ = _prepared(r)
-        if h is not None:
-            relators.append(h)
-        for x, c in conj:
-            conjugates[x].append(c)
-
+    ncols, columns, relators, conjugates, checks = _plan(len(p.generators),
+                                                         p.relators)
     table: list[list] = [[None] * ncols]
     parent = [0]
     deductions: list[tuple[int, int]] = []  # entries yet to be scanned
@@ -424,7 +510,7 @@ def coset_enumerate(p: Presentation,
 
     live = sorted(k for k in range(len(table)) if rep(k) == k)
     renum = {k: i for i, k in enumerate(live)}
-    compact = [[renum[rep(table[k][x])] for x in range(ncols)] for k in live]
+    compact = [[renum[rep(table[k][x])] for x in columns] for k in live]
 
     # replay: the compacted action must satisfy every relator
     def holds(c: int, w, n: int, power: bool) -> bool:
@@ -443,7 +529,7 @@ def coset_enumerate(p: Presentation,
                 return n % k == 0
         return False
 
-    for w, i, j, power in relators:
+    for w, i, j, power in checks:
         n = j - i + 1
         for c in range(len(compact)):
             if not holds(c, w, n, power):

@@ -13,7 +13,9 @@ Every move is written under @_move as an edit of a copy of the config,
 which returns nothing; the decorator returns the copy and records the
 call in the log under the move's own name: the move's parameters after
 the config, by name, as the caller gave them, with the signature's
-default where the caller gave none.  The fiber sum edits copies too: it
+default where the caller gave none.  The log holds a deep copy of them,
+taken before the edit runs, so a caller that changes a list, dict or
+config after the call changes no logged step.  The fiber sum edits copies too: it
 copies its second config once and moves the surviving records of that
 copy into its own, so only the joined surfaces are new records.  Every
 edit of a config is written in a move here; model.py keeps the records,
@@ -36,6 +38,7 @@ holds, so a replay draws the same id.
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from itertools import combinations
 
@@ -141,10 +144,12 @@ def _move(edit):
 
     def move(cfg: OrbifoldConfig, *args, log: SurgeryLog | None = None,
              **kwargs) -> OrbifoldConfig:
+        if log is not None:  # what the caller gave, before anything runs
+            given = copy.deepcopy({**defaults, **dict(zip(params, args)),
+                                   **kwargs})
         out = cfg.copy()
         edit(out, *args, **kwargs)
         if log is not None:
-            given = {**defaults, **dict(zip(params, args)), **kwargs}
             log.record(name, {p: given[p] for p in params}, cfg, out)
         return out
 

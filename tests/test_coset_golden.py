@@ -34,6 +34,7 @@ from letter_words import commutator, cyclic_reduce, inverse_word, syllables
 from orbkit.fpgroup import (
     Complete,
     Presentation,
+    _plan,
     _prepared,
     abelianize,
     coset_enumerate,
@@ -292,6 +293,7 @@ def test_prepared_forms_change_no_result():
     bound = _prepared.cache_info().maxsize
     assert len(words) < bound
     _prepared.cache_clear()
+    _plan.cache_clear()
     first, made = run()
     assert made == len(words)
     second, made = run()

@@ -20,6 +20,7 @@ from orbkit.fpgroup import (
     NotApplicable,
     Presentation,
     _fixed_relators,
+    _plan,
     _prepared,
     abelianize,
     build_pi1_orb_presentation,
@@ -471,6 +472,7 @@ class TestOrbifoldGroup:
         # build, abelianization and enumeration from cold caches; a
         # certificate that spelled U^(p^3) out held 7 MiB at once
         _prepared.cache_clear()
+        _plan.cache_clear()
         _fixed_relators.cache_clear()
         tracemalloc.start()
         try:
@@ -481,6 +483,40 @@ class TestOrbifoldGroup:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_plan_fills_the_columns_no_relator_identifies(self):
+        # x2 = x1, y2 = y1 and z2 = z1 are relators, so the table fills 16
+        # of the 22 columns; [g1,g2], [g1,U] and [g2,U] are each stated
+        # twice, once inverted, and each is scanned once
+        pres = build_pi1_orb_presentation(3)
+        names = pres.generators
+        width, columns, items, conjugates, checks = _plan(len(names),
+                                                          pres.relators)
+        assert width == len(set(columns)) == 16
+        for first, second in (("x1", "x2"), ("y1", "y2"), ("z1", "z2")):
+            g, h = names.index(first), names.index(second)
+            assert columns[2 * h:2 * h + 2] == columns[2 * g:2 * g + 2]
+        assert len(checks) == len(pres.relators) == 48
+        assert len(items) == 33
+        assert sum(map(len, conjugates)) == 145
+
+        def spelled(w):
+            return tuple(columns[2 * g - 2 + (e < 0)]
+                         for g, e in w for _ in range(abs(e)))
+
+        def rotations(w):
+            return {w[s:] + w[:s] for s in range(len(w))}
+
+        for first, second in (("g1", "g2"), ("g1", "U"), ("g2", "U")):
+            word = commutator(((names.index(first) + 1, 1),),
+                              ((names.index(second) + 1, 1),))
+            both = (rotations(spelled(word))
+                    | rotations(spelled(inverse_word(word))))
+            assert sum(spelled(r) in both for r in pres.relators) == 2
+            assert sum(w in both for w, _, _, power in items
+                       if not power) == 1
+            assert sum(w[s:e + 1] in both for cycles in conjugates
+                       for w, s, e, power in cycles if not power) == 4
 
     def test_enumeration_matches_abelianization_order(self):
         pres = build_pi1_orb_presentation(3)

@@ -36,6 +36,7 @@ from orbkit.surgery import (
     PlanInconsistent,
     SurgeryLog,
     UnmatchedSingularPoint,
+    assign_isotropy,
     blow_down_minus2,
     blow_up,
     build_block_W,
@@ -815,9 +816,33 @@ def test_a_log_entry_is_the_call_as_given():
     out = blow_up(cfg, through, log=log)
     (entry,) = log.entries
     assert entry.kwargs == {"through": through, "exceptional_id": None}
-    assert entry.kwargs["through"] is through
+    assert entry.kwargs["through"] is not through  # a copy, see below
     assert [s.id for s in replay(cfg, log).surfaces] == ["C", "E1"]
     assert replay(cfg, log) == out
+
+
+def test_a_log_entry_is_a_snapshot_of_the_call():
+    # a caller that changes an argument after a logged move changes no
+    # logged step: replay makes what the move made
+    cfg = _cp2_with_lines()
+    assignment = {"C": (3, 1)}
+    log = SurgeryLog()
+    out = assign_isotropy(cfg, assignment, log=log)
+    assignment["C"] = (5, 1)
+    assert out.surface("C").multiplicity == 3
+    assert replay(cfg, log) == out
+
+    through = ["C", "L"]
+    log = SurgeryLog()
+    out = blow_up(cfg, through, exceptional_id="E", log=log)
+    through.pop()
+    assert replay(cfg, log) == out
+
+    y, w, plan = _z_fiber_sum()
+    log = SurgeryLog()
+    out = gompf_fiber_sum(y, w, plan, log=log)
+    w.surface("E3").self_intersection -= 1
+    assert replay(y, log) == out
 
 
 @pytest.mark.parametrize("build, start", [
