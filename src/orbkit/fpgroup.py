@@ -37,10 +37,11 @@ prepared cycles are mapped through that column map as they are, never
 reduced again, and a cycle equal to an earlier one or to an earlier
 one read backwards is scanned once, powers and spelled words apart.
 Felsch then fills only the columns of the least generator of each
-class (16 of the 22 of the orbifold presentation, which states x2 =
-x1, y2 = y1 and z2 = z1, and scans 145 of its 199 cycles), and the
-finished table is written out to every column and replayed against
-every relator as given, so the result is the one the full table gives.
+class, and the finished table is written out to every column and
+replayed against every relator as given, so the result is the one the
+full table gives.  The orbifold presentation states x2 = x1, y2 = y1
+and z2 = z1, so its enumeration fills 16 of its 22 columns and scans
+145 of its 199 cycles.
 """
 
 from __future__ import annotations
@@ -157,6 +158,7 @@ def _plan(ngens: int, relators: tuple[Word, ...]) -> tuple:
     generators of the classes, in order, own the width table columns
     the enumeration fills, and columns[c] is the table column that the
     presentation's column c reads.
+
     Every other relator has its prepared items and conjugates mapped
     through columns, as they are, never reduced again; items lists
     those traced at coset 0 and conjugates[x] those that start with x.

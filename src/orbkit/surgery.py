@@ -15,14 +15,15 @@ call in the log under the move's own name: the move's parameters after
 the config, by name, as the caller gave them, with the signature's
 default where the caller gave none.  The log holds a deep copy of them,
 taken before the edit runs, so a caller that changes a list, dict or
-config after the call changes no logged step.  The fiber sum edits copies too: it
-copies its second config once and moves the surviving records of that
-copy into its own, so only the joined surfaces are new records.  Every
-edit of a config is written in a move here; model.py keeps the records,
-lookups, id rules and checks.  replay() calls the module's move of each
-logged name with the logged keywords, the lookup scenario.OpRule.apply
-makes, so replaying a log from the same starting config reproduces the
-final config exactly: an id the caller left out is drawn again.
+config after the call changes no logged step.  The fiber sum edits
+copies too: it copies its second config once and moves the surviving
+records of that copy into its own, so only the joined surfaces are new
+records.  Every edit of a config is written in a move here; model.py
+keeps the records, lookups, id rules and checks.  replay() calls the
+module's move of each logged name with the logged keywords, the lookup
+scenario.OpRule.apply makes, so replaying a log from the same starting
+config reproduces the final config exactly: an id the caller left out
+is drawn again.
 
 Ids: the moves are the only statement of what a [script] line may
 name, add and drop; the scenario parser runs them.  A move checks its

@@ -83,7 +83,8 @@ def cases() -> list[dict]:
     return [_case(rng, BOUNDS[i % len(BOUNDS)]) for i in range(CASES)]
 
 
-IDENTIFIED = Path(__file__).parent / "goldens" / "coset_enumerate_identified.json"
+IDENTIFIED = (Path(__file__).parent / "goldens"
+              / "coset_enumerate_identified.json")
 IDENTIFIED_SEED = 41
 IDENTIFIED_CASES = 160
 
