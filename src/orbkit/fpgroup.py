@@ -39,9 +39,14 @@ one read backwards is scanned once, powers and spelled words apart.
 Felsch then fills only the columns of the least generator of each
 class, and the finished table is written out to every column and
 replayed against every relator as given, so the result is the one the
-full table gives.  The orbifold presentation states x2 = x1, y2 = y1
-and z2 = z1, so its enumeration fills 16 of its 22 columns and scans
-145 of its 199 cycles.
+full table gives.  The plan's classes serve the abelianization too:
+each relator's exponent sums are folded onto the least generator of
+each class, negated where a generator reads the inverse column, a
+change of generators that turns the identifying relators into zero
+rows, and those are dropped.  The orbifold presentation states
+x2 = x1, y2 = y1 and z2 = z1, so its enumeration fills 16 of its 22
+columns and scans 145 of its 199 cycles, and its Smith normal form is
+of a 15x8 matrix, not the 18x11 one its generators give.
 """
 
 from __future__ import annotations
@@ -148,7 +153,7 @@ def _prepared(r: Word) -> tuple:
 @lru_cache(maxsize=256)
 def _plan(ngens: int, relators: tuple[Word, ...]) -> tuple:
     """The enumeration plan of a presentation on ngens generators:
-    (width, columns, items, conjugates, checks).
+    (width, columns, items, conjugates, checks, sums).
 
     A relator that cyclically reduces to x^+-1 y^+-1, x != y, says that
     y's columns read x's, swapped, and joins their classes; once all
@@ -167,8 +172,12 @@ def _plan(ngens: int, relators: tuple[Word, ...]) -> tuple:
     out, since its scan would trace the same cycle again; a power x^n
     and a word that spells x n times are kept apart, as they are traced
     differently.  checks lists every relator's item as given, for the
-    replay.  A pure function of its arguments, made once per process
-    for each presentation; no caller writes to the lists it shares.
+    replay.  sums is the matrix of the relators' exponent sums over the
+    width / 2 classes, each generator's sum added to its class's column,
+    negated where it reads the inverse column, with the rows that vanish
+    left out (None if all do).  A pure function of its arguments, made
+    once per process for each presentation; no caller writes to the
+    lists it shares.
     """
     prepared = [_prepared(r) for r in relators]
     reads = list(range(2 * ngens))  # column -> the column it reads
@@ -222,7 +231,17 @@ def _plan(ngens: int, relators: tuple[Word, ...]) -> tuple:
             if cycle not in edges:
                 edges.update((cycle, backs[n - 1 - s:2 * n - 1 - s]))
                 conjugates[twice[s]].append((twice, s, s + n - 1, False))
-    return width, columns, items, conjugates, checks
+
+    rows = []
+    for _, _, _, nonzero in prepared:
+        row = [0] * (width // 2)
+        for i, e in nonzero:
+            x = columns[2 * i]
+            row[x >> 1] += -e if x & 1 else e
+        if any(row):
+            rows.append(row)
+    sums = IntMatrix.from_rows(rows) if rows else None
+    return width, columns, items, conjugates, checks, sums
 
 
 @record(frozen=True)
@@ -246,23 +265,18 @@ def commutator(a: Word, b: Word) -> Word:
 def abelianize(p: Presentation) -> AbelianGroup:
     """Quotient by all commutators, via the exponent-sum matrix.
 
-    A relator whose exponent sums all vanish (a commutator, say) adds no
-    relation, so only the nonzero rows go to the Smith normal form: 18 of
-    the 48 rows of the orbifold presentation.
+    The matrix is the plan's (see _plan): one column for each class of
+    generators that relators x^+-1 y^+-1 identify, and one row for each
+    relator whose exponent sums do not vanish there.  A commutator, or a
+    relator that identifies, adds no row, so the Smith normal form of
+    the orbifold presentation is of 15 of its 48 rows over 8 of its 11
+    generators.
     """
-    n = len(p.generators)
-    rows = []
-    for r in p.relators:
-        sums = _prepared(r)[3]
-        if sums:
-            row = [0] * n
-            for i, e in sums:
-                row[i] = e
-            rows.append(row)
-    if not rows:
-        return AbelianGroup(rank=n)
-    factors = smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors()
-    return AbelianGroup(rank=n - len(factors),
+    width, _, _, _, _, sums = _plan(len(p.generators), p.relators)
+    if sums is None:
+        return AbelianGroup(rank=width // 2)
+    factors = smith_normal_form(sums).invariant_factors()
+    return AbelianGroup(rank=width // 2 - len(factors),
                         invariant_factors=tuple(d for d in factors if d > 1))
 
 
@@ -367,8 +381,8 @@ def coset_enumerate(p: Presentation,
     an identified generator copied from its class's.  The plan reads
     each relator's prepared form, and the replay reads it as given.
     """
-    ncols, columns, relators, conjugates, checks = _plan(len(p.generators),
-                                                         p.relators)
+    ncols, columns, relators, conjugates, checks, _ = _plan(
+        len(p.generators), p.relators)
     table: list[list] = [[None] * ncols]
     parent = [0]
     deductions: list[tuple[int, int]] = []  # entries yet to be scanned

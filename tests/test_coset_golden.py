@@ -16,7 +16,8 @@ defined and coincidences, so a change to the order of definitions or
 deductions shows up here even where the index stays the same.  Cases
 are drawn and stored as letter words, and each word is passed to
 orbkit in syllables.
-Regenerate both goldens only for an intended change of output:
+Regenerate both goldens only for an intended change of output; the
+script prints the index of each case it adds, removes or changes:
 
     PYTHONPATH=src python tests/test_coset_golden.py
 """
@@ -30,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+from golden_changes import print_changes
 from letter_words import commutator, cyclic_reduce, inverse_word, syllables
 from orbkit.fpgroup import (
     Complete,
@@ -135,9 +137,13 @@ def result(case: dict) -> dict:
 
 
 def _dump(path: Path, drawn: list[dict]) -> None:
+    new = [result(case) for case in drawn]
+    old = (json.loads(path.read_text(encoding="utf-8")) if path.exists()
+           else [])
+    print_changes(path.name, dict(enumerate(old)), dict(enumerate(new)))
     path.write_text(
-        "[\n" + ",\n".join(json.dumps(result(case), separators=(",", ":"))
-                           for case in drawn) + "\n]\n",
+        "[\n" + ",\n".join(json.dumps(res, separators=(",", ":"))
+                           for res in new) + "\n]\n",
         encoding="utf-8")
 
 

@@ -1,9 +1,11 @@
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
 from math import gcd, prod
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import letter_words
 import orbkit
 from letter_words import syllables
+from orbkit import fpgroup
 from orbkit.abelian import AbelianGroup
 from orbkit.exact import IntMatrix, smith_normal_form
 from orbkit.fpgroup import (
@@ -137,12 +140,14 @@ class TestAbelianize:
 
 
 @st.composite
-def _mixed_presentations(draw, max_gens=4):
+def _mixed_presentations(draw, max_gens=4, identify=False):
     """Relators on 1 to max_gens generators: commutators, empty words,
     other words of exponent sum zero, powers, random words and repeats
     of earlier relators, not necessarily reduced; drawn as letters and
-    written in syllables."""
-    n = draw(st.integers(1, max_gens))
+    written in syllables.  With identify, there are at least two
+    generators, and one to three relators x^+-1 y^+-1 on two of them
+    follow, which may join a pair twice."""
+    n = draw(st.integers(2 if identify else 1, max_gens))
     letters = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
     words = st.lists(letters, max_size=5).map(tuple)
     rels: list[tuple] = []
@@ -163,7 +168,16 @@ def _mixed_presentations(draw, max_gens=4):
         else:
             r = draw(words)
         rels.append(r)
+    for _ in range(draw(st.integers(1, 3)) if identify else 0):
+        x, y = draw(st.permutations(range(1, n + 1)))[:2]
+        rels.append((draw(st.sampled_from((x, -x))),
+                     draw(st.sampled_from((y, -y)))))
     return Presentation(tuple("abcd"[:n]), tuple(map(syllables, rels)))
+
+
+def _with_and_without_identifications(max_gens=4):
+    return st.one_of(_mixed_presentations(max_gens),
+                     _mixed_presentations(max_gens, identify=True))
 
 
 def _finite_closure(draw, pres: Presentation) -> Presentation:
@@ -195,18 +209,36 @@ def _primary_invariants(group: AbelianGroup) -> list[int]:
                   for _ in range(count))
 
 
+GOLDENS = Path(__file__).parent / "goldens"
+
+
 class TestAbelianizeDifferential:
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(pres=_mixed_presentations())
+    @given(pres=_with_and_without_identifications())
     def test_equals_snf_of_full_exponent_matrix(self, pres):
         assert abelianize(pres) == _full_matrix_abelianization(pres)
+
+    @pytest.mark.parametrize("golden, count",
+                             [("coset_enumerate_random.json", 150),
+                              ("coset_enumerate_identified.json", 160)])
+    def test_equals_snf_of_full_exponent_matrix_on_coset_goldens(
+            self, golden, count):
+        # the identified golden joins generators in chains and in cycles,
+        # and some pairs twice: the second relator on a pair joins nothing,
+        # stays a relator and may fold to a row that is not zero
+        cases = json.loads((GOLDENS / golden).read_text(encoding="utf-8"))
+        assert len(cases) == count
+        for case in cases:
+            pres = Presentation(tuple(case["generators"]),
+                                tuple(map(syllables, case["relators"])))
+            assert abelianize(pres) == _full_matrix_abelianization(pres), case
 
     # sympy builds a permutation group first, which takes 0.3 to 2 s for a
     # group on three or four generators, so this draws at most two; its
     # FpGroup fails on a relator that reduces to the empty word, so those
     # are left out of its copy
     @settings(derandomize=True, max_examples=15, deadline=None)
-    @given(data=st.data(), pres=_mixed_presentations(max_gens=2))
+    @given(data=st.data(), pres=_with_and_without_identifications(2))
     def test_equals_sympy_abelian_invariants(self, data, pres):
         finite = _finite_closure(data.draw, pres)
         group = _sympy_group(Presentation(
@@ -490,8 +522,8 @@ class TestOrbifoldGroup:
         # twice, once inverted, and each is scanned once
         pres = build_pi1_orb_presentation(3)
         names = pres.generators
-        width, columns, items, conjugates, checks = _plan(len(names),
-                                                          pres.relators)
+        width, columns, items, conjugates, checks, _ = _plan(
+            len(names), pres.relators)
         assert width == len(set(columns)) == 16
         for first, second in (("x1", "x2"), ("y1", "y2"), ("z1", "z2")):
             g, h = names.index(first), names.index(second)
@@ -517,6 +549,19 @@ class TestOrbifoldGroup:
                        if not power) == 1
             assert sum(w[s:e + 1] in both for cycles in conjugates
                        for w, s, e, power in cycles if not power) == 4
+
+    @pytest.mark.parametrize("p", [2, 3, 13, 97])
+    def test_abelianization_reduces_the_classes_the_plan_joins(self, p):
+        # of the 18 relators with a nonzero exponent sum, x1 x2^-1,
+        # y1 y2^-1 and z1 z2^-1 vanish once x2, y2 and z2 read x1, y1 and
+        # z1, so the Smith normal form is of 15 rows over 8 classes
+        with mock.patch.object(fpgroup, "smith_normal_form",
+                               wraps=smith_normal_form) as snf:
+            ab = abelianize(build_pi1_orb_presentation(p))
+        (a,), _ = snf.call_args
+        assert snf.call_count == 1
+        assert (a.rows, a.cols) == (15, 8)
+        assert ab == AbelianGroup(0, (2, 2))
 
     def test_enumeration_matches_abelianization_order(self):
         pres = build_pi1_orb_presentation(3)

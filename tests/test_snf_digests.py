@@ -7,11 +7,14 @@ and entries).  The cases are 390 seeded matrices with 0 to 12 rows and
 and their multiples, with entries sharing prime factors, sparse with
 +-1 pivots), four fixed empty and zero matrices, the [P^T | diag m_i]
 matrix of glued_Z that the H_1 decision reduces at p = 2, 3, 5, and
-the exponent-sum matrix abelianize reduces for the orbifold
-presentation at p = 2, 3, 13, 97.  Invariant factors alone do not pin
-the transforms; this does, so a change to the pivot order or to the
-way the result is built shows up here.  Regenerate it only for an
-intended change of output:
+for the orbifold presentation at p = 2, 3, 13, 97 both the exponent
+sums of its relators over its 11 generators (the nonzero rows, 18x11)
+and the matrix abelianize reduces, which folds those sums onto the 8
+classes of generators its relators x^+-1 y^+-1 identify (15x8).
+Invariant factors alone do not pin the transforms; this does, so a
+change to the pivot order or to the way the result is built shows up
+here.  Regenerate it only for an intended change of output; the script
+prints the name of each entry it adds, removes or changes:
 
     PYTHONPATH=src python tests/test_snf_digests.py
 """
@@ -25,6 +28,7 @@ from unittest import mock
 
 import pytest
 
+from golden_changes import print_changes
 from orbkit import fpgroup
 from orbkit.exact import IntMatrix, smith_normal_form
 from orbkit.seifert import isotropy_surfaces, surface_class
@@ -82,6 +86,16 @@ def _glued_matrix(p: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+def _exponent_sum_matrix(p: int) -> IntMatrix:
+    """The exponent sums of the orbifold presentation's relators, one
+    column per generator, the rows that are not zero in relator order."""
+    pres = fpgroup.build_pi1_orb_presentation(p)
+    gens = range(1, len(pres.generators) + 1)
+    rows = [[sum(e for g, e in r if g == h) for h in gens]
+            for r in pres.relators]
+    return IntMatrix.from_rows([row for row in rows if any(row)])
+
+
 def _abelianize_matrix(p: int) -> IntMatrix:
     """The exponent-sum matrix abelianize hands to smith_normal_form."""
     with mock.patch.object(fpgroup, "smith_normal_form",
@@ -95,7 +109,8 @@ RANDOM_KINDS = [KINDS[i % len(KINDS)] for i in range(RANDOM_CASES)]
 NAMES = ([f"{kind}_{i}" for i, kind in enumerate(RANDOM_KINDS)]
          + ["empty_0x0", "empty_0x7", "empty_7x0", "zero_5x4"]
          + [f"glued_Z_p{p}" for p in GLUED_PRIMES]
-         + [f"abelianize_p{p}" for p in PI1_PRIMES])
+         + [f"abelianize_p{p}" for p in PI1_PRIMES]
+         + [f"exponent_sums_p{p}" for p in PI1_PRIMES])
 
 
 @cache
@@ -112,6 +127,8 @@ def cases() -> dict:
         out[f"glued_Z_p{p}"] = _glued_matrix(p)
     for p in PI1_PRIMES:
         out[f"abelianize_p{p}"] = _abelianize_matrix(p)
+    for p in PI1_PRIMES:
+        out[f"exponent_sums_p{p}"] = _exponent_sum_matrix(p)
     return out
 
 
@@ -140,6 +157,11 @@ def test_golden_covers_every_shape_and_case():
     assert {n for _, n in shapes} == set(range(MAX_DIM + 1))
     glued = cases()["glued_Z_p3"]
     assert (glued.rows, glued.cols) == (16, 32)
+    for p in PI1_PRIMES:
+        full, folded = (cases()[f"{name}_p{p}"]
+                        for name in ("exponent_sums", "abelianize"))
+        assert (full.rows, full.cols) == (18, 11)
+        assert (folded.rows, folded.cols) == (15, 8)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -148,7 +170,7 @@ def test_snf_matches_digest(name):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(
-        json.dumps({name: digests(a) for name, a in cases().items()},
-                   indent=1, sort_keys=True) + "\n",
-        encoding="utf-8")
+    new = {name: digests(a) for name, a in cases().items()}
+    print_changes(GOLDEN.name, _golden() if GOLDEN.exists() else {}, new)
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
