@@ -14,9 +14,11 @@ a smooth transverse point (an event whose location is None) contributes
 1, a shared singular point of order d (an event located at that point's
 id) contributes 1/d.  No id is reserved: a point may be named "smooth".
 
-The edits of a configuration are written in the surgery moves
-(surgery.py), each on a copy; this module keeps the records, their
-lookups, the id rules (add_event draws a new event's id) and the checks.
+The four records are frozen, and their sequences are tuples: a
+configuration is a value.  The edits of a configuration are written in
+the surgery moves (surgery.py), each of which builds a new one that
+shares every record it leaves alone; this module keeps the records,
+their lookups, the id rules and the checks.
 
 Ids are unique within each kind.  OrbifoldConfig.check_new_id is the
 one rule for a given new id, which the surgery moves and the scenario
@@ -30,12 +32,11 @@ config's contents.
 
 from __future__ import annotations
 
-import copy
 from fractions import Fraction
 from math import gcd, lcm
 
 from .exact import IntMatrix, mod_inverse, radical_quotient
-from .record import field, record, replace
+from .record import record
 
 
 class UnsupportedGeometry(ValueError):
@@ -46,7 +47,7 @@ class NotIncident(ValueError):
     """The named surface does not pass through the named point."""
 
 
-@record
+@record(frozen=True)
 class SurfaceData:
     """A closed surface tracked in the configuration.
 
@@ -62,14 +63,18 @@ class SurfaceData:
     qclass: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
+        # past the frozen record's __setattr__, as dataclasses does
         if self.multiplicity > 1:
-            self.local_j %= self.multiplicity
-        self.self_intersection = Fraction(self.self_intersection)
+            object.__setattr__(self, "local_j",
+                               self.local_j % self.multiplicity)
+        object.__setattr__(self, "self_intersection",
+                           Fraction(self.self_intersection))
         if self.qclass is not None:
-            self.qclass = tuple(Fraction(x) for x in self.qclass)
+            object.__setattr__(self, "qclass",
+                               tuple(Fraction(x) for x in self.qclass))
 
 
-@record
+@record(frozen=True)
 class SingularPointData:
     """Isolated cyclic quotient singularity of order d with weights (e1, e2)."""
 
@@ -79,12 +84,13 @@ class SingularPointData:
     incident: tuple[str, ...] = ()
 
     def __post_init__(self):
-        self.exponents = (self.exponents[0] % self.order,
-                          self.exponents[1] % self.order)
-        self.incident = tuple(self.incident)
+        object.__setattr__(self, "exponents",
+                           (self.exponents[0] % self.order,
+                            self.exponents[1] % self.order))
+        object.__setattr__(self, "incident", tuple(self.incident))
 
 
-@record
+@record(frozen=True)
 class IntersectionEvent:
     """One transverse positive intersection point of two distinct surfaces.
 
@@ -111,26 +117,17 @@ class Violation:
         return f"{self.kind} at {self.locus}: {self.message}"
 
 
-@record
+@record(frozen=True)
 class OrbifoldConfig:
-    surfaces: list[SurfaceData] = field(default_factory=list)
-    points: list[SingularPointData] = field(default_factory=list)
-    events: list[IntersectionEvent] = field(default_factory=list)
+    surfaces: tuple[SurfaceData, ...] = ()
+    points: tuple[SingularPointData, ...] = ()
+    events: tuple[IntersectionEvent, ...] = ()
     b1: int = 0
     b2: int = 0
     basis: tuple[str, ...] | None = None
     integral_pairing: IntMatrix | None = None
 
     # -- lookup helpers -------------------------------------------------
-
-    def copy(self) -> "OrbifoldConfig":
-        # One level deep is a full copy: every field of a surface, point
-        # or event, and basis and integral_pairing, is immutable (str,
-        # int, Fraction, tuples, the frozen IntMatrix), so only the lists
-        # and the records in them need new objects.
-        return replace(self, surfaces=[copy.copy(s) for s in self.surfaces],
-                       points=[copy.copy(p) for p in self.points],
-                       events=[copy.copy(e) for e in self.events])
 
     def surface(self, sid: str) -> SurfaceData:
         for s in self.surfaces:
@@ -181,10 +178,6 @@ class OrbifoldConfig:
         <prefix>1, <prefix>2, ... not in `taken`."""
         return next(f"{prefix}{k}" for k in range(1, len(taken) + 2)
                     if f"{prefix}{k}" not in taken)
-
-    def add_event(self, a: str, b: str, location: str | None = None) -> None:
-        self.events.append(IntersectionEvent(
-            self.fresh_id("ev", self.ids("events")), a, b, location))
 
     # -- derived quantities --------------------------------------------
 

@@ -14,7 +14,9 @@ written for its fields, and a command builds about 240 records.
 
 Only what orbkit uses is supported: fields in annotation order, passed by
 position or keyword; defaults and ``field(default_factory=...)``;
-``__post_init__``; ``frozen=True``; and ``eq=False``.  The methods behave
+``__post_init__``; ``frozen=True``; and ``eq=False``.  A frozen record's
+``__post_init__`` sets a field with ``object.__setattr__``, as a frozen
+dataclass's does.  The methods behave
 as the dataclass ones do.  The repr is ``Name(a=1, b=2)``.  Two records
 are equal only if they are of the same class and their field tuples are
 equal.  A frozen record hashes its field tuple, and a mutable record
@@ -53,10 +55,12 @@ def record(cls=None, /, *, frozen=False, eq=True):
 
 
 def replace(obj, /, **changes):
-    """A new record like obj with some fields changed; runs __init__."""
-    values = {name: getattr(obj, name) for name in obj.__record_fields__}
-    values.update(changes)
-    return obj.__class__(**values)
+    """A new record like obj with some fields changed; runs __init__.
+    Each field is passed by position, which takes __init__'s fast path;
+    a name that is not a field is left a keyword, which __init__ refuses."""
+    return obj.__class__(*[changes.pop(name) if name in changes
+                           else getattr(obj, name)
+                           for name in obj.__record_fields__], **changes)
 
 
 def _build(cls, frozen, eq):

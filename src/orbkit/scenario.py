@@ -64,7 +64,7 @@ from .model import (
     SingularPointData,
     SurfaceData,
 )
-from .record import record
+from .record import record, replace
 
 BUILTINS = ("block_Y", "block_W", "glued_Z")
 SPIN_TARGETS = ("spin", "nonspin", "any")
@@ -105,11 +105,11 @@ class Scenario:
         use: the builtin's builder, or the script's moves run on the
         declared config.  parse_scenario fills it from the run that
         checks each line, so a parsed file runs its moves once.  Every
-        reader gets the same two objects, so readers do not change
-        them."""
+        reader gets the same two objects: the configuration is frozen,
+        and readers do not change the log."""
         log = surgery.SurgeryLog()
         if self.builtin is None:
-            cfg = self.config  # each move copies the config it is given
+            cfg = self.config  # a move returns a new config
             for op in self.script:
                 cfg = SCRIPT_OPS[op.op].apply(cfg, op.args, log)
             return cfg, log
@@ -250,7 +250,7 @@ def _read(kv, key, parse, default=None):
 
 
 # sections whose header names the id of what they add to [config] ->
-# the config's list of those records
+# the config's field of those records
 _ID_SECTIONS = {"surface": "surfaces", "point": "points", "event": "events"}
 
 
@@ -341,12 +341,12 @@ def parse_scenario(text: str) -> Scenario:
         elif kind == "surface":
             kv = _kv(body, h_ln,
                      {"genus", "multiplicity", "j", "self"}, ("genus",))
-            config.surfaces.append(SurfaceData(
+            config = replace(config, surfaces=(*config.surfaces, SurfaceData(
                 sid, genus=_read(kv, "genus", _parse_int),
                 multiplicity=_read(kv, "multiplicity", _parse_factored, 1),
                 local_j=_read(kv, "j", _parse_factored, 0),
                 self_intersection=_read(kv, "self", _parse_fraction,
-                                        Fraction(0))))
+                                        Fraction(0)))))
         elif kind == "point":
             kv = _kv(body, h_ln, {"order", "exponents", "incident"},
                      ("order", "exponents"))
@@ -366,8 +366,9 @@ def parse_scenario(text: str) -> Scenario:
             if order < 1:
                 raise ParseError(kv["order"][0],
                                  f"order must be >= 1, got {order}")
-            config.points.append(SingularPointData(sid, order, tuple(
-                _parse_int(x, ln_exps) for x in exps.split()), incident))
+            config = replace(config, points=(*config.points, SingularPointData(
+                sid, order, tuple(_parse_int(x, ln_exps)
+                                  for x in exps.split()), incident)))
         elif kind == "event":
             kv = _kv(body, h_ln, {"between", "at"}, ("between",))
             pair = kv["between"][1].split()
@@ -379,8 +380,8 @@ def parse_scenario(text: str) -> Scenario:
             if location is not None and location not in config.ids("points"):
                 raise ParseError(kv["at"][0],
                                  f"undefined point {location!r}")
-            config.events.append(
-                IntersectionEvent(sid, pair[0], pair[1], location))
+            config = replace(config, events=(*config.events, IntersectionEvent(
+                sid, pair[0], pair[1], location)))
         elif kind == "script":
             if config is None:
                 raise ParseError(h_ln, "[script] requires [config]")

@@ -8,22 +8,23 @@ exact Euler / Betti / intersection bookkeeping.  Builders at the bottom
 assemble the two standard blocks and their fiber sum.
 
 The move protocol: a move takes its config positionally, then its own
-arguments, then an optional `log=` keyword, and never changes its input.
-Every move is written under @_move as an edit of a copy of the config,
-which returns nothing; the decorator returns the copy and records the
-call in the log under the move's own name: the move's parameters after
-the config, by name, as the caller gave them, with the signature's
-default where the caller gave none.  The log holds a deep copy of them,
-taken before the edit runs, so a caller that changes a list, dict or
-config after the call changes no logged step.  The fiber sum edits
-copies too: it copies its second config once and moves the surviving
-records of that copy into its own, so only the joined surfaces are new
-records.  Every edit of a config is written in a move here; model.py
-keeps the records, lookups, id rules and checks.  replay() calls the
-module's move of each logged name with the logged keywords, the lookup
-scenario.OpRule.apply makes, so replaying a log from the same starting
-config reproduces the final config exactly: an id the caller left out
-is drawn again.
+arguments, then an optional `log=` keyword, and never changes its input:
+configurations and their surfaces, points and events are frozen records
+(model.py).  Every move is written under @_move as a function that
+builds the new config with record.replace, and the result shares every
+record the move leaves alone; the fiber sum shares the surviving
+records of both its configs.  The decorator makes each argument an
+immutable value before the move runs (a list a tuple, a dict the tuple
+of its (key, value) pairs), and records the call in the log under the
+move's own name: the move's parameters after the config, by name, as
+the caller gave them in that form, with the signature's default where
+the caller gave none.  So a caller that changes a list or dict after
+the call changes no logged step.  Every new config is built in a move
+here; model.py keeps the records, lookups, id rules and checks.
+replay() calls the module's move of each logged name with the logged
+keywords, the lookup scenario.OpRule.apply makes, so replaying a log
+from the same starting config reproduces the final config exactly: an
+id the caller left out is drawn again.
 
 Ids: the moves are the only statement of what a [script] line may
 name, add and drop; the scenario parser runs them.  A move checks its
@@ -32,14 +33,14 @@ ids before its geometry, in this order: each surface it names exists
 OrbifoldConfig.check_new_id (model.py's one id rule), and no surface is
 named twice (blow_up, resolve_torus_pair).  gompf_fiber_sum passes each
 join id through check_new_id against the surviving surfaces and the
-earlier joins.  A move that adds a surface, point or event without a
-given id draws it with OrbifoldConfig.fresh_id from the ids the config
-holds, so a replay draws the same id.
+earlier joins as it builds that join, after its checks of the plan's
+matching and Euler number.  A move that adds a surface, point or event
+without a given id draws it with OrbifoldConfig.fresh_id from the ids
+the config holds, so a replay draws the same id.
 """
 
 from __future__ import annotations
 
-import copy
 from fractions import Fraction
 from itertools import combinations
 
@@ -51,7 +52,7 @@ from .model import (
     SurfaceData,
     UnsupportedGeometry,
 )
-from .record import field, record
+from .record import field, record, replace
 
 
 class NotSmoothPoint(ValueError):
@@ -133,11 +134,22 @@ SPHERE_PREFIX = "E"
 DOUBLE_POINT_PREFIX = "dp"
 
 
+def _immutable(value):
+    """value with each list or tuple made a tuple, and each dict the
+    tuple of its (key, value) pairs, all the way down."""
+    if not isinstance(value, (list, tuple, dict)):
+        return value
+    items = value.items() if isinstance(value, dict) else value
+    return tuple(map(_immutable, items))
+
+
 def _move(edit):
-    """The public move made from edit(cfg, ...), which changes cfg, a
-    copy of the caller's config, and returns nothing.  The parameters
-    after cfg and their defaults are read off edit's code object, as
-    importing inspect would cost every command start-up time."""
+    """The public move made from edit(cfg, ...), which returns the new
+    configuration.  Each argument reaches edit, and the log, as an
+    immutable value (_immutable), so a mapping arrives as its pairs.
+    The parameters after cfg and their defaults are read off edit's code
+    object, as importing inspect would cost every command start-up
+    time."""
     name = edit.__name__
     code = edit.__code__
     params = code.co_varnames[1:code.co_argcount]
@@ -145,12 +157,11 @@ def _move(edit):
 
     def move(cfg: OrbifoldConfig, *args, log: SurgeryLog | None = None,
              **kwargs) -> OrbifoldConfig:
-        if log is not None:  # what the caller gave, before anything runs
-            given = copy.deepcopy({**defaults, **dict(zip(params, args)),
-                                   **kwargs})
-        out = cfg.copy()
-        edit(out, *args, **kwargs)
+        args = tuple(map(_immutable, args))
+        kwargs = {key: _immutable(value) for key, value in kwargs.items()}
+        out = edit(cfg, *args, **kwargs)
         if log is not None:
+            given = {**defaults, **dict(zip(params, args)), **kwargs}
             log.record(name, {p: given[p] for p in params}, cfg, out)
         return out
 
@@ -167,23 +178,38 @@ def replay(initial: OrbifoldConfig, log: SurgeryLog) -> OrbifoldConfig:
     return cfg
 
 
-def _invalidate_basis(cfg: OrbifoldConfig) -> None:
-    # every move changes H_2, so declared coordinates go stale
-    cfg.basis = None
-    cfg.integral_pairing = None
-    for s in cfg.surfaces:
-        s.qclass = None
+def _edit(rec, **changes):
+    """rec with these fields changed, or rec itself if they change
+    nothing."""
+    same = all(getattr(rec, key) == value for key, value in changes.items())
+    return rec if same else replace(rec, **changes)
+
+
+def _invalidate_basis(cfg: OrbifoldConfig, **changes) -> OrbifoldConfig:
+    """cfg with changes and no declared H_2 coordinates: every move that
+    calls it changes H_2, so they go stale."""
+    surfaces = changes.pop("surfaces", cfg.surfaces)
+    return replace(cfg, **changes, basis=None, integral_pairing=None,
+                   surfaces=tuple(_edit(s, qclass=None) for s in surfaces))
+
+
+def _with_events(events, pairs, location=None):
+    """events and one more event per (a, b) of pairs, each with the id
+    OrbifoldConfig.fresh_id draws from the ids before it."""
+    for a, b in pairs:
+        eid = OrbifoldConfig.fresh_id("ev", [e.id for e in events])
+        events = (*events, IntersectionEvent(eid, a, b, location))
+    return events
 
 
 @_move
-def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None) -> None:
+def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None):
     """Blow up a smooth point met pairwise-transversely by `through`.
 
     Adds the exceptional (-1)-sphere, drops each listed surface's
     self-intersection by 1, separates their pairwise intersections at
     the point, and meets each of them once.
     """
-    through = list(through)
     for sid in through:
         cfg.surface(sid)
     if exceptional_id is not None:
@@ -191,25 +217,24 @@ def blow_up(cfg: OrbifoldConfig, through=(), exceptional_id=None) -> None:
     for k, sid in enumerate(through):
         if sid in through[:k]:
             raise ValueError(f"blow_up names surface {sid!r} twice")
+    events = cfg.events
     for a, b in combinations(through, 2):
         smooth = [e for e in cfg.events_between(a, b) if e.location is None]
         if not smooth:
             raise NotSmoothPoint(
                 f"{a} and {b} have no smooth intersection point to blow up")
-        cfg.events.remove(smooth[0])
+        events = tuple(e for e in events if e is not smooth[0])
     eid = exceptional_id or cfg.fresh_id(SPHERE_PREFIX, cfg.ids("surfaces"))
-    for sid in through:
-        cfg.surface(sid).self_intersection -= 1
-    cfg.surfaces.append(SurfaceData(eid, genus=0, multiplicity=1, local_j=0,
-                                    self_intersection=Fraction(-1)))
-    for sid in through:
-        cfg.add_event(sid, eid)
-    cfg.b2 += 1
-    _invalidate_basis(cfg)
+    surfaces = (*(replace(s, self_intersection=s.self_intersection - 1)
+                  if s.id in through else s for s in cfg.surfaces),
+                SurfaceData(eid, genus=0, self_intersection=Fraction(-1)))
+    return _invalidate_basis(
+        cfg, surfaces=surfaces, b2=cfg.b2 + 1,
+        events=_with_events(events, ((sid, eid) for sid in through)))
 
 
 @_move
-def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> None:
+def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None):
     """Collapse a (-2)-sphere to an ordinary double point of order 2.
 
     Surfaces that met the sphere become incident to the new point; each
@@ -239,22 +264,20 @@ def blow_down_minus2(cfg: OrbifoldConfig, sphere: str, point_id=None) -> None:
         raise UnsupportedGeometry(
             f"{sphere} meets {len(neighbors)} surfaces; the double point "
             "would lie on more than two of them")
-    cfg.surfaces.remove(s)
-    cfg.events = [e for e in cfg.events if sphere not in (e.a, e.b)]
     pid = point_id or cfg.fresh_id(DOUBLE_POINT_PREFIX, cfg.ids("points"))
-    cfg.points.append(SingularPointData(pid, order=2, exponents=(1, 1),
-                                        incident=tuple(neighbors)))
-    for sid in neighbors:
-        cfg.surface(sid).self_intersection += Fraction(1, 2)
-    for a, b in combinations(neighbors, 2):
-        cfg.add_event(a, b, location=pid)
-    cfg.b2 -= 1
-    _invalidate_basis(cfg)
+    surfaces = tuple(replace(t, self_intersection=t.self_intersection
+                             + Fraction(1, 2)) if t.id in neighbors else t
+                     for t in cfg.surfaces if t is not s)
+    events = tuple(e for e in cfg.events if sphere not in (e.a, e.b))
+    return _invalidate_basis(
+        cfg, surfaces=surfaces, b2=cfg.b2 - 1,
+        points=(*cfg.points, SingularPointData(
+            pid, order=2, exponents=(1, 1), incident=tuple(neighbors))),
+        events=_with_events(events, combinations(neighbors, 2), pid))
 
 
 @_move
-def resolve_torus_pair(cfg: OrbifoldConfig, t1: str, t2: str,
-                       new_id: str) -> None:
+def resolve_torus_pair(cfg: OrbifoldConfig, t1: str, t2: str, new_id: str):
     """Resolve a transverse torus pair into a disjoint genus-2 surface.
 
     Smooths the crossing into a genus-2 surface of square t1^2+t2^2+2,
@@ -274,18 +297,17 @@ def resolve_torus_pair(cfg: OrbifoldConfig, t1: str, t2: str,
     if len(cfg.events_between(t1, t2)) != 1 or len(mutual) != 1:
         raise NotSingleIntersection(
             f"{t1} and {t2} must meet in exactly one smooth point")
-    cfg.events.remove(mutual[0])
     square = tori[0].self_intersection + tori[1].self_intersection + 1
-    for t in tori:
-        t.self_intersection -= 1
-    cfg.surfaces.append(SurfaceData(new_id, genus=2, multiplicity=1,
-                                    local_j=0, self_intersection=square))
-    cfg.b2 += 1
-    _invalidate_basis(cfg)
+    surfaces = (*(replace(s, self_intersection=s.self_intersection - 1)
+                  if s.id in (t1, t2) else s for s in cfg.surfaces),
+                SurfaceData(new_id, genus=2, self_intersection=square))
+    return _invalidate_basis(
+        cfg, surfaces=surfaces, b2=cfg.b2 + 1,
+        events=tuple(e for e in cfg.events if e is not mutual[0]))
 
 
 @_move
-def discard(cfg: OrbifoldConfig, surface: str) -> None:
+def discard(cfg: OrbifoldConfig, surface: str):
     """Stop tracking a surface (topology and Betti numbers unchanged).
 
     Refused while the declared basis names the surface, or while an
@@ -298,57 +320,68 @@ def discard(cfg: OrbifoldConfig, surface: str) -> None:
     if cfg.integral_pairing is not None:
         raise ValueError(f"surface {surface!r} has a column of the "
                          "declared integral pairing")
-    cfg.surfaces.remove(surf)
-    cfg.events = [e for e in cfg.events if surface not in (e.a, e.b)]
-    for p in cfg.points:
-        p.incident = tuple(s for s in p.incident if s != surface)
+    return replace(
+        cfg, surfaces=tuple(s for s in cfg.surfaces if s is not surf),
+        events=tuple(e for e in cfg.events if surface not in (e.a, e.b)),
+        points=tuple(_edit(p, incident=tuple(s for s in p.incident
+                                             if s != surface))
+                     for p in cfg.points))
 
 
 @_move
-def rename(cfg: OrbifoldConfig, old: str, new: str) -> None:
+def rename(cfg: OrbifoldConfig, old: str, new: str):
     """Relabel a surface; the new id passes check_new_id."""
     surf = cfg.surface(old)
     cfg.check_new_id("surfaces", new)
-    surf.id = new
-    for p in cfg.points:
-        p.incident = tuple(new if s == old else s for s in p.incident)
-    for e in cfg.events:
-        e.a, e.b = (new if s == old else s for s in (e.a, e.b))
-    if cfg.basis is not None:
-        cfg.basis = tuple(new if s == old else s for s in cfg.basis)
+
+    def moved(sid):
+        return new if sid == old else sid
+
+    return replace(
+        cfg, surfaces=tuple(replace(s, id=new) if s is surf else s
+                            for s in cfg.surfaces),
+        points=tuple(_edit(p, incident=tuple(map(moved, p.incident)))
+                     for p in cfg.points),
+        events=tuple(_edit(e, a=moved(e.a), b=moved(e.b))
+                     for e in cfg.events),
+        basis=cfg.basis and tuple(map(moved, cfg.basis)))
 
 
 @_move
-def assign_isotropy(cfg: OrbifoldConfig, assignment: dict) -> None:
+def assign_isotropy(cfg: OrbifoldConfig, assignment: dict):
     """Declare multiplicities and local invariants: id -> (m, j)."""
-    for sid, (m, j) in assignment.items():
-        s = cfg.surface(sid)
-        s.multiplicity = m
-        s.local_j = j % m if m > 1 else 0
+    declared = {}
+    for sid, (m, j) in assignment:  # the dict's pairs, as _move passes it
+        cfg.surface(sid)
+        declared[sid] = m, j if m > 1 else 0  # SurfaceData takes j mod m
+    return replace(cfg, surfaces=tuple(
+        replace(s, multiplicity=declared[s.id][0], local_j=declared[s.id][1])
+        if s.id in declared else s for s in cfg.surfaces))
 
 
 @_move
 def declare_lattice(cfg: OrbifoldConfig, basis, qclasses: dict,
-                    integral_pairing: IntMatrix | None = None) -> None:
+                    integral_pairing: IntMatrix | None = None):
     """Declare an H_2 basis, surface coordinates and the integral pairing.
 
     Reorders the surface list to follow the basis when the basis lists
     every surface.
     """
-    cfg.basis = tuple(basis)
-    for sid in cfg.basis:
+    declared = dict(qclasses)  # from its pairs, as _move passes it
+    for sid in (*basis, *declared):
         cfg.surface(sid)
-    for sid, q in qclasses.items():
-        cfg.surface(sid).qclass = tuple(Fraction(x) for x in q)
-    if set(cfg.basis) == {s.id for s in cfg.surfaces}:
-        order = {sid: k for k, sid in enumerate(cfg.basis)}
-        cfg.surfaces.sort(key=lambda s: order[s.id])
-    cfg.integral_pairing = integral_pairing
+    surfaces = [replace(s, qclass=declared[s.id]) if s.id in declared else s
+                for s in cfg.surfaces]
+    if set(basis) == {s.id for s in surfaces}:
+        order = {sid: k for k, sid in enumerate(basis)}
+        surfaces.sort(key=lambda s: order[s.id])
+    return replace(cfg, surfaces=tuple(surfaces), basis=basis,
+                   integral_pairing=integral_pairing)
 
 
 @_move
 def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
-                    plan: GluingPlan) -> None:
+                    plan: GluingPlan):
     """Fiber connected sum of two configs along matched surfaces.
 
     Both fiber surfaces are consumed; matched intersection points are
@@ -358,9 +391,8 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
     The plan's b1 and b2 must give the sum's Euler characteristic,
     chi(X) + chi(Y) - 2 chi(F); the result takes them.
     """
-    b = cfg_b.copy()  # its records move into cfg_a, the move's copy
     fa = cfg_a.surface(plan.fiber_a)
-    fb = b.surface(plan.fiber_b)
+    fb = cfg_b.surface(plan.fiber_b)
     if fa.genus != fb.genus:
         raise GenusMismatch(f"fiber genera {fa.genus} != {fb.genus}")
     if fa.self_intersection + fb.self_intersection != 0:
@@ -368,12 +400,12 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
             f"{fa.self_intersection} + {fb.self_intersection} != 0")
 
     for kind in ("surfaces", "events", "points"):
-        clash = set(cfg_a.ids(kind)) & set(b.ids(kind))
+        clash = set(cfg_a.ids(kind)) & set(cfg_b.ids(kind))
         if clash:
             raise ValueError(f"{kind[:-1]} id collision: {sorted(clash)}")
 
     on_a = {e.id: e for e in cfg_a.events_on(plan.fiber_a)}
-    on_b = {e.id: e for e in b.events_on(plan.fiber_b)}
+    on_b = {e.id: e for e in cfg_b.events_on(plan.fiber_b)}
     matched_a = [m[0] for m in plan.point_matching]
     matched_b = [m[1] for m in plan.point_matching]
     if sorted(matched_a) != sorted(on_a) or sorted(matched_b) != sorted(on_b):
@@ -387,12 +419,12 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
             raise UnmatchedSingularPoint(
                 f"{ea_id} ({la}) matched with {eb_id} ({lb})")
         if la is not None:
-            da, db = cfg_a.point(la).order, b.point(lb).order
+            da, db = cfg_a.point(la).order, cfg_b.point(lb).order
             if da != db:
                 raise UnmatchedSingularPoint(
                     f"orders {da} != {db} at {la} / {lb}")
             consumed_points.update((la, lb))
-    sides = ((cfg_a, plan.fiber_a), (b, plan.fiber_b))
+    sides = ((cfg_a, plan.fiber_a), (cfg_b, plan.fiber_b))
     for cfg, fiber in sides:
         for pt in cfg.points_on(fiber):
             if pt.id not in consumed_points:
@@ -405,22 +437,12 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
             if sid in piece_of:
                 raise PlanInconsistent(f"{sid} appears in two joins")
             piece_of[sid] = out_id
-    by_id = {s.id: s for s in cfg_a.surfaces + b.surfaces}
+    by_id = {s.id: s for s in cfg_a.surfaces + cfg_b.surfaces}
     for sid in piece_of:
         if sid not in by_id:
             raise PlanInconsistent(f"join references unknown surface {sid!r}")
     if plan.fiber_a in piece_of or plan.fiber_b in piece_of:
         raise PlanInconsistent("a fiber surface cannot be a join piece")
-    # the surviving surfaces of both sides, then the joins, whose genus
-    # and square are set below
-    cfg_a.surfaces = [s for s in cfg_a.surfaces + b.surfaces
-                      if s.id not in (plan.fiber_a, plan.fiber_b)
-                      and s.id not in piece_of]
-    joins = []
-    for out_id, _ in plan.surface_joins:
-        cfg_a.check_new_id("surfaces", out_id)
-        joins.append(SurfaceData(out_id, genus=0))
-        cfg_a.surfaces.append(joins[-1])
 
     matched_in_join = {out_id: 0 for out_id, _ in plan.surface_joins}
     for ea_id, eb_id in plan.point_matching:
@@ -434,13 +456,19 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
                 "which do not share an output surface")
         matched_in_join[ja] += 1
 
-    euler = cfg_a.euler + b.euler - 2 * (2 - 2 * fa.genus)
+    euler = cfg_a.euler + cfg_b.euler - 2 * (2 - 2 * fa.genus)
     if euler != 2 - 2 * plan.b1 + plan.b2:
         raise PlanInconsistent(
             f"declared b1={plan.b1}, b2={plan.b2} disagree with "
             f"euler characteristic {euler}")
 
-    for (out_id, pieces), join in zip(plan.surface_joins, joins):
+    # the surviving surfaces of both sides, then the joins, each with an
+    # id new among them and the earlier joins
+    out = replace(cfg_a, b1=plan.b1, b2=plan.b2, surfaces=tuple(
+        s for s in cfg_a.surfaces + cfg_b.surfaces
+        if s.id not in (plan.fiber_a, plan.fiber_b) and s.id not in piece_of))
+    for out_id, pieces in plan.surface_joins:
+        out.check_new_id("surfaces", out_id)
         chi = -2 * matched_in_join[out_id]
         square = Fraction(0)
         for sid in pieces:
@@ -453,7 +481,8 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
         if chi % 2 != 0 or chi > 2:
             raise PlanInconsistent(
                 f"join {out_id} has non-surface euler characteristic {chi}")
-        join.genus, join.self_intersection = (2 - chi) // 2, square
+        out = replace(out, surfaces=(*out.surfaces, SurfaceData(
+            out_id, genus=(2 - chi) // 2, self_intersection=square)))
 
     # surviving events and points keep their records, with their ends and
     # incident surfaces moved from the join pieces to the joins
@@ -466,19 +495,15 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
             if e.location in consumed_points:
                 raise UnsupportedGeometry(
                     f"event {e.id} sits at consumed point {e.location}")
-            e.a, e.b = piece_of.get(e.a, e.a), piece_of.get(e.b, e.b)
+            e = _edit(e, a=piece_of.get(e.a, e.a), b=piece_of.get(e.b, e.b))
             if e.a == e.b:
                 raise UnsupportedGeometry(
                     f"event {e.id} would join {e.a} to itself")
             events.append(e)
-        for p in cfg.points:
-            if p.id not in consumed_points:
-                p.incident = tuple(piece_of.get(s, s) for s in p.incident
-                                   if s != fiber)
-                points.append(p)
-    cfg_a.events, cfg_a.points = events, points
-    cfg_a.b1, cfg_a.b2 = plan.b1, plan.b2
-    _invalidate_basis(cfg_a)
+        points += [_edit(p, incident=tuple(piece_of.get(s, s)
+                                           for s in p.incident if s != fiber))
+                   for p in cfg.points if p.id not in consumed_points]
+    return _invalidate_basis(out, events=tuple(events), points=tuple(points))
 
 
 # -- builders -----------------------------------------------------------
@@ -493,37 +518,27 @@ def build_block_Y() -> OrbifoldConfig:
     and four tori U1..U4 meeting in the pairs (U1,U2), (U3,U4).
     Rational classes: [S2] = [S1], [fiber] = 2[S1].
     """
-    cfg = OrbifoldConfig(b1=2, b2=6)
-
     def unit(i):
         return tuple(Fraction(1 if k == i else 0) for k in range(6))
 
     fiber_ids = ["T1a", "T1b", "T2a"] + [f"T{i}" for i in range(3, 11)]
-    cfg.surfaces.append(SurfaceData("T1", 1, qclass=unit(0)))
-    cfg.surfaces.append(SurfaceData("S1", 0, qclass=unit(1)))
-    cfg.surfaces.append(SurfaceData("S2", 0, qclass=unit(1)))
     twice_s1 = tuple(2 * x for x in unit(1))
-    for fid in fiber_ids:
-        cfg.surfaces.append(SurfaceData(fid, 1, qclass=twice_s1))
-    for k in range(1, 5):
-        cfg.surfaces.append(SurfaceData(f"U{k}", 1, qclass=unit(1 + k)))
-
-    for j in range(1, 5):
-        cfg.points.append(SingularPointData(
-            f"p1q{j}", 2, (1, 1), ("S1", "T1") if j == 1 else ("S1",)))
-    for j in range(1, 5):
-        cfg.points.append(SingularPointData(
-            f"p2q{j}", 2, (1, 1), ("S2", "T1") if j == 1 else ("S2",)))
-
-    for fid in fiber_ids:
-        cfg.events.append(IntersectionEvent(f"f_{fid}", fid, "T1"))
-    cfg.events.append(IntersectionEvent("yp1", "S1", "T1", "p1q1"))
-    cfg.events.append(IntersectionEvent("yp2", "S2", "T1", "p2q1"))
-    cfg.events.append(IntersectionEvent("u12", "U1", "U2"))
-    cfg.events.append(IntersectionEvent("u34", "U3", "U4"))
-
-    cfg.basis = ("T1", "S1", "U1", "U2", "U3", "U4")
-    return cfg
+    surfaces = (SurfaceData("T1", 1, qclass=unit(0)),
+                SurfaceData("S1", 0, qclass=unit(1)),
+                SurfaceData("S2", 0, qclass=unit(1)),
+                *(SurfaceData(fid, 1, qclass=twice_s1) for fid in fiber_ids),
+                *(SurfaceData(f"U{k}", 1, qclass=unit(1 + k))
+                  for k in range(1, 5)))
+    points = tuple(SingularPointData(f"p{i}q{j}", 2, (1, 1), (
+        (f"S{i}", "T1") if j == 1 else (f"S{i}",)))
+        for i in (1, 2) for j in range(1, 5))
+    events = (*(IntersectionEvent(f"f_{fid}", fid, "T1") for fid in fiber_ids),
+              IntersectionEvent("yp1", "S1", "T1", "p1q1"),
+              IntersectionEvent("yp2", "S2", "T1", "p2q1"),
+              IntersectionEvent("u12", "U1", "U2"),
+              IntersectionEvent("u34", "U3", "U4"))
+    return OrbifoldConfig(surfaces, points, events, b1=2, b2=6,
+                          basis=("T1", "S1", "U1", "U2", "U3", "U4"))
 
 
 def build_block_W(log: SurgeryLog | None = None) -> OrbifoldConfig:
@@ -535,14 +550,15 @@ def build_block_W(log: SurgeryLog | None = None) -> OrbifoldConfig:
     C to kill its square.  The log's first 0, 1, 2, 4, 5, 7 and 15 steps
     lead from P^2 to the stages P2, X1, X2, X3, X4, Wp and W.
     """
-    cfg = OrbifoldConfig(b1=0, b2=1)
-    cfg.surfaces.append(SurfaceData("C", 1, self_intersection=Fraction(9)))
-    cfg.surfaces.append(SurfaceData("L", 0, self_intersection=Fraction(1)))
-    cfg.surfaces.append(SurfaceData("Lp", 0, self_intersection=Fraction(1)))
-    for k in range(3):
-        cfg.events.append(IntersectionEvent(f"cl_{k}", "C", "L"))
-        cfg.events.append(IntersectionEvent(f"clp_{k}", "C", "Lp"))
-    cfg.events.append(IntersectionEvent("llp_0", "L", "Lp"))
+    cfg = OrbifoldConfig(
+        (SurfaceData("C", 1, self_intersection=Fraction(9)),
+         SurfaceData("L", 0, self_intersection=Fraction(1)),
+         SurfaceData("Lp", 0, self_intersection=Fraction(1))),
+        events=(*(IntersectionEvent(f"{name}_{k}", "C", other)
+                  for k in range(3)
+                  for name, other in (("cl", "L"), ("clp", "Lp"))),
+                IntersectionEvent("llp_0", "L", "Lp")),
+        b1=0, b2=1)
 
     # the triple point: one C.L, one C.L', one L.L' crossing consumed
     cfg = blow_up(cfg, ["C", "L", "Lp"], exceptional_id="E", log=log)

@@ -74,7 +74,7 @@ def test_acceptance_2_glued_configuration():
     ok &= Counter(s.genus for s in z.surfaces) == {1: 13, 2: 3}
     squares = [z.surface(f"V{i}").self_intersection for i in range(1, 17)]
     ok &= squares == [Fraction(1, 2), Fraction(-1, 2)] + [-1] * 12 + [1, 1]
-    ok &= z.events == []  # the sixteen surfaces are pairwise disjoint
+    ok &= z.events == ()  # the sixteen surfaces are pairwise disjoint
     ok &= validate_config(z) == []
     _verdict(2, "glued 16-surface configuration", ok)
 
@@ -107,9 +107,9 @@ def test_acceptance_4_local_invariants():
         j = rng.randrange(1, n)
         if gcd(e1, d) != 1 or gcd(e2, d) != 1 or gcd(j, n) != 1:
             continue
-        cfg = OrbifoldConfig(b1=0, b2=1)
-        cfg.surfaces.append(SurfaceData("D", 1, multiplicity=n, local_j=j))
-        cfg.points.append(SingularPointData("x", d, (e1, e2), ("D",)))
+        cfg = OrbifoldConfig(
+            (SurfaceData("D", 1, multiplicity=n, local_j=j),),
+            (SingularPointData("x", d, (e1, e2), ("D",)),), b1=0, b2=1)
         pli = assign_local_invariants(cfg)["x"]
         ok &= pli.violations() == []
         ok &= check_compatibility(pli, cfg.surface("D"))
@@ -160,12 +160,12 @@ def test_acceptance_5_homology_of_bundle():
         if prod > 10**4:
             continue
         b2 = rng.randrange(1, 4)
-        cfg = OrbifoldConfig(b1=0, b2=b2)
-        for k, m in enumerate(mults):
-            cfg.surfaces.append(SurfaceData(f"D{k}", 1, multiplicity=m,
-                                            local_j=1))
-        cfg.integral_pairing = IntMatrix.from_rows(
-            [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(b2)])
+        cfg = OrbifoldConfig(
+            tuple(SurfaceData(f"D{k}", 1, multiplicity=m, local_j=1)
+                  for k, m in enumerate(mults)),
+            b1=0, b2=b2, integral_pairing=IntMatrix.from_rows(
+                [[rng.randrange(-4, 5) for _ in range(n)]
+                 for _ in range(b2)]))
         ok &= (Lattice.of(cfg).surjective
                == _brute_force_surjective(cfg))
         cases += 1

@@ -162,22 +162,22 @@ def _random_config(rng, mixed):
     every multiplicity is odd."""
     n, k = rng.randint(1, 4), rng.randint(2, 4)
     firsts = [rng.choice(EVEN), rng.choice(ODD)] if mixed else []
-    cfg = OrbifoldConfig(b1=0, b2=n)
+    surfaces, points = [], []
     for i in range(k):
         if i < len(firsts):
             mult = firsts[i]
         else:
             mult = rng.choice((1,) + (EVEN + ODD if mixed else ODD))
         units = [j for j in range(1, mult) if gcd(j, mult) == 1]
-        cfg.surfaces.append(SurfaceData(
+        surfaces.append(SurfaceData(
             f"S{i}", 0, mult, rng.choice(units) if units else 0,
             Fraction(rng.randint(-4, 4)), (Fraction(0),) * n))
         if rng.random() < 0.35:
-            cfg.points.append(SingularPointData(f"x{i}", 2, (1, 1),
-                                                (f"S{i}",)))
-    cfg.integral_pairing = IntMatrix.from_rows(
-        [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)])
-    return cfg
+            points.append(SingularPointData(f"x{i}", 2, (1, 1), (f"S{i}",)))
+    return OrbifoldConfig(
+        tuple(surfaces), tuple(points), b1=0, b2=n,
+        integral_pairing=IntMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]))
 
 
 # -- the tests ----------------------------------------------------------

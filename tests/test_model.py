@@ -25,10 +25,9 @@ from orbkit.surgery import build_Z
 
 
 def _single_point_config(n, j, d, e1, e2):
-    cfg = OrbifoldConfig(b1=0, b2=1)
-    cfg.surfaces.append(SurfaceData("D", genus=1, multiplicity=n, local_j=j))
-    cfg.points.append(SingularPointData("x", d, (e1, e2), ("D",)))
-    return cfg
+    return OrbifoldConfig(
+        (SurfaceData("D", genus=1, multiplicity=n, local_j=j),),
+        (SingularPointData("x", d, (e1, e2), ("D",)),), b1=0, b2=1)
 
 
 def test_fresh_id_is_the_first_free_number():
@@ -43,61 +42,58 @@ class TestValidate:
 
     @pytest.mark.parametrize("kind", ["surfaces", "points", "events"])
     def test_repeated_id(self, kind):
-        cfg = OrbifoldConfig(b2=2)
-        cfg.surfaces += [SurfaceData("A", 0), SurfaceData("B", 0)]
-        cfg.points.append(SingularPointData("x", 2, (1, 1), ("A", "B")))
-        cfg.events += [IntersectionEvent("e", "A", "B"),
-                       IntersectionEvent("f", "A", "B", "x")]
+        cfg = OrbifoldConfig(
+            (SurfaceData("A", 0), SurfaceData("B", 0)),
+            (SingularPointData("x", 2, (1, 1), ("A", "B")),),
+            (IntersectionEvent("e", "A", "B"),
+             IntersectionEvent("f", "A", "B", "x")), b2=2)
         assert validate_config(cfg) == []
         records = getattr(cfg, kind)
-        records += [replace(records[0], id="y"), replace(records[0], id="y")]
+        cfg = replace(cfg, **{kind: records + (replace(records[0], id="y"),
+                                               replace(records[0], id="y"))})
         assert [(v.kind, v.locus) for v in validate_config(cfg)] \
             == [("DuplicateId", kind)]
 
     def test_intersecting_non_coprime(self):
-        cfg = OrbifoldConfig(b2=2)
-        cfg.surfaces.append(SurfaceData("A", 0, multiplicity=2, local_j=1))
-        cfg.surfaces.append(SurfaceData("B", 0, multiplicity=4, local_j=1))
-        cfg.events.append(IntersectionEvent("e", "A", "B"))
+        cfg = OrbifoldConfig(
+            (SurfaceData("A", 0, multiplicity=2, local_j=1),
+             SurfaceData("B", 0, multiplicity=4, local_j=1)),
+            events=(IntersectionEvent("e", "A", "B"),), b2=2)
         kinds = [v.kind for v in validate_config(cfg)]
         assert "CoprimalityViolation" in kinds
 
     def test_local_invariant_not_coprime(self):
-        cfg = OrbifoldConfig()
-        cfg.surfaces.append(SurfaceData("A", 0, multiplicity=6, local_j=3))
+        cfg = OrbifoldConfig(
+            (SurfaceData("A", 0, multiplicity=6, local_j=3),))
         kinds = [v.kind for v in validate_config(cfg)]
         assert kinds == ["LocalInvariantNotCoprime"]
 
     @pytest.mark.parametrize("b1, b2, bad", [(-1, 0, ["b1"]), (0, -4, ["b2"]),
                                              (-2, -3, ["b1", "b2"])])
     def test_negative_betti_numbers(self, b1, b2, bad):
-        cfg = OrbifoldConfig(b1=b1, b2=b2)
-        cfg.surfaces.append(SurfaceData("C", genus=1))
+        cfg = OrbifoldConfig((SurfaceData("C", genus=1),), b1=b1, b2=b2)
         violations = validate_config(cfg)
         assert [(v.kind, v.locus) for v in violations] \
             == [("NegativeBetti", name) for name in bad]
         assert validate_config(OrbifoldConfig(b1=0, b2=0)) == []
 
     def test_multiplicity_one_needs_zero_j(self):
-        cfg = OrbifoldConfig()
-        cfg.surfaces.append(SurfaceData("A", 0, multiplicity=1, local_j=2))
+        cfg = OrbifoldConfig(
+            (SurfaceData("A", 0, multiplicity=1, local_j=2),))
         assert [v.kind for v in validate_config(cfg)] \
             == ["LocalInvariantNotZero"]
 
     def test_event_at_point_requires_incidence(self):
-        cfg = OrbifoldConfig(b2=2)
-        cfg.surfaces.append(SurfaceData("A", 0))
-        cfg.surfaces.append(SurfaceData("B", 0))
-        cfg.points.append(SingularPointData("x", 2, (1, 1), ("A",)))
-        cfg.events.append(IntersectionEvent("e", "A", "B", "x"))
+        cfg = OrbifoldConfig(
+            (SurfaceData("A", 0), SurfaceData("B", 0)),
+            (SingularPointData("x", 2, (1, 1), ("A",)),),
+            (IntersectionEvent("e", "A", "B", "x"),), b2=2)
         assert "NotIncidentAtEvent" in [v.kind for v in validate_config(cfg)]
 
     def test_qclass_consistency(self):
-        cfg = OrbifoldConfig(b2=1)
-        cfg.surfaces.append(SurfaceData(
+        cfg = OrbifoldConfig((SurfaceData(
             "A", 0, self_intersection=Fraction(4),
-            qclass=(Fraction(2),)))
-        cfg.basis = ("A",)
+            qclass=(Fraction(2),)),), b2=1, basis=("A",))
         # A.A must equal q^T M q = 4 * A.A -> only consistent if wrong
         assert "SelfIntersectionMismatch" in \
             [v.kind for v in validate_config(cfg)]
@@ -112,13 +108,14 @@ class TestValidate:
                                                    degenerate):
         # A and B meet once, smoothly or at a point of order 2; a basis
         # whose pairing is singular does not span H2(X; Q)
-        cfg = OrbifoldConfig(b2=2)
-        cfg.surfaces += [SurfaceData(sid, 0, self_intersection=self_int)
-                         for sid in ("A", "B")]
-        cfg.points.append(SingularPointData("x", 2, (1, 1), ("A", "B")))
         # a smooth crossing has no location
-        cfg.add_event("A", "B", None if at == "smooth" else at)
-        cfg.basis = ("A", "B")
+        cfg = OrbifoldConfig(
+            tuple(SurfaceData(sid, 0, self_intersection=self_int)
+                  for sid in ("A", "B")),
+            (SingularPointData("x", 2, (1, 1), ("A", "B")),),
+            (IntersectionEvent("ev1", "A", "B",
+                               None if at == "smooth" else at),),
+            b2=2, basis=("A", "B"))
         assert [v.kind for v in validate_config(cfg)] \
             == ["DegeneratePairing"] * degenerate
         rep = run_pipeline(Scenario(config=cfg))
@@ -134,11 +131,11 @@ class TestValidate:
         for _ in range(300):
             n = rng.randrange(1, 7)
             basis = [f"B{i}" for i in range(n)]
-            cfg = OrbifoldConfig(b2=n)
             m = [[Fraction(0)] * n for _ in range(n)]
+            surfaces, points, events = [], [], []
             for i, sid in enumerate(basis):
                 m[i][i] = Fraction(rng.randrange(-6, 7), rng.choice((1, 2)))
-                cfg.surfaces.append(SurfaceData(
+                surfaces.append(SurfaceData(
                     sid, 0, self_intersection=m[i][i]))
             for i in range(n):
                 for j in range(i):
@@ -146,17 +143,17 @@ class TestValidate:
                         d = rng.choice((1, 2, 3, 5))
                         at = None
                         if d > 1:
-                            at = cfg.fresh_id("dp", cfg.ids("points"))
-                            cfg.points.append(SingularPointData(
+                            at = f"dp{len(points) + 1}"
+                            points.append(SingularPointData(
                                 at, d, (1, 1), (basis[i], basis[j])))
-                        cfg.add_event(basis[i], basis[j], at)
+                        events.append(IntersectionEvent(
+                            f"ev{len(events) + 1}", basis[i], basis[j], at))
                         m[i][j] += Fraction(1, d)
                         m[j][i] += Fraction(1, d)
-            cfg.basis = tuple(basis)
-            extra = [SurfaceData(f"Q{k}", 1) for k in range(rng.randrange(4))]
-            cfg.surfaces += extra
+            extra = {f"Q{k}" for k in range(rng.randrange(4))}
+            surfaces += [SurfaceData(sid, 1) for sid in sorted(extra)]
             want = {}
-            for s in cfg.surfaces:
+            for k, s in enumerate(surfaces):
                 shape = rng.choice(("dense", "sparse", "zero", None))
                 if shape is None:
                     continue
@@ -168,48 +165,48 @@ class TestValidate:
                     for i in rng.sample(range(n), rng.randrange(1, n + 1)):
                         q[i] = Fraction(rng.choice((-2, -1, 1, 2)))
                 shapes.add(shape)
-                s.qclass = tuple(q)
                 ref = sum(q[i] * m[i][j] * q[j]
                           for i in range(n) for j in range(n))
-                if s in extra:
-                    s.self_intersection = rng.choice(
-                        (ref, ref, ref + 1, ref - Fraction(1, 2)))
+                s = surfaces[k] = replace(s, qclass=tuple(q))
+                if s.id in extra:
+                    s = surfaces[k] = replace(s, self_intersection=rng.choice(
+                        (ref, ref, ref + 1, ref - Fraction(1, 2))))
                 if ref != s.self_intersection:
                     want[s.id] = (f"qclass gives {ref}, "
                                   f"stored {s.self_intersection}")
+            cfg = OrbifoldConfig(tuple(surfaces), tuple(points),
+                                 tuple(events), b2=n, basis=tuple(basis))
             got = {v.locus: v.message for v in validate_config(cfg)
                    if v.kind == "SelfIntersectionMismatch"}
             assert got == want
         assert shapes == {"dense", "sparse", "zero"}
 
     @pytest.mark.parametrize("kind, locus, edit", [
-        ("NegativeGenus", "A", lambda cfg: setattr(cfg.surface("A"),
-                                                   "genus", -1)),
-        ("BadMultiplicity", "A", lambda cfg: setattr(cfg.surface("A"),
-                                                     "multiplicity", 0)),
-        ("ExponentNotCoprime", "x", lambda cfg: cfg.points.append(
-            SingularPointData("x", 4, (2, 1), ("A",)))),
-        ("TooManyIncidentSurfaces", "x", lambda cfg: cfg.points.append(
-            SingularPointData("x", 2, (1, 1), ("A", "B", "C")))),
-        ("UnknownSurface", "x", lambda cfg: cfg.points.append(
-            SingularPointData("x", 2, (1, 1), ("nope",)))),
-        ("UnknownSurface", "e", lambda cfg: cfg.events.append(
-            IntersectionEvent("e", "A", "nope"))),
+        ("NegativeGenus", "A", lambda cfg: _edit_surface(cfg, "A", genus=-1)),
+        ("BadMultiplicity", "A",
+         lambda cfg: _edit_surface(cfg, "A", multiplicity=0)),
+        ("ExponentNotCoprime", "x", lambda cfg: _add(
+            cfg, points=SingularPointData("x", 4, (2, 1), ("A",)))),
+        ("TooManyIncidentSurfaces", "x", lambda cfg: _add(
+            cfg, points=SingularPointData("x", 2, (1, 1), ("A", "B", "C")))),
+        ("UnknownSurface", "x", lambda cfg: _add(
+            cfg, points=SingularPointData("x", 2, (1, 1), ("nope",)))),
+        ("UnknownSurface", "e", lambda cfg: _add(
+            cfg, events=IntersectionEvent("e", "A", "nope"))),
         ("UnknownSurface", "basis",
-         lambda cfg: setattr(cfg, "basis", ("nope",))),
-        ("CoprimalityViolation", "x", lambda cfg: cfg.points.append(
-            SingularPointData("x", 3, (1, 1), ("A", "D")))),
-        ("SelfTangency", "e", lambda cfg: cfg.events.append(
-            IntersectionEvent("e", "A", "A"))),
-        ("UnknownPoint", "e", lambda cfg: cfg.events.append(
-            IntersectionEvent("e", "A", "B", "nowhere"))),
+         lambda cfg: replace(cfg, basis=("nope",))),
+        ("CoprimalityViolation", "x", lambda cfg: _add(
+            cfg, points=SingularPointData("x", 3, (1, 1), ("A", "D")))),
+        ("SelfTangency", "e", lambda cfg: _add(
+            cfg, events=IntersectionEvent("e", "A", "A"))),
+        ("UnknownPoint", "e", lambda cfg: _add(
+            cfg, events=IntersectionEvent("e", "A", "B", "nowhere"))),
         ("BasisDimension", "basis",
-         lambda cfg: setattr(cfg, "basis", ("A", "B"))),
-        ("QClassDimension", "A", lambda cfg: (
-            setattr(cfg, "basis", ("A",)),
-            setattr(cfg.surface("A"), "qclass", (Fraction(1), 0)))),
-        ("IntegralPairingShape", "integral_pairing", lambda cfg: setattr(
-            cfg, "integral_pairing", IntMatrix.from_rows([[1, 0]] * 2))),
+         lambda cfg: replace(cfg, basis=("A", "B"))),
+        ("QClassDimension", "A", lambda cfg: _edit_surface(
+            replace(cfg, basis=("A",)), "A", qclass=(Fraction(1), 0))),
+        ("IntegralPairingShape", "integral_pairing", lambda cfg: replace(
+            cfg, integral_pairing=IntMatrix.from_rows([[1, 0]] * 2))),
     ], ids=["negative_genus", "bad_multiplicity", "exponent_not_coprime",
             "too_many_incident", "unknown_surface_at_point",
             "unknown_surface_at_event", "unknown_surface_in_basis",
@@ -219,13 +216,14 @@ class TestValidate:
     def test_each_violation_alone(self, kind, locus, edit):
         # A, B, C meet nothing and pair to 1; D has multiplicity 4, so a
         # point on D and on A (multiplicity 2) breaks coprimality
-        cfg = OrbifoldConfig(b1=0, b2=1)
-        cfg.surfaces += [SurfaceData(sid, 1, self_intersection=Fraction(1))
-                         for sid in ("A", "B", "C")]
-        cfg.surface("A").multiplicity, cfg.surface("A").local_j = 2, 1
-        cfg.surfaces.append(SurfaceData("D", 1, multiplicity=4, local_j=1))
+        cfg = OrbifoldConfig((
+            SurfaceData("A", 1, multiplicity=2, local_j=1,
+                        self_intersection=Fraction(1)),
+            *(SurfaceData(sid, 1, self_intersection=Fraction(1))
+              for sid in ("B", "C")),
+            SurfaceData("D", 1, multiplicity=4, local_j=1)), b1=0, b2=1)
         assert validate_config(cfg) == []
-        edit(cfg)
+        cfg = edit(cfg)
         assert [(v.kind, v.locus) for v in validate_config(cfg)] \
             == [(kind, locus)]
 
@@ -233,11 +231,24 @@ class TestValidate:
         cfg = build_Z(5)
         first = validate_config(cfg)
         assert validate_config(cfg) == first
-        shuffled = cfg.copy()
+        surfaces = list(cfg.surfaces)
         rng = random.Random(3)
-        rng.shuffle(shuffled.surfaces)
+        rng.shuffle(surfaces)
+        shuffled = replace(cfg, surfaces=tuple(surfaces))
         assert [v for v in validate_config(shuffled)
                 if v.kind != "BasisDimension"] == []
+
+
+def _add(cfg, **records):
+    """cfg with one more record of each kind named."""
+    return replace(cfg, **{kind: getattr(cfg, kind) + (rec,)
+                           for kind, rec in records.items()})
+
+
+def _edit_surface(cfg, sid, **changes):
+    """cfg with the fields of surface sid changed."""
+    return replace(cfg, surfaces=tuple(
+        replace(s, **changes) if s.id == sid else s for s in cfg.surfaces))
 
 
 class TestAssignLocalInvariants:
@@ -248,8 +259,7 @@ class TestAssignLocalInvariants:
         assert pli.violations() == []
 
     def test_passthrough_isolated_point(self):
-        cfg = OrbifoldConfig()
-        cfg.points.append(SingularPointData("x", 2, (1, 1)))
+        cfg = OrbifoldConfig(points=(SingularPointData("x", 2, (1, 1)),))
         pli = assign_local_invariants(cfg)["x"]
         assert (pli.m, pli.j1, pli.j2) == (2, 1, 1)
 
@@ -271,10 +281,10 @@ class TestAssignLocalInvariants:
         assert check_compatibility(pli, cfg.surface("D"))
 
     def test_two_isotropy_surfaces_refused(self):
-        cfg = OrbifoldConfig()
-        cfg.surfaces.append(SurfaceData("A", 0, multiplicity=3, local_j=1))
-        cfg.surfaces.append(SurfaceData("B", 0, multiplicity=5, local_j=1))
-        cfg.points.append(SingularPointData("x", 2, (1, 1), ("A", "B")))
+        cfg = OrbifoldConfig(
+            (SurfaceData("A", 0, multiplicity=3, local_j=1),
+             SurfaceData("B", 0, multiplicity=5, local_j=1)),
+            (SingularPointData("x", 2, (1, 1), ("A", "B")),))
         with pytest.raises(UnsupportedGeometry):
             assign_local_invariants(cfg)
 
@@ -328,17 +338,15 @@ class TestEvenPointBound:
         assert check_even_point_bound(OrbifoldConfig(), 2)
 
     def test_violated(self):
-        cfg = OrbifoldConfig(b2=2)
-        for k in range(3):
-            cfg.points.append(SingularPointData(f"x{k}", 2, (1, 1)))
+        cfg = OrbifoldConfig(points=tuple(
+            SingularPointData(f"x{k}", 2, (1, 1)) for k in range(3)), b2=2)
         assert not check_even_point_bound(cfg, 2)
 
 
 def test_pairing_uses_point_order():
-    cfg = OrbifoldConfig(b2=2)
-    cfg.surfaces.append(SurfaceData("A", 0))
-    cfg.surfaces.append(SurfaceData("B", 0))
-    cfg.points.append(SingularPointData("x", 4, (1, 3), ("A", "B")))
-    cfg.events.append(IntersectionEvent("e1", "A", "B", "x"))
-    cfg.events.append(IntersectionEvent("e2", "A", "B"))
+    cfg = OrbifoldConfig(
+        (SurfaceData("A", 0), SurfaceData("B", 0)),
+        (SingularPointData("x", 4, (1, 3), ("A", "B")),),
+        (IntersectionEvent("e1", "A", "B", "x"),
+         IntersectionEvent("e2", "A", "B")), b2=2)
     assert cfg.pairing_of("A", "B") == Fraction(5, 4)

@@ -23,6 +23,7 @@ from orbkit.model import (
     SurfaceData,
     validate_config,
 )
+from orbkit.record import replace
 from orbkit.report import emit_report, run_pipeline
 from orbkit.scenario import (
     BUILTINS,
@@ -392,41 +393,42 @@ _OPS = ("blow_up", "blow_down", "discard", "rename", "resolve")
 
 @st.composite
 def _configs(draw):
-    cfg = OrbifoldConfig(b1=draw(st.integers(0, 4)),
-                         b2=draw(st.integers(0, 20)))
+    b1, b2 = draw(st.integers(0, 4)), draw(st.integers(0, 20))
+    surfaces, points, events = [], [], []
     sids = draw(_unique_ids(min_size=1, max_size=5))
     for sid in sids:
         shape = draw(st.sampled_from(("torus", "sphere", "any")))
         if shape == "sphere":  # a (-2)-sphere, which blow_down takes
-            cfg.surfaces.append(SurfaceData(sid, 0, self_intersection=-2))
+            surfaces.append(SurfaceData(sid, 0, self_intersection=-2))
             continue
         if shape == "torus":  # one of multiplicity 1, which resolve takes
-            cfg.surfaces.append(SurfaceData(
+            surfaces.append(SurfaceData(
                 sid, 1, self_intersection=draw(st.integers(-2, 2))))
             continue
         # a self-intersection in [-20, 20] with denominator at most 6,
         # each one reachable: 60 is the lcm of 1..6
-        cfg.surfaces.append(SurfaceData(
+        surfaces.append(SurfaceData(
             sid, draw(st.integers(0, 3)), draw(st.integers(1, 9)),
             draw(st.integers(0, 8)),
             Fraction(draw(st.integers(-20 * 60, 20 * 60)),
                      60).limit_denominator(6)))
-    tori = [s.id for s in cfg.surfaces if (s.genus, s.multiplicity) == (1, 1)]
-    if len(tori) > 1:
-        cfg.add_event(*tori[:2])  # a smooth crossing, as resolve takes
+    tori = [s.id for s in surfaces if (s.genus, s.multiplicity) == (1, 1)]
+    if len(tori) > 1:  # a smooth crossing, as resolve takes
+        events.append(IntersectionEvent("ev1", *tori[:2]))
     pids = draw(_unique_ids(max_size=3))
     for pid in pids:
         order = draw(st.integers(1, 12))
         incident = [_pick(draw, sids) for _ in range(2)]
-        cfg.points.append(SingularPointData(
+        points.append(SingularPointData(
             pid, order, (draw(st.integers(0, 30)), draw(st.integers(0, 30))),
             tuple(dict.fromkeys(incident[:draw(st.integers(0, 2))]))))
     for eid in draw(_unique_ids(max_size=4)):
         a = _pick(draw, sids)
         b = _pick(draw, [sid for sid in sids if sid != a] or sids)
         at = _pick(draw, [None, *pids])
-        cfg.events.append(IntersectionEvent(eid, a, b, at))
-    return cfg
+        events.append(IntersectionEvent(eid, a, b, at))
+    return OrbifoldConfig(tuple(surfaces), tuple(points), tuple(events),
+                          b1=b1, b2=b2)
 
 
 @st.composite
@@ -1116,10 +1118,9 @@ class TestCli:
 
 def test_no_background_class_without_spin_target_verdict():
     # m = 4, pairing 2: the scaled Chern class 4c + 2 is never primitive
-    cfg = OrbifoldConfig(b1=0, b2=1)
-    cfg.surfaces.append(SurfaceData("D", 1, multiplicity=4, local_j=1,
-                                    qclass=(1,)))
-    cfg.integral_pairing = IntMatrix.from_rows([[2]])
+    cfg = OrbifoldConfig(
+        (SurfaceData("D", 1, multiplicity=4, local_j=1, qclass=(1,)),),
+        b1=0, b2=1, integral_pairing=IntMatrix.from_rows([[2]]))
     rep = run_pipeline(Scenario(config=cfg, seifert=SeifertRequest()))
     assert ("background_class", "inconclusive") in rep.verdicts
     assert "spin_target" not in dict(rep.verdicts)
@@ -1275,8 +1276,7 @@ def test_h2_of_the_total_space_is_computed_once(monkeypatch, name, p,
 def test_spin_target_search_where_h1_cannot_vanish(target):
     # with b1 = 1 every candidate fails H_1 = 0, on which no spin type is
     # decided: each target ends with the verdicts of "any"
-    cfg = surgery.build_Z(3)
-    cfg.b1 = 1
+    cfg = replace(surgery.build_Z(3), b1=1)
     rep = run_pipeline(Scenario(config=cfg,
                                 seifert=SeifertRequest(spin_target=target)))
     assert rep.verdicts == [("config_valid", "pass"),

@@ -7,6 +7,7 @@ import pytest
 from orbkit import seifert
 from orbkit.exact import IntMatrix
 from orbkit.model import OrbifoldConfig, SurfaceData
+from orbkit.record import replace
 from orbkit.seifert import (
     H1NotZero,
     Lattice,
@@ -39,23 +40,22 @@ def _glued_spec(p=3, c1B=None):
 
 
 def _disjoint_config(mults, pairing_rows, genus=None):
-    cfg = OrbifoldConfig(b1=0, b2=len(pairing_rows))
-    for k, m in enumerate(mults):
-        cfg.surfaces.append(SurfaceData(
-            f"D{k}", genus[k] if genus else 1, multiplicity=m,
-            local_j=1 if m > 1 else 0,
-            qclass=tuple(Fraction(1 if i == k else 0)
-                         for i in range(len(pairing_rows)))))
-    cfg.integral_pairing = IntMatrix.from_rows(pairing_rows)
-    return cfg
+    return OrbifoldConfig(
+        tuple(SurfaceData(f"D{k}", genus[k] if genus else 1, multiplicity=m,
+                          local_j=1 if m > 1 else 0,
+                          qclass=tuple(Fraction(1 if i == k else 0)
+                                       for i in range(len(pairing_rows))))
+              for k, m in enumerate(mults)),
+        b1=0, b2=len(pairing_rows),
+        integral_pairing=IntMatrix.from_rows(pairing_rows))
 
 
 class TestResidues:
     def test_examples(self):
         cfg = _disjoint_config([3], [[1]])
         assert compute_b_residues(cfg) == {"D0": 1}
-        cfg.surface("D0").multiplicity = 9
-        cfg.surface("D0").local_j = 2
+        cfg = replace(cfg, surfaces=(
+            replace(cfg.surface("D0"), multiplicity=9, local_j=2),))
         assert compute_b_residues(cfg) == {"D0": 5}
 
     def test_glued_b16(self):
@@ -69,8 +69,7 @@ class TestResidues:
 
 class TestChernClass:
     def test_linearity_example(self):
-        cfg = _disjoint_config([3], [[1], [0]][:1])
-        cfg.b2 = 1
+        cfg = replace(_disjoint_config([3], [[1], [0]][:1]), b2=1)
         spec = SeifertSpec(cfg, {"D0": 1}, (0,))
         assert chern_class(spec).entries == (Fraction(1, 3),)
 
@@ -105,8 +104,7 @@ class TestChernClass:
         assert scaled_chern_class(spec).integer_entries()[-1] == 1
 
     def test_missing_pairing(self):
-        cfg = _disjoint_config([3], [[1]])
-        cfg.integral_pairing = None
+        cfg = replace(_disjoint_config([3], [[1]]), integral_pairing=None)
         with pytest.raises(MissingIntegralPairing):
             chern_class(SeifertSpec(cfg, {"D0": 1}, (0,)))
 
@@ -141,9 +139,8 @@ class TestPrimitivity:
                     q = rng.choice((-2, -1, 1, 2))
                     for k in range(16):
                         u[i][k] += q * u[j][k]
-            conj = z.copy()
-            conj.integral_pairing = (IntMatrix.from_rows(u)
-                                     @ z.integral_pairing)
+            conj = replace(z, integral_pairing=(IntMatrix.from_rows(u)
+                                                @ z.integral_pairing))
             spec = SeifertSpec(conj, compute_b_residues(conj), (0,) * 16)
             assert is_primitive(scaled_chern_class(spec)) == want
 
@@ -204,8 +201,7 @@ class TestSurjectivity:
             b2 = rng.randrange(1, 4)
             rows = [[rng.randrange(-4, 5) for _ in range(n)]
                     for _ in range(b2)]
-            cfg = _disjoint_config(mults, rows)
-            cfg.b2 = b2
+            cfg = replace(_disjoint_config(mults, rows), b2=b2)
             assert (Lattice.of(cfg).surjective
                     == _brute_force_surjective(cfg))
             cases += 1
@@ -224,8 +220,7 @@ class TestH1H2:
         assert not is_primitive(doubled)
 
     def test_block_Y_fails_b1(self):
-        y = build_block_Y()
-        y.integral_pairing = IDENTITY_6
+        y = replace(build_block_Y(), integral_pairing=IDENTITY_6)
         spec = SeifertSpec(y, compute_b_residues(y), (0,) * 6)
         dec = h1_zero_decision(spec)
         assert not dec.b1_zero and not dec.holds
@@ -275,8 +270,7 @@ class TestH1H2:
             assert h2_of_M(_glued_spec(p)).rank == 15
 
     def test_h2_requires_h1_zero(self):
-        y = build_block_Y()
-        y.integral_pairing = IDENTITY_6
+        y = replace(build_block_Y(), integral_pairing=IDENTITY_6)
         with pytest.raises(H1NotZero):
             h2_of_M(SeifertSpec(y, compute_b_residues(y), (0,) * 6))
 

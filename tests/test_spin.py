@@ -76,20 +76,20 @@ class TestW2BaseClass:
         assert w2.base.bit_count() == 14
 
     def test_all_even_squares_give_zero(self):
-        cfg = OrbifoldConfig(b1=0, b2=2)
-        for k, sq in enumerate((2, -4)):
-            cfg.surfaces.append(SurfaceData(
-                f"D{k}", 1, self_intersection=Fraction(sq),
-                qclass=(Fraction(k == 0), Fraction(k == 1))))
-        cfg.integral_pairing = IntMatrix.from_rows([[2, 0], [0, -4]])
+        cfg = OrbifoldConfig(
+            tuple(SurfaceData(f"D{k}", 1, self_intersection=Fraction(sq),
+                              qclass=(Fraction(k == 0), Fraction(k == 1)))
+                  for k, sq in enumerate((2, -4))),
+            b1=0, b2=2,
+            integral_pairing=IntMatrix.from_rows([[2, 0], [0, -4]]))
         w2 = w2_base_class(cfg)
         assert w2.base == 0 and w2.unknowns == ()
 
     def test_odd_sphere_contributes(self):
-        cfg = OrbifoldConfig(b1=0, b2=1)
-        cfg.surfaces.append(SurfaceData(
-            "E", 0, self_intersection=Fraction(-1), qclass=(Fraction(1),)))
-        cfg.integral_pairing = IntMatrix.from_rows([[-1]])
+        cfg = OrbifoldConfig(
+            (SurfaceData("E", 0, self_intersection=Fraction(-1),
+                         qclass=(Fraction(1),)),),
+            b1=0, b2=1, integral_pairing=IntMatrix.from_rows([[-1]]))
         assert w2_base_class(cfg).base == 0b1
 
 

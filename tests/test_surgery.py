@@ -15,7 +15,7 @@ from orbkit.model import (
     UnsupportedGeometry,
     validate_config,
 )
-from orbkit.record import replace
+from orbkit.record import FrozenRecordError, replace
 from orbkit.report import run_pipeline
 from orbkit.scenario import (
     SCRIPT_OPS,
@@ -49,23 +49,43 @@ from orbkit.surgery import (
 from test_cli_verify_outputs import SEEDS, workloads
 
 
+def _add(cfg, **records):
+    """cfg with these records after its own, by kind: surfaces=[...],
+    points=[...] or events=[...]."""
+    return replace(cfg, **{kind: (*getattr(cfg, kind), *added)
+                           for kind, added in records.items()})
+
+
+def _crossings(cfg, *pairs):
+    """[events=...] of _add: one smooth crossing of each (a, b), with the
+    ids ev1, ev2, ... after cfg's own events."""
+    n = len(cfg.events)
+    return [IntersectionEvent(f"ev{n + k}", a, b)
+            for k, (a, b) in enumerate(pairs, start=1)]
+
+
+def _edit(cfg, rid, **changes):
+    """cfg with these fields changed in its surface, point or event
+    whose id is rid."""
+    return replace(cfg, **{kind: tuple(
+        replace(r, **changes) if r.id == rid else r for r in getattr(cfg, kind))
+        for kind in ("surfaces", "points", "events")})
+
+
 def _cp2_with_cubic():
-    cfg = OrbifoldConfig(b1=0, b2=1)
-    cfg.surfaces.append(SurfaceData("C", 1, self_intersection=Fraction(9)))
-    return cfg
+    return OrbifoldConfig(
+        (SurfaceData("C", 1, self_intersection=Fraction(9)),), b1=0, b2=1)
 
 
 def _cp2_with_lines():
     """The P^2 that build_block_W starts from: the cubic C and two lines
     L, L' through a common point of C."""
-    cfg = _cp2_with_cubic()
-    cfg.surfaces.append(SurfaceData("L", 0, self_intersection=Fraction(1)))
-    cfg.surfaces.append(SurfaceData("Lp", 0, self_intersection=Fraction(1)))
-    for k in range(3):
-        cfg.events.append(IntersectionEvent(f"cl_{k}", "C", "L"))
-        cfg.events.append(IntersectionEvent(f"clp_{k}", "C", "Lp"))
-    cfg.events.append(IntersectionEvent("llp_0", "L", "Lp"))
-    return cfg
+    return _add(_cp2_with_cubic(), surfaces=[
+        SurfaceData("L", 0, self_intersection=Fraction(1)),
+        SurfaceData("Lp", 0, self_intersection=Fraction(1))], events=[
+        *(IntersectionEvent(f"{name}_{k}", "C", other) for k in range(3)
+          for name, other in (("cl", "L"), ("clp", "Lp"))),
+        IntersectionEvent("llp_0", "L", "Lp")])
 
 
 # each stage of block W -> the number of steps of build_block_W's log
@@ -106,8 +126,7 @@ class TestBlowUp:
         assert x1.surface("Lp").self_intersection == 0
 
     def test_requires_smooth_crossing(self):
-        cfg = _cp2_with_cubic()
-        cfg.surfaces.append(SurfaceData("D", 1))
+        cfg = _add(_cp2_with_cubic(), surfaces=[SurfaceData("D", 1)])
         with pytest.raises(NotSmoothPoint):
             blow_up(cfg, through=["C", "D"])
 
@@ -128,26 +147,24 @@ class TestBlowDown:
         assert set(x3.point("s1").incident) == {"C", "Lp"}
 
     def test_isolated_sphere(self):
-        cfg = OrbifoldConfig(b1=0, b2=1)
-        cfg.surfaces.append(SurfaceData("S", 0,
-                                        self_intersection=Fraction(-2)))
+        cfg = OrbifoldConfig((SurfaceData("S", 0,
+                                          self_intersection=Fraction(-2)),),
+                             b1=0, b2=1)
         out = blow_down_minus2(cfg, "S")
         assert (out.b2, out.euler) == (0, 2)
-        assert out.surfaces == [] and len(out.points) == 1
+        assert out.surfaces == () and len(out.points) == 1
 
     def test_rejects_wrong_square(self):
-        cfg = OrbifoldConfig(b2=1)
-        cfg.surfaces.append(SurfaceData("S", 0,
-                                        self_intersection=Fraction(-1)))
+        cfg = OrbifoldConfig((SurfaceData("S", 0,
+                                          self_intersection=Fraction(-1)),),
+                             b2=1)
         with pytest.raises(NotMinusTwoSphere):
             blow_down_minus2(cfg, "S")
 
     def test_rejects_singular_contact(self):
-        cfg = OrbifoldConfig(b2=1)
-        cfg.surfaces.append(SurfaceData("S", 0,
-                                        self_intersection=Fraction(-2)))
-        from orbkit.model import SingularPointData
-        cfg.points.append(SingularPointData("x", 2, (1, 1), ("S",)))
+        cfg = OrbifoldConfig(
+            (SurfaceData("S", 0, self_intersection=Fraction(-2)),),
+            (SingularPointData("x", 2, (1, 1), ("S",)),), b2=1)
         with pytest.raises(MeetsSingularPoint):
             blow_down_minus2(cfg, "S")
 
@@ -158,22 +175,21 @@ class TestBlowDown:
     ], ids=["one_surface_twice", "three_surfaces"])
     def test_rejects_what_the_double_point_cannot_hold(self, others,
                                                        message):
-        cfg = OrbifoldConfig(b2=4)
-        cfg.surfaces += [SurfaceData(sid, 1) for sid in sorted(set(others))]
-        cfg.surfaces.append(SurfaceData("S", 0,
-                                        self_intersection=Fraction(-2)))
-        for sid in others:
-            cfg.add_event("S", sid)
+        cfg = OrbifoldConfig((
+            *(SurfaceData(sid, 1) for sid in sorted(set(others))),
+            SurfaceData("S", 0, self_intersection=Fraction(-2))), b2=4)
+        cfg = _add(cfg, events=_crossings(cfg, *(("S", sid)
+                                                 for sid in others)))
         with pytest.raises(UnsupportedGeometry, match=f"^{message}$"):
             blow_down_minus2(cfg, "S")
 
     def test_rejects_a_sphere_that_meets_itself(self):
         # the sphere would be its own neighbour on the double point
-        cfg = OrbifoldConfig(b2=2)
-        cfg.surfaces += [SurfaceData("C", 1), SurfaceData(
-            "S", 0, self_intersection=Fraction(-2))]
-        cfg.events += [IntersectionEvent("e", "S", "S"),
-                       IntersectionEvent("f", "C", "S")]
+        cfg = OrbifoldConfig(
+            (SurfaceData("C", 1),
+             SurfaceData("S", 0, self_intersection=Fraction(-2))),
+            events=(IntersectionEvent("e", "S", "S"),
+                    IntersectionEvent("f", "C", "S")), b2=2)
         with pytest.raises(UnsupportedGeometry,
                            match="^S meets itself at event e$"):
             blow_down_minus2(cfg, "S")
@@ -191,11 +207,10 @@ class TestBlowDown:
 
 class TestResolveTorusPair:
     def _pair(self, s1, s2):
-        cfg = OrbifoldConfig(b1=0, b2=2)
-        cfg.surfaces.append(SurfaceData("T1", 1, self_intersection=s1))
-        cfg.surfaces.append(SurfaceData("T2", 1, self_intersection=s2))
-        cfg.add_event("T1", "T2")
-        return cfg
+        cfg = OrbifoldConfig((SurfaceData("T1", 1, self_intersection=s1),
+                              SurfaceData("T2", 1, self_intersection=s2)),
+                             b1=0, b2=2)
+        return _add(cfg, events=_crossings(cfg, ("T1", "T2")))
 
     def test_zero_squares(self):
         out = resolve_torus_pair(self._pair(Fraction(0), Fraction(0)),
@@ -203,7 +218,7 @@ class TestResolveTorusPair:
         sq = {s.id: s.self_intersection for s in out.surfaces}
         assert sq == {"T1": -1, "T2": -1, "S": 1}
         assert out.surface("S").genus == 2
-        assert out.events == []
+        assert out.events == ()
         assert (out.b2, out.euler) == (3, 5)
 
     def test_mixed_squares(self):
@@ -213,14 +228,13 @@ class TestResolveTorusPair:
         assert sq == {"T1": 0, "T2": -1, "S": 2}
 
     def test_rejects_sphere(self):
-        cfg = self._pair(Fraction(0), Fraction(0))
-        cfg.surface("T1").genus = 0
+        cfg = _edit(self._pair(Fraction(0), Fraction(0)), "T1", genus=0)
         with pytest.raises(NotTorus):
             resolve_torus_pair(cfg, "T1", "T2", new_id="S")
 
     def test_rejects_double_crossing(self):
         cfg = self._pair(Fraction(0), Fraction(0))
-        cfg.add_event("T1", "T2")
+        cfg = _add(cfg, events=_crossings(cfg, ("T1", "T2")))
         with pytest.raises(NotSingleIntersection):
             resolve_torus_pair(cfg, "T1", "T2", new_id="S")
 
@@ -279,7 +293,7 @@ class TestGompfSum:
                    for i in range(1, 17)]
         assert squares == [Fraction(1, 2), Fraction(-1, 2)] \
             + [-1] * 12 + [1, 1]
-        assert z.events == []  # all sixteen surfaces disjoint
+        assert z.events == ()  # all sixteen surfaces disjoint
 
     def test_six_leftover_double_points(self):
         z = build_Z(3)
@@ -296,8 +310,7 @@ class TestGompfSum:
 
     def test_normal_bundle_obstruction(self):
         y = build_block_Y()
-        w = build_block_W()
-        w.surface("C").self_intersection = Fraction(1)
+        w = _edit(build_block_W(), "C", self_intersection=Fraction(1))
         plan = GluingPlan("T1", "C", (), (), b1=0, b2=14)
         with pytest.raises(NormalBundleObstruction):
             gompf_fiber_sum(y, w, plan)
@@ -342,12 +355,12 @@ class TestGompfSum:
 
 
 def _z_fiber_sum():
-    """block_Y, a copy of block_W and the plan that build_Z glues them by,
-    as its log holds them."""
+    """block_Y, block_W and the plan that build_Z glues them by, as its
+    log holds them."""
     log = SurgeryLog()
     build_Z(3, log=log)
     kwargs = log.entries[0].kwargs
-    return build_block_Y(), kwargs["cfg_b"].copy(), kwargs["plan"]
+    return build_block_Y(), kwargs["cfg_b"], kwargs["plan"]
 
 
 def _with_joins(plan, joins):
@@ -355,42 +368,38 @@ def _with_joins(plan, joins):
 
 
 def _extra_join(pieces):
-    return lambda y, w, plan: _with_joins(
-        plan, plan.surface_joins + (("X", pieces),))
+    return lambda y, w, plan: (y, w, _with_joins(
+        plan, plan.surface_joins + (("X", pieces),)))
 
 
 def _first_join_named(out_id):
     """A case whose plan names the first join out_id: join ids meet
     OrbifoldConfig.check_new_id, as every other new surface id does."""
-    return lambda y, w, plan: _with_joins(
+    return lambda y, w, plan: (y, w, _with_joins(
         plan, ((out_id, plan.surface_joins[0][1]),
-               *plan.surface_joins[1:]))
+               *plan.surface_joins[1:])))
 
 
 def _split_pair(y, w, plan):
     # T3 and E3 meet at the matched pair (f_T3, ev4) but go to V4 and V3
     swap = {"V3": ("E3", "T4"), "V4": ("E4", "T3")}
-    return _with_joins(plan, ((out_id, swap.get(out_id, pieces))
-                              for out_id, pieces in plan.surface_joins))
-
-
-def _isotropic_piece(y, w, plan):
-    y.surface("T3").multiplicity, y.surface("T3").local_j = 2, 1
+    return y, w, _with_joins(plan, ((out_id, swap.get(out_id, pieces))
+                                    for out_id, pieces in plan.surface_joins))
 
 
 def _two_free_spheres_joined(y, w, plan):
     # two spheres meeting nothing glue to a surface of euler char 4
-    w.surfaces += [SurfaceData("Q1", 0), SurfaceData("Q2", 0)]
+    w = _add(w, surfaces=[SurfaceData("Q1", 0), SurfaceData("Q2", 0)])
     return _extra_join(("Q1", "Q2"))(y, w, plan)
 
 
 @pytest.mark.parametrize("case, error, message", [
-    (lambda y, w, plan: w.surfaces.append(SurfaceData("U1", 1)),
+    (lambda y, w, plan: (y, _add(w, surfaces=[SurfaceData("U1", 1)]), plan),
      ValueError, "surface id collision: ['U1']"),
-    (lambda y, w, plan: setattr(w.point("s1"), "order", 3),
+    (lambda y, w, plan: (y, _edit(w, "s1", order=3), plan),
      UnmatchedSingularPoint, "orders 2 != 3 at p1q1 / s1"),
-    (lambda y, w, plan: y.points.append(
-        SingularPointData("px", 2, (1, 1), ("T1",))),
+    (lambda y, w, plan: (_add(y, points=[
+        SingularPointData("px", 2, (1, 1), ("T1",))]), w, plan),
      UnmatchedSingularPoint, "singular point px on T1 is not matched"),
     (_extra_join(("A1",)), PlanInconsistent, "A1 appears in two joins"),
     (_extra_join(("nope",)), PlanInconsistent,
@@ -400,15 +409,15 @@ def _two_free_spheres_joined(y, w, plan):
     (_split_pair, PlanInconsistent,
      "matched pair (f_T3, ev4) joins T3 with E3, which do not share an "
      "output surface"),
-    (_isotropic_piece, UnsupportedGeometry,
-     "join piece T3 has multiplicity 2"),
+    (lambda y, w, plan: (_edit(y, "T3", multiplicity=2, local_j=1), w, plan),
+     UnsupportedGeometry, "join piece T3 has multiplicity 2"),
     (_two_free_spheres_joined, PlanInconsistent,
      "join X has non-surface euler characteristic 4"),
-    (lambda y, w, plan: y.events.append(
-        IntersectionEvent("zz", "S1", "U1", "p1q1")),
+    (lambda y, w, plan: (_add(y, events=[
+        IntersectionEvent("zz", "S1", "U1", "p1q1")]), w, plan),
      UnsupportedGeometry, "event zz sits at consumed point p1q1"),
-    (lambda y, w, plan: y.events.append(
-        IntersectionEvent("zz", "S1", "T1a")),
+    (lambda y, w, plan: (_add(y, events=[
+        IntersectionEvent("zz", "S1", "T1a")]), w, plan),
      UnsupportedGeometry, "event zz would join V1 to itself"),
     (_first_join_named(""), ValueError, "empty surface id"),
     *((_first_join_named(sid), ValueError,
@@ -423,9 +432,8 @@ def _two_free_spheres_joined(y, w, plan):
 def test_fiber_sum_refusals(case, error, message):
     # build_Z's own gluing with one fault each, refused by its own check
     # and with both inputs as they were, however late the refusal; a
-    # case edits y or w in place, or returns a changed plan
-    y, w, plan = _z_fiber_sum()
-    plan = case(y, w, plan) or plan
+    # case returns the inputs and the plan with its fault
+    y, w, plan = case(*_z_fiber_sum())
     inputs = copy.deepcopy((y, w))
     with pytest.raises(error) as info:
         gompf_fiber_sum(y, w, plan)
@@ -435,10 +443,9 @@ def test_fiber_sum_refusals(case, error, message):
 
 
 def _one_surface(sid, genus, square, b1=0, b2=1):
-    cfg = OrbifoldConfig(b1=b1, b2=b2)
-    cfg.surfaces.append(SurfaceData(sid, genus,
-                                    self_intersection=Fraction(square)))
-    return cfg
+    return OrbifoldConfig(
+        (SurfaceData(sid, genus, self_intersection=Fraction(square)),),
+        b1=b1, b2=b2)
 
 
 def test_fiber_sum_of_the_plane_and_its_mirror_along_lines_is_s4():
@@ -446,7 +453,7 @@ def test_fiber_sum_of_the_plane_and_its_mirror_along_lines_is_s4():
     cp2, mirror = _one_surface("L", 0, 1), _one_surface("M", 0, -1)
     s4 = gompf_fiber_sum(cp2, mirror, GluingPlan("L", "M", (), (), 0, 0))
     assert (s4.euler, s4.b1, s4.b2) == (2, 0, 0)
-    assert (s4.surfaces, s4.points, s4.events) == ([], [], [])
+    assert (s4.surfaces, s4.points, s4.events) == ((), (), ())
     with pytest.raises(PlanInconsistent,
                        match="^declared b1=0, b2=2 disagree with euler "
                              "characteristic 2$"):
@@ -466,6 +473,14 @@ def test_fiber_sum_along_a_genus_two_fiber():
         gompf_fiber_sum(a, b, GluingPlan("F", "G", (), (), 4, 0))
 
 
+def _cubic_tori_and_sphere():
+    """The cubic, two tori T1 and T2 that cross once, and a (-2)-sphere S."""
+    cfg = _add(_cp2_with_cubic(), surfaces=[
+        SurfaceData("T1", 1), SurfaceData("T2", 1),
+        SurfaceData("S", 0, self_intersection=Fraction(-2))])
+    return _add(cfg, events=_crossings(cfg, ("T1", "T2")))
+
+
 @pytest.mark.parametrize("name, kwargs, message", [
     ("blow_up", {"through": ["C", "C"]}, "blow_up names surface 'C' twice"),
     ("resolve_torus_pair", {"t1": "T1", "t2": "T1", "new_id": "N"},
@@ -480,10 +495,7 @@ def test_fiber_sum_along_a_genus_two_fiber():
 def test_moves_refuse_a_surface_named_twice_and_an_empty_id(name, kwargs,
                                                             message):
     # the rule a [script] line meets, for callers of the moves themselves
-    cfg = _cp2_with_cubic()
-    cfg.surfaces += [SurfaceData("T1", 1), SurfaceData("T2", 1),
-                     SurfaceData("S", 0, self_intersection=Fraction(-2))]
-    cfg.add_event("T1", "T2")
+    cfg = _cubic_tori_and_sphere()
     with pytest.raises(ValueError, match=f"^{message}$"):
         getattr(surgery, name)(cfg, **kwargs)
 
@@ -507,10 +519,7 @@ def test_blow_up_refuses_an_id_no_scenario_can_name(sid):
 def test_moves_refuse_an_id_a_comment_would_cut(name, kwargs, kind):
     # '[surface X#Y]' reads as '[surface X', so a config holding such an
     # id would emit a file that does not parse
-    cfg = _cp2_with_cubic()
-    cfg.surfaces += [SurfaceData("T1", 1), SurfaceData("T2", 1),
-                     SurfaceData("S", 0, self_intersection=Fraction(-2))]
-    cfg.add_event("T1", "T2")
+    cfg = _cubic_tori_and_sphere()
     before = copy.deepcopy(cfg)
     with pytest.raises(ValueError) as info:
         getattr(surgery, name)(cfg, **kwargs)
@@ -525,8 +534,7 @@ def test_discard_refuses_a_surface_the_declared_lattice_names():
     with pytest.raises(ValueError, match="^surface 'V16' is in the "
                                          "declared basis$"):
         surgery.discard(build_Z(3), "V16")
-    cfg = _cp2_with_cubic()
-    cfg.surfaces.append(SurfaceData("D", 0))
+    cfg = _add(_cp2_with_cubic(), surfaces=[SurfaceData("D", 0)])
     cfg = surgery.declare_lattice(cfg, ["C"], {"C": (1,)},
                                   IntMatrix.from_rows([[9, 0]]))
     with pytest.raises(ValueError, match="^surface 'D' has a column of the "
@@ -553,18 +561,32 @@ def _records(cfg):
 
 
 def _check_pure(move, *inputs):
-    """Run move(); no input may change, whether it returns or raises,
-    and the result may share no surface, point or event with an input."""
+    """Run move(); no input may change, whether it returns or raises: each
+    equals a deep copy taken before, and hashes as it did."""
     snapshots = [copy.deepcopy(c) for c in inputs]
+    hashes = list(map(hash, inputs))
     try:
         out = move()
     except (ValueError, KeyError):
         out = None
     assert list(inputs) == snapshots
-    if out is not None:
-        mine = {id(r) for r in _records(out)}
-        assert not any(id(r) in mine for c in inputs for r in _records(c))
+    assert list(map(hash, inputs)) == hashes
     return out
+
+
+def _assert_frozen(cfg):
+    """Every field of cfg and of each of its surfaces, points and events
+    refuses assignment, and cfg is a value: a no-op replace equals it."""
+    for rec in (cfg, *_records(cfg)):
+        for name in rec.__record_fields__:
+            with pytest.raises(FrozenRecordError):
+                setattr(rec, name, getattr(rec, name))
+    assert replace(cfg) == cfg and hash(replace(cfg)) == hash(cfg)
+
+
+def _assert_immutable_log(log):
+    for entry in log.entries:
+        hash(tuple(entry.kwargs.values()))
 
 
 def _random_step(rng, cfg, kinds=7):
@@ -633,6 +655,7 @@ _EULER_B2_STEP = {"blow_up": (1, 1), "resolve_torus_pair": (1, 1),
 def test_seeded_scripts_leave_inputs_unchanged_and_replay(start, seed):
     rng = random.Random(seed)
     first = start()
+    _assert_frozen(first)
     cfg, log = first, SurgeryLog()
     for _ in range(12):
         logged = len(log.entries)
@@ -652,8 +675,11 @@ def test_seeded_scripts_leave_inputs_unchanged_and_replay(start, seed):
         parsed = parse_scenario(emit_scenario(Scenario(config=out))).config
         assert [parsed.ids(k) for k in ("surfaces", "points", "events")] \
             == [out.ids(k) for k in ("surfaces", "points", "events")]
+        _assert_frozen(out)
         cfg = out
     assert replay(first, log) == cfg
+    assert hash(replay(first, log)) == hash(cfg)
+    _assert_immutable_log(log)
 
 
 def test_logged_moves_leave_inputs_unchanged():
@@ -677,6 +703,30 @@ def test_failing_fiber_sum_leaves_inputs_unchanged():
     y, w = build_block_Y(), build_block_W()
     plan = GluingPlan("T1", "C", (), (), b1=0, b2=13)
     assert _check_pure(lambda: gompf_fiber_sum(y, w, plan), y, w) is None
+
+
+def _unlatticed_Z():
+    # discard refuses a surface while a lattice is declared
+    return replace(build_Z(3), basis=None, integral_pairing=None)
+
+
+@pytest.mark.parametrize("start, name, kwargs", [
+    (lambda: build_Z(3), "rename", {"old": "V1", "new": "X"}),
+    (lambda: build_Z(3), "assign_isotropy", {"assignment": {"V3": (7, 2)}}),
+    (_unlatticed_Z, "discard", {"surface": "V2"}),
+    (build_block_Y, "rename", {"old": "T1", "new": "X"}),
+    (build_block_Y, "discard", {"surface": "T3"}),
+], ids=["rename_Z", "assign_isotropy_Z", "discard_Z", "rename_Y",
+        "discard_Y"])
+def test_moves_share_the_records_they_leave_alone(start, name, kwargs):
+    # each surface, point and event the move did not change is the very
+    # record of the input, and the move did change some
+    cfg = start()
+    out = getattr(surgery, name)(cfg, **kwargs)
+    kept = {r: r for r in _records(out)}
+    shared = [r for r in _records(cfg) if r in kept]
+    assert all(kept[r] is r for r in shared)
+    assert 0 < len(shared) < len(_records(cfg))
 
 
 # -- the move protocol --------------------------------------------------
@@ -703,9 +753,9 @@ def test_every_logged_op_replays_through_its_public_move(monkeypatch):
     build_block_W(log=log)
     build_Z(3, log=log)
     # the block_W chain as a script, then a torus pair to resolve
-    cfg = _cp2_with_lines()
-    cfg.surfaces += [SurfaceData("U1", 1), SurfaceData("U2", 1)]
-    cfg.add_event("U1", "U2")
+    cfg = _add(_cp2_with_lines(),
+               surfaces=[SurfaceData("U1", 1), SurfaceData("U2", 1)])
+    cfg = _add(cfg, events=_crossings(cfg, ("U1", "U2")))
     text = _scripted(cfg, [
         "blow_up through=C,L,Lp id=E", "blow_up through=E,L id=Ep",
         "discard id=Ep", "blow_down sphere=E point=s1",
@@ -768,11 +818,10 @@ def _protocol_calls():
     """(move name, starting config, keywords) of each of the eight moves,
     and once more without the optional arguments of the moves that have
     them."""
-    cfg = _cp2_with_lines()
-    cfg.surfaces += [SurfaceData("T1", 1), SurfaceData("T2", 1),
-                     SurfaceData("S", 0, self_intersection=Fraction(-2))]
-    cfg.add_event("T1", "T2")
-    cfg.add_event("S", "C")
+    cfg = _add(_cp2_with_lines(), surfaces=[
+        SurfaceData("T1", 1), SurfaceData("T2", 1),
+        SurfaceData("S", 0, self_intersection=Fraction(-2))])
+    cfg = _add(cfg, events=_crossings(cfg, ("T1", "T2"), ("S", "C")))
     y, w, plan = _z_fiber_sum()
     return [
         ("blow_up", cfg, {"through": ["C", "L", "Lp"],
@@ -810,13 +859,13 @@ def test_positional_and_keyword_calls_log_and_replay_alike(name, start,
 
 
 def test_a_log_entry_is_the_call_as_given():
-    # with the default of what the caller left out; the drawn sphere id
-    # is drawn again on replay
+    # with the default of what the caller left out, each argument an
+    # immutable value; the drawn sphere id is drawn again on replay
     cfg, through, log = _cp2_with_cubic(), ["C"], SurgeryLog()
     out = blow_up(cfg, through, log=log)
     (entry,) = log.entries
-    assert entry.kwargs == {"through": through, "exceptional_id": None}
-    assert entry.kwargs["through"] is not through  # a copy, see below
+    assert entry.kwargs == {"through": ("C",), "exceptional_id": None}
+    assert entry.kwargs["through"] is not through  # a tuple, see below
     assert [s.id for s in replay(cfg, log).surfaces] == ["C", "E1"]
     assert replay(cfg, log) == out
 
@@ -838,10 +887,12 @@ def test_a_log_entry_is_a_snapshot_of_the_call():
     through.pop()
     assert replay(cfg, log) == out
 
+    # and a config cannot be changed at all
     y, w, plan = _z_fiber_sum()
     log = SurgeryLog()
     out = gompf_fiber_sum(y, w, plan, log=log)
-    w.surface("E3").self_intersection -= 1
+    with pytest.raises(FrozenRecordError):
+        w.surface("E3").self_intersection -= 1
     assert replay(y, log) == out
 
 
@@ -854,6 +905,9 @@ def test_builder_logs_replay_to_what_they_built(build, start):
     built = build(log=log)
     assert log.entries
     assert replay(start(), log) == built
+    assert hash(replay(start(), log)) == hash(built)
+    _assert_frozen(built)
+    _assert_immutable_log(log)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -866,3 +920,4 @@ def test_benchmark_scripts_replay_to_what_they_built(seed):
         built, log = scn.built
         assert log.entries, k
         assert replay(scn.config, log) == built, k
+        _assert_immutable_log(log)
