@@ -70,8 +70,10 @@ class SurfaceData:
         object.__setattr__(self, "self_intersection",
                            Fraction(self.self_intersection))
         if self.qclass is not None:
-            object.__setattr__(self, "qclass",
-                               tuple(Fraction(x) for x in self.qclass))
+            # a replace passes the Fractions it read: keep those objects
+            object.__setattr__(self, "qclass", tuple(
+                x if isinstance(x, Fraction) else Fraction(x)
+                for x in self.qclass))
 
 
 @record(frozen=True)

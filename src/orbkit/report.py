@@ -8,10 +8,12 @@ Then one loop runs the stages in order, local_invariants, seifert and
 fundamental_group.  Each fills its fields of the Report and yields its
 verdicts, and the loop appends them; anything a stage raises is that
 stage's PipelineError, so the loop is the one place that names a failed
-stage after the build (built).  The seifert stage picks or searches a
-background class and evaluates the H_1 / H_2 / spin / classifying
-invariants; a search that finds no class in range is the verdict
-`background_class: inconclusive`, and the fundamental_group stage, which
+stage after the build (built).  The seifert stage takes the requested
+background class, or gives each 0/1 assignment of w2's unknowns the
+first class that serves it, all from one walk, and evaluates the H_1 /
+H_2 / spin / classifying invariants; a walk that leaves an assignment
+without a class in range is the verdict `background_class:
+inconclusive`, and the fundamental_group stage, which
 does not depend on c1(B), still enumerates the orbifold fundamental
 group of the full glued space.  It reads the H_1 decision the seifert
 stage made.  The Report carries every verdict together with the
@@ -90,19 +92,6 @@ def _status(ok: bool) -> str:
     return PASS if ok else FAIL
 
 
-def _spin_predicate(assignment, want):
-    """accept(lattice, c1B): c1B gives the spin type want asks for (True
-    spin, False nonspin, None either), or fails H_1 = 0, on which no spin
-    type is decided and the h1_zero verdict fails."""
-    def accept(lattice, c1B):
-        if want is None:
-            return True
-        spec = lattice.spec(c1B)
-        return (not spec.h1.holds
-                or spin.spin_decision(spec, dict(assignment)) == want)
-    return accept
-
-
 def _check_request(request: SeifertRequest, b2: int, names) -> None:
     """Raise RequestError unless an explicit c1B has b2 entries and
     spin_unknowns, when given, names each unknown of w2 exactly."""
@@ -155,17 +144,19 @@ def _seifert(report: Report, request):
     if request.c1B != "search":
         specs = [lattice.spec(request.c1B)] * len(assignments)
     else:
-        specs = []
-        for a in assignments:
-            specs.append(seifert.search_background_class(
-                lattice, _spin_predicate(a, want)))
-            if specs[-1] is None:
-                # no class in range: the pi_1 stage, which does not
-                # depend on c1(B), still runs
-                yield "background_class", INCONCLUSIVE
-                if want is not None:
-                    yield "spin_target", INCONCLUSIVE
-                return
+        # a class serves an assignment when it gives the spin type want
+        # asks for, or fails H_1 = 0, on which no spin type is decided
+        # and the h1_zero verdict fails
+        specs = seifert.search_background_class(lattice, assignments, (
+            lambda spec, a: want is None or not spec.h1.holds
+            or spin.spin_decision(spec, dict(a)) == want))
+    if specs is None:
+        # no class in range: the pi_1 stage, which does not depend on
+        # c1(B), still runs
+        yield "background_class", INCONCLUSIVE
+        if want is not None:
+            yield "spin_target", INCONCLUSIVE
+        return
     # H_1 = 0 is decided first: the spin decision presumes it
     report.h1 = seifert.h1_zero_decision(specs[0])
     report.scaled_chern = seifert.scaled_chern_class(specs[0])

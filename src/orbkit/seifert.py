@@ -5,9 +5,11 @@ j_i*b_i = 1 (mod m_i); from it we compute the rational Chern class,
 decide whether the total space has H_1 = 0 (three criteria: b_1 of the
 base vanishes, the restriction map onto the multiplicity torsion is
 surjective, and the scaled Chern class is primitive), present H_2 of
-the total space, and search for a background class a predicate admits.
-The search has one fixed budget, the L1 norm of c1(B): it walks every
-class of norm at most MAX_L1, so it also reaches entries up to MAX_L1.
+the total space, and search for background classes: one walk gives each
+key a caller asks about (a spin assignment, in the report) the first
+class that serves it.  The search has one fixed budget, the L1 norm of
+c1(B): it walks every class of norm at most MAX_L1, so it also reaches
+entries up to MAX_L1.
 What depends only on the configuration is computed once, in its
 Lattice.
 
@@ -341,19 +343,28 @@ def _graded_vectors(dim: int, max_l1: int):
 MAX_L1 = 2
 
 
-def search_background_class(lattice: Lattice, accept) -> SeifertSpec | None:
-    """First background class, in graded order, that accept admits, or
-    None when the walk admits none.
+def search_background_class(lattice: Lattice, wanted,
+                            serves) -> list[SeifertSpec] | None:
+    """For each key of wanted, the first background class in graded order
+    that serves it, or None when the walk leaves a key unserved.
 
-    Walks the candidates c1(B) of the lattice's configuration of L1 norm
-    at most MAX_L1, read when called, by L1 norm then lexicographically.
-    A candidate whose scaled Chern class is not primitive is skipped;
-    for the others accept(lattice, c1B) decides.  Returns the SeifertSpec
-    of the first admitted candidate, sharing the lattice, so searches
-    over one Lattice.of(cfg) run one SNF between them.  An exhausted walk
-    is an answer, not an error: the caller reports it as inconclusive.
+    One walk over the candidates c1(B) of the lattice's configuration of
+    L1 norm at most MAX_L1, read when called, by L1 norm then
+    lexicographically.  A candidate whose scaled Chern class is not
+    primitive is skipped; the others become a SeifertSpec sharing the
+    lattice, and serves(spec, key) decides for each key not yet served.
+    The walk stops as soon as every key has a spec, so it is as long as
+    the longest of the one-key walks, and one Lattice.of(cfg) runs one
+    SNF for all of them.  Returns the specs in the order of wanted, whose
+    keys are distinct.  An exhausted walk is an answer, not an error: the
+    caller reports it as inconclusive.
     """
+    found = dict.fromkeys(wanted)
     for c1B in _graded_vectors(lattice.cfg.b2, MAX_L1):
-        if lattice.primitive(c1B) and accept(lattice, c1B):
-            return lattice.spec(c1B)
+        if lattice.primitive(c1B):
+            spec = lattice.spec(c1B)
+            found.update({key: spec for key, got in found.items()
+                          if got is None and serves(spec, key)})
+            if None not in found.values():
+                return list(found.values())
     return None

@@ -1,10 +1,13 @@
-"""Z/2 linear algebra and the spin decision against a tuple oracle.
+"""Z/2 linear algebra, the spin decision and the background-class walk
+against a tuple oracle.
 
 orbkit holds a Z/2 vector as an int, bit r holding coordinate r.  The
 oracle here holds it as a tuple of 0/1 and shares no code with
-orbkit.seifert or orbkit.spin: it reads the configuration's records and
-works the spin decision out from the definitions, H_1 = 0 included.
-Every system and configuration is drawn from a seeded generator.
+orbkit.seifert, orbkit.spin or orbkit.report: it reads the
+configuration's records and works the spin decision out from the
+definitions, H_1 = 0 included, and finds each spin assignment's
+background class by brute force.  Every system and configuration is
+drawn from a seeded generator.
 """
 
 import random
@@ -17,6 +20,8 @@ import pytest
 from orbkit import seifert
 from orbkit.exact import IntMatrix
 from orbkit.model import OrbifoldConfig, SingularPointData, SurfaceData
+from orbkit.report import run_pipeline
+from orbkit.scenario import Scenario, SeifertRequest
 from orbkit.seifert import (
     H1NotZero,
     Lattice,
@@ -88,24 +93,36 @@ def oracle_unknowns(cfg):
     return [f"a{k}" for k in range(1, len(through) + 1)]
 
 
-def oracle_spin(cfg, c1B, assignment):
-    """None when H_1 of the total space is not 0, else whether it is
-    spin for the given 0/1 values of w2's unknowns."""
+def _oracle_lattice(cfg):
+    """(pairing columns by surface id, isotropy surfaces, residues b_i)."""
     P = cfg.integral_pairing.entries
     col = {s.id: tuple(row[i] for row in P)
            for i, s in enumerate(cfg.surfaces)}
     iso = [s for s in cfg.surfaces if s.multiplicity > 1]
-    b = {s.id: pow(s.local_j, -1, s.multiplicity) for s in iso}
+    return col, iso, {s.id: pow(s.local_j, -1, s.multiplicity) for s in iso}
+
+
+def oracle_primitive(cfg, c1B):
+    """Is m c1(B) + sum_i (m/m_i) b_i [D_i] primitive, m the lcm of the
+    multiplicities?"""
+    col, iso, b = _oracle_lattice(cfg)
     m = lcm(*(s.multiplicity for s in cfg.surfaces))
-    scaled = [m * c + sum(m // s.multiplicity * b[s.id] * col[s.id][r]
-                          for s in iso)
-              for r, c in enumerate(c1B)]
+    return gcd(*(m * c + sum(m // s.multiplicity * b[s.id] * col[s.id][r]
+                             for s in iso)
+                 for r, c in enumerate(c1B))) == 1
+
+
+def oracle_spin(cfg, c1B, assignment):
+    """None when H_1 of the total space is not 0, else whether it is
+    spin for the given 0/1 values of w2's unknowns."""
+    col, iso, b = _oracle_lattice(cfg)
     mods = [s.multiplicity for s in iso]
     gens = [tuple(col[s.id][r] % s.multiplicity for s in iso)
-            for r in range(len(P))]
-    if cfg.b1 != 0 or not _surjective(mods, gens) or gcd(*scaled) != 1:
+            for r in range(cfg.integral_pairing.rows)]
+    if (cfg.b1 != 0 or not _surjective(mods, gens)
+            or not oracle_primitive(cfg, c1B)):
         return None
-    w2 = (0,) * len(P)
+    w2 = (0,) * cfg.integral_pairing.rows
     k = 0
     for s in cfg.surfaces:
         if any(s.id in p.incident for p in cfg.points):
@@ -120,6 +137,29 @@ def oracle_spin(cfg, c1B, assignment):
             twist = _xor(twist, _mod2_t(col[s.id]))
     even = [_mod2_t(col[s.id]) for s in iso if s.multiplicity % 2 == 0]
     return in_span_mod2(even or [twist], _xor(w2, twist))
+
+
+def oracle_walk(cfg, want):
+    """{sorted (name, bit) pairs: c1B}, giving each 0/1 assignment of w2's
+    unknowns the first class, by (L1 norm, lex) among the primitive ones
+    of norm at most MAX_L1, that gives the spin type want asks for (True
+    spin, False nonspin, None either) or fails H_1 = 0; None when some
+    assignment has no such class."""
+    bound = seifert.MAX_L1
+    candidates = sorted(
+        (c for c in product(range(-bound, bound + 1), repeat=cfg.b2)
+         if sum(map(abs, c)) <= bound and oracle_primitive(cfg, c)),
+        key=lambda c: (sum(map(abs, c)), c))
+    names = oracle_unknowns(cfg)
+    out = {}
+    for bits in product((0, 1), repeat=len(names)):
+        assignment = dict(zip(names, bits))
+        out[tuple(sorted(assignment.items()))] = hit = next(
+            (c for c in candidates if want is None
+             or oracle_spin(cfg, c, assignment) in (None, want)), None)
+        if hit is None:
+            return None
+    return out
 
 
 # -- random inputs ------------------------------------------------------
@@ -177,6 +217,24 @@ def _random_config(rng, mixed):
     return OrbifoldConfig(
         tuple(surfaces), tuple(points), b1=0, b2=n,
         integral_pairing=IntMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]))
+
+
+def _unknowns_config(rng, k, n):
+    """k surfaces, each through a singular point, so w2 has k unknowns:
+    one of even and one of odd multiplicity, the others plain."""
+    mults = [rng.choice(EVEN), rng.choice(ODD)] + [1] * (k - 2)
+    surfaces = tuple(
+        SurfaceData(f"S{i}", 0, mult,
+                    rng.choice([j for j in range(1, mult) if gcd(j, mult) == 1]
+                               or [0]),
+                    Fraction(rng.randint(-4, 4)), (Fraction(0),) * n)
+        for i, mult in enumerate(mults))
+    return OrbifoldConfig(
+        surfaces,
+        tuple(SingularPointData(f"x{i}", 2, (1, 1), (f"S{i}",))
+              for i in range(k)),
+        b1=0, b2=n, integral_pairing=IntMatrix.from_rows(
             [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]))
 
 
@@ -261,3 +319,41 @@ def test_spin_decision_makes_no_echelon_call(monkeypatch):
     assert decisions > 8
     # the even-multiplicity lattices each echeloned their kernel once
     assert len(calls) == 2
+
+
+def test_one_walk_against_the_brute_force_oracle(monkeypatch):
+    # the pipeline's one walk gives each assignment the first class the
+    # oracle accepts, and leaves the whole walk None when one has none
+    walks = []
+    walk = seifert.search_background_class
+
+    def recorded(lattice, wanted, serves):
+        walks.append((wanted, walk(lattice, wanted, serves)))
+        return walks[-1][1]
+
+    monkeypatch.setattr(seifert, "search_background_class", recorded)
+    configs = [_random_config(rng, mixed)
+               for rng, mixed in ((random.Random(6), True),
+                                  (random.Random(7), False))
+               for _ in range(40)]
+    configs.append(_unknowns_config(random.Random(1), 9, 4))
+    assert max(len(oracle_unknowns(cfg)) for cfg in configs) == 9
+    outcomes = []
+    for cfg in configs:
+        for want, target in ((None, "any"), (True, "spin"),
+                             (False, "nonspin")):
+            walks.clear()
+            rep = run_pipeline(Scenario(
+                config=cfg, seifert=SeifertRequest(spin_target=target)))
+            ((wanted, found),) = walks
+            expected = oracle_walk(cfg, want)
+            if expected is None:
+                assert found is None
+                assert ("background_class", "inconclusive") in rep.verdicts
+            else:
+                assert dict(zip(wanted, (spec.c1B for spec in found))) \
+                    == expected
+            outcomes.append(expected and len(set(expected.values())))
+    # exhausted walks, and walks that serve assignments different classes
+    assert outcomes.count(None) > 5
+    assert sum(1 for n in outcomes if n and n > 1) > 5

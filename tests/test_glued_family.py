@@ -91,7 +91,8 @@ def _h2_exponents() -> list[int]:
 @pytest.mark.parametrize("p", PRIMES)
 def test_h2_of_the_total_space_in_closed_form(p):
     lattice = seifert.Lattice.of(build_Z(p))
-    spec = seifert.search_background_class(lattice, lambda lat, c1B: True)
+    (spec,) = seifert.search_background_class(
+        lattice, [None], lambda spec, key: True)
     h2 = seifert.h2_of_M(spec)
     # one prime, so the invariant factors are the summands in order
     assert h2.rank == 15

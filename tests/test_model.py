@@ -350,3 +350,15 @@ def test_pairing_uses_point_order():
         (IntersectionEvent("e1", "A", "B", "x"),
          IntersectionEvent("e2", "A", "B")), b2=2)
     assert cfg.pairing_of("A", "B") == Fraction(5, 4)
+
+
+def test_replace_keeps_the_fraction_coordinates_it_reads():
+    # a surface's qclass coordinates are Fractions: a Fraction passes
+    # through unchanged, so a replace shares each coordinate object, and
+    # any other number is converted to an equal Fraction
+    s = SurfaceData("A", 0, qclass=(Fraction(1, 2), 3, Fraction(-2)))
+    assert s.qclass == (Fraction(1, 2), Fraction(3), Fraction(-2))
+    assert all(type(x) is Fraction for x in s.qclass)
+    t = replace(s, genus=1)
+    assert t.genus == 1
+    assert all(x is y for x, y in zip(t.qclass, s.qclass))

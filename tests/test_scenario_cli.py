@@ -1128,8 +1128,8 @@ def test_no_background_class_without_spin_target_verdict():
 
 
 def test_one_lattice_per_pipeline_run(monkeypatch):
-    # the unknowns of w2 and the search of each of the four assignments
-    # share one Lattice, hence one Smith normal form
+    # the unknowns of w2 and the one walk for the four assignments share
+    # one Lattice, hence one Smith normal form
     snf_calls = []
     snf = seifert.smith_normal_form
     monkeypatch.setattr(seifert, "smith_normal_form",
@@ -1138,6 +1138,28 @@ def test_one_lattice_per_pipeline_run(monkeypatch):
                                 seifert=SeifertRequest(spin_target="spin")))
     assert len(rep.spin_entries) == 4
     assert len(snf_calls) == 1
+
+
+@pytest.mark.parametrize("target, walked", [
+    ("spin", 35), ("nonspin", 2), ("any", 1)])
+def test_one_class_walk_serves_every_assignment(monkeypatch, target,
+                                                walked):
+    # the four assignments share one walk, which goes as far as the
+    # furthest first hit among them (a walk each would go 41, 5 and 4)
+    count = Counter()
+    graded = seifert._graded_vectors
+
+    def counted(dim, max_l1):
+        for c1B in graded(dim, max_l1):
+            count["walked"] += 1
+            yield c1B
+
+    monkeypatch.setattr(seifert, "_graded_vectors", counted)
+    rep = run_pipeline(Scenario(builtin=("glued_Z", 3),
+                                seifert=SeifertRequest(spin_target=target)))
+    assert len(rep.spin_entries) == 4
+    assert dict(rep.verdicts)["h1_zero"] == "pass"
+    assert count["walked"] == walked
 
 
 def test_one_smale_barden_datum_per_spin_type(monkeypatch):

@@ -286,35 +286,41 @@ class TestH1H2:
         assert h2.primary_counts() == {(2, 2): 4}
 
 
-def _any(lattice, c1B):
+def _search(lattice, accept):
+    """The one-key walk: the spec of the first class accept admits."""
+    found = search_background_class(
+        lattice, ["only"], lambda spec, key: accept(spec))
+    return None if found is None else found[0]
+
+
+def _any(spec):
     return True
 
 
 class TestSearch:
     def test_glued_search_succeeds(self):
         z = build_Z(3)
-        spec = search_background_class(Lattice.of(z), _any)
+        spec = _search(Lattice.of(z), _any)
         assert h1_zero_decision(spec).holds
 
     def test_parity_excluded(self):
         z = build_Z(3)
         alpha = (1,) * 16
-        spec = search_background_class(
-            Lattice.of(z), lambda lattice, c1B: any(
-                (c - a) % 2 for c, a in zip(c1B, alpha)))
+        spec = _search(Lattice.of(z), lambda spec: any(
+            (c - a) % 2 for c, a in zip(spec.c1B, alpha)))
         assert any((c - a) % 2 for c, a in zip(spec.c1B, alpha))
 
     def test_impossible_constraint(self, monkeypatch):
         z = build_Z(3)
         # at MAX_L1 = 0 the only candidate is the zero vector
         monkeypatch.setattr(seifert, "MAX_L1", 0)
-        assert search_background_class(
-            Lattice.of(z), lambda lattice, c1B: any(c % 2 for c in c1B)) is None
+        assert _search(
+            Lattice.of(z), lambda spec: any(c % 2 for c in spec.c1B)) is None
 
     def test_deterministic_first_hit(self):
         z = build_Z(3)
-        a = search_background_class(Lattice.of(z), _any)
-        b = search_background_class(Lattice.of(z), _any)
+        a = _search(Lattice.of(z), _any)
+        b = _search(Lattice.of(z), _any)
         assert a.c1B == b.c1B
 
     def test_one_lattice_and_one_snf_per_search(self, monkeypatch):
@@ -324,20 +330,34 @@ class TestSearch:
         monkeypatch.setattr(seifert, "smith_normal_form",
                             lambda A: snf_calls.append(A) or snf(A))
 
-        def accept(lattice, c1B):
-            seen.append((lattice, c1B))
+        def accept(spec):
+            seen.append(spec)
             return len(seen) == 3
 
         lattice = Lattice.of(z)
-        spec = search_background_class(lattice, accept)
-        assert spec.c1B == seen[-1][1] and spec.lattice is lattice
-        assert all(asked is lattice for asked, _ in seen)
-        assert search_background_class(
-            lattice, lambda lattice, c1B: False) is None
+        spec = _search(lattice, accept)
+        assert spec is seen[-1] and spec.lattice is lattice
+        assert all(asked.lattice is lattice for asked in seen)
+        assert _search(lattice, lambda spec: False) is None
         assert len(snf_calls) == 1  # 545 more candidates, no further SNF
-        for _, c1B in seen:  # accept is asked about primitive classes only
+        for asked in seen:  # accept is asked about primitive classes only
             assert is_primitive(scaled_chern_class(
-                SeifertSpec(z, compute_b_residues(z), c1B)))
+                SeifertSpec(z, compute_b_residues(z), asked.c1B)))
+
+    def test_one_walk_serves_every_key(self):
+        # each key gets, in the order of wanted, the class its own one-key
+        # walk finds, and a key no class serves leaves the whole walk None
+        lattice = Lattice.of(build_Z(3))
+        tests = {"second": lambda spec: spec.c1B[1] < 0, "any": _any,
+                 "odd": lambda spec: any(c % 2 for c in spec.c1B)}
+        found = search_background_class(
+            lattice, list(tests), lambda spec, key: tests[key](spec))
+        assert [spec.c1B for spec in found] == [
+            _search(lattice, accept).c1B for accept in tests.values()]
+        assert len({spec.c1B for spec in found}) == 3
+        assert search_background_class(
+            lattice, ["any", "never"],
+            lambda spec, key: key == "any") is None
 
 
 def test_graded_enumeration_order():

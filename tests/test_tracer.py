@@ -3,9 +3,10 @@
 perfbench/tracer.py binds orbkit's layer functions by name and fails on
 a binding it cannot rebind, such as a layer function held in a tuple.
 So a renamed function or such a binding would otherwise show only in a
-traced benchmark run.  This runs `verify --builtin glued_Z --prime 3`
-and `verify` of an explicit scenario with a [script] untraced and then
-under the tracer, in one fresh process, as the benchmark does.
+traced benchmark run.  This runs `verify --builtin glued_Z --prime 3`,
+`verify` of an explicit scenario with a [script] and `verify --builtin
+glued_Z --prime 3 --spin-target spin` untraced and then under the
+tracer, in one fresh process, as the benchmark does.
 """
 
 import json
@@ -61,7 +62,9 @@ def traced(tmp_path_factory):
     scenario = tmp_path_factory.mktemp("tracer") / "script.scn"
     scenario.write_text(SCRIPT_TEXT)
     runs = [["verify", "--builtin", "glued_Z", "--prime", "3"],
-            ["verify", str(scenario)]]
+            ["verify", str(scenario)],
+            ["verify", "--builtin", "glued_Z", "--prime", "3",
+             "--spin-target", "spin"]]
     path = os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench"))
     run = subprocess.run(
         [sys.executable, "-c", TRACED_VERIFY, json.dumps(runs)],
@@ -74,9 +77,16 @@ def traced(tmp_path_factory):
 
 def test_tracer_installs_and_records_each_decision(traced):
     untraced, codes, spans = traced
-    assert codes == untraced == [0, 0]
+    assert codes == untraced == [0, 0, 0]
     assert {"fpgroup.coset_enumerate", "seifert.h1_zero_decision",
             "spin.spin_decision"} <= {name for name, _ in spans}
+
+
+def test_the_class_walk_asks_the_spin_decision(traced):
+    # with a spin target, the report's test of whether a class serves an
+    # assignment runs inside the walk, through the rebound spin_decision
+    _, _, spans = traced
+    assert ("spin.spin_decision", "seifert.search_background_class") in spans
 
 
 def test_script_moves_run_under_the_parse(traced):
