@@ -15,29 +15,27 @@ exception).
 The orbifold presentation states each torsion relation once: a power
 family x^(p^i), i >= k, has the normal closure of x^(p^k) alone.
 
-Each relator word has one prepared form per process, made by a bounded
-cache keyed on the word: the generators the range check reads, the
-table columns of its cyclic reduction, the distinct cyclic conjugates
-the enumeration scans, and its nonzero exponent sums.  A word that
-reduces to one syllable x^n is traced once round x's cycle through a
-coset, as x's column and n; any other is spelled as table columns.
-The relators of the orbifold presentation that do not depend on p are
-written once per process, so a certificate for any p finds theirs
-prepared.  A new table entry is scanned against all the relator
-conjugates that start with its letter in one loop, and the replay of a
-completed table checks a power x^n by the length of x's cycle.
-
 Each presentation has one enumeration plan per process, made by a
-bounded cache keyed on its generator count and relators, as a word's
-prepared form is.  A relator x^+-1 y^+-1 on two generators identifies
-them: the later one's columns read the earlier one's, swapped for an
-inverse, through chains of such relators, and one that joins two
-generators already identified stays a relator.  The other relators'
-prepared cycles are mapped through that column map as they are, never
-reduced again, and a cycle equal to an earlier one or to an earlier
-one read backwards is scanned once, powers and spelled words apart.
-Felsch then fills only the columns of the least generator of each
-class, and the finished table is written out to every column and
+bounded cache keyed on its generator count and relators, and the plan
+is the one place a relator is cyclically reduced, spelled into table
+columns and summed, for the enumeration and the abelianization alike.
+A relator that reduces to one syllable x^n is traced once round x's
+cycle through a coset, as x's column and n; any other is spelled as
+table columns.  The relators of the orbifold presentation that do not
+depend on p are written once per process, and a certificate asked for
+again at one prime finds its plan made.  A new table entry is scanned
+against all the relator conjugates that start with its letter in one
+loop, and the replay of a completed table checks a power x^n by the
+length of x's cycle.
+
+A relator x^+-1 y^+-1 on two generators identifies them: the later
+one's columns read the earlier one's, swapped for an inverse, through
+chains of such relators, and one that joins two generators already
+identified stays a relator.  The other relators are spelled in the
+columns that map gives, and a cycle equal to an earlier one or to an
+earlier one read backwards is scanned once, powers and spelled words
+apart.  Felsch then fills only the columns of the least generator of
+each class, and the finished table is written out to every column and
 replayed against every relator as given, so the result is the one the
 full table gives.  The plan's classes serve the abelianization too:
 each relator's exponent sums are folded onto the least generator of
@@ -103,89 +101,56 @@ def _column(g: int, e: int) -> int:
     return 2 * g - 2 + (e < 0)
 
 
-def _period(w) -> int:
-    """Least d > 0 such that rotating w by d letters gives w."""
-    n = len(w)
-    return next(d for d in range(1, n + 1)
-                if n % d == 0 and w[d:] + w[:d] == w)
-
-
-@lru_cache(maxsize=1024)
-def _prepared(r: Word) -> tuple:
-    """The prepared form of a relator word: (span, item, conjugates, sums).
-
-    span is the least and the largest generator r names ((1, 0) if none),
-    which the range check of a presentation reads.  item is
-    cyclic_reduce(r) as the enumeration traces it, (columns, first index,
-    last index, power), or None if it reduces to nothing; a power x^n
-    has x's column in place of the column list and the power flag, so it
-    is never spelled out.  conjugates pairs the first column of each of
-    its distinct cyclic conjugates with that conjugate's item; sums lists
-    the (generator - 1, exponent sum) pairs that are not zero.  A pure
-    function of r, so one form serves every presentation that has r; no
-    caller writes to the column lists it shares.
-    """
-    gens = {g for g, _ in r}
-    span = min(gens, default=1), max(gens, default=0)
-    if span[0] < 1:
-        return span, None, (), ()
-    w = cyclic_reduce(r)
-    if not w:
-        item, conjugates = None, ()
-    elif len(w) == 1:  # x^n, its own only conjugate
-        (g, e), = w
-        item = _column(g, e), 0, abs(e) - 1, True
-        conjugates = ((item[0], item),)
-    else:
-        # written twice, every conjugate is a slice; a word of period d
-        # has d distinct ones
-        cols = [c for g, e in w for c in [_column(g, e)] * abs(e)]
-        item = cols, 0, len(cols) - 1, False
-        twice = cols + cols
-        conjugates = tuple((twice[s], (twice, s, s + len(cols) - 1, False))
-                           for s in range(_period(cols)))
-    sums = Counter()
-    for g, e in r:
-        sums[g - 1] += e
-    return span, item, conjugates, tuple((i, e) for i, e in sums.items() if e)
-
-
 @lru_cache(maxsize=256)
 def _plan(ngens: int, relators: tuple[Word, ...]) -> tuple:
     """The enumeration plan of a presentation on ngens generators:
     (width, columns, items, conjugates, checks, sums).
 
-    A relator that cyclically reduces to x^+-1 y^+-1, x != y, says that
-    y's columns read x's, swapped, and joins their classes; once all
-    such relators are read in order, each generator's columns read
-    those of the least generator of its class, and one that joins two
-    generators already in one class stays a relator.  The least
-    generators of the classes, in order, own the width table columns
-    the enumeration fills, and columns[c] is the table column that the
-    presentation's column c reads.
+    Each relator is cyclically reduced once, here, and checks lists it
+    in the presentation's own columns, as the replay traces it:
+    (columns, first index, last index, power), a reduction to one
+    syllable x^n as (x's column, 0, n - 1, True), never spelled out,
+    and any other as the list of its letters' table columns.  A relator
+    that reduces to nothing has no entry.
 
-    Every other relator has its prepared items and conjugates mapped
-    through columns, as they are, never reduced again; items lists
-    those traced at coset 0 and conjugates[x] those that start with x.
-    A mapped cycle equal to an earlier one, or to the earlier one read
-    backwards from the same coset or through the same edge, is left
-    out, since its scan would trace the same cycle again; a power x^n
-    and a word that spells x n times are kept apart, as they are traced
-    differently.  checks lists every relator's item as given, for the
-    replay.  sums is the matrix of the relators' exponent sums over the
-    width / 2 classes, each generator's sum added to its class's column,
-    negated where it reads the inverse column, with the rows that vanish
-    left out (None if all do).  A pure function of its arguments, made
-    once per process for each presentation; no caller writes to the
-    lists it shares.
+    A relator that reduces to x^+-1 y^+-1, x != y, says that y's
+    columns read x's, swapped, and joins their classes; once all such
+    relators are read in order, each generator's columns read those of
+    the least generator of its class, and one that joins two generators
+    already in one class stays a relator.  The least generators of the
+    classes, in order, own the width table columns the enumeration
+    fills, and columns[c] is the table column that the presentation's
+    column c reads.
+
+    Every other relator is read through columns: items lists the words
+    traced at coset 0 and conjugates[x] the cyclic conjugates that start
+    with x, each a slice of the word written twice.  A word or conjugate
+    equal to an earlier one, or to the earlier one read backwards from
+    the same coset or through the same edge, is left out, since its scan
+    would trace the same cycle again; so a word of period d keeps at
+    most d conjugates.  A power x^n and a word that spells x n times are
+    kept apart, as they are traced differently.  sums is the matrix of
+    the relators' exponent sums over the width / 2 classes, each
+    generator's sum added to its class's column, negated where it reads
+    the inverse column, with the rows that vanish left out (None if all
+    do).  A pure function of its arguments, made once per process for
+    each presentation; no caller writes to the lists it shares.
     """
-    prepared = [_prepared(r) for r in relators]
+    checks = []
+    for r in relators:
+        w = cyclic_reduce(r)
+        if len(w) == 1:
+            (g, e), = w
+            checks.append((_column(g, e), 0, abs(e) - 1, True))
+        elif w:
+            cols = [c for g, e in w for c in [_column(g, e)] * abs(e)]
+            checks.append((cols, 0, len(cols) - 1, False))
     reads = list(range(2 * ngens))  # column -> the column it reads
-    joins = set()
-    for k, (_, item, _, _) in enumerate(prepared):
-        if item is None or item[3] or len(item[0]) != 2:
+    joins = set()  # indices into checks
+    for k, (w, _, j, power) in enumerate(checks):
+        if power or j != 1:
             continue
-        c, d = (reads[x] for x in item[0])
+        c, d = (reads[x] for x in w)
         if c >> 1 != d >> 1:  # c d = 1: the later of c, d^-1 reads the other
             low, high = sorted((c, d ^ 1))
             low ^= high & 1
@@ -196,19 +161,14 @@ def _plan(ngens: int, relators: tuple[Word, ...]) -> tuple:
     columns = [2 * owners[x >> 1] + (x & 1) for x in reads]
     width = 2 * len(owners)
 
-    checks = []
     items: list[tuple] = []
     conjugates: list[list] = [[] for _ in range(width)]
     # the cycles kept and the same cycles read backwards: words traced
     # from coset 0, words traced through an edge, and powers (x, n - 1)
     at_0, edges, powers = set(), set(), set()
-    for k, (_, item, conj, _) in enumerate(prepared):
-        if item is None:
-            continue
-        checks.append(item)
+    for k, (w, i, j, power) in enumerate(checks):
         if k in joins:
             continue
-        w, i, j, power = item
         if power:  # its own only conjugate
             x = columns[w]
             if (x, j) not in powers:
@@ -226,17 +186,17 @@ def _plan(ngens: int, relators: tuple[Word, ...]) -> tuple:
         # through the same edge, it is backs[n - 1 - s:2n - 1 - s]
         n = len(word)
         twice, backs = word + word, back + back
-        for _, (_, s, _, _) in conj:
+        for s in range(n):
             cycle = twice[s:s + n]
             if cycle not in edges:
                 edges.update((cycle, backs[n - 1 - s:2 * n - 1 - s]))
                 conjugates[twice[s]].append((twice, s, s + n - 1, False))
 
     rows = []
-    for _, _, _, nonzero in prepared:
+    for r in relators:
         row = [0] * (width // 2)
-        for i, e in nonzero:
-            x = columns[2 * i]
+        for g, e in r:
+            x = columns[2 * g - 2]
             row[x >> 1] += -e if x & 1 else e
         if any(row):
             rows.append(row)
@@ -250,12 +210,10 @@ class Presentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self):
-        n = len(self.generators)
-        for r in self.relators:
-            low, high = _prepared(r)[0]
-            if low < 1 or high > n:
-                raise ValueError(f"relator generator "
-                                 f"{low if low < 1 else high} out of range")
+        gens = {g for r in self.relators for g, _ in r}
+        if gens and not 1 <= min(gens) <= max(gens) <= len(self.generators):
+            bad = min(gens) if min(gens) < 1 else max(gens)
+            raise ValueError(f"relator generator {bad} out of range")
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -378,8 +336,8 @@ def coset_enumerate(p: Presentation,
     every relator at every coset before being returned; x^n holds at a
     coset when the length of x's cycle through it divides n; the table
     returned has a column for each generator and its inverse, those of
-    an identified generator copied from its class's.  The plan reads
-    each relator's prepared form, and the replay reads it as given.
+    an identified generator copied from its class's.  The scans trace
+    the plan's cycles, and the replay traces each relator as given.
     """
     ncols, columns, relators, conjugates, checks, _ = _plan(
         len(p.generators), p.relators)
@@ -562,7 +520,7 @@ _PI1_GENERATORS = ("a", "b", "x1", "y1", "z1", "x2", "y2", "z2", "g1",
 @cache
 def _fixed_relators() -> tuple[Word, ...]:
     """The 45 relators of the orbifold presentation that do not depend on
-    p, cyclically reduced; written as syllables once per process."""
+    p, each written cyclically reduced, as syllables, once per process."""
     gens = range(1, len(_PI1_GENERATORS) + 1)
     a, b, x1, y1, z1, x2, y2, z2, g1, g2, u = gens
     ab = ((a, 1), (b, 1), (a, -1), (b, -1))
@@ -590,7 +548,7 @@ def _fixed_relators() -> tuple[Word, ...]:
         rels.append(((first, 1), (second, -1)))
     # section relation over the base sphere
     rels.append(((u, 8), (g1, 5), (g2, 3)))
-    return tuple(map(cyclic_reduce, rels))
+    return tuple(rels)
 
 
 def build_pi1_orb_presentation(p_prime: int,

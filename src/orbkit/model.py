@@ -67,10 +67,11 @@ class SurfaceData:
         if self.multiplicity > 1:
             object.__setattr__(self, "local_j",
                                self.local_j % self.multiplicity)
-        object.__setattr__(self, "self_intersection",
-                           Fraction(self.self_intersection))
+        # a replace passes the Fractions it read: keep those objects
+        if not isinstance(self.self_intersection, Fraction):
+            object.__setattr__(self, "self_intersection",
+                               Fraction(self.self_intersection))
         if self.qclass is not None:
-            # a replace passes the Fractions it read: keep those objects
             object.__setattr__(self, "qclass", tuple(
                 x if isinstance(x, Fraction) else Fraction(x)
                 for x in self.qclass))

@@ -508,6 +508,14 @@ def gompf_fiber_sum(cfg_a: OrbifoldConfig, cfg_b: OrbifoldConfig,
 
 # -- builders -----------------------------------------------------------
 
+# Fractions are immutable, so every unit coordinate shares these two
+_ONE, _ZERO = Fraction(1), Fraction(0)
+
+
+def _unit(i: int, n: int) -> tuple[Fraction, ...]:
+    """The i-th of the n unit coordinate vectors."""
+    return tuple(_ONE if k == i else _ZERO for k in range(n))
+
 
 def build_block_Y() -> OrbifoldConfig:
     """First building block: a torus-fibered orbifold with 8 double points.
@@ -518,16 +526,13 @@ def build_block_Y() -> OrbifoldConfig:
     and four tori U1..U4 meeting in the pairs (U1,U2), (U3,U4).
     Rational classes: [S2] = [S1], [fiber] = 2[S1].
     """
-    def unit(i):
-        return tuple(Fraction(1 if k == i else 0) for k in range(6))
-
     fiber_ids = ["T1a", "T1b", "T2a"] + [f"T{i}" for i in range(3, 11)]
-    twice_s1 = tuple(2 * x for x in unit(1))
-    surfaces = (SurfaceData("T1", 1, qclass=unit(0)),
-                SurfaceData("S1", 0, qclass=unit(1)),
-                SurfaceData("S2", 0, qclass=unit(1)),
+    twice_s1 = tuple(2 * x for x in _unit(1, 6))
+    surfaces = (SurfaceData("T1", 1, qclass=_unit(0, 6)),
+                SurfaceData("S1", 0, qclass=_unit(1, 6)),
+                SurfaceData("S2", 0, qclass=_unit(1, 6)),
                 *(SurfaceData(fid, 1, qclass=twice_s1) for fid in fiber_ids),
-                *(SurfaceData(f"U{k}", 1, qclass=unit(1 + k))
+                *(SurfaceData(f"U{k}", 1, qclass=_unit(1 + k, 6))
                   for k in range(1, 5)))
     points = tuple(SingularPointData(f"p{i}q{j}", 2, (1, 1), (
         (f"S{i}", "T1") if j == 1 else (f"S{i}",)))
@@ -616,9 +621,7 @@ def build_Z(p: int, log: SurgeryLog | None = None) -> OrbifoldConfig:
     z = assign_isotropy(z, {f"V{i}": (p ** i, 1) for i in range(1, 17)},
                         log=log)
     basis = tuple(f"V{i}" for i in range(1, 17))
-    qclasses = {f"V{i}": tuple(Fraction(1 if k == i - 1 else 0)
-                               for k in range(16))
-                for i in range(1, 17)}
+    qclasses = {f"V{i}": _unit(i - 1, 16) for i in range(1, 17)}
     # integral basis 2V1, 2V2, V3..V16 pairs diagonally against the V's
     diag = [1, -1] + [-1] * 12 + [1, 1]
     pairing = IntMatrix.from_rows(

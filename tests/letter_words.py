@@ -2,10 +2,11 @@
 
 A letter is a nonzero signed generator index (1-based; negative means
 inverse), so x^n is n letters.  These are the letter forms of
-free_reduce, cyclic_reduce, inverse_word, commutator and _prepared that
+free_reduce, cyclic_reduce, inverse_word and commutator that
 orbkit.fpgroup used before it wrote a word as (generator, exponent)
-syllables; they share no code with it.  `syllables` and `letters` move a
-word between the two forms.
+syllables, and `prepared` spells and sums one relator as the
+enumeration plan does; they share no code with it.  `syllables` and
+`letters` move a word between the two forms.
 """
 
 
@@ -61,34 +62,20 @@ def _column(g: int) -> int:
     return 2 * abs(g) - 2 + (g < 0)
 
 
-def _period(w) -> int:
-    n = len(w)
-    return next(d for d in range(1, n + 1)
-                if n % d == 0 and w[d:] + w[:d] == w)
-
-
 def prepared(r: tuple) -> tuple:
-    """(letter, item, conjugates, sums) of a nonempty letter word: a
-    letter of largest |g| (0 if r holds a 0), cyclic_reduce(r) as the
-    enumeration traces it, its distinct cyclic conjugates by first
-    column, and its nonzero (generator - 1, exponent sum) pairs."""
-    if 0 in r:
-        return 0, None, (), ()
+    """(item, sums) of a nonempty letter word: cyclic_reduce(r) as the
+    enumeration traces it, and its nonzero (generator - 1, exponent sum)
+    pairs."""
     w = cyclic_reduce(r)
     if not w:
-        item, conjugates = None, ()
-    elif _is_power(w):  # x^n: x's column and n, its own only conjugate
+        item = None
+    elif _is_power(w):  # x^n: x's column and n
         item = _column(w[0]), 0, len(w) - 1, True
-        conjugates = ((item[0], item),)
     else:
         cols = list(map(_column, w))
         item = cols, 0, len(cols) - 1, False
-        twice = cols + cols
-        conjugates = tuple((twice[s], (twice, s, s + len(cols) - 1, False))
-                           for s in range(_period(cols)))
     sums: dict[int, int] = {}
     for g in set(r):
         i = abs(g) - 1
         sums[i] = sums.get(i, 0) + (r.count(g) if g > 0 else -r.count(g))
-    return (max(r, key=abs), item, conjugates,
-            tuple((i, e) for i, e in sums.items() if e))
+    return item, tuple((i, e) for i, e in sums.items() if e)

@@ -37,7 +37,6 @@ from orbkit.fpgroup import (
     Complete,
     Presentation,
     _plan,
-    _prepared,
     abelianize,
     coset_enumerate,
 )
@@ -284,31 +283,31 @@ def test_closure_ignores_relator_order_and_repetition(change):
                 == {k: golden[k] for k in fields}), case
 
 
-def test_prepared_forms_change_no_result():
-    # each relator word is prepared once per process; a pass with the
-    # cache empty, a pass that finds every form made and a pass after the
+def test_the_plan_cache_changes_no_result():
+    # each presentation's plan is made once per process; a pass with the
+    # cache empty, a pass that finds every plan made and a pass after the
     # cache has evicted them all must give the golden
     def run():
-        made = _prepared.cache_info().misses
+        made = _plan.cache_info().misses
         out = [(result(case), str(abelianize(Presentation(
             tuple(case["generators"]),
             tuple(map(syllables, case["relators"]))))))
             for case in cases()]
-        return out, _prepared.cache_info().misses - made
+        return out, _plan.cache_info().misses - made
 
-    words = {syllables(r) for case in cases() for r in case["relators"]}
-    bound = _prepared.cache_info().maxsize
-    assert len(words) < bound
-    _prepared.cache_clear()
+    keys = {(len(case["generators"]), tuple(map(syllables, case["relators"])))
+            for case in cases()}
+    bound = _plan.cache_info().maxsize
+    assert len(keys) < bound
     _plan.cache_clear()
     first, made = run()
-    assert made == len(words)
+    assert made == len(keys)
     second, made = run()
     assert made == 0
-    for k in range(bound):  # as many other words (generator 4 is in none)
-        Presentation(tuple("abcd"), (((4, k + 1), (1, 1)),))
+    for k in range(bound):  # as many other plans, on 4 generators
+        _plan(4, (((4, k + 1), (1, 1)),))
     third, made = run()
-    assert made == len(words)
+    assert made == len(keys)
     assert [res for res, _ in first] == _golden()
     assert first == second == third
 

@@ -24,7 +24,6 @@ from orbkit.fpgroup import (
     Presentation,
     _fixed_relators,
     _plan,
-    _prepared,
     abelianize,
     build_pi1_orb_presentation,
     commutator,
@@ -93,8 +92,8 @@ class TestWords:
 
     @pytest.mark.parametrize("bad", [0, 2, -2])
     def test_bad_letter_in_a_long_power_is_refused(self, bad):
-        # every word is checked by its prepared form, which may not miss a
-        # generator next to powers of 50,000
+        # the check reads the generator of every syllable, so it may not
+        # miss one next to powers of 50,000
         k = 50_000
         for r in ((1,) * k + (bad,) + (1,) * k, (bad,) * (2 * k + 1)):
             with pytest.raises(ValueError, match="out of range"):
@@ -103,7 +102,8 @@ class TestWords:
     @pytest.mark.parametrize("r", [((1, 1), (2, 1), (3, 1), (1, -1)),
                                    ((3, 2), (2, -1)), ((3, -4),)])
     def test_prepared_word_is_checked_for_each_presentation(self, r):
-        # a form prepared for three generators is out of range for two
+        # the syllables' generators are checked against each presentation's
+        # own count: a word in range for three generators is not for two
         assert Presentation(("a", "b", "c"), (r,)).relators == (r,)
         with pytest.raises(ValueError, match="out of range"):
             Presentation(("a", "b"), (r,))
@@ -503,7 +503,6 @@ class TestOrbifoldGroup:
     def test_certificate_at_p97_stays_small(self):
         # build, abelianization and enumeration from cold caches; a
         # certificate that spelled U^(p^3) out held 7 MiB at once
-        _prepared.cache_clear()
         _plan.cache_clear()
         _fixed_relators.cache_clear()
         tracemalloc.start()

@@ -362,3 +362,20 @@ def test_replace_keeps_the_fraction_coordinates_it_reads():
     t = replace(s, genus=1)
     assert t.genus == 1
     assert all(x is y for x, y in zip(t.qclass, s.qclass))
+
+
+def test_replace_keeps_the_fraction_self_intersection_it_reads():
+    # as a coordinate is: a Fraction is kept, any other number converted
+    s = SurfaceData("A", 0, self_intersection=Fraction(-1, 2))
+    assert replace(s, genus=1).self_intersection is s.self_intersection
+    t = SurfaceData("B", 0, self_intersection=3)
+    assert type(t.self_intersection) is Fraction
+    assert t.self_intersection == 3
+
+
+def test_the_glued_lattice_shares_two_coordinate_objects():
+    # every coordinate of build_Z's unit vectors is one shared 0 or 1
+    z = build_Z(3)
+    coordinates = [x for s in z.surfaces for x in s.qclass]
+    assert len(coordinates) == 16 * 16
+    assert len({id(x) for x in coordinates}) == 2
