@@ -23,10 +23,13 @@ A relator that reduces to one syllable x^n is traced once round x's
 cycle through a coset, as x's column and n; any other is spelled as
 table columns.  The relators of the orbifold presentation that do not
 depend on p are written once per process, and a certificate asked for
-again at one prime finds its plan made.  A new table entry is scanned
-against all the relator conjugates that start with its letter in one
-loop, and the replay of a completed table checks a power x^n by the
-length of x's cycle.
+again at one prime finds its plan made.  A new table entry a^x = b is
+scanned at a against the relator cycles that start with x, and the
+plan lists each such word from its second letter: the scan starts it
+at b, the entry's image, and not at a.  Words and powers x^n come as
+two tuples and are scanned in two loops, so no cycle is asked which
+kind it is.  The replay of a completed table checks a power x^n by
+the length of x's cycle.
 
 A relator x^+-1 y^+-1 on two generators identifies them: the later
 one's columns read the earlier one's, swapped for an inverse, through
@@ -122,19 +125,25 @@ def _plan(ngens: int, relators: tuple[Word, ...]) -> tuple:
     fills, and columns[c] is the table column that the presentation's
     column c reads.
 
-    Every other relator is read through columns: items lists the words
-    traced at coset 0 and conjugates[x] the cyclic conjugates that start
-    with x, each a slice of the word written twice.  A word or conjugate
-    equal to an earlier one, or to the earlier one read backwards from
-    the same coset or through the same edge, is left out, since its scan
-    would trace the same cycle again; so a word of period d keeps at
-    most d conjugates.  A power x^n and a word that spells x n times are
-    kept apart, as they are traced differently.  sums is the matrix of
-    the relators' exponent sums over the width / 2 classes, each
-    generator's sum added to its class's column, negated where it reads
-    the inverse column, with the rows that vanish left out (None if all
-    do).  A pure function of its arguments, made once per process for
-    each presentation; no caller writes to the lists it shares.
+    Every other relator is read through columns, and its cycles are
+    listed by their first letter: items[x] holds those traced at coset
+    0 and conjugates[x] those traced through an entry in column x, each
+    as two tuples, words and powers.  A word is (w, i, j), the cycle
+    w[i - 1..j] with w[i - 1] = x, so it starts at its second letter,
+    as a scan reads its first step from the entry it is given: items
+    lists each word as spelled, and conjugates each cyclic conjugate,
+    a slice of the word written twice.  A power x^n is n, its own only
+    conjugate, under x alone.  A word or conjugate equal to an earlier
+    one, or to the earlier one read backwards from the same coset or
+    through the same edge, is left out, since its scan would trace the
+    same cycle again; so a word of period d keeps at most d conjugates.
+    A power x^n and a word that spells x n times are kept apart, as
+    they are traced differently.  sums is the matrix of the relators'
+    exponent sums over the width / 2 classes, each generator's sum
+    added to its class's column, negated where it reads the inverse
+    column, with the rows that vanish left out (None if all do).  A pure
+    function of its arguments, made once per process for each
+    presentation; no caller writes to the lists it shares.
     """
     checks = []
     for r in relators:
@@ -161,8 +170,9 @@ def _plan(ngens: int, relators: tuple[Word, ...]) -> tuple:
     columns = [2 * owners[x >> 1] + (x & 1) for x in reads]
     width = 2 * len(owners)
 
-    items: list[tuple] = []
-    conjugates: list[list] = [[] for _ in range(width)]
+    # the words and powers that start with each column
+    items = [([], []) for _ in range(width)]
+    conjugates = [([], []) for _ in range(width)]
     # the cycles kept and the same cycles read backwards: words traced
     # from coset 0, words traced through an edge, and powers (x, n - 1)
     at_0, edges, powers = set(), set(), set()
@@ -173,24 +183,26 @@ def _plan(ngens: int, relators: tuple[Word, ...]) -> tuple:
             x = columns[w]
             if (x, j) not in powers:
                 powers.update(((x, j), (x ^ 1, j)))
-                items.append((x, i, j, True))
-                conjugates[x].append(items[-1])
+                items[x][1].append(j + 1)
+                conjugates[x][1].append(j + 1)
             continue
         word = tuple(map(columns.__getitem__, w))
         if word in at_0:  # an earlier word or its inverse, whose cycles
             continue  # through an edge are all kept or left out already
         back = tuple(x ^ 1 for x in reversed(word))
         at_0.update((word, back))
-        items.append((word, i, j, False))
+        n = len(word)
+        items[word[0]][0].append((word, 1, n - 1))
         # the cycle from letter s is twice[s:s + n]; read backwards
         # through the same edge, it is backs[n - 1 - s:2n - 1 - s]
-        n = len(word)
         twice, backs = word + word, back + back
         for s in range(n):
             cycle = twice[s:s + n]
             if cycle not in edges:
                 edges.update((cycle, backs[n - 1 - s:2 * n - 1 - s]))
-                conjugates[twice[s]].append((twice, s, s + n - 1, False))
+                conjugates[twice[s]][0].append((twice, s + 1, s + n - 1))
+    items, conjugates = ([(tuple(w), tuple(p)) for w, p in cycles]
+                         for cycles in (items, conjugates))
 
     rows = []
     for r in relators:
@@ -320,10 +332,13 @@ def coset_enumerate(p: Presentation,
     and processes every deduction before the next definition.  A new
     entry alpha^x = beta is scanned at alpha under each distinct cyclic
     conjugate of a relator that starts with x, and at beta under those
-    that start with x^-1, each list in one scan loop.  The plan (see
-    _plan) gives the columns the table fills, one pair for each class of
-    generators that relators x^+-1 y^+-1 identify, and the cycles in
-    each list, each scanned once: a cycle traced backwards, as an
+    that start with x^-1.  A word conjugate's first step is the new
+    entry itself, so its walk starts with its second letter at the
+    entry's image (beta, for the scan at alpha); the words and the
+    powers of a column are scanned in two loops.  The plan (see _plan)
+    gives the columns the table fills, one pair for each class of
+    generators that relators x^+-1 y^+-1 identify, and the cycles of
+    each column, each scanned once: a cycle traced backwards, as an
     inverted relator's conjugates trace its own, adds nothing.  A scan
     fills an entry only when exactly one is missing;
     entries made by scans and by coincidences are deductions too.  A
@@ -394,61 +409,78 @@ def coset_enumerate(p: Presentation,
         deductions.append((a, x))
         return True
 
-    def scan(a: int, cycles: list) -> None:
-        """Trace each w[i..j] of cycles (for a power x^n, x's column w
-        n times) at coset a forwards and backwards, in order, until a
-        dies.  Ends that meet at two cosets make them coincide, and a
-        single missing entry between the ends is filled; a word with two
-        or more missing waits for a later definition."""
+    def scan(a: int, x: int, cycles: tuple) -> None:
+        """Trace the cycles of column x (see _plan) at coset a forwards
+        and backwards, the words in one loop and then the powers in
+        another, in order, until a dies.  A word's first step is a's
+        entry in column x, read again for each word since a coincidence
+        can move it; where it is missing, as at coset 0 before the
+        first definition, the word is walked from a.  A power x^n goes
+        round x's cycle at a once.  Ends that meet at two cosets make
+        them coincide, and a single missing entry between the ends is
+        filled; a cycle with two or more missing waits for a later
+        definition."""
         rows = table  # a local, not a closure cell: read once per letter
-        for w, i, j, power in cycles:
-            f = a
-            if power:  # w is x's column and the word is x^n, n = j - i + 1
-                n, k = j - i + 1, 0
-                while k < n:  # go round x's cycle at a once
-                    g = rows[f][w]
-                    if g is None:
-                        break
-                    f = g
-                    k += 1
-                    if f == a:  # closed after k letters: skip whole rounds
-                        k = n - n % k
-                i += k
-                x, b = w, a  # every letter left is x, walked back from a
-                while j >= i:
-                    g = rows[b][x ^ 1]
-                    if g is None:
-                        break
-                    b = g
-                    j -= 1
-            else:
-                while i <= j:
-                    g = rows[f][w[i]]
-                    if g is None:
-                        break
-                    f = g
-                    i += 1
-                if i > j:
-                    if f != a:
-                        coincidence(f, a)
-                        if parent[a] != a:
-                            break
-                    continue
-                x, b = w[i], a
-                while j >= i:
-                    g = rows[b][w[j] ^ 1]
-                    if g is None:
-                        break
-                    b = g
-                    j -= 1
+        row = rows[a]
+        words, powers = cycles
+        for w, i, j in words:  # the word w[i - 1..j], w[i - 1] being x
+            f = row[x]
+            if f is None:
+                f, i = a, i - 1
+            while i <= j:
+                g = rows[f][w[i]]
+                if g is None:
+                    break
+                f = g
+                i += 1
+            if i > j:
+                if f != a:
+                    coincidence(f, a)
+                    if parent[a] != a:
+                        return
+                continue
+            y, b = w[i], a
+            while j >= i:
+                g = rows[b][w[j] ^ 1]
+                if g is None:
+                    break
+                b = g
+                j -= 1
             if j < i:  # the ends meet
                 if f != b:
                     coincidence(f, b)
                     if parent[a] != a:
-                        break
-            elif j == i:  # one entry missing between the ends, in column x
+                        return
+            elif j == i:  # one entry missing between the ends, in column y
+                rows[f][y] = b
+                rows[b][y ^ 1] = f
+                deductions.append((f, y))
+        inverse = x ^ 1
+        for n in powers:  # x^n
+            f, k = a, 0
+            while k < n:  # go round x's cycle at a once
+                g = rows[f][x]
+                if g is None:
+                    break
+                f = g
+                k += 1
+                if f == a:  # closed after k letters: skip whole rounds
+                    k = n - n % k
+            i, j, b = k, n - 1, a  # every letter left is x, walked back
+            while j >= i:
+                g = rows[b][inverse]
+                if g is None:
+                    break
+                b = g
+                j -= 1
+            if j < i:  # the ends meet
+                if f != b:
+                    coincidence(f, b)
+                    if parent[a] != a:
+                        return
+            elif j == i:  # one entry missing between the ends
                 rows[f][x] = b
-                rows[b][x ^ 1] = f
+                rows[b][inverse] = f
                 deductions.append((f, x))
 
     def process_deductions() -> None:
@@ -456,9 +488,9 @@ def coset_enumerate(p: Presentation,
             a, x = deductions.pop()
             b = table[a][x]  # read before the scan at a can change it
             if parent[a] == a:
-                scan(a, conjugates[x])
+                scan(a, x, conjugates[x])
                 if parent[b] == b:
-                    scan(b, conjugates[x ^ 1])
+                    scan(b, x ^ 1, conjugates[x ^ 1])
 
     def exhausted() -> CosetTable:
         dead = sum(parent[k] != k for k in range(len(table)))
@@ -466,9 +498,11 @@ def coset_enumerate(p: Presentation,
                           coincidences=dead)
 
     # deductions scan a relator at coset 0 only after a definition there,
-    # which needs a new coset; scanning each relator at coset 0 first
-    # fills what needs none, so <a | a> completes with max_cosets = 1
-    scan(0, relators)
+    # which needs a new coset; scanning each relator at coset 0 first,
+    # under the column of its first letter, fills what needs none, so
+    # <a | a> completes with max_cosets = 1
+    for x in range(ncols):
+        scan(0, x, relators[x])
     process_deductions()
 
     a = 0

@@ -123,6 +123,21 @@ class TestFromRows:
         assert IntMatrix.from_rows([[], []]) == IntMatrix(2, 0, ((), ()))
 
 
+class TestDet:
+    def test_zero_column_before_the_last_pivot(self):
+        """Kills the mutant of IntMatrix.det that returns 1, not 0, when
+        a column has no pivot: column 0 of [[0, 1], [0, 2]] has none,
+        and its pivot search comes before the last one."""
+        assert IntMatrix.from_rows([[0, 1], [0, 2]]).det() == 0
+        assert IntMatrix.from_rows([[1, 2, 3], [2, 4, 5], [3, 6, 7]]).det() \
+            == 0
+
+    def test_a_swap_flips_the_sign(self):
+        assert IntMatrix.from_rows([[0, 1], [1, 0]]).det() == -1
+        assert IntMatrix.from_rows([[0, 2, 1], [3, 0, 0], [0, 0, 5]]).det() \
+            == -30
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         snf = smith_normal_form(IntMatrix.from_rows([[1, 0], [0, 1]]))

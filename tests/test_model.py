@@ -329,6 +329,26 @@ class TestCompatibility:
             check_compatibility(
                 self.PLI, SurfaceData("Z", 1, multiplicity=3, local_j=1))
 
+    @pytest.mark.parametrize("j, holds", [(2, True), (3, False), (7, True)])
+    def test_m2_slot_of_order_five(self, j, holds):
+        """Kills the mutant that reads the m2 slot as (j1 + j) % m2, not
+        (j1 - j) % m2: the two agree mod 2, but with m2 = 5, j1 = 2 the
+        surface j = 2 holds where j1 + j = 4, and j = 3 fails where
+        j1 + j = 5."""
+        pli = PointLocalInvariant("x", (2, 5, 1, 1, 1), ("D",))
+        assert (pli.m, pli.j1, pli.j2) == (10, 2, 5)
+        assert check_compatibility(
+            pli, SurfaceData("D", 1, multiplicity=5, local_j=j)) is holds
+
+
+class TestSurfaceData:
+    @pytest.mark.parametrize("n, j, want", [(2, 3, 1), (2, -1, 1), (3, 7, 1),
+                                            (1, 0, 0)])
+    def test_local_j_is_stored_mod_the_multiplicity(self, n, j, want):
+        """Kills the mutant that reduces local_j only above multiplicity
+        2: at multiplicity 2, local_j = 3 must read 1."""
+        assert SurfaceData("D", 0, multiplicity=n, local_j=j).local_j == want
+
 
 class TestEvenPointBound:
     def test_glued_config(self):

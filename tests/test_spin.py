@@ -15,6 +15,7 @@ from orbkit.seifert import (
 from orbkit.spin import (
     Mod2Class,
     SmaleBardenData,
+    assignments,
     gk_check,
     pi_star_kernel,
     smale_barden_report,
@@ -130,6 +131,15 @@ class TestSpinDecision:
         shifted = spin_sweep(_glued_spec(3, (0,) * 15 + (1,)))
         assert base != shifted
 
+    def test_assignments_are_each_bit_pattern_once(self):
+        """Kills the mutant that counts masks to 3 ** len(names), not
+        2 ** len(names), whose extra masks repeat patterns that
+        spin_sweep's dict then folds away."""
+        assert assignments(("a1", "a2")) == [
+            (("a1", 0), ("a2", 0)), (("a1", 1), ("a2", 0)),
+            (("a1", 0), ("a2", 1)), (("a1", 1), ("a2", 1))]
+        assert assignments(()) == [()]
+
     def test_target_resolution_consistency(self):
         spec = _glued_spec(3)
         target = spin_target(spec)
@@ -155,6 +165,12 @@ class TestSmaleBarden:
         genus = [2] + [1] * 13 + [2, 2]
         assert data.torsion_profile == tuple(
             ((3, i), g) for i, g in enumerate(genus, start=1))
+
+    def test_torsion_free_statistics_are_zero(self):
+        """Kills the mutants of t_max and c_max whose max() defaults to
+        1, not 0, when there is no torsion."""
+        data = SmaleBardenData(4, (), 0)
+        assert (data.t, data.t_max, data.c_max) == ((), 0, 0)
 
     def test_nonspin_marker(self):
         data = smale_barden_report(_glued_spec(3), spin=False)
@@ -191,6 +207,12 @@ class TestGkCheck:
 
     def test_torsion_free(self):
         assert gk_check(SmaleBardenData(3, (), 0))
+
+    def test_nonspin_without_two_torsion_needs_no_room(self):
+        """Kills the mutant that reads a missing t(2) as 1, not 0: at
+        k = 0 a nonspin datum without 2-torsion still passes."""
+        assert gk_check(SmaleBardenData(0, (), None))
+        assert gk_check(SmaleBardenData(0, _profile(3, 1), None))
 
     def test_bad_barden_invariant(self):
         assert not gk_check(SmaleBardenData(3, (), 1))
