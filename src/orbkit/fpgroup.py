@@ -500,7 +500,8 @@ def coset_enumerate(p: Presentation,
     # deductions scan a relator at coset 0 only after a definition there,
     # which needs a new coset; scanning each relator at coset 0 first,
     # under the column of its first letter, fills what needs none, so
-    # <a | a> completes with max_cosets = 1
+    # <a | a> completes with max_cosets = 1 (every conjugate of a word,
+    # scanned there, would fill the same entries with more scans)
     for x in range(ncols):
         scan(0, x, relators[x])
     process_deductions()

@@ -16,12 +16,14 @@ module's file is rewritten, the tests that COVER lists for the module
 run in one pytest process with a time limit, and the file is put back.
 A mutant that passes them is run again against the whole suite, and
 only one that passes that too is a survivor.  A mutant that runs out of
-time counts as killed.  Never run two of these at once: each pytest
-process is as large as the suite.
+time counts as killed.  Before the first mutant, the copy runs each
+module's tests and then the whole suite unchanged, with the same time
+limits, and the run stops unless they pass, so that `killed` means the
+mutant was caught.  Never
+run two of these at once: each pytest process is as large as the suite.
 
     python tests/mutate.py abelian spin        # every site of both
     python tests/mutate.py --list spin         # the sites, not run
-    python tests/mutate.py --sample 20 --seed 7 model exact
 
 Each mutant prints one line, `killed`, `timeout` or `SURVIVED`, with its
 site as module:line:column; the last lines list the survivors.
@@ -32,7 +34,6 @@ from __future__ import annotations
 import argparse
 import ast
 import os
-import random
 import shutil
 import signal
 import subprocess
@@ -41,6 +42,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# seconds for one pytest process over a module's COVER files; the whole
+# suite gets five times as long
+TIMEOUT = 120.0
 
 # the test files that a module's mutants run against first
 COVER = {
@@ -57,10 +62,6 @@ COVER = {
     "model": ["test_model.py", "test_surgery.py", "test_acceptance.py"],
     "fpgroup": ["test_fpgroup.py", "test_coset_golden.py",
                 "test_word_oracle.py"],
-    "surgery": ["test_surgery.py", "test_model.py", "test_acceptance.py"],
-    "scenario": ["test_scenario_cli.py"],
-    "report": ["test_scenario_cli.py", "test_goldens.py",
-               "test_report_digests.py"],
 }
 
 NEGATED = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE,
@@ -136,24 +137,14 @@ def main(argv=None) -> int:
     ap.add_argument("modules", nargs="+", choices=sorted(COVER))
     ap.add_argument("--list", action="store_true",
                     help="print the sites and run nothing")
-    ap.add_argument("--sample", type=int, default=0,
-                    help="run this many mutants per module, drawn at random")
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--timeout", type=float, default=120.0,
-                    help="seconds for one pytest process over COVER's files;"
-                    " the whole suite gets five times as long")
     args = ap.parse_args(argv)
 
-    rng = random.Random(args.seed)
     plan = []
     for module in args.modules:
         source = (ROOT / "src" / "orbkit" / f"{module}.py").read_text()
         count = len(sites(ast.parse(source)))
         print(f"{module}: {count} sites", flush=True)
-        picked = range(count)
-        if args.sample and args.sample < count:
-            picked = sorted(rng.sample(picked, args.sample))
-        plan.extend((module, source, n) for n in picked)
+        plan.extend((module, source, n) for n in range(count))
     if args.list:
         for module, source, n in plan:
             print(f"{module}:{mutant(source, n)[0]}")
@@ -165,15 +156,26 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT, repo, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis",
             ".perfbench_out"))
+        # with the time limits the mutants get, so that a timeout too
+        # means the mutant was caught
+        baseline = [([f"tests/{name}" for name in COVER[module]], TIMEOUT)
+                    for module in args.modules] + [(["tests"], 5 * TIMEOUT)]
+        for tests, limit in baseline:
+            status = _pytest(repo, tests, limit)
+            if status != "passed":
+                what = "runs out of time" if status == "timeout" else "fails"
+                print(f"the unmutated copy {what}: " + " ".join(tests),
+                      file=sys.stderr)
+                return 1
         for module, source, n in plan:
             path = repo / "src" / "orbkit" / f"{module}.py"
             what, changed = mutant(source, n)
             path.write_text(changed)
             try:
                 tests = [f"tests/{name}" for name in COVER[module]]
-                status = _pytest(repo, tests, args.timeout)
+                status = _pytest(repo, tests, TIMEOUT)
                 if status == "passed":
-                    status = _pytest(repo, ["tests"], 5 * args.timeout)
+                    status = _pytest(repo, ["tests"], 5 * TIMEOUT)
             finally:
                 path.write_text(source)
             if status == "passed":

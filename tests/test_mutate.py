@@ -25,3 +25,13 @@ def test_one_mutant_carries_each_named_change(module, fragment):
     assert fragment not in base
     assert sum(fragment in m for m in mutants) == 1
     assert len(set(mutants)) == count and base not in mutants
+
+
+def test_cover_names_test_files_that_exist():
+    """A misspelt name in COVER would make pytest fail on every mutant
+    of its module, each read as killed."""
+    tests = Path(mutate.__file__).resolve().parent
+    for module, names in mutate.COVER.items():
+        assert (SRC / f"{module}.py").is_file()
+        for name in names:
+            assert (tests / name).is_file(), (module, name)
