@@ -6,7 +6,9 @@ factorization and Smith normal form of integer matrices.  Everything
 downstream (homology, Chern classes, abelianizations) reduces to these
 primitives.  An IntMatrix of any shape, identity and zero included, is
 made from its entries: by the constructor, or by from_rows, which
-checks that each is an integer.
+checks that each is an integer.  The Smith normal form is one loop of
+row and column moves on one list of rows, A bordered by two identities,
+so that the same moves give D and both transforms U and V.
 """
 
 from __future__ import annotations
@@ -147,7 +149,6 @@ class IntMatrix:
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
                     a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 
@@ -165,7 +166,7 @@ class SnfResult:
 
 
 def smith_normal_form(A: IntMatrix) -> SnfResult:
-    """Diagonalize A over the integers.
+    """Diagonalize A over the integers (Cohen, GTM 138, section 2.4).
 
     Classical pivot-and-reduce, always pivoting on a minimal-absolute-value
     nonzero entry to keep coefficients small: the first such entry in
@@ -173,48 +174,33 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     absolute value 1.  Returns D with a divisibility chain d1 | d2 | ...
     and unimodular transforms with U @ A @ V == D.
 
-    D starts as a copy of A's rows and U, V as identity rows; every step
-    acts on these lists of ints, and D, U and V are then built from them
-    by the IntMatrix constructor, with no second pass over the entries
-    (from_rows would check each one again).  A matrix with no rows or no
-    columns gives the zero D and identity U and V of its shape.
+    Every move acts on one list of rows, the bordered matrix
+    [[A, I_m], [I_n, 0]] of an m x n matrix A (its zero corner is left
+    out, as no move reaches it).  A row move among the first m rows
+    acts on D and U; a column move among the first n columns acts on D
+    and V.  Each round swaps the pivot into place and clears its column,
+    then its row.  If a remainder is left, or a lower row is not
+    divisible by the pivot (that row is then added to the pivot's), the
+    round is repeated: each repeat finds a smaller pivot, so this ends.
+    Otherwise the pivot's sign is fixed and the next one is taken.  D, U
+    and V are sliced out of the rows at the end and built by the IntMatrix
+    constructor, with no second pass over the entries (from_rows would
+    check each one again).  A matrix with no rows or no columns gives the
+    zero D and identity U and V of its shape.
     """
     m, n = A.rows, A.cols
-    d = [list(r) for r in A.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        if i != j:
-            d[i], d[j] = d[j], d[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in d:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row dst -= q * row src
-        for k in range(n):
-            d[dst][k] -= q * d[src][k]
-        for k in range(m):
-            u[dst][k] -= q * u[src][k]
-
-    def add_col(dst, src, q):
-        for row in d:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
+    b = [[*r] + [0] * m for r in A.entries] + [[0] * n for _ in range(n)]
+    for i in range(m):
+        b[i][n + i] = 1
+    for j in range(n):
+        b[m + j][j] = 1
 
     def min_pivot(t):
         # the first entry of least absolute value in row-major order; no
         # later entry beats a unit, so the search stops at the first one
         best, least = None, 0
         for i in range(t, m):
-            row = d[i]
+            row = b[i]
             for j in range(t, n):
                 x = row[j]
                 if x and (best is None or abs(x) < least):
@@ -225,44 +211,36 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
 
     t = 0
     while t < min(m, n):
-        if min_pivot(t) is None:
+        pos = min_pivot(t)
+        if pos is None:
             break
-        while True:
-            # re-pick a minimal pivot each pass: every reduction strictly
-            # shrinks the least absolute value, so this terminates
-            pos = min_pivot(t)
-            swap_rows(t, pos[0])
-            swap_cols(t, pos[1])
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    add_row(i, t, d[i][t] // d[t][t])
-                    dirty = dirty or d[i][t] != 0
-            for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    add_col(j, t, d[t][j] // d[t][t])
-                    dirty = dirty or d[t][j] != 0
-            if dirty:
-                continue
-            # divisibility fix: pivot must divide the rest of the submatrix
-            fixed = True
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % d[t][t] != 0:
-                        add_row(t, i, -1)
-                        fixed = False
-                        break
-                if not fixed:
-                    break
-            if fixed:
+        r, c = pos
+        b[t], b[r] = b[r], b[t]
+        if c != t:
+            for row in b:
+                row[t], row[c] = row[c], row[t]
+        top = b[t]
+        p = top[t]
+        for i in range(t + 1, m):
+            if b[i][t]:
+                q = b[i][t] // p
+                b[i] = [x - q * y for x, y in zip(b[i], top)]
+        for j in range(t + 1, n):
+            if top[j]:
+                q = top[j] // p
+                for row in b:
+                    row[j] -= q * row[t]
+        if any([row[t] for row in b[t + 1:m]]) or any(top[t + 1:n]):
+            continue  # a remainder is left, smaller than the pivot
+        for row in b[t + 1:m]:
+            if any([x % p for x in row[t + 1:n]]):
+                b[t] = [x + y for x, y in zip(top, row)]
                 break
-        if d[t][t] < 0:
-            for k in range(n):
-                d[t][k] = -d[t][k]
-            for k in range(m):
-                u[t][k] = -u[t][k]
-        t += 1
+        else:  # the pivot divides every lower row
+            if p < 0:
+                b[t] = [-x for x in top]
+            t += 1
 
-    return SnfResult(D=IntMatrix(m, n, tuple([tuple(r) for r in d])),
-                     U=IntMatrix(m, m, tuple([tuple(r) for r in u])),
-                     V=IntMatrix(n, n, tuple([tuple(r) for r in v])))
+    return SnfResult(D=IntMatrix(m, n, tuple([tuple(r[:n]) for r in b[:m]])),
+                     U=IntMatrix(m, m, tuple([tuple(r[n:]) for r in b[:m]])),
+                     V=IntMatrix(n, n, tuple([tuple(r) for r in b[m:]])))

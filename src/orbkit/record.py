@@ -157,5 +157,4 @@ def _build(cls, frozen, eq):
             method.__qualname__ = f"{qualname}.{attr}"
         setattr(cls, attr, method)
     cls.__record_fields__ = defaults
-    cls.__record_flags__ = {"frozen": frozen, "eq": eq}
     return cls

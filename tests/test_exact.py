@@ -132,6 +132,15 @@ class TestDet:
         assert IntMatrix.from_rows([[1, 2, 3], [2, 4, 5], [3, 6, 7]]).det() \
             == 0
 
+    def test_empty_and_one_by_one(self):
+        """Kills the mutants of IntMatrix.det's `if n == 0: return 1` that
+        read `n == 1` (a 1x1 determinant would read 1, not its entry, and
+        the empty one would raise IndexError) and `return 2` (the empty
+        determinant would be 2)."""
+        assert IntMatrix(0, 0, ()).det() == 1
+        assert IntMatrix.from_rows([[-7]]).det() == -7
+        assert IntMatrix.from_rows([[0]]).det() == 0
+
     def test_a_swap_flips_the_sign(self):
         assert IntMatrix.from_rows([[0, 1], [1, 0]]).det() == -1
         assert IntMatrix.from_rows([[0, 2, 1], [3, 0, 0], [0, 0, 5]]).det() \

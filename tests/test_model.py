@@ -34,6 +34,15 @@ def test_fresh_id_is_the_first_free_number():
     assert OrbifoldConfig.fresh_id("ev", []) == "ev1"
     assert OrbifoldConfig.fresh_id("ev", ["ev1", "ev3", "e2"]) == "ev2"
     assert OrbifoldConfig.fresh_id("dp", {"dp1", "dp2"}) == "dp3"
+    # range(1, len(taken) + 2) holds len(taken) + 1 candidates, so one is
+    # free; a longer range (the + 3 mutant) finds the same first one
+
+
+def test_betti_numbers_default_to_zero():
+    """Kills the mutants of OrbifoldConfig's defaults b1 = 0 -> 1 and
+    b2 = 0 -> 1: a config given neither has chi = 2."""
+    cfg = OrbifoldConfig()
+    assert (cfg.b1, cfg.b2, cfg.euler) == (0, 0, 2)
 
 
 class TestValidate:
@@ -42,6 +51,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("kind", ["surfaces", "points", "events"])
     def test_repeated_id(self, kind):
+        """The message names the kind in the singular, which also kills
+        the mutant that cuts kind[:-2], not kind[:-1]: it would read
+        "surfac ids repeat"."""
         cfg = OrbifoldConfig(
             (SurfaceData("A", 0), SurfaceData("B", 0)),
             (SingularPointData("x", 2, (1, 1), ("A", "B")),),
@@ -51,8 +63,10 @@ class TestValidate:
         records = getattr(cfg, kind)
         cfg = replace(cfg, **{kind: records + (replace(records[0], id="y"),
                                                replace(records[0], id="y"))})
-        assert [(v.kind, v.locus) for v in validate_config(cfg)] \
-            == [("DuplicateId", kind)]
+        singular = {"surfaces": "surface", "points": "point",
+                    "events": "event"}[kind]
+        assert [(v.kind, v.locus, v.message) for v in validate_config(cfg)] \
+            == [("DuplicateId", kind, f"{singular} ids repeat")]
 
     def test_intersecting_non_coprime(self):
         cfg = OrbifoldConfig(
@@ -288,6 +302,19 @@ class TestAssignLocalInvariants:
         with pytest.raises(UnsupportedGeometry):
             assign_local_invariants(cfg)
 
+    def test_e2_prime_is_j_plus_n_x(self):
+        """Kills the mutant e2' = j - n*x, not j + n*x.  The two differ by
+        2*n*x, which vanishes mod n*d whenever d divides 2*x, as at the
+        points orbkit builds (d = 2, j = 1).  Here d = 9, n = 2, j = 1 and
+        (e1, e2) = (2, 1): e = 2, x = rad(9) = 3, e2' = 1 + 2*3 = 7 and
+        e1' = 2*7 = 14 = 5 mod 9, so (m1, m2, d, e1', e2') = (2, 1, 9,
+        5, 7) and (m, j1, j2) = (18, 10, 7); the mutant gives e2' = -5
+        and (18, 16, 13)."""
+        cfg = _single_point_config(n=2, j=1, d=9, e1=2, e2=1)
+        pli = assign_local_invariants(cfg)["x"]
+        assert pli.derived == (2, 1, 9, 5, 7)
+        assert (pli.m, pli.j1, pli.j2) == (18, 10, 7)
+
     def test_random_inputs_valid_and_compatible(self):
         rng = random.Random(424242)
         produced = 0
@@ -323,6 +350,15 @@ class TestCompatibility:
     def test_wrong_multiplicity(self):
         assert not check_compatibility(
             self.PLI, SurfaceData("D", 1, multiplicity=9, local_j=1))
+
+    def test_multiplicity_one_restricts_to_any_point(self):
+        """Kills the mutant that returns True early for n == 2, not
+        n == 1: a multiplicity-1 surface through a point whose slots are
+        3 and 5 holds, and a multiplicity-2 surface there does not."""
+        pli = PointLocalInvariant("x", (3, 5, 1, 1, 1), ("D",))
+        assert check_compatibility(pli, SurfaceData("D", 1))
+        assert not check_compatibility(
+            pli, SurfaceData("D", 1, multiplicity=2, local_j=1))
 
     def test_not_incident(self):
         with pytest.raises(NotIncident):
@@ -361,6 +397,15 @@ class TestEvenPointBound:
         cfg = OrbifoldConfig(points=tuple(
             SingularPointData(f"x{k}", 2, (1, 1)) for k in range(3)), b2=2)
         assert not check_even_point_bound(cfg, 2)
+
+    def test_count_equal_to_b2_holds(self):
+        """Kills the mutant that counts each point twice, sum(2 ...), not
+        sum(1 ...): two points of even order with b2 = 2 are allowed, and
+        only the odd-order third is not counted."""
+        cfg = OrbifoldConfig(points=tuple(
+            SingularPointData(f"x{k}", d, (1, 1)) for k, d in
+            enumerate((2, 4, 3))), b2=2)
+        assert check_even_point_bound(cfg, 2)
 
 
 def test_pairing_uses_point_order():
