@@ -2,17 +2,23 @@
 
 Arbitrary-precision integers (Python ints), reduced rationals
 (fractions.Fraction), modular inverses, bounded trial-division
-factorization and Smith normal form of integer matrices.  Everything
-downstream (homology, Chern classes, abelianizations) reduces to these
-primitives.  An IntMatrix of any shape, identity and zero included, is
-made from its entries: by the constructor, or by from_rows, which
-checks that each is an integer.  The Smith normal form is one loop of
-row and column moves on one list of rows, A bordered by two identities,
-so that the same moves give D and both transforms U and V.
+factorization and one elimination per ring.  Everything downstream
+(homology, Chern classes, abelianizations, the pairing's checks)
+reduces to these primitives.  An IntMatrix of any shape, identity and
+zero included, is made from its entries: by the constructor, or by
+from_rows, which checks that each is an integer.
+
+Over Z the elimination is the Smith normal form: one loop of row and
+column moves on one list of rows, A bordered by two identities, so
+that the same moves give D and both transforms U and V.  Over Q it is
+congruence_diagonal, which diagonalises a symmetric matrix Q by
+congruence, D = L^T Q L: the determinant of Q is the product of D and
+its inertia is the signs of D.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 from operator import index
 
@@ -127,31 +133,6 @@ class IntMatrix:
     def diagonal(self) -> list[int]:
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
 
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
 
 @record(frozen=True)
 class SnfResult:
@@ -244,3 +225,41 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     return SnfResult(D=IntMatrix(m, n, tuple([tuple(r[:n]) for r in b[:m]])),
                      U=IntMatrix(m, m, tuple([tuple(r[n:]) for r in b[:m]])),
                      V=IntMatrix(n, n, tuple([tuple(r) for r in b[m:]])))
+
+
+def congruence_diagonal(rows) -> list:
+    """The diagonal of D = L^T Q L, a congruence diagonalisation over Q
+    of the square symmetric matrix Q with these rows (Fractions or ints).
+
+    The product of D is det Q, the signs of D give the inertia of Q, and
+    Q is degenerate exactly when D holds a 0.  Each step pivots on the
+    first nonzero diagonal entry of what is left (symmetric pivoting):
+    the pivot is D's next entry, and its row and column leave by a Schur
+    complement, in which each other row with a nonzero entry in the
+    pivot's column subtracts that multiple of the pivot's row.  When the
+    diagonal left is all 0, the first row's first nonzero entry, in
+    column j, makes a pivot: row and column j are added to row and
+    column 0, whose diagonal entry becomes twice that entry.  A first
+    row of zeros is a 0 pivot with nothing to subtract.  Raises
+    ValueError unless Q is square and symmetric.
+    """
+    a = [list(r) for r in rows]
+    if a != [list(c) for c in zip(*a)]:  # a non-square one differs too
+        raise ValueError("not a square symmetric matrix")
+    d = []
+    while a:
+        k = next((k for k, r in enumerate(a) if r[k]), None)
+        if k is None:
+            j = next((j for j, x in enumerate(a[0]) if x), 0)
+            a[0] = [x + y for x, y in zip(a[0], a[j])]
+            for r in a:
+                r[0] += r[j]
+            k = 0
+        top = a.pop(k)
+        p = top.pop(k)
+        d.append(p)
+        for r in a:
+            if c := r.pop(k):
+                q = Fraction(c, p)  # exact for int entries too
+                r[:] = [x - q * y for x, y in zip(r, top)]
+    return d

@@ -33,9 +33,10 @@ config's contents.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .exact import IntMatrix, mod_inverse, radical_quotient
+from .exact import (IntMatrix, congruence_diagonal, mod_inverse,
+                    radical_quotient)
 from .record import record
 
 
@@ -351,12 +352,9 @@ def validate_config(cfg: OrbifoldConfig) -> list[Violation]:
                                  "basis references untracked surface"))
         else:
             mat = cfg.pairing_matrix()
-            # the basis spans H2(X; Q) only if its pairing is nondegenerate:
-            # an exact determinant, of the pairing scaled to integers
-            scale = lcm(*(x.denominator for row in mat for x in row))
-            scaled = [[x.numerator * (scale // x.denominator) for x in row]
-                      for row in mat]
-            if IntMatrix.from_rows(scaled).det() == 0:
+            # the basis spans H2(X; Q) only if its pairing is nondegenerate,
+            # that is when its diagonal form over Q holds no 0
+            if 0 in congruence_diagonal(mat):
                 out.append(Violation("DegeneratePairing", "basis",
                                      "the basis pairing has determinant 0"))
             for s in cfg.surfaces:

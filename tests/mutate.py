@@ -17,10 +17,13 @@ run in one pytest process with a time limit, and the file is put back.
 A mutant that passes them is run again against the whole suite, and
 only one that passes that too is a survivor.  A mutant that runs out of
 time counts as killed.  Before the first mutant, the copy runs each
-module's tests and then the whole suite unchanged, with the same time
-limits, and the run stops unless they pass, so that `killed` means the
-mutant was caught.  Never
-run two of these at once: each pytest process is as large as the suite.
+module's tests and then the whole suite unchanged, and the run stops
+unless they pass, so that `killed` means the mutant was caught.  These
+runs are timed, and a mutant's run may take SLOWDOWN times as long as
+the unmutated run of the same tests, so a mutant that loops costs a
+few runs of its module's tests, not a fixed wait.  Never run two of
+these at once: each pytest process is as large as the suite, and
+another process would slow the runs that set the limits.
 
     python tests/mutate.py abelian spin        # every site of both
     python tests/mutate.py --list spin         # the sites, not run
@@ -39,13 +42,14 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# seconds for one pytest process over a module's COVER files; the whole
-# suite gets five times as long
-TIMEOUT = 120.0
+# a mutant's pytest run may take this many times as long as the same
+# tests took on the unmutated copy
+SLOWDOWN = 10
 
 # the test files that a module's mutants run against first
 COVER = {
@@ -114,9 +118,10 @@ def mutant(source: str, n: int) -> tuple[str, str]:
     return f"{where} {before} -> {_short(node)}", ast.unparse(tree)
 
 
-def _pytest(repo: Path, tests: list[str], timeout: float) -> str:
+def _pytest(repo: Path, tests: list[str], timeout: float | None) -> str:
     """killed, timeout or passed: one pytest process over tests, in its
-    own process group, so that a timeout ends whatever it started."""
+    own process group, so that a timeout ends whatever it started; no
+    timeout waits for it to end."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"  # a rewritten module is read anew
     proc = subprocess.Popen(
@@ -156,26 +161,29 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT, repo, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis",
             ".perfbench_out"))
-        # with the time limits the mutants get, so that a timeout too
+        # the unmutated runs set the time limits, so that a timeout too
         # means the mutant was caught
-        baseline = [([f"tests/{name}" for name in COVER[module]], TIMEOUT)
-                    for module in args.modules] + [(["tests"], 5 * TIMEOUT)]
-        for tests, limit in baseline:
-            status = _pytest(repo, tests, limit)
-            if status != "passed":
-                what = "runs out of time" if status == "timeout" else "fails"
-                print(f"the unmutated copy {what}: " + " ".join(tests),
+        limit = {}
+        for key in [*args.modules, "tests"]:
+            tests = ["tests"] if key == "tests" else [
+                f"tests/{name}" for name in COVER[key]]
+            start = time.monotonic()
+            if _pytest(repo, tests, None) != "passed":
+                print("the unmutated copy fails: " + " ".join(tests),
                       file=sys.stderr)
                 return 1
+            limit[key] = SLOWDOWN * (time.monotonic() - start)
+            print(f"{key}: {limit[key] / SLOWDOWN:.1f} s unmutated, "
+                  f"limit {limit[key]:.0f} s", flush=True)
         for module, source, n in plan:
             path = repo / "src" / "orbkit" / f"{module}.py"
             what, changed = mutant(source, n)
             path.write_text(changed)
             try:
                 tests = [f"tests/{name}" for name in COVER[module]]
-                status = _pytest(repo, tests, TIMEOUT)
+                status = _pytest(repo, tests, limit[module])
                 if status == "passed":
-                    status = _pytest(repo, ["tests"], 5 * TIMEOUT)
+                    status = _pytest(repo, ["tests"], limit["tests"])
             finally:
                 path.write_text(source)
             if status == "passed":

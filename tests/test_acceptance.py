@@ -8,7 +8,12 @@ from math import gcd
 
 from letter_words import syllables
 from orbkit.abelian import AbelianGroup
-from orbkit.exact import IntMatrix, mod_inverse, smith_normal_form
+from orbkit.exact import (
+    IntMatrix,
+    congruence_diagonal,
+    mod_inverse,
+    smith_normal_form,
+)
 from orbkit.fpgroup import (
     Presentation,
     abelianize,
@@ -252,7 +257,9 @@ def test_acceptance_9_exact_arithmetic():
                                  for _ in range(m)])
         res = smith_normal_form(A)
         ok &= res.U @ A @ res.V == res.D
-        ok &= abs(res.U.det()) == 1 and abs(res.V.det()) == 1
+        # |det U| = 1 iff det(U^T U) = det(U)^2 = 1, and so for V
+        ok &= all(math.prod(congruence_diagonal((m.transpose() @ m).entries))
+                  == 1 for m in (res.U, res.V))
         diag = res.D.diagonal()
         ok &= all(diag[i + 1] % diag[i] == 0
                   for i in range(len(diag) - 1) if diag[i])

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -8,13 +8,14 @@ from orbkit.exact import (
     IntMatrix,
     NotCoprime,
     PrimalityUnknown,
+    congruence_diagonal,
     factorize,
     mod_inverse,
     radical,
     radical_quotient,
     smith_normal_form,
 )
-from orbkit.surgery import build_Z
+from orbkit.surgery import build_block_Y, build_Z
 
 
 class TestModInverse:
@@ -123,28 +124,134 @@ class TestFromRows:
         assert IntMatrix.from_rows([[], []]) == IntMatrix(2, 0, ((), ()))
 
 
-class TestDet:
-    def test_zero_column_before_the_last_pivot(self):
-        """Kills the mutant of IntMatrix.det that returns 1, not 0, when
-        a column has no pivot: column 0 of [[0, 1], [0, 2]] has none,
-        and its pivot search comes before the last one."""
-        assert IntMatrix.from_rows([[0, 1], [0, 2]]).det() == 0
-        assert IntMatrix.from_rows([[1, 2, 3], [2, 4, 5], [3, 6, 7]]).det() \
-            == 0
+def _inertia(d):
+    """(positive, negative) counts of a diagonal form."""
+    return sum(x > 0 for x in d), sum(x < 0 for x in d)
 
+
+def _unimodular(m: IntMatrix) -> bool:
+    """|det m| == 1, read off det(m^T m) = det(m)^2 as the product of
+    congruence_diagonal: a check that shares no code with the SNF."""
+    return prod(congruence_diagonal((m.transpose() @ m).entries)) == 1
+
+
+class TestCongruenceDiagonal:
     def test_empty_and_one_by_one(self):
-        """Kills the mutants of IntMatrix.det's `if n == 0: return 1` that
-        read `n == 1` (a 1x1 determinant would read 1, not its entry, and
-        the empty one would raise IndexError) and `return 2` (the empty
-        determinant would be 2)."""
-        assert IntMatrix(0, 0, ()).det() == 1
-        assert IntMatrix.from_rows([[-7]]).det() == -7
-        assert IntMatrix.from_rows([[0]]).det() == 0
+        assert congruence_diagonal([]) == []
+        assert congruence_diagonal([[Fraction(-7, 2)]]) == [Fraction(-7, 2)]
+        assert congruence_diagonal([[0]]) == [0]
 
-    def test_a_swap_flips_the_sign(self):
-        assert IntMatrix.from_rows([[0, 1], [1, 0]]).det() == -1
-        assert IntMatrix.from_rows([[0, 2, 1], [3, 0, 0], [0, 0, 5]]).det() \
-            == -30
+    def test_zero_first_row_and_column(self):
+        """A zero first row and column give a 0; the rest is pivoted as
+        it stands, with or without a nonzero diagonal entry left."""
+        d = congruence_diagonal([[0, 0, 0], [0, 1, 2], [0, 2, 3]])
+        assert d == [1, -1, 0]
+        d = congruence_diagonal([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+        assert d == [0, 2, Fraction(-1, 2)]
+
+    def test_hyperbolic_plane_adds_a_row(self):
+        """[[0, 1], [1, 0]] has no nonzero diagonal entry: row and column
+        1 are added to row and column 0, whose corner becomes 2."""
+        d = congruence_diagonal([[0, 1], [1, 0]])
+        assert d == [2, Fraction(-1, 2)]
+        assert prod(d) == -1 and _inertia(d) == (1, 1)
+        d = congruence_diagonal([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
+        assert prod(d) == 0 and _inertia(d) == (1, 1)
+
+    def test_zero_matrix(self):
+        assert congruence_diagonal([[0] * 3] * 3) == [0, 0, 0]
+
+    def test_refuses_non_square_or_non_symmetric(self):
+        for rows in ([[1, 2]], [[1, 2], [2]], [[1], [1, 2]], [[1, 2], [3, 4]],
+                     [[0, 1, 0], [1, 0, 0]]):
+            with pytest.raises(ValueError):
+                congruence_diagonal(rows)
+
+    def test_the_input_is_left_alone(self):
+        rows = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+        congruence_diagonal(rows)
+        assert rows == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_builtin_pairings(self, p):
+        """glued_Z's pairing on V1..V16 is already diagonal; block_Y's
+        det -1/4 makes its pairing scaled by 2 (6 x 6) have det -16."""
+        d = congruence_diagonal(build_Z(p).pairing_matrix())
+        half = Fraction(1, 2)
+        assert d == [half, -half] + [-1] * 12 + [1, 1]
+        assert prod(d) == Fraction(-1, 4) and _inertia(d) == (3, 13)
+        d = congruence_diagonal(build_block_Y().pairing_matrix())
+        assert prod(d) == Fraction(-1, 4) and _inertia(d) == (3, 3)
+
+
+class TestCongruenceOracle:
+    """The product and signs of congruence_diagonal against sympy's
+    determinant and characteristic polynomial over QQ."""
+
+    @staticmethod
+    def _random_symmetric(rng):
+        n = rng.randrange(0, 9)
+        shape = rng.choice(("dense", "zero diagonal", "zero first column",
+                            "singular"))
+        if shape == "singular":
+            # M S M^T with M n x k, k < n, has rank at most k
+            k = rng.randrange(0, n) if n else 0
+            m = [[rng.randrange(-3, 4) for _ in range(k)] for _ in range(n)]
+            s = [[Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                  for _ in range(k)] for _ in range(k)]
+            s = [[s[i][j] + s[j][i] for j in range(k)] for i in range(k)]
+            return [[sum((m[i][u] * s[u][v] * m[j][v] for u in range(k)
+                          for v in range(k)), Fraction(0))
+                     for j in range(n)] for i in range(n)]
+        a = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.6:
+                    a[i][j] = a[j][i] = Fraction(rng.randrange(-5, 6),
+                                                 rng.randrange(1, 5))
+        for i in range(n):
+            if shape == "zero diagonal":
+                a[i][i] = Fraction(0)
+            elif shape == "zero first column":
+                a[i][0] = a[0][i] = Fraction(0)
+        return a
+
+    @staticmethod
+    def _oracle(a):
+        """(det, (positive, negative)) by sympy.  A real symmetric
+        matrix has real eigenvalues only, so Descartes' rule of signs on
+        its characteristic polynomial counts them exactly: sign changes
+        of p(x) for the positive ones and of p(-x) for the negative ones,
+        once the factor x^z of the zero eigenvalues is divided out."""
+        pytest.importorskip("sympy")
+        matrices = pytest.importorskip("sympy.polys.matrices")
+        from sympy import QQ
+        n = len(a)
+        dm = matrices.DomainMatrix(
+            [[QQ(x.numerator, x.denominator) for x in r] for r in a],
+            (n, n), QQ)
+        coeffs = list(dm.charpoly())
+        while coeffs[-1] == 0:
+            coeffs.pop()
+
+        def changes(cs):
+            signs = [c > 0 for c in cs if c]
+            return sum(u != v for u, v in zip(signs, signs[1:]))
+
+        top = len(coeffs) - 1
+        negated = [c if (top - i) % 2 == 0 else -c
+                   for i, c in enumerate(coeffs)]
+        det = Fraction(1) if n == 0 else dm.det()
+        return Fraction(int(det.numerator), int(det.denominator)), \
+            (changes(coeffs), changes(negated))
+
+    def test_random_symmetric_matrices(self):
+        rng = random.Random(2024)
+        for _ in range(1000):
+            a = self._random_symmetric(rng)
+            d = congruence_diagonal(a)
+            assert len(d) == len(a)
+            assert (prod(d), _inertia(d)) == self._oracle(a), a
 
 
 class TestSmithNormalForm:
@@ -166,11 +273,14 @@ class TestSmithNormalForm:
             a = _random_matrix(rng)
             snf = smith_normal_form(a)
             assert snf.U @ a @ snf.V == snf.D
-            assert abs(snf.U.det()) == 1
-            assert abs(snf.V.det()) == 1
+            assert _unimodular(snf.U) and _unimodular(snf.V)
             facs = snf.invariant_factors()
             for x, y in zip(facs, facs[1:]):
                 assert y % x == 0 and x > 0
+
+    def test_the_unimodularity_check_rejects_det_2(self):
+        assert _unimodular(IntMatrix.from_rows([[0, -1], [1, 0]]))
+        assert not _unimodular(IntMatrix.from_rows([[1, 0], [0, 2]]))
 
     def test_unimodular_invariance(self):
         rng = random.Random(99)

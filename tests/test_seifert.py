@@ -103,6 +103,11 @@ class TestChernClass:
         assert m == 3 ** 16
         assert scaled_chern_class(spec).integer_entries()[-1] == 1
 
+    def test_total_multiplicity_of_no_surfaces_is_one(self):
+        """Kills the mutant of total_multiplicity that reads `else 2`
+        for `else 1`: a configuration tracking no surface has m = 1."""
+        assert total_multiplicity(OrbifoldConfig(())) == 1
+
     def test_missing_pairing(self):
         cfg = replace(_disjoint_config([3], [[1]]), integral_pairing=None)
         with pytest.raises(MissingIntegralPairing):
@@ -316,6 +321,29 @@ class TestSearch:
         monkeypatch.setattr(seifert, "MAX_L1", 0)
         assert _search(
             Lattice.of(z), lambda spec: any(c % 2 for c in spec.c1B)) is None
+
+    def test_an_exhausted_walk_stops_at_norm_two(self):
+        """Kills the mutant MAX_L1 = 3, which changes no glued_Z report
+        (test_a_larger_search_bound_changes_no_glued_report): a search
+        that nothing serves offers each primitive class of L1 norm at
+        most 2 once, and no class of norm 3."""
+        lattice = Lattice.of(build_Z(3))
+        offered = []
+        assert _search(lattice, offered.append) is None
+
+        def unit(i, x):
+            return tuple(x if k == i else 0 for k in range(16))
+
+        # norm 0, 1 and 2: 0, +-e_i, +-2e_i and +-e_i +- e_j
+        norm_two = {(0,) * 16} | {
+            unit(i, x) for i in range(16) for x in (-2, -1, 1, 2)} | {
+            tuple(a + b for a, b in zip(unit(i, x), unit(j, y)))
+            for i, j in itertools.combinations(range(16), 2)
+            for x in (-1, 1) for y in (-1, 1)}
+        assert len(norm_two) == 545
+        offered = [spec.c1B for spec in offered]
+        assert len(set(offered)) == len(offered)
+        assert set(offered) == {c for c in norm_two if lattice.primitive(c)}
 
     def test_deterministic_first_hit(self):
         z = build_Z(3)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from orbkit import surgery
-from orbkit.exact import IntMatrix
+from orbkit.exact import IntMatrix, congruence_diagonal
 from orbkit.model import (
     IntersectionEvent,
     OrbifoldConfig,
@@ -47,6 +47,7 @@ from orbkit.surgery import (
     resolve_torus_pair,
 )
 from test_cli_verify_outputs import SEEDS, workloads
+from test_exact import _inertia
 
 
 def _add(cfg, **records):
@@ -391,6 +392,38 @@ def _two_free_spheres_joined(y, w, plan):
     # two spheres meeting nothing glue to a surface of euler char 4
     w = _add(w, surfaces=[SurfaceData("Q1", 0), SurfaceData("Q2", 0)])
     return _extra_join(("Q1", "Q2"))(y, w, plan)
+
+
+# the signature step of each move (ROADMAP item 13); the other moves keep
+# sigma, and a fibre sum adds its two sides' signatures
+SIGNATURE_STEP = {"blow_up": -1, "blow_down_minus2": 1,
+                  "resolve_torus_pair": -1}
+
+
+def _signature_after(start, log):
+    return start + sum(SIGNATURE_STEP.get(e.op, 0) for e in log.entries)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_glued_pairing_has_the_signature_of_the_moves(p):
+    """Gompf (Ann. of Math. 142, 1995): sigma(X #_F Y) = sigma(X) +
+    sigma(Y).  sigma(W) follows block_W's logged moves from P^2
+    (sigma 1), sigma(Y) is read off block_Y's pairing, and glued_Z's
+    pairing must then have b+ - b- = sigma(Y) + sigma(W) plus the steps
+    of the moves after the sum: 0 - 8 - 2 = -10, inertia (3, 13)."""
+    log_w = SurgeryLog()
+    build_block_W(log=log_w)
+    sigma_w = _signature_after(1, log_w)
+    assert sigma_w == 1 - 11 + 2
+    pos, neg = _inertia(congruence_diagonal(build_block_Y().pairing_matrix()))
+    assert pos + neg == 6
+    log_z = SurgeryLog()
+    z = build_Z(p, log=log_z)
+    assert [e.op for e in log_z.entries].count("gompf_fiber_sum") == 1
+    sigma_z = _signature_after(pos - neg + sigma_w, log_z)
+    assert sigma_z == -10
+    pos, neg = _inertia(congruence_diagonal(z.pairing_matrix()))
+    assert (pos + neg, pos - neg) == (z.b2, sigma_z)
 
 
 @pytest.mark.parametrize("case, error, message", [
